@@ -424,6 +424,19 @@ def assemble_certificate(
     window_limited: bool = True,
 ) -> HypothesisCertificate:
     gamma = c1 * c2 * c3 / (2.0 * c4)
+    if gamma == 0.0 and min(c1, c2, c3) > 0:
+        # every factor is positive, so the product underflowed: no float
+        # carries this rate, and the bound 2(1 - gamma)^t would read 2
+        factors = {
+            "c1": math.log10(c1), "c2": math.log10(c2), "c3": math.log10(c3), "c4": -math.log10(c4)
+        }
+        part = min(factors, key=factors.get)
+        raise CertificationError(
+            f"gamma = c1*c2*c3/(2*c4) underflows to 0 (log10 gamma = "
+            f"{sum(factors.values()) - math.log10(2.0):.1f}); {part} is the vanishing "
+            f"constant (c1={c1:.3e}, c2={c2:.3e}, c3={c3:.3e}, c4={c4:.3e})",
+            part=part,
+        )
     return HypothesisCertificate(
         K=tuple(sorted(int(x) for x in K)),
         x0=int(x0),

@@ -7,6 +7,10 @@ Poisson tail mass drops below ``series_tol``; every term of M is
 non-negative, so the truncation error in any computed vector is bounded
 by series_tol times its input mass.  No matrix exponentials are formed.
 
+The quasi-stationary law is not found by evolution: it is solved by
+inverse iteration on one sparse LU of the sub-generator, at a cost that
+does not grow with L the way a series does.
+
 Measures (row vectors) and functions (column vectors) evolve through the
 same series; measures push forward, functions pull back.  Conditioning
 on survival is always a final normalization step, never baked into the
@@ -21,6 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 from scipy.sparse.csgraph import connected_components
+from scipy.sparse.linalg import splu
 from scipy.stats import poisson
 
 from .chain import REFLECT, AbsorbedChain, BirthDeathSpec, DistributionOnStates, truncate
@@ -281,44 +286,62 @@ def _require_irreducible(chain: AbsorbedChain) -> None:
         )
 
 
-def compute_qsd(
-    chain: AbsorbedChain,
-    tol: float = 1e-12,
-    max_iters: int = 100000,
-    step: float = 1.0,
-    series_tol: float = SERIES_TOL,
-) -> QsdResult:
-    """Power iteration of the conditioned unit-time step from uniform.
+def _inverse_operator(chain: AbsorbedChain):
+    """One sparse LU of -Q^T (or sigma I - Q^T when no mass is lost).
+
+    On an irreducible window that loses mass, -Q is a nonsingular
+    M-matrix, so its inverse is entrywise positive with dominant root
+    1/decay_rate.  A window that loses nothing has the singular -Q of a
+    conservative generator; shifting by sigma = L keeps the inverse
+    positive and its Perron vector the stationary law.  -Q^T is column
+    diagonally dominant, so diagonal pivots are the partial-pivoting
+    choice anyway; forcing them keeps every Schur complement an
+    M-matrix and the triangular solves free of cancellation.
+    """
+    A = -chain.sub_generator.T
+    if not np.any(chain.absorption_rates + chain.kill_rates):
+        A = A + (chain.uniformization_rate() or 1.0) * sparse.eye(chain.n_transient)
+    try:
+        return splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0)
+    except RuntimeError as exc:
+        raise ComputationError(f"sparse LU of the sub-generator failed: {exc}") from exc
+
+
+def compute_qsd(chain: AbsorbedChain, tol: float = 1e-12, max_iters: int = 100000) -> QsdResult:
+    """Inverse iteration on one sparse LU of -Q^T.
+
+    Each step solves -Q^T w = v and renormalizes: w is the law of
+    expected occupation before absorption from the law v.  Its Perron
+    vector is the QSD, and the iterates converge at the ratio of the two
+    smallest decay rates whatever the uniformization rate L.  The start
+    is the point mass at state 1: mass placed high in the window only
+    shrinks by decay_rate / q(x) per step and would sit far above the
+    true, exponentially small tail; started low, the tail fills only
+    through the chain's own moves.
 
     Stops when the TV increment between successive normalized iterates
     falls below tol; raises NonConvergenceError carrying the increment
-    history otherwise.
+    history (iteration index as time) otherwise.
     """
     if tol <= 0:
         raise ValidationError("tol must be > 0")
-    if step <= 0:
-        raise ValidationError("step must be > 0")
     _require_irreducible(chain)
-    v = np.full(chain.n_transient, 1.0 / chain.n_transient)
-    times, incs = [], []
-    converged = False
-    its = 0
+    lu = _inverse_operator(chain)
+    v = np.zeros(chain.n_transient)
+    v[0] = 1.0
+    incs = []
     for k in range(1, max_iters + 1):
-        raw = evolve_measure(chain, v, step, series_tol)
-        w, _ = _normalize_mass(raw, "QSD power iteration")
+        w, _ = _normalize_mass(lu.solve(v), "QSD inverse iteration")
         inc = float(np.abs(w - v).sum())
         v = w
-        times.append(k * step)
         incs.append(inc)
-        its = k
         if inc < tol and k >= 3:
-            converged = True
             break
-    if not converged:
+    else:
         raise NonConvergenceError(
             f"QSD iteration did not reach tol={tol} in {max_iters} steps "
             f"(last increment {incs[-1]:.3e})",
-            trace=ConvergenceTrace(np.array(times), np.array(incs)),
+            trace=ConvergenceTrace(np.arange(1.0, len(incs) + 1), np.array(incs)),
         )
     rho = v
     absorb = float(rho @ chain.absorption_rates)
@@ -331,7 +354,7 @@ def compute_qsd(
         kill_rate=kill,
         decay_rate=decay,
         eigen_residual=float(np.abs(resid).max()),
-        iterations=its,
+        iterations=len(incs),
         truncation_n=chain.n_states,
         top_mass=float(rho[-1]),
         chain=chain,
@@ -413,8 +436,9 @@ def yaglom_limit(
 
     Convergence is declared when the TV step between consecutive grid
     points falls below tol twice in a row.  The limit is cross-checked
-    against the power-iteration QSD of the same window; disagreement
-    points at a window too small for the starting law and raises.
+    against compute_qsd on the same window (inverse iteration, a route
+    that shares no evolution code with this one); disagreement points at
+    a window too small for the starting law and raises.
     """
     if ratio <= 1:
         raise ValidationError("grid ratio must exceed 1")

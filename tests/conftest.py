@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from quasistat import build_from_entries
+from quasistat import build_from_entries, evolve_measure
 
 # one line per acceptance criterion, replayed after the run so the
 # verdicts are visible even under pytest's output capture
@@ -146,6 +146,23 @@ def bd_moment_oracle(spec, z: int, lam: float, m: int) -> np.ndarray:
     n = chain.n_transient
     A = -(Q + lam * np.eye(n))
     return np.linalg.solve(A, chain.absorption_rates)
+
+
+def power_iteration_qsd(chain, tol=1e-12, max_iters=100000):
+    """QSD by power iteration of the conditioned unit-time step from
+    uniform: (law, decay rate).  Every series term is non-negative, so the
+    iterates are probability vectors by construction; the cost is about
+    L matvecs per step, which is why the library solves by inverse
+    iteration instead and keeps this route only as an oracle."""
+    v = np.full(chain.n_transient, 1.0 / chain.n_transient)
+    for k in range(1, max_iters + 1):
+        w = evolve_measure(chain, v, 1.0)
+        w = w / w.sum()
+        inc = float(np.abs(w - v).sum())
+        v = w
+        if inc < tol and k >= 3:
+            return v, float(v @ (chain.absorption_rates + chain.kill_rates))
+    raise AssertionError(f"power iteration did not reach tol={tol} in {max_iters} steps")
 
 
 @pytest.fixture

@@ -101,7 +101,7 @@ def test_acceptance_2_mixing_bound_dominates():
 
 def test_acceptance_3_yaglom_start_independence():
     # tolerance: limits from delta_1 and delta_40 within 1e-8 of each
-    # other and within 1e-7 of the power-iteration law
+    # other and within 1e-7 of the QSD solved by compute_qsd
     chain = build_logistic(1.0, 1.0, 1.0, 64)
     lim1, _ = yaglom_limit(chain, DistributionOnStates.delta(1, 64), tol=1e-11)
     lim2, _ = yaglom_limit(chain, DistributionOnStates.delta(40, 64), tol=1e-11)

@@ -235,6 +235,17 @@ def test_certificate_rejects_out_of_range_constants():
         assemble_certificate(c4=1.0, **{**bad, "x0": 2})
 
 
+def test_assemble_names_the_constant_that_underflows_gamma():
+    # the constants logistic_certificate(3, 1, 0.02) produces: each is a
+    # valid positive floor, but their product is below the smallest float
+    with pytest.raises(CertificationError, match="underflows") as ei:
+        assemble_certificate(
+            K=(1,), x0=1, c1=3.1e-41, c2=2.5e-292, c3=1.0, c4=1.2, lambda0=1.0,
+            c3_strategy=SOJOURN, n_states=8, boundary_mode="reflect",
+        )
+    assert ei.value.part == "c2"
+
+
 # -- the survival-ratio inequality ------------------------------------------------
 
 

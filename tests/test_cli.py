@@ -56,6 +56,16 @@ def test_bad_chain_file_reports_line(tmp_path, capsys):
     assert "bad.txt:2" in captured.err
 
 
+def test_singular_sub_generator_is_computation_error(tmp_path, capsys):
+    # the loss at state 1 vanishes against the exit rate in floating point,
+    # so the sparse LU meets an exactly singular pivot
+    p = tmp_path / "stiff.txt"
+    p.write_text("states 3\nrate 1 2 1e20\nrate 2 1 1e20\nrate 1 0 1e-20\n")
+    code = run(["qsd", "--chain", str(p), "--out", str(tmp_path)])
+    assert code == 1
+    assert "sparse LU" in capsys.readouterr().err
+
+
 def test_missing_file_is_io_error(tmp_path, capsys):
     code = run(["qsd", "--chain", str(tmp_path / "nope.txt"), "--out", str(tmp_path)])
     assert code == 1

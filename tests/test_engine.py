@@ -31,7 +31,7 @@ from quasistat import (
     yaglom_limit,
 )
 
-from conftest import catastrophe_chain, random_small_absorbed_chain
+from conftest import catastrophe_chain, power_iteration_qsd, random_small_absorbed_chain
 
 # Matrix-exponential reference for small windows.  The production path is
 # the scaled Poisson series, which never forms e^{tQ}; agreement across
@@ -256,6 +256,34 @@ def test_qsd_nonconvergence_carries_trace():
     assert trace is not None
     assert trace.times.size == 4
     assert np.all(np.diff(trace.times) > 0)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: build_logistic(1.0, 1.0, 1.0, 3),
+        lambda: build_logistic(1.0, 1.0, 1.0, 48),
+        lambda: build_logistic(1.0, 1.0, 1.0, 64),
+        lambda: build_logistic(1.0, 1.0, 1.0, 256),
+        lambda: build_logistic(1.0, 1.0, 1.0, 16, "kill"),
+        lambda: catastrophe_chain(128),
+        lambda: build_from_entries([(1, 2, 1.0), (2, 1, 2.0), (2, 3, 1.0), (3, 2, 1.0)], 4),
+    ],
+    ids=["logistic3", "logistic48", "logistic64", "logistic256", "kill16", "catastrophe128", "loss_free"],
+)
+def test_qsd_matches_power_iteration_oracle(make):
+    chain = make()
+    res = compute_qsd(chain)
+    rho, decay = power_iteration_qsd(chain)
+    assert tv_distance(res.qsd, rho) <= 1e-10
+    assert res.decay_rate == pytest.approx(decay, rel=1e-10)
+
+
+def test_qsd_of_loss_free_window_is_stationary_law():
+    chain = build_from_entries([(1, 2, 1.0), (2, 1, 2.0), (2, 3, 1.0), (3, 2, 1.0)], 4)
+    res = compute_qsd(chain, tol=1e-13)
+    assert res.decay_rate == 0.0
+    assert np.max(np.abs(res.qsd.weights - [0.5, 0.25, 0.25])) < 1e-12
 
 
 def test_check_qsd_flags_perturbation():
