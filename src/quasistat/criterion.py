@@ -34,6 +34,10 @@ from .certify import (
 from .errors import CertificationError, ValidationError
 from .textio import fmt, render_keyvalues
 
+# Relative margin covering a sum of non-negative rates rounded in another
+# order, which moves it by at most about n * 2**-52 relative.
+_SUM_RTOL = 1e-9
+
 
 @dataclass
 class CriterionReport:
@@ -118,17 +122,22 @@ def compute_alpha_uniform(chain: AbsorbedChain) -> float:
     Columns are taken over the reflecting window, target 0 included.
     A single state with no inbound rate from some source zeroes its
     column's contribution, so for most sparse chains this is small.
+    Rates are non-negative, so only columns that store all n - 1
+    off-diagonal entries can add anything; the generator is never
+    made dense.
     """
     refl = _reflect(chain)
     n = refl.n_transient
     if n < 2:
         return float(refl.absorption_rates.min())
-    Q = refl.sub_generator.toarray()
+    Q = refl.sub_generator.tocsc()
+    col = np.repeat(np.arange(n), np.diff(Q.indptr))
+    off = Q.indices != col
+    stored = np.bincount(col[off], minlength=n)
     total = float(refl.absorption_rates.min())
-    for col in range(n):
-        rates = Q[:, col].copy()
-        rates[col] = math.inf  # skip the diagonal: inf over y != x
-        total += float(rates.min())
+    for c in np.nonzero(stored == n - 1)[0]:
+        lo, hi = Q.indptr[c], Q.indptr[c + 1]
+        total += float(Q.data[lo:hi][off[lo:hi]].min())
     return total
 
 
@@ -241,13 +250,31 @@ def find_minimal_core(chain: AbsorbedChain, k_max: int | None = None) -> tuple[i
 
     Only prefixes are scanned; chains whose inbound mass concentrates on
     high states may pass with some non-prefix core yet fail here.
+
+    One pass over the columns of the reflecting window accumulates, for
+    every state, its rate into {1..k} u {0} as k grows; a prefix whose
+    running minimum may exceed C is confirmed with compute_alpha_K, so
+    the answer is the one compute_alpha_K gives prefix by prefix.
     """
     C, _ = compute_absorption_sup(chain)
     top = chain.n_transient - 1 if k_max is None else min(k_max, chain.n_transient - 1)
+    refl = _reflect(chain)
+    Q = refl.sub_generator.tocsc()
+    into_core = refl.absorption_rates.astype(np.float64)
+    terms = np.zeros(refl.n_transient, dtype=np.int64)
+    # an upper bound on what compute_alpha_K finds per state: the absorption
+    # rate plus one core rate rounds the same in either order, while longer
+    # sums, which it adds in another order, get a relative margin
+    ceiling = into_core.copy()
     for k in range(1, top + 1):
-        alpha, _, _ = compute_alpha_K(chain, range(1, k + 1))
-        if alpha > C:
-            return tuple(range(1, k + 1))
+        rows = Q.indices[Q.indptr[k - 1]:Q.indptr[k]]
+        into_core[rows] += Q.data[Q.indptr[k - 1]:Q.indptr[k]]
+        terms[rows] += 1
+        ceiling[rows] = into_core[rows] * np.where(terms[rows] > 1, 1.0 + _SUM_RTOL, 1.0)
+        if float(ceiling[k:].min()) > C:
+            alpha, _, _ = compute_alpha_K(chain, range(1, k + 1))
+            if alpha > C:
+                return tuple(range(1, k + 1))
     return None
 
 

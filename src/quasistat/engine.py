@@ -12,9 +12,16 @@ inverse iteration on one sparse LU of the sub-generator, at a cost that
 does not grow with L the way a series does.
 
 Measures (row vectors) and functions (column vectors) evolve through the
-same series; measures push forward, functions pull back.  Conditioning
-on survival is always a final normalization step, never baked into the
-operator, so unnormalized survival mass stays available to callers.
+same series; measures push forward, functions pull back.  Either side
+also takes an (n, m) block of m columns: each series term is then one
+operator-times-block product, so m columns cost one pass over the
+Poisson weights instead of m.  Conditioning on survival is always a
+final normalization step, never baked into the operator, so
+unnormalized survival mass stays available to callers.
+
+A series needs about L*t terms.  Past _MAX_SERIES_TERMS terms (stiff
+rates or long horizons) evolution raises ComputationError naming L, t
+and the window instead of allocating the weights.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import splu
-from scipy.stats import poisson
+from scipy.special import gammaln, pdtr, pdtrik, xlogy
 
 from .chain import REFLECT, AbsorbedChain, BirthDeathSpec, DistributionOnStates, truncate
 from .errors import ComputationError, NonConvergenceError, ValidationError
@@ -34,8 +41,15 @@ from .textio import fmt, write_csv
 
 SERIES_TOL = 1e-13
 
-# Below this size a dense operator is faster than CSR matvecs.
+# Below this size the operator is stored dense.  At n = 63 a dense step
+# took 2.3 us against 5.7 us for CSR on one vector, and 2.7 us against
+# 7.4 us on a 2-column block (2-core Xeon VM, numpy 2.4, scipy 1.17, one
+# BLAS thread).
 _DENSE_CUTOFF = 64
+
+# Longest Poisson series evolution will run, in terms (= operator
+# products).  The weights alone take 8 bytes per term.
+_MAX_SERIES_TERMS = 10**7
 
 # Unnormalized mass below this is treated as a numerically null event.
 _NULL_MASS = 1e-300
@@ -76,26 +90,53 @@ def _uniformized(chain: AbsorbedChain) -> _Uniformized:
 
 
 def _poisson_weights(mu: float, series_tol: float) -> np.ndarray:
-    """Poisson(mu) pmf from 0 up to the point where the tail < series_tol."""
+    """Poisson(mu) pmf from 0 up to the point where the tail < series_tol.
+
+    The truncation point is scipy.stats.poisson.isf(series_tol, mu) and
+    the weights its pmf, written with the same scipy.special formulas so
+    that importing the package does not load scipy.stats.
+    """
     if not 0 < series_tol < 1:
         raise ValidationError(f"series_tol must lie in (0, 1), got {series_tol}")
-    kmax = int(poisson.isf(series_tol, mu)) + 1
-    return poisson.pmf(np.arange(kmax + 1), mu)
+    if not mu <= _MAX_SERIES_TERMS:
+        raise ComputationError(
+            f"Poisson series of mean {mu:.3e} exceeds the cap of {_MAX_SERIES_TERMS} terms"
+        )
+    # isf(tol) = ppf(1 - tol): the least k with P(N <= k) >= 1 - tol
+    q = 1.0 - series_tol
+    k = math.ceil(pdtrik(q, mu))
+    below = max(k - 1, 0)
+    if pdtr(below, mu) >= q:
+        k = below
+    kmax = k + 1
+    if kmax + 1 > _MAX_SERIES_TERMS:
+        raise ComputationError(
+            f"Poisson series of mean {mu:.3e} needs {kmax + 1} terms, "
+            f"over the cap of {_MAX_SERIES_TERMS}"
+        )
+    ks = np.arange(kmax + 1)
+    return np.exp(xlogy(ks, mu) - gammaln(ks + 1) - mu)
 
 
 def _evolve(chain: AbsorbedChain, vec: np.ndarray, t: float, series_tol: float, side: str) -> np.ndarray:
     if t < 0 or not math.isfinite(t):
         raise ValidationError(f"time must be finite and >= 0, got {t}")
     v = np.asarray(vec, dtype=np.float64)
-    if v.shape != (chain.n_transient,):
+    if v.ndim not in (1, 2) or v.shape[0] != chain.n_transient:
         raise ValidationError(
-            f"vector length {v.shape} does not match the {chain.n_transient} transient states"
+            f"vector shape {v.shape} does not match the {chain.n_transient} transient states"
         )
     op = _uniformized(chain)
     mu = op.lam * t
     if mu == 0.0:
         return v.copy()
-    w = _poisson_weights(mu, series_tol)
+    try:
+        w = _poisson_weights(mu, series_tol)
+    except ComputationError as exc:
+        raise ComputationError(
+            f"evolution over t={t} at uniformization rate L={op.lam:.3e} on the "
+            f"{chain.n_transient}-state window is too long: {exc}"
+        ) from None
     step = op.step_measure if side == "measure" else op.step_function
     out = w[0] * v
     vk = v
@@ -108,12 +149,22 @@ def _evolve(chain: AbsorbedChain, vec: np.ndarray, t: float, series_tol: float, 
 
 
 def evolve_measure(chain: AbsorbedChain, v, t: float, series_tol: float = SERIES_TOL) -> np.ndarray:
-    """Push a (possibly unnormalized) mass vector forward for time t."""
+    """Push a (possibly unnormalized) mass vector forward for time t.
+
+    v may be an (n,) vector or an (n, m) block of m measures; column j
+    of the result equals evolve_measure on column j alone (exactly on
+    sparse windows; to rounding on dense ones, n < _DENSE_CUTOFF).
+    """
     return _evolve(chain, v, t, series_tol, "measure")
 
 
 def evolve_function(chain: AbsorbedChain, u, t: float, series_tol: float = SERIES_TOL) -> np.ndarray:
-    """Pull a function on transient states back for time t."""
+    """Pull a function on transient states back for time t.
+
+    u may be an (n,) vector or an (n, m) block of m functions; column j
+    of the result equals evolve_function on column j alone (exactly on
+    sparse windows; to rounding on dense ones, n < _DENSE_CUTOFF).
+    """
     return _evolve(chain, u, t, series_tol, "function")
 
 
@@ -526,11 +577,10 @@ def decay_table(
     rows = []
     t_cur = 0.0
     for t in ts:
-        dt = t - t_cur
-        a = evolve_measure(chain, a, dt, SERIES_TOL)
-        b = evolve_measure(chain, b, dt, SERIES_TOL)
-        a, _ = _normalize_mass(a, f"conditional law at t={t}")
-        b, _ = _normalize_mass(b, f"conditional law at t={t}")
+        # both laws share one series: evolve them as an (n, 2) block
+        ab = evolve_measure(chain, np.column_stack((a, b)), t - t_cur, SERIES_TOL)
+        a, _ = _normalize_mass(ab[:, 0], f"conditional law at t={t}")
+        b, _ = _normalize_mass(ab[:, 1], f"conditional law at t={t}")
         t_cur = t
         rows.append(
             DecayRow(

@@ -1,9 +1,16 @@
 """Shared chain builders used across the test modules."""
 
+import math
+
 import numpy as np
 import pytest
 
-from quasistat import build_from_entries, evolve_measure
+from quasistat import (
+    build_from_entries,
+    compute_absorption_sup,
+    compute_alpha_K,
+    evolve_measure,
+)
 
 # one line per acceptance criterion, replayed after the run so the
 # verdicts are visible even under pytest's output capture
@@ -163,6 +170,35 @@ def power_iteration_qsd(chain, tol=1e-12, max_iters=100000):
         if inc < tol and k >= 3:
             return v, float(v @ (chain.absorption_rates + chain.kill_rates))
     raise AssertionError(f"power iteration did not reach tol={tol} in {max_iters} steps")
+
+
+def alpha_uniform_oracle(chain):
+    """Column floor alpha = inf_y Q(y, 0) + sum_x inf_{y != x} Q(y, x) on
+    the reflecting window, read off the dense generator column by column
+    (O(n^2) memory; the library works from the sparse columns)."""
+    refl = chain.as_reflecting()
+    n = refl.n_transient
+    if n < 2:
+        return float(refl.absorption_rates.min())
+    Q = refl.sub_generator.toarray()
+    total = float(refl.absorption_rates.min())
+    for col in range(n):
+        rates = Q[:, col].copy()
+        rates[col] = math.inf  # skip the diagonal: inf over y != x
+        total += float(rates.min())
+    return total
+
+
+def minimal_core_oracle(chain, k_max=None):
+    """Smallest prefix {1..k} with alpha_K > C, one compute_alpha_K call
+    per prefix (O(n * nnz); the library makes one cumulative pass)."""
+    C, _ = compute_absorption_sup(chain)
+    top = chain.n_transient - 1 if k_max is None else min(k_max, chain.n_transient - 1)
+    for k in range(1, top + 1):
+        alpha, _, _ = compute_alpha_K(chain, range(1, k + 1))
+        if alpha > C:
+            return tuple(range(1, k + 1))
+    return None
 
 
 @pytest.fixture

@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from quasistat import (
     compute_c3_lambda0,
     compute_c4,
     conditional_distribution,
+    evolve_function,
     geometric_grid,
     parse_certificate_text,
     tv_distance,
@@ -83,6 +86,23 @@ def test_c2_certified_below_empirical():
     assert b.certified == min(b.hold_floor, b.step_floor)
     assert 0 < b.hold_floor <= 1
     assert 0 < b.step_floor <= 1
+
+
+def test_c2_step_floor_matches_column_loop_in_any_block_width(monkeypatch):
+    # entry (x, j) of the evolved indicator block is P_x(X_1 = K_j); on a
+    # sparse window it equals the column evolved alone, in any block width
+    chain = build_logistic(2.0, 1.0, 0.25, 100)
+    core = list(range(1, 12))
+    idx = [y - 1 for y in core]
+    floor = min(
+        float(evolve_function(chain, np.eye(chain.n_transient)[:, y], 1.0)[idx].min()) for y in idx
+    )
+    whole = compute_c2(chain, core)
+    assert whole.step_floor == floor
+    # the package's certify() shadows its module of the same name
+    certify_module = importlib.import_module("quasistat.certify")
+    monkeypatch.setattr(certify_module, "_BLOCK_ENTRIES", 3 * chain.n_transient)
+    assert compute_c2(chain, core) == whole
 
 
 def test_c2_empty_core_rejected():

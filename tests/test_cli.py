@@ -66,6 +66,18 @@ def test_singular_sub_generator_is_computation_error(tmp_path, capsys):
     assert "sparse LU" in capsys.readouterr().err
 
 
+def test_series_past_the_cap_is_computation_error(tmp_path, capsys):
+    # L*t = 1e12 Poisson terms at t = 1: evolution refuses instead of
+    # allocating the weights
+    p = tmp_path / "fast.txt"
+    p.write_text("states 3\nrate 1 2 1e12\nrate 2 1 1.0\nrate 1 0 1.0\n")
+    code = run(["certify", "--chain", str(p), "--K", "1..1", "--x0", "1", "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and "cap" in err
+    assert "Traceback" not in err
+
+
 def test_missing_file_is_io_error(tmp_path, capsys):
     code = run(["qsd", "--chain", str(tmp_path / "nope.txt"), "--out", str(tmp_path)])
     assert code == 1

@@ -21,9 +21,11 @@ from quasistat import (
 )
 
 from conftest import (
+    alpha_uniform_oracle,
     alternating_catastrophe_chain,
     catastrophe_chain,
     high_column_chain,
+    minimal_core_oracle,
     random_return_chain,
 )
 
@@ -154,6 +156,50 @@ def test_find_minimal_core_is_minimal():
     a1, _, _ = compute_alpha_K(chain, [1])
     C, _ = compute_absorption_sup(chain)
     assert not a1 > C  # the singleton prefix genuinely fails
+
+
+def top_column_chain(n_states, rate=2.0, absorb=0.5):
+    """Every state is absorbed at `absorb` and jumps at `rate` to the
+    second-highest state h, which jumps to the top: the only positive
+    column floor sits at h, and the first passing prefix is {1..h}."""
+    n = n_states - 1
+    h = n - 1
+    entries = []
+    for x in range(1, n + 1):
+        entries.append((x, 0, absorb))
+        entries.append((x, n if x == h else h, rate))
+    return build_from_entries(entries, n_states)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: catastrophe_chain(),
+        lambda: catastrophe_chain(n_states=128, drop=3.0),
+        lambda: alternating_catastrophe_chain(),
+        lambda: high_column_chain(),
+        lambda: top_column_chain(256),
+        lambda: build_logistic(1.0, 1.0, 1.0, 64),
+    ]
+    + [lambda s=s: random_return_chain(s) for s in range(40)],
+)
+def test_criterion_scans_match_oracles(make):
+    chain = make()
+    assert compute_alpha_uniform(chain) == alpha_uniform_oracle(chain)
+    assert find_minimal_core(chain) == minimal_core_oracle(chain)
+    assert find_minimal_core(chain, k_max=3) == minimal_core_oracle(chain, k_max=3)
+
+
+def test_minimal_core_scan_survives_summation_order():
+    # state 3 enters {1, 2} at 0.7 + 0.4 and is absorbed at 0.8: summed
+    # as (0.7 + 0.4) + 0.8 that is 1.9000000000000001 > C = 1.9, summed in
+    # scan order (0.8 + 0.7) + 0.4 it is exactly C; the prefix {1, 2} passes
+    chain = build_from_entries(
+        [(1, 0, 1.9), (1, 2, 1.0), (2, 3, 1.0), (3, 1, 0.7), (3, 2, 0.4), (3, 0, 0.8)], 4
+    )
+    alpha, _, _ = compute_alpha_K(chain, [1, 2])
+    assert alpha > 1.9 == compute_absorption_sup(chain)[0]
+    assert find_minimal_core(chain) == minimal_core_oracle(chain) == (1, 2)
 
 
 def test_report_renders_text():

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -30,6 +33,9 @@ from quasistat import (
     tv_distance,
     yaglom_limit,
 )
+
+import quasistat
+from quasistat.engine import _DENSE_CUTOFF, _MAX_SERIES_TERMS, _poisson_weights
 
 from conftest import catastrophe_chain, power_iteration_qsd, random_small_absorbed_chain
 
@@ -85,6 +91,77 @@ def test_evolve_rejects_bad_time_and_shape():
         evolve_measure(chain, v, math.inf)
     with pytest.raises(ValidationError):
         evolve_measure(chain, np.ones(3), 1.0)
+    with pytest.raises(ValidationError):
+        evolve_function(chain, np.ones((3, 2)), 1.0)
+    with pytest.raises(ValidationError):
+        evolve_function(chain, np.ones((chain.n_transient, 2, 1)), 1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(st.integers(min_value=0, max_value=10**6), st.sampled_from([64, 128, 368])),
+    st.integers(min_value=1, max_value=6),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.sampled_from(["measure", "function"]),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_block_evolution_equals_column_by_column(which, m, t, side, seed):
+    # small integers pick a random small chain, the rest a logistic window
+    # of that many states; columns are indicators, ones and random
+    # non-negative vectors, the inputs callers evolve
+    if which in (64, 128, 368):
+        chain = build_logistic(1.0, 1.0, 0.01, which)
+    else:
+        chain = random_small_absorbed_chain(which)
+    n = chain.n_transient
+    rng = np.random.default_rng(seed)
+    block = rng.uniform(0.0, 1.0, size=(n, m))
+    block[:, 0] = 1.0
+    if m > 1:
+        block[:, 1] = 0.0
+        block[rng.integers(n), 1] = 1.0
+    evolve = evolve_measure if side == "measure" else evolve_function
+    got = evolve(chain, block, t)
+    assert got.shape == (n, m)
+    for j in range(m):
+        want = evolve(chain, block[:, j], t)
+        if n >= _DENSE_CUTOFF:
+            assert np.array_equal(got[:, j], want)
+        else:  # a dense block product rounds differently from a matvec
+            assert np.max(np.abs(got[:, j] - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("tol", [1e-13, 1e-10, 1e-6])
+@pytest.mark.parametrize("mu", [1e-6, 1e-3, 0.1, 1.0, 7.5, 42.0, 1e3, 8.2e3, 1e5, 3e6])
+def test_poisson_weights_match_scipy_stats(mu, tol):
+    from scipy.stats import poisson  # the oracle; the library avoids scipy.stats
+
+    w = _poisson_weights(mu, tol)
+    kmax = int(poisson.isf(tol, mu)) + 1
+    assert w.size == kmax + 1
+    assert np.array_equal(w, poisson.pmf(np.arange(kmax + 1), mu))
+
+
+@pytest.mark.parametrize("mu", [2.0 * _MAX_SERIES_TERMS, 1e20, math.inf, math.nan])
+def test_poisson_weights_cap_raises(mu):
+    with pytest.raises(ComputationError, match="cap"):
+        _poisson_weights(mu, 1e-13)
+
+
+def test_evolution_past_the_series_cap_names_rate_time_and_window():
+    chain = build_from_entries([(1, 2, 1e12), (2, 1, 1.0), (1, 0, 1.0)], 3)
+    with pytest.raises(ComputationError, match=r"t=1\.0 .*L=1\.000e\+12 .*2-state window"):
+        evolve_function(chain, np.ones(2), 1.0)
+
+
+def test_import_does_not_load_scipy_stats():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(quasistat.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, quasistat; print('scipy.stats' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_semigroup_property():
