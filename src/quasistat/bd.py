@@ -19,15 +19,9 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .chain import REFLECT, AbsorbedChain, BirthDeathSpec
-from .certify import (
-    CERTIFIED,
-    SOJOURN,
-    HypothesisCertificate,
-    assemble_certificate,
-    compute_c1,
-    compute_c2,
-    compute_c4,
-)
+from .certify import SOJOURN, HypothesisCertificate, certify
+# re-exported: tracers wrap these names on this module
+from .certify import assemble_certificate, compute_c1, compute_c2, compute_c4  # noqa: F401
 from .engine import QsdResult, compute_qsd_auto
 from .errors import CertificationError, DivergentMomentError, ValidationError
 from .textio import fmt, render_keyvalues, write_csv
@@ -36,11 +30,6 @@ from .textio import fmt, render_keyvalues, write_csv
 # for the x = infinity supremum additionally caps at _MAX_TERMS.
 _REL_TOL = 1e-15
 _MAX_TERMS = 10**6
-
-
-def _rates(spec: BirthDeathSpec, x: int) -> tuple[float, float]:
-    up, down = spec.rates_at(x)
-    return up, down
 
 
 def alpha_coeffs(spec: BirthDeathSpec, j_max: int) -> np.ndarray:
@@ -55,7 +44,7 @@ def alpha_coeffs(spec: BirthDeathSpec, j_max: int) -> np.ndarray:
     log_acc = 0.0
     dead = False
     for j in range(1, j_max + 1):
-        up, down = _rates(spec, j)
+        up, down = spec.rates_at(j)
         if down <= 0:
             raise ValidationError(f"death rate at {j} must be > 0 for ladder coefficients")
         log_acc -= math.log(down)
@@ -78,10 +67,10 @@ def _inner_tail(spec: BirthDeathSpec, k: int) -> float:
     ratio = 1.0
     l = k
     while True:
-        up, _ = _rates(spec, l)
+        up, _ = spec.rates_at(l)
         if up <= 0:
             return total  # ladder ends; tail is finite and complete
-        _, down_next = _rates(spec, l + 1)
+        _, down_next = spec.rates_at(l + 1)
         if down_next <= 0:
             raise ValidationError(f"death rate at {l + 1} must be > 0")
         ratio *= up / down_next
@@ -106,7 +95,7 @@ def _descent_sum(spec: BirthDeathSpec, z: int, x: int) -> float:
     downward rate, anchored once at x and recursed downward (stable:
     the recursion only adds and multiplies positives)."""
     inner = _inner_tail(spec, x)
-    _, down = _rates(spec, x)
+    _, down = spec.rates_at(x)
     if down <= 0:
         raise ValidationError(f"death rate at {x} must be > 0")
     total = 0.0
@@ -116,7 +105,7 @@ def _descent_sum(spec: BirthDeathSpec, z: int, x: int) -> float:
         k -= 1
         if k == z:
             return total
-        up_prev, down_prev = _rates(spec, k)
+        up_prev, down_prev = spec.rates_at(k)
         if down_prev <= 0:
             raise ValidationError(f"death rate at {k} must be > 0")
         inner = 1.0 + (up_prev / down) * inner
@@ -197,7 +186,7 @@ def _solve_moment(spec: BirthDeathSpec, z: int, lam: float, x_max: int) -> np.nd
     rhs = np.zeros(n)
     for i in range(n):
         x = z + 1 + i
-        up, down = _rates(spec, x)
+        up, down = spec.rates_at(x)
         if i == n - 1:
             up = 0.0  # reflecting closure at the top of the solve window
         ab[1, i] = lam - up - down
@@ -312,11 +301,11 @@ def logistic_certificate(
 ) -> LogisticCertificate:
     """Certify conditional mixing for the logistic chain (b, d, c).
 
-    Anchor x0 = 1, decay rate lambda0 = b + d (the exit rate of state 1,
-    so the sojourn occupancy floor is exact with c3 = 1).  The core is
-    {1..z0} with z0 the smallest level whose entry-time exponential
-    moment at rate b + d is finite; the window is grown until the QSD
-    stops moving.
+    Anchor x0 = 1 and the core {1..z0}, with z0 the smallest level whose
+    entry-time exponential moment at rate b + d is finite; the window is
+    grown until the QSD stops moving.  The certificate is certify's with
+    the sojourn occupancy floor (c3 = 1 at lambda0 = b + d, the exit
+    rate of state 1) and c4 solved on the window at that rate.
     """
     spec = BirthDeathSpec.logistic(b, d, c)
     if d <= 0:
@@ -332,41 +321,9 @@ def logistic_certificate(
         spec, tol=tol, boundary_mode=REFLECT, n_start=max(32, 4 * (z0 + 1)), n_max=n_max
     )
     chain = qsd.chain
-    core = tuple(range(1, z0 + 1))
-    x0 = 1
-    if abs(chain.exit_rate(x0) - lambda0) > 1e-12 * max(1.0, lambda0):
+    if abs(chain.exit_rate(1) - lambda0) > 1e-12 * max(1.0, lambda0):
         raise CertificationError("window exit rate at 1 deviates from b + d", part="c3")
-
-    c1e = compute_c1(chain, x0)
-    if c1e.failed or c1e.value <= 0:
-        raise CertificationError("c1 floor vanishes on the logistic window", part="c1")
-    c2b = compute_c2(chain, core, t_max=t_max)
-    if not c2b.certified > 0:
-        raise CertificationError("c2 certified floor vanishes on the core", part="c2")
-    try:
-        c4e = compute_c4(chain, core, lambda0)
-    except DivergentMomentError as exc:
-        raise CertificationError(str(exc), part="c4") from exc
-
-    cert = assemble_certificate(
-        K=core,
-        x0=x0,
-        c1=c1e.value,
-        c2=c2b.certified,
-        c3=1.0,
-        c4=c4e.value,
-        lambda0=lambda0,
-        c3_strategy=SOJOURN,
-        n_states=chain.n_states,
-        boundary_mode=chain.boundary_mode,
-        provenance={
-            "c1": c1e.provenance,
-            "c2": CERTIFIED,
-            "c3": CERTIFIED,
-            "c4": c4e.provenance,
-        },
-        window_limited=True,
-    )
+    cert = certify(chain, range(1, z0 + 1), 1, c3_strategy=SOJOURN, t_max=t_max)
     return LogisticCertificate(certificate=cert, chain=chain, qsd=qsd, z0=z0)
 
 
@@ -426,7 +383,7 @@ def build_bd_report(
     # the hitting series is cumulative in x, one descent term per level
     running = 0.0
     for i, x in enumerate(xs):
-        running += _inner_tail(spec, int(x)) / _rates(spec, int(x))[1]
+        running += _inner_tail(spec, int(x)) / spec.rates_at(int(x))[1]
         vals[i] = running
     moment = None
     if z0 is not None:

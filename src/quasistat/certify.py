@@ -55,7 +55,9 @@ _DOUBLING_RTOL = 1e-9
 _BLOCK_ENTRIES = 2**20
 
 
-def _check_core(chain: AbsorbedChain, K) -> tuple[int, ...]:
+def _check_core(chain: AbsorbedChain, K, x0: int | None = None) -> tuple[int, ...]:
+    """The sorted core set, checked to lie in the window and, when an
+    anchor is given, to contain it."""
     core = tuple(sorted({int(x) for x in K}))
     if not core:
         raise ValidationError("core set K must be non-empty")
@@ -63,13 +65,35 @@ def _check_core(chain: AbsorbedChain, K) -> tuple[int, ...]:
         raise ValidationError(
             f"core set {core} must lie inside the transient states 1..{chain.n_transient}"
         )
+    if x0 is not None and x0 not in core:
+        raise ValidationError(f"anchor x0={x0} must belong to the core set {core}")
     return core
 
 
-def _doubled(chain: AbsorbedChain) -> AbsorbedChain | None:
+def _core_exit_rates(chain: AbsorbedChain, core) -> tuple[np.ndarray, sparse.csr_matrix, np.ndarray]:
+    """Jumps out of a checked core on the reflecting twin of the window.
+
+    Returns the 0-based states outside the core, their rows of the
+    twin's sub-generator, and each one's total rate of jumping into the
+    core or to 0.
+    """
+    refl = chain.as_reflecting()
+    inside = np.zeros(refl.n_transient, dtype=bool)
+    inside[[x - 1 for x in core]] = True
+    out_idx = np.nonzero(~inside)[0]
+    rows = refl.sub_generator.tocsr()[out_idx]
+    into = np.asarray(rows[:, np.nonzero(inside)[0]].sum(axis=1)).ravel()
+    return out_idx, rows, into + refl.absorption_rates[out_idx]
+
+
+def _stable_under_doubling(chain: AbsorbedChain, evaluate, value: float) -> bool:
+    """Whether evaluate(window regrown to 2n+1 states) agrees with value
+    to _DOUBLING_RTOL; a window without a generating rule cannot regrow
+    and never qualifies."""
     if chain.source_spec is None:
-        return None
-    return chain.regrow(2 * chain.n_transient + 1)
+        return False
+    v2 = evaluate(chain.regrow(2 * chain.n_transient + 1))
+    return abs(v2 - value) <= _DOUBLING_RTOL * max(abs(value), abs(v2))
 
 
 @dataclass
@@ -121,17 +145,17 @@ def compute_c1(chain: AbsorbedChain, x0: int, doubling: bool = True) -> Constant
     if not 1 <= x0 <= chain.n_transient:
         raise ValidationError(f"x0={x0} outside transient states 1..{chain.n_transient}")
 
-    def floor_on(ch: AbsorbedChain, anchor: int) -> tuple[float, int]:
-        # columns [e_anchor, 1] share one series: reach and survival
+    def floor_on(ch: AbsorbedChain) -> tuple[float, int]:
+        # columns [e_x0, 1] share one series: reach and survival
         block = np.zeros((ch.n_transient, 2))
-        block[anchor - 1, 0] = 1.0
+        block[x0 - 1, 0] = 1.0
         block[:, 1] = 1.0
         reach, alive = evolve_function(ch, block, 1.0).T
         ratios = reach / alive
         i = int(np.argmin(ratios))
         return float(ratios[i]), i + 1
 
-    value, argmin = floor_on(chain, x0)
+    value, argmin = floor_on(chain)
     if value <= 0.0:
         return ConstantEstimate(
             value=0.0,
@@ -141,13 +165,9 @@ def compute_c1(chain: AbsorbedChain, x0: int, doubling: bool = True) -> Constant
             failure_reason=f"state {argmin} cannot reach {x0} within unit time on this window",
         )
     est = ConstantEstimate(value=value, provenance=EMPIRICAL, attained_at=argmin)
-    if doubling:
-        big = _doubled(chain)
-        if big is not None:
-            v2, _ = floor_on(big, x0)
-            if abs(v2 - value) <= _DOUBLING_RTOL * max(abs(value), abs(v2)):
-                est.provenance = CERTIFIED
-                est.window_limited = True
+    if doubling and _stable_under_doubling(chain, lambda ch: floor_on(ch)[0], value):
+        est.provenance = CERTIFIED
+        est.window_limited = True
     return est
 
 
@@ -230,18 +250,10 @@ def compute_c4(
         raise ValidationError(f"lambda0 must be finite and > 0, got {lambda0}")
 
     def moment_sup(ch: AbsorbedChain) -> tuple[float, int]:
-        refl = ch.as_reflecting()
-        inside = np.zeros(refl.n_transient, dtype=bool)
-        for x in core:
-            inside[x - 1] = True
-        out_idx = np.nonzero(~inside)[0]
+        out_idx, rows, into_stop = _core_exit_rates(ch, core)
         if out_idx.size == 0:
             return 1.0, core[0]
-        Q = refl.sub_generator.tocsr()
-        QDD = Q[out_idx][:, out_idx]
-        in_idx = np.nonzero(inside)[0]
-        into_stop = np.asarray(Q[out_idx][:, in_idx].sum(axis=1)).ravel()
-        into_stop = into_stop + refl.absorption_rates[out_idx]
+        QDD = rows[:, out_idx]
         A = (-(QDD + lambda0 * sparse.eye(out_idx.size, format="csr"))).tocsc()
         try:
             h = spsolve(A, into_stop)
@@ -262,13 +274,9 @@ def compute_c4(
 
     value, argmax = moment_sup(chain)
     est = ConstantEstimate(value=value, provenance=EMPIRICAL, attained_at=argmax)
-    if doubling:
-        big = _doubled(chain)
-        if big is not None:
-            v2, _ = moment_sup(big)
-            if abs(v2 - value) <= _DOUBLING_RTOL * max(abs(value), abs(v2)):
-                est.provenance = CERTIFIED
-                est.window_limited = True
+    if doubling and _stable_under_doubling(chain, lambda ch: moment_sup(ch)[0], value):
+        est.provenance = CERTIFIED
+        est.window_limited = True
     return est
 
 
@@ -313,15 +321,9 @@ def _c3_absorption_rate(chain: AbsorbedChain, x0: int, core, doubling: bool) -> 
     guard = math.exp(min(0.0, C - chain.exit_rate(x0)))
     c3 = min(1.0, inf_reach * math.exp(C), guard)
     res = C3Result(c3=c3, lambda0=C, strategy=ABSORPTION_RATE, provenance=EMPIRICAL)
-    if doubling:
-        big = _doubled(chain)
-        if big is not None:
-            e2 = np.zeros(big.n_transient)
-            e2[x0 - 1] = 1.0
-            inf2 = float(evolve_function(big, e2, 1.0).min())
-            if abs(inf2 - inf_reach) <= _DOUBLING_RTOL * max(inf_reach, inf2):
-                res.provenance = CERTIFIED
-                res.window_limited = True
+    if doubling and _stable_under_doubling(chain, floor_on, inf_reach):
+        res.provenance = CERTIFIED
+        res.window_limited = True
     return res
 
 
@@ -341,9 +343,7 @@ def compute_c3_lambda0(
     the larger resulting gamma; the matching c4 rides along so callers
     do not recompute it.
     """
-    core = _check_core(chain, K)
-    if x0 not in core:
-        raise ValidationError(f"anchor x0={x0} must belong to the core set {core}")
+    core = _check_core(chain, K, x0)
     if strategy == SOJOURN:
         return _c3_sojourn(chain, x0, core)
     if strategy == ABSORPTION_RATE:
@@ -473,11 +473,29 @@ def certify(
     doubling: bool = True,
 ) -> HypothesisCertificate:
     """Assemble the full certificate for (chain, K, x0) or raise naming
-    the first constant that cannot be established."""
-    core = _check_core(chain, K)
-    if x0 not in core:
-        raise ValidationError(f"anchor x0={x0} must belong to the core set {core}")
+    the first constant that cannot be established.
 
+    c3 and lambda0 come from compute_c3_lambda0 with c3_strategy; c4 is
+    the solved exponential moment at that lambda0 (compute_c4).  The
+    logistic and rate-criterion certificates run the same pipeline.
+    """
+    return _certify(chain, _check_core(chain, K, x0), x0, c3_strategy, t_max, doubling)
+
+
+def _certify(
+    chain: AbsorbedChain,
+    core: tuple[int, ...],
+    x0: int,
+    c3_strategy: str,
+    t_max: float,
+    doubling: bool,
+    c4: ConstantEstimate | None = None,
+) -> HypothesisCertificate:
+    """c1, c2, c3/lambda0 and c4 on a checked (core, x0), then gamma.
+
+    A given c4 (a closed-form ceiling valid at the lambda0 the strategy
+    yields) replaces the moment solve.
+    """
     c1e = compute_c1(chain, x0, doubling=doubling)
     if c1e.failed or c1e.value <= 0:
         raise CertificationError(
@@ -491,9 +509,8 @@ def certify(
         raise CertificationError(
             f"c3 occupancy floor failed: {c3r.failure_reason or 'zero floor'}", part="c3"
         )
-    if c3r.c4 is not None:
-        c4e = c3r.c4
-    else:
+    c4e = c4 if c4 is not None else c3r.c4
+    if c4e is None:
         try:
             c4e = compute_c4(chain, core, c3r.lambda0, doubling=doubling)
         except DivergentMomentError as exc:

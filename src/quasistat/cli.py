@@ -150,6 +150,9 @@ def cmd_qsd(args) -> int:
 
 def cmd_certify(args) -> int:
     if args.logistic is not None and args.K is None:
+        # the auto-core certificate fixes K = 1..z0, x0 = 1 and the direct route
+        if args.route == "criterion" or args.x0 is not None:
+            raise ValidationError("--route criterion and --x0 need an explicit --K")
         b, d, c = args.logistic
         result = bd_mod.logistic_certificate(b, d, c, tol=args.tol, t_max=args.t_max)
         cert = result.certificate

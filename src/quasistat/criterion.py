@@ -25,12 +25,14 @@ from .chain import AbsorbedChain
 from .certify import (
     ABSORPTION_RATE,
     CERTIFIED,
+    ConstantEstimate,
     HypothesisCertificate,
-    _c3_absorption_rate,
-    assemble_certificate,
-    compute_c1,
-    compute_c2,
+    _certify,
+    _check_core,
+    _core_exit_rates,
 )
+# re-exported: tracers wrap these names on this module
+from .certify import _c3_absorption_rate, assemble_certificate, compute_c1, compute_c2  # noqa: F401
 from .errors import CertificationError, ValidationError
 from .textio import fmt, render_keyvalues
 
@@ -86,10 +88,6 @@ class CriterionReport:
         return render_keyvalues(pairs)
 
 
-def _reflect(chain: AbsorbedChain) -> AbsorbedChain:
-    return chain.as_reflecting()
-
-
 def compute_absorption_sup(chain: AbsorbedChain) -> tuple[float, int]:
     """C = sup_x Q(x, 0) over the window, with its argmax."""
     i = int(np.argmax(chain.absorption_rates))
@@ -99,7 +97,7 @@ def compute_absorption_sup(chain: AbsorbedChain) -> tuple[float, int]:
 def compute_q_bar(chain: AbsorbedChain) -> tuple[float, int | None, list[str]]:
     """Supremum of total jump rates; +inf when the generating rule keeps
     growing past the window."""
-    refl = _reflect(chain)
+    refl = chain.as_reflecting()
     rates = refl.total_exit_rates().copy()
     # the reflected top row under-counts its true exit rate
     spec = chain.source_spec
@@ -126,7 +124,7 @@ def compute_alpha_uniform(chain: AbsorbedChain) -> float:
     off-diagonal entries can add anything; the generator is never
     made dense.
     """
-    refl = _reflect(chain)
+    refl = chain.as_reflecting()
     n = refl.n_transient
     if n < 2:
         return float(refl.absorption_rates.min())
@@ -148,30 +146,17 @@ def compute_alpha_K(chain: AbsorbedChain, K) -> tuple[float, int | None, list[st
     is attached when the window has a generating rule, because states
     beyond the window are not probed.
     """
-    core = tuple(sorted({int(x) for x in K}))
-    if not core or core[0] < 1 or core[-1] > chain.n_transient:
-        raise ValidationError(
-            f"core set {core} must be non-empty inside 1..{chain.n_transient}"
-        )
-    refl = _reflect(chain)
-    inside = np.zeros(refl.n_transient, dtype=bool)
-    for x in core:
-        inside[x - 1] = True
-    out_idx = np.nonzero(~inside)[0]
+    out_idx, _, into_core = _core_exit_rates(chain, _check_core(chain, K))
     notes: list[str] = []
     if chain.source_spec is not None:
         notes.append("alpha_K probed on the window only; beyond-window states not included")
     if out_idx.size == 0:
         notes.append("K covers every transient state; alpha_K is vacuous")
         return math.inf, None, notes
-    Q = refl.sub_generator.tocsr()
-    in_idx = np.nonzero(inside)[0]
-    into_core = np.asarray(Q[out_idx][:, in_idx].sum(axis=1)).ravel()
-    into_core = into_core + refl.absorption_rates[out_idx]
     j = int(np.argmin(into_core))
     value = float(into_core[j])
     at = int(out_idx[j]) + 1
-    if at == refl.n_transient:
+    if at == chain.n_transient:
         notes.append("alpha_K attained at the window top; value is window-limited")
     return value, at, notes
 
@@ -258,7 +243,7 @@ def find_minimal_core(chain: AbsorbedChain, k_max: int | None = None) -> tuple[i
     """
     C, _ = compute_absorption_sup(chain)
     top = chain.n_transient - 1 if k_max is None else min(k_max, chain.n_transient - 1)
-    refl = _reflect(chain)
+    refl = chain.as_reflecting()
     Q = refl.sub_generator.tocsc()
     into_core = refl.absorption_rates.astype(np.float64)
     terms = np.zeros(refl.n_transient, dtype=np.int64)
@@ -288,14 +273,17 @@ def derive_certificate_via_criterion(
     """Assemble a mixing certificate whose c4 comes from the closed-form
     rate bound alpha_K/(alpha_K - C) instead of a linear solve.
 
-    lambda0 is pinned to C by the construction, so the occupancy floor
-    uses the killing-rate route rather than the sojourn one.
+    This is certify's pipeline with the absorption-rate occupancy floor
+    (lambda0 = C, the rate at which the closed-form ceiling holds, and c3
+    from one-step reachability of x0) and that ceiling as a certified c4.
+    The window must be reflecting and pass the core-return test.
     """
     if np.any(chain.kill_rates):
         raise ValidationError(
             "criterion certificates apply to reflecting windows; pass chain.as_reflecting()"
         )
-    rep = check_core_return(chain, K)
+    core = _check_core(chain, K, x0)
+    rep = check_core_return(chain, core)
     if not rep.core_return_holds:
         raise CertificationError(
             f"core-return test fails: alpha_K={rep.alpha_K} vs C={rep.C}", part="criterion"
@@ -304,38 +292,12 @@ def derive_certificate_via_criterion(
         raise CertificationError(
             "absorption rate sup C is zero; no decay rate available", part="criterion"
         )
-    core = rep.K
-    c1e = compute_c1(chain, x0, doubling=doubling)
-    if c1e.failed or c1e.value <= 0:
-        raise CertificationError("c1 floor vanishes under the criterion route", part="c1")
-    c2b = compute_c2(chain, core, t_max=t_max)
-    if not c2b.certified > 0:
-        raise CertificationError("c2 certified floor vanishes on K", part="c2")
-    c3r = _c3_absorption_rate(chain, x0, core, doubling)
-    if c3r.failed or not c3r.c3 > 0:
-        raise CertificationError(
-            f"c3 occupancy floor failed: {c3r.failure_reason or 'zero floor'}", part="c3"
-        )
-    if abs(c3r.lambda0 - rep.C) > 1e-12 * max(1.0, rep.C):
+    cert = _certify(
+        chain, core, x0, ABSORPTION_RATE, t_max, doubling,
+        c4=ConstantEstimate(value=rep.c4_bound, provenance=CERTIFIED),
+    )
+    if abs(cert.lambda0 - rep.C) > 1e-12 * max(1.0, rep.C):
         raise CertificationError(
             "internal inconsistency: occupancy decay rate differs from C", part="c3"
         )
-    return assemble_certificate(
-        K=core,
-        x0=x0,
-        c1=c1e.value,
-        c2=c2b.certified,
-        c3=c3r.c3,
-        c4=rep.c4_bound,
-        lambda0=rep.C,
-        c3_strategy=ABSORPTION_RATE,
-        n_states=chain.n_states,
-        boundary_mode=chain.boundary_mode,
-        provenance={
-            "c1": c1e.provenance,
-            "c2": CERTIFIED,
-            "c3": c3r.provenance,
-            "c4": CERTIFIED,
-        },
-        window_limited=True,
-    )
+    return cert

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import io
+from contextlib import nullcontext
 
 
 def fmt(x) -> str:
@@ -11,30 +11,15 @@ def fmt(x) -> str:
 
 
 def write_csv(target, header, rows) -> None:
-    """Write rows of already-stringified cells; target is a path or file."""
+    """Write rows of already-stringified cells; target is a path (opened
+    and closed here) or an open text file (left open)."""
     own = isinstance(target, (str, bytes)) or hasattr(target, "__fspath__")
-    fh = open(target, "w", encoding="utf-8", newline="\n") if own else target
-    try:
+    with open(target, "w", encoding="utf-8", newline="\n") if own else nullcontext(target) as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(row) + "\n")
-    finally:
-        if own:
-            fh.close()
-
-
-def write_keyvalues(target, pairs) -> None:
-    own = isinstance(target, (str, bytes)) or hasattr(target, "__fspath__")
-    fh = open(target, "w", encoding="utf-8", newline="\n") if own else target
-    try:
-        for k, v in pairs:
-            fh.write(f"{k} = {v}\n")
-    finally:
-        if own:
-            fh.close()
 
 
 def render_keyvalues(pairs) -> str:
-    buf = io.StringIO()
-    write_keyvalues(buf, pairs)
-    return buf.getvalue()
+    """One 'key = value' line per pair."""
+    return "".join(f"{k} = {v}\n" for k, v in pairs)

@@ -23,11 +23,14 @@ from quasistat import (
     compute_c3_lambda0,
     compute_c4,
     conditional_distribution,
+    derive_certificate_via_criterion,
     evolve_function,
     geometric_grid,
     parse_certificate_text,
+    logistic_certificate,
     tv_distance,
 )
+from quasistat.certify import _stable_under_doubling
 
 from conftest import catastrophe_chain
 
@@ -56,6 +59,23 @@ def test_c1_doubling_promotes_parametric_windows():
     est_plain = compute_c1(chain, x0=1, doubling=False)
     assert est.value == est_plain.value
     assert est_plain.provenance == "empirical_estimate"
+
+
+def test_doubling_promotion_needs_agreement_on_a_regrown_window():
+    chain = build_logistic(1.0, 1.0, 1.0, 16)
+    seen = []
+
+    def evaluate(ch):
+        seen.append(ch.n_transient)
+        return 0.5
+
+    assert _stable_under_doubling(chain, evaluate, 0.5)
+    assert _stable_under_doubling(chain, evaluate, 0.5 * (1 + 5e-10))
+    assert not _stable_under_doubling(chain, evaluate, 0.5 * (1 + 5e-9))
+    assert seen == [30, 30, 30]  # 15 transient states regrown to 2 * 15 + 1 states
+    # a window without a generating rule cannot regrow, so never promotes
+    assert not _stable_under_doubling(catastrophe_chain(), evaluate, 0.5)
+    assert len(seen) == 3
 
 
 def test_c1_unreachable_anchor_fails():
@@ -305,6 +325,82 @@ def test_mixing_bound_dominates_observed_decay():
 
 
 # -- serialization ------------------------------------------------------------------
+
+# certificate_to_text of the three certificate routes, recorded before they
+# shared one assembly pipeline; the bytes must not move.  The windows have
+# at least 64 states, so evolution runs sparse and no BLAS gemm is involved.
+GOLDEN_LOGISTIC_1_1_005 = """\
+quasistat certificate v1
+n_states = 80
+boundary = reflect
+K = 1,2,3,4,5,6,7,8,9
+x0 = 1
+c1 = 5.5493676865328723e-07
+c2 = 4.1613973942241488e-10
+c3 = 1
+c4 = 610.2929498437602
+lambda0 = 2
+gamma = 1.8919704247150167e-19
+c3_strategy = sojourn
+window_limited = yes
+provenance_c1 = empirical_estimate
+provenance_c2 = certified_bound
+provenance_c3 = certified_bound
+provenance_c4 = empirical_estimate
+"""
+
+GOLDEN_CATASTROPHE_128_DIRECT = """\
+quasistat certificate v1
+n_states = 128
+boundary = reflect
+K = 1,2,3,4,5,6,7,8
+x0 = 1
+c1 = 0.68127875935700211
+c2 = 5.0596103449069089e-06
+c3 = 1
+c4 = 3
+lambda0 = 2
+gamma = 5.7450084310133876e-07
+c3_strategy = sojourn
+window_limited = yes
+provenance_c1 = empirical_estimate
+provenance_c2 = certified_bound
+provenance_c3 = certified_bound
+provenance_c4 = empirical_estimate
+"""
+
+GOLDEN_CATASTROPHE_128_CRITERION = """\
+quasistat certificate v1
+n_states = 128
+boundary = reflect
+K = 1,2,3,4,5,6,7,8
+x0 = 1
+c1 = 0.68127875935700211
+c2 = 5.0596103449069089e-06
+c3 = 0.36787944117144233
+c4 = 1.5
+lambda0 = 1
+gamma = 4.2269409822528596e-07
+c3_strategy = absorption_rate
+window_limited = yes
+provenance_c1 = empirical_estimate
+provenance_c2 = certified_bound
+provenance_c3 = empirical_estimate
+provenance_c4 = certified_bound
+"""
+
+
+def test_logistic_certificate_text_is_golden():
+    result = logistic_certificate(1.0, 1.0, 0.05)
+    assert certificate_to_text(result.certificate) == GOLDEN_LOGISTIC_1_1_005
+
+
+def test_catastrophe_certificate_texts_are_golden():
+    chain = catastrophe_chain(128)
+    assert certificate_to_text(certify(chain, range(1, 9), 1)) == GOLDEN_CATASTROPHE_128_DIRECT
+    via_rates = derive_certificate_via_criterion(chain, range(1, 9), 1)
+    assert certificate_to_text(via_rates) == GOLDEN_CATASTROPHE_128_CRITERION
+
 
 
 def test_certificate_text_roundtrip():

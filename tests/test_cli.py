@@ -150,6 +150,16 @@ def test_certify_explicit_chain_requires_K(tmp_path, capsys):
     assert "--K" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("extra", [["--route", "criterion"], ["--x0", "1"]])
+def test_certify_logistic_auto_core_rejects_route_and_anchor(tmp_path, capsys, extra):
+    # without --K the logistic certificate picks K, x0 and the route itself
+    code = run(["certify", "--logistic", "1", "1", "1", *extra, "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and "--K" in err
+    assert not (tmp_path / "certificate.txt").exists()
+
+
 def test_certify_criterion_route_matches_library(tmp_path, capsys):
     p = tmp_path / "chain.txt"
     p.write_text(CATASTROPHE_FILE)

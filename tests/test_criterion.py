@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import pytest
@@ -254,6 +255,16 @@ def test_criterion_route_rejects_failing_core():
     with pytest.raises(CertificationError) as ei:
         derive_certificate_via_criterion(catastrophe_chain(drop=0.5), [1], x0=1)
     assert ei.value.part == "criterion"
+
+
+def test_criterion_route_checks_the_anchor_before_any_evolution(monkeypatch):
+    # the package's certify attribute is the function; the module is here
+    certify_mod = importlib.import_module("quasistat.certify")
+    calls = []
+    monkeypatch.setattr(certify_mod, "compute_c1", lambda *a, **k: calls.append(a))
+    with pytest.raises(ValidationError, match=r"anchor x0=9 must belong to the core set"):
+        derive_certificate_via_criterion(catastrophe_chain(128), range(1, 9), x0=9)
+    assert calls == []
 
 
 def test_criterion_route_rejects_killed_windows():
