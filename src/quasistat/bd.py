@@ -295,7 +295,6 @@ def logistic_certificate(
     d: float,
     c: float,
     tol: float = 1e-10,
-    t_max: float = 20.0,
     z_max: int = 200,
     n_max: int = 16384,
 ) -> LogisticCertificate:
@@ -323,7 +322,7 @@ def logistic_certificate(
     chain = qsd.chain
     if abs(chain.exit_rate(1) - lambda0) > 1e-12 * max(1.0, lambda0):
         raise CertificationError("window exit rate at 1 deviates from b + d", part="c3")
-    cert = certify(chain, range(1, z0 + 1), 1, c3_strategy=SOJOURN, t_max=t_max)
+    cert = certify(chain, range(1, z0 + 1), 1, c3_strategy=SOJOURN)
     return LogisticCertificate(certificate=cert, chain=chain, qsd=qsd, z0=z0)
 
 

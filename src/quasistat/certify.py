@@ -13,7 +13,9 @@ Together they give the contraction coefficient
 gamma = c1*c2*c3 / (2*c4) and the mixing bound 2*(1-gamma)^floor(t) on
 the TV distance between any two conditioned laws.  Each constant tracks
 whether it is a proved bound for the window (certified) or a numerical
-observation (empirical).
+observation (empirical).  A certificate computes only what gamma reads:
+c2, for instance, is its proved floor alone, and building a certificate
+evolves no law or function past t = 1.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from .chain import AbsorbedChain
 from .engine import (
     SERIES_TOL,
     evolve_function,
-    geometric_grid,
     survival_vector,  # noqa: F401  re-exported: callers and tracers reach it here
 )
 from .errors import (
@@ -89,10 +90,14 @@ def _core_exit_rates(chain: AbsorbedChain, core) -> tuple[np.ndarray, sparse.csr
 def _stable_under_doubling(chain: AbsorbedChain, evaluate, value: float) -> bool:
     """Whether evaluate(window regrown to 2n+1 states) agrees with value
     to _DOUBLING_RTOL; a window without a generating rule cannot regrow
-    and never qualifies."""
+    and never qualifies.  The regrown twin is built once per window and
+    cached, so every doubling check of a certificate shares it."""
     if chain.source_spec is None:
         return False
-    v2 = evaluate(chain.regrow(2 * chain.n_transient + 1))
+    twin = chain._cache.get("doubled")
+    if twin is None:
+        twin = chain._cache["doubled"] = chain.regrow(2 * chain.n_transient + 1)
+    v2 = evaluate(twin)
     return abs(v2 - value) <= _DOUBLING_RTOL * max(abs(value), abs(v2))
 
 
@@ -108,20 +113,17 @@ class ConstantEstimate:
 
 @dataclass
 class C2Bounds:
-    """Survival-ratio floor over K: a proved bound and a grid observation.
+    """Proved survival-ratio floor over K and its two parts.
 
     certified = min(hold_floor, step_floor) where hold_floor covers
     t <= 1 (probability of just sitting still) and step_floor covers
-    t >= 1 (worst one-step transition probability within K).  The
-    observed grid minimum can only be larger.
+    t >= 1 (worst one-step transition probability within K).  Any
+    observed ratio min/max survival over K can only be larger.
     """
 
     certified: float
-    empirical: float
     hold_floor: float
     step_floor: float
-    t_max: float
-    empirical_argmin_t: float
 
 
 @dataclass
@@ -171,27 +173,18 @@ def compute_c1(chain: AbsorbedChain, x0: int, doubling: bool = True) -> Constant
     return est
 
 
-def compute_c2(
-    chain: AbsorbedChain,
-    K,
-    t_max: float = 20.0,
-    grid_ratio: float = 1.5,
-) -> C2Bounds:
+def compute_c2(chain: AbsorbedChain, K) -> C2Bounds:
     """Floor on min/max survival probability across the core K.
 
     Two proved floors, each uniform in t on its regime: a holding bound
     exp(-max exit rate on K) for t <= 1, and the worst K-to-K one-step
-    probability for t >= 1.  The empirical column scans a geometric grid
-    and upper-bounds what any certified floor can be.
+    probability for t >= 1.  Both need evolution up to t = 1 only.
     """
     core = _check_core(chain, K)
     idx = np.array([x - 1 for x in core])
     if len(core) == 1:
         # a single-state core compares survival only with itself
-        return C2Bounds(
-            certified=1.0, empirical=1.0, hold_floor=1.0, step_floor=1.0,
-            t_max=t_max, empirical_argmin_t=0.0,
-        )
+        return C2Bounds(certified=1.0, hold_floor=1.0, step_floor=1.0)
     q_max = float(np.max(chain.total_exit_rates()[idx]))
     hold_floor = math.exp(-q_max)
 
@@ -207,27 +200,8 @@ def compute_c2(
         basis[cols, np.arange(cols.size)] = 1.0
         reach = evolve_function(chain, basis, 1.0)
         step_floor = min(step_floor, float(reach[idx].min()))
-    certified = min(hold_floor, step_floor)
-
-    empirical = 1.0
-    argmin_t = 0.0
-    h = np.ones(chain.n_transient)
-    t_cur = 0.0
-    for t in geometric_grid(min(0.125, t_max), t_max, grid_ratio):
-        h = evolve_function(chain, h, t - t_cur, SERIES_TOL)
-        t_cur = t
-        hk = h[idx]
-        ratio = float(hk.min() / hk.max())
-        if ratio < empirical:
-            empirical = ratio
-            argmin_t = t
     return C2Bounds(
-        certified=certified,
-        empirical=empirical,
-        hold_floor=hold_floor,
-        step_floor=step_floor,
-        t_max=t_max,
-        empirical_argmin_t=argmin_t,
+        certified=min(hold_floor, step_floor), hold_floor=hold_floor, step_floor=step_floor
     )
 
 
@@ -469,7 +443,6 @@ def certify(
     K,
     x0: int,
     c3_strategy: str = BEST,
-    t_max: float = 20.0,
     doubling: bool = True,
 ) -> HypothesisCertificate:
     """Assemble the full certificate for (chain, K, x0) or raise naming
@@ -479,7 +452,7 @@ def certify(
     the solved exponential moment at that lambda0 (compute_c4).  The
     logistic and rate-criterion certificates run the same pipeline.
     """
-    return _certify(chain, _check_core(chain, K, x0), x0, c3_strategy, t_max, doubling)
+    return _certify(chain, _check_core(chain, K, x0), x0, c3_strategy, doubling)
 
 
 def _certify(
@@ -487,21 +460,22 @@ def _certify(
     core: tuple[int, ...],
     x0: int,
     c3_strategy: str,
-    t_max: float,
     doubling: bool,
     c4: ConstantEstimate | None = None,
 ) -> HypothesisCertificate:
     """c1, c2, c3/lambda0 and c4 on a checked (core, x0), then gamma.
 
-    A given c4 (a closed-form ceiling valid at the lambda0 the strategy
-    yields) replaces the moment solve.
+    Each constant is computed only as far as gamma reads it: c2 is its
+    certified floor, evolved to t = 1 and never past it.  A given c4 (a
+    closed-form ceiling valid at the lambda0 the strategy yields)
+    replaces the moment solve.
     """
     c1e = compute_c1(chain, x0, doubling=doubling)
     if c1e.failed or c1e.value <= 0:
         raise CertificationError(
             f"c1 floor vanishes: {c1e.failure_reason or 'no positive floor'}", part="c1"
         )
-    c2b = compute_c2(chain, core, t_max=t_max)
+    c2b = compute_c2(chain, core)
     if not c2b.certified > 0:
         raise CertificationError("c2 certified floor vanishes on K", part="c2")
     c3r = compute_c3_lambda0(chain, x0, core, strategy=c3_strategy, doubling=doubling)

@@ -154,7 +154,7 @@ def cmd_certify(args) -> int:
         if args.route == "criterion" or args.x0 is not None:
             raise ValidationError("--route criterion and --x0 need an explicit --K")
         b, d, c = args.logistic
-        result = bd_mod.logistic_certificate(b, d, c, tol=args.tol, t_max=args.t_max)
+        result = bd_mod.logistic_certificate(b, d, c, tol=args.tol)
         cert = result.certificate
     else:
         chain = _build_chain(args)
@@ -162,9 +162,9 @@ def cmd_certify(args) -> int:
             raise ValidationError("--K and --x0 are required for explicit chains")
         K = _parse_states_list(args.K, chain.n_transient)
         if args.route == "criterion":
-            cert = derive_certificate_via_criterion(chain, K, args.x0, t_max=args.t_max)
+            cert = derive_certificate_via_criterion(chain, K, args.x0)
         else:
-            cert = certify(chain, K, args.x0, t_max=args.t_max)
+            cert = certify(chain, K, args.x0)
     path = _outpath(args, "certificate.txt")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(certificate_to_text(cert))
@@ -296,7 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--K", help="core set, e.g. '1..3' or '1,2,3' (auto for logistic)")
     p.add_argument("--x0", type=int, help="anchor state inside K")
     p.add_argument("--route", choices=["direct", "criterion"], default="direct")
-    p.add_argument("--t-max", type=float, default=20.0, dest="t_max")
     p.add_argument("--out", default=".")
     p.set_defaults(func=cmd_certify)
 

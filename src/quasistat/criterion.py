@@ -267,7 +267,6 @@ def derive_certificate_via_criterion(
     chain: AbsorbedChain,
     K,
     x0: int,
-    t_max: float = 20.0,
     doubling: bool = True,
 ) -> HypothesisCertificate:
     """Assemble a mixing certificate whose c4 comes from the closed-form
@@ -293,7 +292,7 @@ def derive_certificate_via_criterion(
             "absorption rate sup C is zero; no decay rate available", part="criterion"
         )
     cert = _certify(
-        chain, core, x0, ABSORPTION_RATE, t_max, doubling,
+        chain, core, x0, ABSORPTION_RATE, doubling,
         c4=ConstantEstimate(value=rep.c4_bound, provenance=CERTIFIED),
     )
     if abs(cert.lambda0 - rep.C) > 1e-12 * max(1.0, rep.C):

@@ -9,7 +9,9 @@ from quasistat import (
     build_from_entries,
     compute_absorption_sup,
     compute_alpha_K,
+    evolve_function,
     evolve_measure,
+    geometric_grid,
 )
 
 # one line per acceptance criterion, replayed after the run so the
@@ -170,6 +172,23 @@ def power_iteration_qsd(chain, tol=1e-12, max_iters=100000):
         if inc < tol and k >= 3:
             return v, float(v @ (chain.absorption_rates + chain.kill_rates))
     raise AssertionError(f"power iteration did not reach tol={tol} in {max_iters} steps")
+
+
+def c2_survival_ratio_oracle(chain, K, t_max=20.0, ratio=1.5):
+    """Smallest ratio min/max over K of the survival probabilities
+    P_x(alive at t), observed on a geometric time grid up to t_max.  Any
+    floor valid for all t lies below it; the library computes only the
+    proved floor, so this scan (evolution far past t = 1) is an oracle."""
+    idx = np.array(sorted({int(x) - 1 for x in K}))
+    h = np.ones(chain.n_transient)
+    t_cur = 0.0
+    worst = 1.0
+    for t in geometric_grid(min(0.125, t_max), t_max, ratio):
+        h = evolve_function(chain, h, t - t_cur)
+        t_cur = t
+        hk = h[idx]
+        worst = min(worst, float(hk.min() / hk.max()))
+    return worst
 
 
 def alpha_uniform_oracle(chain):

@@ -31,8 +31,9 @@ from quasistat import (
     tv_distance,
 )
 from quasistat.certify import _stable_under_doubling
+from quasistat.chain import AbsorbedChain
 
-from conftest import catastrophe_chain
+from conftest import c2_survival_ratio_oracle, catastrophe_chain
 
 
 # -- c1: one-step conditional floor into the anchor ---------------------------
@@ -52,10 +53,14 @@ def test_c1_positive_and_conditional():
     assert est.value >= raw_floor
 
 
-def test_c1_doubling_promotes_parametric_windows():
+def test_c1_on_logistic_window_is_attained_at_the_top_and_stays_empirical():
+    # the worst start sits at the window top, which moves when the window
+    # doubles, so the doubling check never promotes c1 on this window
     chain = build_logistic(1.0, 1.0, 1.0, 64)
     est = compute_c1(chain, x0=1)
-    # value must not depend on the doubling switch
+    assert est.attained_at == chain.n_transient
+    assert est.provenance == "empirical_estimate" and not est.window_limited
+    # the value does not depend on the doubling switch
     est_plain = compute_c1(chain, x0=1, doubling=False)
     assert est.value == est_plain.value
     assert est_plain.provenance == "empirical_estimate"
@@ -78,6 +83,22 @@ def test_doubling_promotion_needs_agreement_on_a_regrown_window():
     assert len(seen) == 3
 
 
+@pytest.mark.parametrize("strategy", [BEST, SOJOURN])
+def test_certificate_builds_the_doubled_window_once(monkeypatch, strategy):
+    # c1, the absorption-rate c3 and c4 (at each candidate rate) all check
+    # doubling on the same 2n+1 twin, which the window caches
+    regrown = []
+    regrow = AbsorbedChain.regrow
+
+    def counting_regrow(self, *args, **kwargs):
+        regrown.append(args)
+        return regrow(self, *args, **kwargs)
+
+    monkeypatch.setattr(AbsorbedChain, "regrow", counting_regrow)
+    certify(build_logistic(1, 1, 1, 64), [1, 2, 3], 1, c3_strategy=strategy)
+    assert regrown == [(127,)]
+
+
 def test_c1_unreachable_anchor_fails():
     # one-way ladder: state 3 cannot come back to 1
     chain = build_from_entries([(1, 2, 1.0), (2, 3, 1.0), (3, 2, 0.0), (1, 0, 1.0)], 4)
@@ -95,14 +116,24 @@ def test_c1_rejects_bad_anchor():
 
 
 def test_c2_singleton_core_is_exact():
-    b = compute_c2(catastrophe_chain(), [1])
-    assert b.certified == 1.0 and b.empirical == 1.0
+    chain = catastrophe_chain()
+    b = compute_c2(chain, [1])
+    assert b.certified == b.hold_floor == b.step_floor == 1.0
+    assert c2_survival_ratio_oracle(chain, [1]) == 1.0
 
 
-def test_c2_certified_below_empirical():
-    chain = build_logistic(1.0, 1.0, 1.0, 64)
-    b = compute_c2(chain, [1, 2, 3], t_max=20.0)
-    assert 0 < b.certified <= b.empirical <= 1 + 1e-12
+@pytest.mark.parametrize(
+    "chain, K",
+    [
+        (build_logistic(1.0, 1.0, 1.0, 64), range(1, 4)),  # dense operator
+        (build_logistic(2.0, 1.0, 0.25, 100), range(1, 12)),  # sparse operator
+        (catastrophe_chain(128), range(1, 9)),
+    ],
+    ids=["logistic-1-1-1-64", "logistic-2-1-0.25-100", "catastrophe-128"],
+)
+def test_c2_certified_below_survival_ratio_oracle(chain, K):
+    b = compute_c2(chain, K)
+    assert 0 < b.certified <= c2_survival_ratio_oracle(chain, K) <= 1 + 1e-12
     assert b.certified == min(b.hold_floor, b.step_floor)
     assert 0 < b.hold_floor <= 1
     assert 0 < b.step_floor <= 1
@@ -234,6 +265,16 @@ def test_certify_logistic_window():
     assert 0 < cert.gamma <= 0.5
     assert cert.n_states == 64
     assert set(cert.provenance) == {"c1", "c2", "c3", "c4"}
+
+
+def test_certify_evolves_no_further_than_unit_time(monkeypatch):
+    # the unit-time series of this stiff pair fits under the cap, longer
+    # evolution does not; a certificate reads nothing past t = 1
+    engine = importlib.import_module("quasistat.engine")
+    monkeypatch.setattr(engine, "_MAX_SERIES_TERMS", 1000)
+    chain = build_from_entries([(1, 2, 300.0), (2, 1, 300.0), (1, 0, 1.0), (2, 0, 1.0)], 3)
+    cert = certify(chain, K=[1, 2], x0=1)
+    assert cert.K == (1, 2) and cert.gamma > 0
 
 
 def test_certify_names_failing_part():

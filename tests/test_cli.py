@@ -150,6 +150,14 @@ def test_certify_explicit_chain_requires_K(tmp_path, capsys):
     assert "--K" in capsys.readouterr().err
 
 
+def test_certify_has_no_t_max_option(tmp_path, capsys):
+    # a certificate evolves nothing past t = 1, so no horizon is accepted
+    code = run(["certify", "--logistic", "1", "1", "1", "--t-max", "5", "--out", str(tmp_path)])
+    assert code == 2
+    assert "--t-max" in capsys.readouterr().err
+    assert not (tmp_path / "certificate.txt").exists()
+
+
 @pytest.mark.parametrize("extra", [["--route", "criterion"], ["--x0", "1"]])
 def test_certify_logistic_auto_core_rejects_route_and_anchor(tmp_path, capsys, extra):
     # without --K the logistic certificate picks K, x0 and the route itself
