@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -25,6 +26,7 @@ from quasistat import (
     tail_expected_hitting,
     tv_distance,
 )
+from quasistat.cli import main
 from quasistat.streams import SubStream, derive_key, mix64
 
 
@@ -293,3 +295,60 @@ def test_ensembles_csv(tmp_path):
         by_time[float(t)] += int(count)
         assert 1 <= int(state) <= 15
     assert by_time == {1.0: 120, 2.0: 120}
+
+
+# -- golden bytes ----------------------------------------------------------------------
+#
+# sha256 of the artifacts the CLI writes, recorded with the scalar
+# per-path loop; any change to draws, jump choice or time arithmetic
+# moves them.
+
+TRAP_CHAIN = """\
+states 5
+rate 1 2 1.0
+rate 1 0 0.5
+rate 2 3 0.7
+rate 2 1 0.3
+rate 3 4 0.2
+"""
+
+GOLDEN_ARTIFACTS = {
+    "reflect-logistic-2-1-0.25-64": (
+        ["simulate", "--logistic", "2", "1", "0.25", "--states", "64", "--mu", "5",
+         "--horizon", "10", "--n-paths", "400", "--seed", "20261018"],
+        "35b9f4b8bf5a6cc016f09a325ec261467b4cdfedabebc9971941a7c11e9fb2dc",
+    ),
+    "kill-logistic-1-1-1-8": (
+        ["simulate", "--logistic", "1", "1", "1", "--states", "8", "--boundary", "kill",
+         "--mu", "7", "--horizon", "3", "--n-paths", "400", "--seed", "9"],
+        "b7a97d473f87726a42a002209203f032c466ee50e85ce25298156d9a495e5bd4",
+    ),
+    "stop-set-infinite-horizon": (
+        ["simulate", "--logistic", "1", "1", "1", "--states", "64", "--mu", "uniform",
+         "--stop-set", "1..3", "--horizon", "inf", "--n-paths", "400", "--seed", "11"],
+        "ee4d4beb3d934106bf256b6b27bcff7e6fbc9f66dc2eb35bed95b54c169e6954",
+    ),
+    "trap-state-finite-horizon": (
+        ["simulate", "--chain", "trap.chain", "--mu", "1", "--horizon", "5",
+         "--n-paths", "400", "--seed", "3"],
+        "55816277fc84a6d102af52209f1a5cdcc7f85d4c5063f2cf696c5fdc71344377",
+    ),
+    "fv-sample-times": (
+        ["fv", "--logistic", "1", "1", "1", "--states", "32", "--horizon", "5",
+         "--n-particles", "300", "--seed", "21", "--sample-times", "0:5:1.25"],
+        "b01f3ab244ee637dafd774812c4bf7bf38f73975df48ff48e67322852811c444",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_ARTIFACTS))
+def test_mc_artifacts_are_golden(case, tmp_path, monkeypatch, capsys):
+    argv, digest = GOLDEN_ARTIFACTS[case]
+    (tmp_path / "trap.chain").write_text(TRAP_CHAIN, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, "--out", "out"]) == 0
+    capsys.readouterr()
+    name = "fv.csv" if argv[0] == "fv" else "batch.csv"
+    data = (tmp_path / "out" / name).read_bytes()
+    assert len(data.splitlines()) == (50 if argv[0] == "fv" else 401)
+    assert hashlib.sha256(data).hexdigest() == digest
