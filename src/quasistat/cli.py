@@ -277,13 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="quasistat",
         description="Quasi-stationary analysis of absorbed continuous-time Markov chains.",
     )
-    ap.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="accepted for interface compatibility; the engine is sequential "
-        "and results never depend on this value",
-    )
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("qsd", help="compute the quasi-stationary law")
@@ -360,9 +353,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse speaks exit codes already
         return int(exc.code or 0)
-    if args.threads < 1:
-        print("error: --threads must be >= 1", file=sys.stderr)
-        return 2
     try:
         return args.func(args)
     except QuasistatError as exc:

@@ -5,6 +5,12 @@ whose k-th draw depends only on (seed, stream id, k).  Scheduling, batch
 splits, or platform thread counts therefore cannot change any output;
 rerunning with the same seed reproduces results bit for bit.
 
+Independent paths run in lockstep: simulate_batch advances every live
+path by one jump per numpy step, drawing from all path streams at once.
+Each path still sees exactly the draws, jump choices and float
+operations it would see run on its own, so the output equals a
+path-by-path loop bit for bit.
+
 The particle ensemble keeps n walkers moving under the chain dynamics;
 a walker that gets absorbed is instantly respawned on the position of a
 uniformly chosen other walker.  Its empirical law converges to the
@@ -15,14 +21,17 @@ the exact engine.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .chain import AbsorbedChain, DistributionOnStates
 from .errors import ComputationError, ValidationError
-from .streams import SubStream
+from .streams import _GOLDEN, _INV53, _TINY, derive_key, mix64, u01
 from .textio import fmt, write_csv
 
 STATUS_ABSORBED = 0
@@ -38,13 +47,31 @@ _KIND_PARTICLE = 2
 KILLED_STATE = -1
 
 
-def _jump_tables(chain: AbsorbedChain):
-    """Per-state jump targets and cumulative rates as plain lists.
+class _JumpTables(NamedTuple):
+    """Per-state jump targets and cumulative rates, in two layouts.
 
     targets[x] pairs with cum[x]; target 0 is absorption and -1 is
-    truncation killing.  Plain Python lists beat numpy here: the inner
-    simulation loop draws from tiny arrays millions of times.
+    truncation killing; totals[x] is cum[x][-1], the exit rate (0 for a
+    state that never leaves).  The particle ensemble moves one particle
+    per event and reads the plain lists; simulate_batch moves all paths
+    at once and reads the same rows concatenated, row x sitting at
+    flat_cum[start[x]:start[x + 1]], with total_rates as the array of
+    totals.  The flat layout costs O(nnz) memory whatever the largest
+    row.
     """
+
+    targets: list[list[int]]
+    cum: list[list[float]]
+    totals: list[float]
+    start: np.ndarray
+    flat_targets: np.ndarray
+    flat_cum: np.ndarray
+    total_rates: np.ndarray
+    # bisection steps that pin an index down in the longest row
+    depth: int
+
+
+def _jump_tables(chain: AbsorbedChain) -> _JumpTables:
     tables = chain._cache.get("jump_tables")
     if tables is not None:
         return tables
@@ -78,9 +105,47 @@ def _jump_tables(chain: AbsorbedChain):
         targets[x] = tg
         cum[x] = cw
         totals[x] = acc
-    tables = (targets, cum, totals)
+    lengths = [len(row) for row in cum]
+    tables = _JumpTables(
+        targets=targets,
+        cum=cum,
+        totals=totals,
+        start=np.concatenate(([0], np.cumsum(lengths))),
+        flat_targets=np.fromiter(itertools.chain.from_iterable(targets), np.int64),
+        flat_cum=np.fromiter(itertools.chain.from_iterable(cum), np.float64),
+        total_rates=np.array(totals),
+        depth=(max(lengths) - 1).bit_length() if max(lengths) > 0 else 0,
+    )
     chain._cache["jump_tables"] = tables
     return tables
+
+
+def _initial_cumulative(chain: AbsorbedChain, mu) -> np.ndarray:
+    """Cumulative weights of the initial law over states 1..n_transient.
+
+    mu is a DistributionOnStates of the window or a raw weight array
+    (finite, non-negative, positive finite total; it need not sum to 1).
+    """
+    if isinstance(mu, DistributionOnStates):
+        if mu.n_states != chain.n_states:
+            raise ValidationError("initial law lives on a different window")
+        return np.cumsum(mu.weights)
+    weights = np.asarray(mu, dtype=np.float64)
+    if weights.shape != (chain.n_transient,):
+        raise ValidationError("initial law length does not match the window")
+    if not np.all(np.isfinite(weights)) or np.any(weights < 0):
+        raise ValidationError("initial law weights must be finite and >= 0")
+    cum = np.cumsum(weights)
+    if not (cum[-1] > 0 and math.isfinite(cum[-1])):
+        raise ValidationError("initial law weights must have positive finite total mass")
+    return cum
+
+
+def _initial_states(cum_init: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """States drawn from the initial law by uniforms u, as
+    SubStream.next_choice draws them (count of entries below u * total)."""
+    idx = np.searchsorted(cum_init, u * cum_init[-1], side="left")
+    return np.minimum(idx, cum_init.size - 1) + 1
 
 
 @dataclass
@@ -131,62 +196,79 @@ def simulate_batch(
     on first entry into stop_on_set when given (a start already inside
     counts as an immediate hit at time 0).  horizon may be math.inf as
     long as one of the stopping events is almost sure.  States with zero
-    exit rate hold forever and survive any finite horizon.
+    exit rate hold forever and survive any finite horizon; with an
+    infinite horizon the lowest-numbered path that reaches one is named
+    in the ComputationError.  mu is a DistributionOnStates of the window
+    or a raw weight array over states 1..n_transient.
     """
     if n_paths < 1:
         raise ValidationError("n_paths must be >= 1")
     if not horizon > 0:
         raise ValidationError(f"horizon must be > 0, got {horizon}")
-    if isinstance(mu, DistributionOnStates):
-        if mu.n_states != chain.n_states:
-            raise ValidationError("initial law lives on a different window")
-        weights = mu.weights
-    else:
-        weights = np.asarray(mu, dtype=np.float64)
-        if weights.shape != (chain.n_transient,):
-            raise ValidationError("initial law length does not match the window")
-    cum_init = np.cumsum(weights).tolist()
+    cum_init = _initial_cumulative(chain, mu)
     stop = frozenset(int(x) for x in stop_on_set) if stop_on_set is not None else None
     if stop is not None and (not stop or min(stop) < 1 or max(stop) > chain.n_transient):
         raise ValidationError("stop_on_set must be non-empty transient states")
 
-    targets, cum, totals = _jump_tables(chain)
+    jumps = _jump_tables(chain)
+    in_stop = np.zeros(chain.n_transient + 1, dtype=bool)
+    if stop is not None:
+        in_stop[list(stop)] = True
     end = np.empty(n_paths, dtype=np.int64)
     times = np.empty(n_paths, dtype=np.float64)
     status = np.empty(n_paths, dtype=np.uint8)
-    log = math.log
 
-    for i in range(n_paths):
-        s = SubStream(seed, _KIND_PATH, i)
-        x = s.next_choice(cum_init) + 1
-        if stop is not None and x in stop:
-            end[i], times[i], status[i] = x, 0.0, STATUS_HIT_SET
-            continue
-        t = 0.0
-        while True:
-            q = totals[x]
-            if q <= 0.0:
-                if horizon == math.inf:
-                    raise ComputationError(
-                        f"path {i} reached the trap state {x} with an infinite horizon"
-                    )
-                end[i], times[i], status[i] = x, horizon, STATUS_SURVIVED
-                break
-            t -= log(s.next_u01()) / q
-            if t >= horizon:
-                end[i], times[i], status[i] = x, horizon, STATUS_SURVIVED
-                break
-            y = targets[x][s.next_choice(cum[x])]
-            if y == 0:
-                end[i], times[i], status[i] = 0, t, STATUS_ABSORBED
-                break
-            if y == KILLED_STATE:
-                end[i], times[i], status[i] = KILLED_STATE, t, STATUS_KILLED
-                break
-            x = y
-            if stop is not None and x in stop:
-                end[i], times[i], status[i] = x, t, STATUS_HIT_SET
-                break
+    path = np.arange(n_paths)
+    keys = derive_key(seed, _KIND_PATH, path.astype(np.uint64))
+    x = _initial_states(cum_init, u01(keys, 0))
+    hit = in_stop[x]
+    end[hit], times[hit], status[hit] = x[hit], 0.0, STATUS_HIT_SET
+    path, keys, x = path[~hit], keys[~hit], x[~hit]
+    t = np.zeros(path.size)
+    log = math.log
+    # Every live path has made the same number of jumps, so all sit at
+    # the same draw counter: 2 per jump after the initial choice.
+    counter = 1
+    while path.size:
+        q = jumps.total_rates[x]
+        # math.log, not np.log: np.log's last bit depends on the SIMD
+        # code path, and the times must match the per-path loop exactly
+        hold = np.fromiter(map(log, u01(keys, counter).tolist()), np.float64, path.size)
+        with np.errstate(divide="ignore"):
+            t = t - hold / q  # a state with q = 0 holds forever: t = inf
+        out = t >= horizon
+        if out.any():
+            done = path[out]
+            end[done], times[done], status[done] = x[out], horizon, STATUS_SURVIVED
+            keep = ~out
+            path, keys, x, t, q = path[keep], keys[keep], x[keep], t[keep], q[keep]
+        # first row entry >= v, as SubStream.next_choice bisects it
+        v = u01(keys, counter + 1) * q
+        lo = jumps.start[x]
+        hi = jumps.start[x + 1] - 1
+        for _ in range(jumps.depth):
+            mid = (lo + hi) >> 1
+            below = jumps.flat_cum[mid] < v
+            lo = np.where(below, mid + 1, lo)
+            hi = np.where(below, hi, mid)
+        x = jumps.flat_targets[lo]
+        out = (x <= 0) | in_stop[x]
+        if out.any():
+            done = path[out]
+            xo = x[out]
+            end[done], times[done] = xo, t[out]
+            status[done] = np.where(
+                xo == 0, STATUS_ABSORBED, np.where(xo < 0, STATUS_KILLED, STATUS_HIT_SET)
+            )
+            keep = ~out
+            path, keys, x, t = path[keep], keys[keep], x[keep], t[keep]
+        counter += 2
+
+    if horizon == math.inf and np.any(status == STATUS_SURVIVED):
+        i = int(np.argmax(status == STATUS_SURVIVED))
+        raise ComputationError(
+            f"path {i} reached the trap state {end[i]} with an infinite horizon"
+        )
     return TrajectoryBatch(
         seed=seed,
         n_paths=n_paths,
@@ -244,7 +326,9 @@ def fleming_viot(
     particle, the choice coming from its own stream so results do not
     depend on event interleaving across particles.  Ties in event times
     break by particle index.  Returns one snapshot per sample time
-    (default: just the horizon).
+    (default: just the horizon).  The order is sequential, so only the
+    initial draws are batched; the event loop moves one particle at a
+    time.
     """
     if n_particles < 2:
         raise ValidationError("the ensemble needs at least 2 particles to respawn")
@@ -257,53 +341,69 @@ def fleming_viot(
         if not samples or samples[0] < 0 or samples[-1] > horizon:
             raise ValidationError("sample times must lie in [0, horizon]")
     if mu is None:
-        weights = np.full(chain.n_transient, 1.0 / chain.n_transient)
-    elif isinstance(mu, DistributionOnStates):
-        if mu.n_states != chain.n_states:
-            raise ValidationError("initial law lives on a different window")
-        weights = mu.weights
-    else:
-        weights = np.asarray(mu, dtype=np.float64)
-    cum_init = np.cumsum(weights).tolist()
+        mu = np.full(chain.n_transient, 1.0 / chain.n_transient)
+    cum_init = _initial_cumulative(chain, mu)
 
-    targets, cum, totals = _jump_tables(chain)
-    streams = [SubStream(seed, _KIND_PARTICLE, i) for i in range(n_particles)]
-    positions = np.empty(n_particles, dtype=np.int64)
-    heap: list[tuple[float, int]] = []
-    for i, s in enumerate(streams):
-        x = s.next_choice(cum_init) + 1
-        positions[i] = x
-        q = totals[x]
-        if q > 0.0:
-            heap.append((-math.log(s.next_u01()) / q, i))
+    jumps = _jump_tables(chain)
+    targets, cum, totals = jumps.targets, jumps.cum, jumps.totals
+    key_array = derive_key(seed, _KIND_PARTICLE, np.arange(n_particles, dtype=np.uint64))
+    start = _initial_states(cum_init, u01(key_array, 0))
+    movable = jumps.total_rates[start] > 0.0
+    # the event loop runs one particle at a time, on plain Python values
+    keys = key_array.tolist()
+    positions = start.tolist()
+    counters = np.where(movable, 2, 1).tolist()
+    heap = [
+        (-math.log(u) / q, int(i))
+        for i, u, q in zip(
+            np.flatnonzero(movable),
+            u01(key_array[movable], 1).tolist(),
+            jumps.total_rates[start[movable]].tolist(),
+        )
+    ]
     heapq.heapify(heap)
 
+    log = math.log
+    last = n_particles - 1
     redraws = 0
     snapshots: list[ParticleEnsemble] = []
     for tau in samples:
         while heap and heap[0][0] <= tau:
-            t_ev, i = heapq.heappop(heap)
-            s = streams[i]
-            x = int(positions[i])
-            y = targets[x][s.next_choice(cum[x])]
+            # the event stays on top until replaced; entries are distinct
+            # (time, index) pairs, so pop order depends only on their set
+            t_ev, i = heap[0]
+            key, c = keys[i], counters[i]
+            x = positions[i]
+            row = cum[x]
+            # SubStream.next_u01 and next_choice, inlined
+            u = (mix64(key + c * _GOLDEN) >> 11) * _INV53 or _TINY
+            j = bisect_left(row, u * row[-1])
+            y = targets[x][j if j < len(row) else -1]
+            c += 1
             if y <= 0:  # absorbed or killed: respawn on another particle
-                u = s.next_u01()
-                k = int(u * (n_particles - 1))
-                if k >= n_particles - 1:
-                    k = n_particles - 2
+                u = (mix64(key + c * _GOLDEN) >> 11) * _INV53 or _TINY
+                c += 1
+                k = int(u * last)
+                if k >= last:
+                    k = last - 1
                 if k >= i:
                     k += 1
-                y = int(positions[k])
+                y = positions[k]
                 redraws += 1
             positions[i] = y
             q = totals[y]
             if q > 0.0:
-                heapq.heappush(heap, (t_ev - math.log(s.next_u01()) / q, i))
+                u = (mix64(key + c * _GOLDEN) >> 11) * _INV53 or _TINY
+                c += 1
+                heapq.heapreplace(heap, (t_ev - log(u) / q, i))
+            else:
+                heapq.heappop(heap)
+            counters[i] = c
         snapshots.append(
             ParticleEnsemble(
                 time=tau,
                 n_particles=n_particles,
-                positions=positions.copy(),
+                positions=np.array(positions, dtype=np.int64),
                 redraw_count=redraws,
             )
         )

@@ -3,7 +3,10 @@
 Each stream is an independent keyed sequence: draw k of stream (seed, idx)
 is a pure function of (seed, idx, k).  Results are therefore identical
 however paths are scheduled or batched, which is what makes simulation
-output bit-reproducible for a fixed seed.
+output bit-reproducible for a fixed seed.  ``SubStream`` draws from one
+stream at a time; ``u01`` draws from many streams at once (one uint64 key
+and counter per stream), for paths that advance in lockstep, and returns
+the same values bit for bit.
 
 The generator is the splitmix64 finalizer applied to a Weyl sequence,
 a standard construction with full 64-bit state and no correlations
@@ -15,6 +18,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _INV53 = 1.0 / (1 << 53)
@@ -22,20 +27,35 @@ _INV53 = 1.0 / (1 << 53)
 _TINY = 5e-324
 
 
-def mix64(z: int) -> int:
-    """splitmix64 finalizer: bijective avalanche mix of a 64-bit word."""
-    z &= _MASK
+def mix64(z):
+    """splitmix64 finalizer: bijective avalanche mix of a 64-bit word.
+
+    Takes a Python int or a uint64 array (mixed elementwise; uint64
+    products wrap modulo 2**64, as the masks do for ints)."""
+    z = z & _MASK
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
     return z ^ (z >> 31)
 
 
-def derive_key(seed: int, *indices: int) -> int:
-    """Fold a seed and any number of sub-indices into one stream key."""
+def derive_key(seed: int, *indices):
+    """Fold a seed and any number of sub-indices into one stream key.
+
+    An index may be a uint64 array, which yields one key per entry."""
     key = mix64((seed & _MASK) ^ 0x5851F42D4C957F2D)
     for ix in indices:
-        key = mix64((key + _GOLDEN) ^ mix64((ix & _MASK) + 1))
+        key = mix64(((key + _GOLDEN) & _MASK) ^ mix64((ix & _MASK) + 1))
     return key | 1  # odd keys keep the Weyl walk full-period
+
+
+def u01(keys: np.ndarray, counters) -> np.ndarray:
+    """Draw number ``counters`` of each stream in ``keys`` (uint64 arrays,
+    or one counter for all): elementwise what ``SubStream.next_u01``
+    returns at that counter, bit for bit."""
+    z = keys + np.asarray(counters, dtype=np.uint64) * np.uint64(_GOLDEN)
+    u = (mix64(z) >> 11) * _INV53
+    # the smallest nonzero u is 2**-53 > _TINY, so this only replaces 0
+    return np.maximum(u, _TINY)
 
 
 class SubStream:
@@ -52,7 +72,8 @@ class SubStream:
         self.counter = 0
 
     def next_u01(self) -> float:
-        """Uniform on (0, 1]; never returns exactly 0."""
+        """Uniform on (0, 1): a multiple of 2**-53 below 1, with 0 replaced
+        by the smallest positive double."""
         z = (self.key + self.counter * _GOLDEN) & _MASK
         self.counter += 1
         u = (mix64(z) >> 11) * _INV53

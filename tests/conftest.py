@@ -6,6 +6,14 @@ import numpy as np
 import pytest
 
 from quasistat import (
+    KILLED_STATE,
+    STATUS_ABSORBED,
+    STATUS_HIT_SET,
+    STATUS_KILLED,
+    STATUS_SURVIVED,
+    ComputationError,
+    DistributionOnStates,
+    TrajectoryBatch,
     build_from_entries,
     compute_absorption_sup,
     compute_alpha_K,
@@ -13,6 +21,8 @@ from quasistat import (
     evolve_measure,
     geometric_grid,
 )
+from quasistat.mc import _KIND_PATH, _jump_tables
+from quasistat.streams import SubStream
 
 # one line per acceptance criterion, replayed after the run so the
 # verdicts are visible even under pytest's output capture
@@ -218,6 +228,63 @@ def minimal_core_oracle(chain, k_max=None):
         if alpha > C:
             return tuple(range(1, k + 1))
     return None
+
+
+def simulate_batch_oracle(chain, mu, horizon, n_paths, seed, stop_on_set=None):
+    """simulate_batch path by path: one SubStream per path, run to its
+    end before the next path starts.  Valid inputs only; the library
+    advances all paths together and must match this bit for bit."""
+    weights = mu.weights if isinstance(mu, DistributionOnStates) else np.asarray(mu, float)
+    cum_init = np.cumsum(weights).tolist()
+    stop = frozenset(int(x) for x in stop_on_set) if stop_on_set is not None else None
+    jumps = _jump_tables(chain)
+    targets, cum, totals = jumps.targets, jumps.cum, jumps.totals
+    end = np.empty(n_paths, dtype=np.int64)
+    times = np.empty(n_paths, dtype=np.float64)
+    status = np.empty(n_paths, dtype=np.uint8)
+    log = math.log
+
+    for i in range(n_paths):
+        s = SubStream(seed, _KIND_PATH, i)
+        x = s.next_choice(cum_init) + 1
+        if stop is not None and x in stop:
+            end[i], times[i], status[i] = x, 0.0, STATUS_HIT_SET
+            continue
+        t = 0.0
+        while True:
+            q = totals[x]
+            if q <= 0.0:
+                if horizon == math.inf:
+                    raise ComputationError(
+                        f"path {i} reached the trap state {x} with an infinite horizon"
+                    )
+                end[i], times[i], status[i] = x, horizon, STATUS_SURVIVED
+                break
+            t -= log(s.next_u01()) / q
+            if t >= horizon:
+                end[i], times[i], status[i] = x, horizon, STATUS_SURVIVED
+                break
+            y = targets[x][s.next_choice(cum[x])]
+            if y == 0:
+                end[i], times[i], status[i] = 0, t, STATUS_ABSORBED
+                break
+            if y == KILLED_STATE:
+                end[i], times[i], status[i] = KILLED_STATE, t, STATUS_KILLED
+                break
+            x = y
+            if stop is not None and x in stop:
+                end[i], times[i], status[i] = x, t, STATUS_HIT_SET
+                break
+    return TrajectoryBatch(
+        seed=seed,
+        n_paths=n_paths,
+        horizon=horizon,
+        n_states=chain.n_states,
+        stop_set=tuple(sorted(stop)) if stop is not None else None,
+        end_states=end,
+        times=times,
+        status=status,
+    )
 
 
 @pytest.fixture

@@ -84,10 +84,12 @@ def test_missing_file_is_io_error(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
-def test_threads_zero_rejected(capsys):
-    code = run(["--threads", "0", "qsd", "--logistic", "1", "1", "1", "--out", "."])
+def test_threads_zero_rejected(tmp_path, capsys):
+    # no --threads option exists, whatever its value
+    code = run(["--threads", "0", "qsd", "--logistic", "1", "1", "1", "--out", str(tmp_path)])
     assert code == 2
-    assert "threads" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith("usage:")
+    assert not (tmp_path / "qsd.csv").exists()
 
 
 # -- qsd -----------------------------------------------------------------------------
@@ -123,12 +125,11 @@ def test_qsd_reruns_byte_identical(tmp_path, capsys):
 
 
 def test_threads_flag_never_changes_output(tmp_path, capsys):
-    a_dir = tmp_path / "a"
-    b_dir = tmp_path / "b"
-    assert run(["--threads", "1", "qsd", "--logistic", "1", "1", "1", "--out", str(a_dir)]) == 0
-    assert run(["--threads", "8", "qsd", "--logistic", "1", "1", "1", "--out", str(b_dir)]) == 0
-    capsys.readouterr()
-    assert (a_dir / "qsd.csv").read_bytes() == (b_dir / "qsd.csv").read_bytes()
+    # the no-op flag is gone: argparse rejects it, as it does --t-max
+    code = run(["qsd", "--logistic", "1", "1", "1", "--threads", "8", "--out", str(tmp_path)])
+    assert code == 2
+    assert "unrecognized arguments: --threads 8" in capsys.readouterr().err
+    assert not (tmp_path / "qsd.csv").exists()
 
 
 # -- certify ----------------------------------------------------------------------------

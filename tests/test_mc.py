@@ -3,9 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from conftest import simulate_batch_oracle
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quasistat import (
+    KILL,
     KILLED_STATE,
+    REFLECT,
     STATUS_ABSORBED,
     STATUS_HIT_SET,
     STATUS_KILLED,
@@ -27,7 +32,7 @@ from quasistat import (
     tv_distance,
 )
 from quasistat.cli import main
-from quasistat.streams import SubStream, derive_key, mix64
+from quasistat.streams import SubStream, derive_key, mix64, u01
 
 
 # -- keyed streams -------------------------------------------------------------
@@ -56,8 +61,8 @@ def test_stream_keys_separate_indices():
 def test_u01_range_and_mean():
     s = SubStream(1, 3)
     vals = [s.next_u01() for _ in range(20000)]
-    assert all(0.0 < v <= 1.0 for v in vals)
-    # mean of U(0,1]: 3-sigma band at n=20000 is about +-0.0061
+    assert all(0.0 < v < 1.0 for v in vals)
+    # mean of U(0,1): 3-sigma band at n=20000 is about +-0.0061
     assert abs(np.mean(vals) - 0.5) < 0.0075
 
 
@@ -76,6 +81,50 @@ def test_choice_follows_weights():
     counts = np.bincount([s.next_choice(cum) for _ in range(n)], minlength=3)
     for got, p in zip(counts / n, [0.2, 0.3, 0.5]):
         assert abs(got - p) < 3 * math.sqrt(p * (1 - p) / n)
+
+
+@pytest.mark.parametrize("seed", [0, 7, -3, 2**64 - 1])
+def test_vectorised_draws_match_substream(seed):
+    ids = np.arange(300, dtype=np.uint64)
+    keys = derive_key(seed, 1, ids)
+    assert keys.dtype == np.uint64
+    assert keys.tolist() == [derive_key(seed, 1, i) for i in range(300)]
+    counters = np.arange(300, dtype=np.uint64) * 1_000_003
+    for c in (0, 5, counters):
+        want = []
+        for i in range(300):
+            s = SubStream(seed, 1, i)
+            s.counter = int(np.broadcast_to(c, (300,))[i])
+            want.append(s.next_u01())
+        assert u01(keys, c).tolist() == want
+
+
+def _unmix64(y: int) -> int:
+    """Inverse of mix64 (each xor-shift and odd multiply is invertible)."""
+    mask = (1 << 64) - 1
+
+    def unshift(v, k):
+        x = v
+        for _ in range(64 // k + 1):
+            x = v ^ (x >> k)
+        return x
+
+    y = unshift(y, 31)
+    y = (y * pow(0x94D049BB133111EB, -1, 1 << 64)) & mask
+    y = unshift(y, 27)
+    y = (y * pow(0xBF58476D1CE4E5B9, -1, 1 << 64)) & mask
+    return unshift(y, 30)
+
+
+def test_zero_draw_becomes_tiny_in_both_kernels():
+    # a key whose first draw mixes to a word below 2**11 has u = 0
+    key = _unmix64(0x7FF)
+    assert mix64(key) == 0x7FF
+    s = SubStream(0)
+    s.key = key
+    tiny = s.next_u01()
+    assert tiny == 5e-324
+    assert u01(np.array([key], dtype=np.uint64), 0).tolist() == [tiny]
 
 
 def test_mix64_is_deterministic_and_avalanching():
@@ -173,6 +222,93 @@ def test_simulate_validates_arguments():
         simulate_batch(chain, mu, horizon=1.0, n_paths=10, seed=1, stop_on_set=[99])
     with pytest.raises(ValidationError):
         simulate_batch(chain, DistributionOnStates.delta(1, 8), horizon=1.0, n_paths=10, seed=1)
+
+
+@pytest.mark.parametrize("run", ["simulate", "fv"])
+@pytest.mark.parametrize(
+    "weights",
+    [np.ones(5), np.zeros(15), -np.ones(15), np.full(15, np.nan), np.full(15, np.inf)],
+    ids=["wrong-length", "all-zero", "negative", "nan", "inf"],
+)
+def test_raw_initial_law_is_validated(run, weights):
+    chain = build_logistic(1.0, 1.0, 1.0, 16)
+    with pytest.raises(ValidationError, match="initial law"):
+        if run == "simulate":
+            simulate_batch(chain, weights, horizon=1.0, n_paths=10, seed=1)
+        else:
+            fleming_viot(chain, n_particles=10, horizon=1.0, seed=1, mu=weights)
+
+
+def test_raw_initial_law_need_not_be_normalised():
+    chain = build_logistic(1.0, 1.0, 1.0, 16)
+    raw = np.zeros(15)
+    raw[2] = 3.0
+    batch = simulate_batch(chain, raw, horizon=1.0, n_paths=200, seed=4, stop_on_set=[3])
+    assert np.all(batch.status == STATUS_HIT_SET) and np.all(batch.end_states == 3)
+
+
+def _assert_same_batch(got, want):
+    assert np.array_equal(got.end_states, want.end_states)
+    assert np.array_equal(got.times, want.times)
+    assert np.array_equal(got.status, want.status)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=10**6),
+    st.sampled_from([REFLECT, KILL]),
+    st.booleans(),
+    st.booleans(),
+    st.sampled_from([0.5, 3.0, math.inf]),
+)
+def test_lockstep_batch_matches_per_path_oracle(seed, boundary, use_stop, use_trap, horizon):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 8))
+    trap = n if use_trap else None  # a state with no exit
+    entries = [(1, 0, 0.5)]
+    for x in range(1, n + 1):
+        if x == trap:
+            continue
+        # in kill mode, target n + 1 lies above the window: truncation killing
+        for y in range(0, n + 2 if boundary == KILL else n + 1):
+            if y != x and rng.random() < 0.5:
+                entries.append((x, y, float(rng.uniform(0.05, 2.0))))
+        if horizon == math.inf:
+            entries.append((x, 0, 0.1))  # every path ends unless trapped
+    chain = build_from_entries(entries, n + 1, boundary)
+    weights = rng.uniform(0.0, 1.0, size=n)
+    stop = None
+    if use_stop:
+        size = int(rng.integers(1, n + 1))
+        stop = sorted(int(v) for v in rng.choice(np.arange(1, n + 1), size=size, replace=False))
+    args = (chain, weights, horizon, 300, seed)
+    try:
+        want = simulate_batch_oracle(*args, stop_on_set=stop)
+    except ComputationError as exc:
+        with pytest.raises(ComputationError) as got:
+            simulate_batch(*args, stop_on_set=stop)
+        assert str(got.value) == str(exc)
+        return
+    _assert_same_batch(simulate_batch(*args, stop_on_set=stop), want)
+
+
+def test_lockstep_batch_matches_oracle_on_acceptance_window():
+    chain = build_logistic(2.0, 1.0, 0.25, 64)
+    mu = DistributionOnStates.delta(5, 64)
+    got = simulate_batch(chain, mu, horizon=10.0, n_paths=3000, seed=20260815)
+    _assert_same_batch(got, simulate_batch_oracle(chain, mu, 10.0, 3000, 20260815))
+
+
+def test_infinite_horizon_trap_names_the_oracle_path():
+    # state 3 traps; paths wander 1 <-> 2 first, so the lowest trapped
+    # path is not the first one to be trapped in lockstep time
+    chain = build_from_entries([(1, 2, 1.0), (2, 1, 2.0), (2, 3, 0.3), (1, 0, 1.0)], 4)
+    mu = DistributionOnStates.delta(1, 4)
+    with pytest.raises(ComputationError) as want:
+        simulate_batch_oracle(chain, mu, math.inf, 500, 3)
+    with pytest.raises(ComputationError, match="trap state 3") as got:
+        simulate_batch(chain, mu, horizon=math.inf, n_paths=500, seed=3)
+    assert str(got.value) == str(want.value)
 
 
 def test_conditional_estimate_tracks_exact_law():
