@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -20,6 +21,7 @@ from quasistat import (
     tail_expected_hitting,
 )
 from quasistat.bd import _inner_tail
+from quasistat.cli import main
 
 from conftest import bd_hitting_oracle, bd_moment_oracle
 
@@ -261,3 +263,56 @@ def test_bd_csvs(tmp_path):
     first = hlines[1].split(",")
     assert int(first[0]) == 2
     assert float(first[1]) == pytest.approx(rep.hitting_values[0])
+
+
+# -- golden bytes ----------------------------------------------------------------------
+#
+# sha256 of the three artifacts `bd` writes, recorded with the per-level
+# ladder descent; any change to the order of the hitting-time recursion
+# or to the moment band moves them.
+
+GOLDEN_BD = {
+    "1-1-1": (
+        ["--logistic", "1", "1", "1"],
+        {
+            "bd_report.txt": "bb86c1b1037e6689c6abe320972c1b2c9323866d050aaa67f64c14f96c371872",
+            "bd_alpha.csv": "e1325a72cb3e5b62299946232434f67b836a1b95eb9a18a77ed2b3b309e95622",
+            "bd_hitting.csv": "60e7d18672a3b0be0eae7675e0859a5f7f1d62001c7515f4158c94d961759cf6",
+        },
+    ),
+    "2-1-0.25": (
+        ["--logistic", "2", "1", "0.25"],
+        {
+            "bd_report.txt": "9ac5072aca21edc7638296b0ecfbc7089915aecf7ce72260e66e43daef05b965",
+            "bd_alpha.csv": "c0fa545850dd15ed651e4bd1c79ddc3695b2c78371a51e04de14de97f77bfdbf",
+            "bd_hitting.csv": "91124abf670774f9daa3dfeba7f6b7561e788c7b52990a7f7780a04d378d6d62",
+        },
+    ),
+    "2-1-0.25-x60": (
+        ["--logistic", "2", "1", "0.25", "--x-max", "60"],
+        {
+            "bd_report.txt": "9ac5072aca21edc7638296b0ecfbc7089915aecf7ce72260e66e43daef05b965",
+            "bd_alpha.csv": "c0fa545850dd15ed651e4bd1c79ddc3695b2c78371a51e04de14de97f77bfdbf",
+            "bd_hitting.csv": "a0905e757787ba994d7fcfa64415a15ed50a033329b29edfbfd9ca4ae5668629",
+        },
+    ),
+    # z0 = 45 lies above the default x_max of 30, so this set needs --x-max
+    "3-1-0.0505-x60": (
+        ["--logistic", "3", "1", "0.0505", "--x-max", "60"],
+        {
+            "bd_report.txt": "140a757ce8c7cc4c88f0540c3c40c0ed321285235ebb665f1fc659cc0129c47f",
+            "bd_alpha.csv": "1e6c8bc71d573974f5301f60a1c8931c78f13f643af4b40b4dce89ab65339b85",
+            "bd_hitting.csv": "9c4a69cab0fbee66ea2ee15e24368320a1ef572500b074291564061caba810bc",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_BD))
+def test_bd_artifacts_are_golden(case, tmp_path, capsys):
+    argv, digests = GOLDEN_BD[case]
+    out = tmp_path / "out"
+    assert main(["bd", *argv, "--out", str(out)]) == 0
+    capsys.readouterr()
+    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in digests}
+    assert got == digests
