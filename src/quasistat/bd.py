@@ -31,6 +31,11 @@ from .textio import fmt, render_keyvalues, write_csv
 _REL_TOL = 1e-15
 _MAX_TERMS = 10**6
 
+# Levels per block of rates the hitting-time descent fetches at once.
+# Whole doubling blocks (up to ~5e5 levels) as Python floats would add
+# ~50 MiB of peak memory for no further speed.
+_DESCENT_CHUNK = 4096
+
 
 def alpha_coeffs(spec: BirthDeathSpec, j_max: int) -> np.ndarray:
     """Ladder coefficients alpha_j = prod(b_1..b_{j-1}) / prod(d_1..d_j).
@@ -90,26 +95,52 @@ def _inner_tail(spec: BirthDeathSpec, k: int) -> float:
             )
 
 
+def _descent_rates(spec: BirthDeathSpec, lo: int, hi: int) -> tuple[list, list]:
+    """Rates on lo..hi as plain floats, every death rate checked > 0.
+
+    A chunk with a bad level is replayed downward one rates_at call at a
+    time, so the error names the highest bad level with the message a
+    level-by-level descent would raise.
+    """
+    try:
+        up, down = spec.rates_on(lo, hi)
+        ok = bool(np.all(down > 0))
+    except ValidationError:
+        ok = False
+    if ok:
+        return up.tolist(), down.tolist()
+    for k in range(hi, lo - 1, -1):
+        if spec.rates_at(k)[1] <= 0:
+            raise ValidationError(f"death rate at {k} must be > 0")
+    raise ValidationError(
+        f"rate callables disagree between array and scalar levels on {lo}..{hi}"
+    )
+
+
 def _descent_sum(spec: BirthDeathSpec, z: int, x: int) -> float:
     """sum_{k=z+1}^{x} E_k(T_{k-1}), each term = ladder tail / full
     downward rate, anchored once at x and recursed downward (stable:
-    the recursion only adds and multiplies positives)."""
+    the recursion only adds and multiplies positives).
+
+    Rates come in chunks of _DESCENT_CHUNK levels, so memory stays flat
+    however long the descent; the recursion itself runs level by level
+    on plain floats.
+    """
     inner = _inner_tail(spec, x)
-    _, down = spec.rates_at(x)
-    if down <= 0:
-        raise ValidationError(f"death rate at {x} must be > 0")
     total = 0.0
-    k = x
-    while True:
-        total += inner / down
-        k -= 1
-        if k == z:
-            return total
-        up_prev, down_prev = spec.rates_at(k)
-        if down_prev <= 0:
-            raise ValidationError(f"death rate at {k} must be > 0")
-        inner = 1.0 + (up_prev / down) * inner
-        down = down_prev
+    down = 0.0
+    for hi in range(x, z, -_DESCENT_CHUNK):
+        ups, downs = _descent_rates(spec, max(z + 1, hi - _DESCENT_CHUNK + 1), hi)
+        if hi == x:
+            # the anchor level contributes its ladder tail as is
+            down = downs.pop()
+            ups.pop()
+            total += inner / down
+        for up_k, down_k in zip(reversed(ups), reversed(downs)):
+            inner = 1.0 + (up_k / down) * inner
+            down = down_k
+            total += inner / down
+    return total
 
 
 def tail_expected_hitting(spec: BirthDeathSpec, z: int, x, max_terms: int = _MAX_TERMS) -> float:
@@ -123,6 +154,12 @@ def tail_expected_hitting(spec: BirthDeathSpec, z: int, x, max_terms: int = _MAX
     or max_terms levels have been used (documented truncation; the
     series grows in x, so truncation only under-reports).  Blocks that
     stop shrinking expose a non-summable tail and raise.
+
+    The spec's rate callables are evaluated on float arrays of levels,
+    a few thousand at a time (BirthDeathSpec.rates_on), so they must be
+    elementwise; the recursion then runs level by level on plain floats,
+    giving the same bits as one rates_at call per level.  A bad rate
+    raises ValidationError naming the highest bad level below x.
     """
     if z < 0:
         raise ValidationError(f"target level z must be >= 0, got {z}")
@@ -182,20 +219,15 @@ class BdMomentResult:
 
 def _solve_moment(spec: BirthDeathSpec, z: int, lam: float, x_max: int) -> np.ndarray:
     n = x_max - z
+    up, down = spec.rates_on(z + 1, x_max)
+    up = up.copy()
+    up[-1] = 0.0  # reflecting closure at the top of the solve window
     ab = np.zeros((3, n))
+    ab[0, 1:] = up[:-1]  # superdiagonal: column i+1 holds the rate up from i
+    ab[1] = lam - up - down
+    ab[2, :-1] = down[1:]  # subdiagonal: column i-1 holds the rate down from i
     rhs = np.zeros(n)
-    for i in range(n):
-        x = z + 1 + i
-        up, down = spec.rates_at(x)
-        if i == n - 1:
-            up = 0.0  # reflecting closure at the top of the solve window
-        ab[1, i] = lam - up - down
-        if i + 1 < n:
-            ab[0, i + 1] = up  # superdiagonal entry for column i+1
-        if i > 0:
-            ab[2, i - 1] = down  # subdiagonal entry for column i-1
-        else:
-            rhs[0] = -down  # known h(z) = 1 folded into the right side
+    rhs[0] = -down[0]  # known h(z) = 1 folded into the right side
     try:
         h = solve_banded((1, 1), ab, rhs)
     except Exception as exc:

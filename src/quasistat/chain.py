@@ -43,6 +43,8 @@ class BirthDeathSpec:
 
     ``birth_rate(x)`` and ``death_rate(x)`` give the rates x -> x+1 and
     x -> x-1 for x >= 1; state 0 is absorbing so both are ignored there.
+    They are called on single levels (rates_at) and on float arrays of
+    levels (rates_on), so they must work elementwise.
     ``params`` is set for the logistic family and enables closed-form
     reasoning (e.g. unbounded-rate detection) downstream.
     """
@@ -73,6 +75,31 @@ class BirthDeathSpec:
         for label, v in (("birth", up), ("death", down)):
             if not math.isfinite(v) or v < 0:
                 raise ValidationError(f"{label} rate at x={x} must be finite and >= 0, got {v}")
+        return up, down
+
+    def rates_on(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """Birth and death rates on the levels lo..hi, as float arrays.
+
+        The rate callables are evaluated once on the float array of those
+        levels (a callable returning a scalar is broadcast), so they must
+        be elementwise; the logistic lambdas are, and give the same floats
+        as rates_at.  The checks are rates_at's, and a failure names the
+        lowest offending level, the one an upward rates_at walk meets first.
+        """
+        if lo < 1:
+            raise ValidationError(f"birth-death rates are defined for x >= 1, got {lo}")
+        xs = np.arange(lo, hi + 1, dtype=np.float64)
+        up = np.broadcast_to(np.asarray(self.birth_rate(xs), dtype=np.float64), xs.shape)
+        down = np.broadcast_to(np.asarray(self.death_rate(xs), dtype=np.float64), xs.shape)
+        bad_up = ~np.isfinite(up) | (up < 0)
+        bad_down = ~np.isfinite(down) | (down < 0)
+        bad = bad_up | bad_down
+        if bad.any():
+            i = int(np.argmax(bad))
+            label, v = ("birth", up[i]) if bad_up[i] else ("death", down[i])
+            raise ValidationError(
+                f"{label} rate at x={lo + i} must be finite and >= 0, got {float(v)}"
+            )
         return up, down
 
 

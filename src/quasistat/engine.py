@@ -15,7 +15,11 @@ Measures (row vectors) and functions (column vectors) evolve through the
 same series; measures push forward, functions pull back.  Either side
 also takes an (n, m) block of m columns: each series term is then one
 operator-times-block product, so m columns cost one pass over the
-Poisson weights instead of m.  Conditioning on survival is always a
+Poisson weights instead of m.  A series allocates nothing per term: the
+products alternate between two preallocated buffers (on CSR windows
+through scipy's sparsetools kernel, called directly) and the weighted
+terms are added into the result in place, in the order and with the
+rounding of the plain ``out + w * (M @ v)`` loop.  Conditioning on survival is always a
 final normalization step, never baked into the operator, so
 unnormalized survival mass stays available to callers.
 
@@ -28,9 +32,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse import _sparsetools
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import splu
 from scipy.special import gammaln, pdtr, pdtrik, xlogy
@@ -41,10 +47,13 @@ from .textio import fmt, write_csv
 
 SERIES_TOL = 1e-13
 
-# Below this size the operator is stored dense.  At n = 63 a dense step
-# took 2.3 us against 5.7 us for CSR on one vector, and 2.7 us against
-# 7.4 us on a 2-column block (2-core Xeon VM, numpy 2.4, scipy 1.17, one
-# BLAS thread).
+# Below this size the operator is stored dense.  With the direct CSR
+# kernel the two are level at n = 63: a step took 1.8-2.1 us dense against
+# 1.5-1.7 us CSR on one vector, and 2.0-2.1 us against 1.9-2.3 us on a
+# 2-column block (2-core Xeon VM, numpy 2.4, scipy 1.17, one BLAS thread;
+# through scipy's ``@`` CSR took 4.7-5.1 and 4.8-7.2 us).  The split stays
+# because a dense product rounds differently, and the golden certificate
+# texts of small windows were recorded with it.
 _DENSE_CUTOFF = 64
 
 # Longest Poisson series evolution will run, in terms (= operator
@@ -73,12 +82,6 @@ class _Uniformized:
         else:
             self.func_op = M.tocsr()
             self.meas_op = M.T.tocsr()
-
-    def step_measure(self, v: np.ndarray) -> np.ndarray:
-        return self.meas_op @ v
-
-    def step_function(self, u: np.ndarray) -> np.ndarray:
-        return self.func_op @ u
 
 
 def _uniformized(chain: AbsorbedChain) -> _Uniformized:
@@ -137,15 +140,49 @@ def _evolve(chain: AbsorbedChain, vec: np.ndarray, t: float, series_tol: float, 
             f"evolution over t={t} at uniformization rate L={op.lam:.3e} on the "
             f"{chain.n_transient}-state window is too long: {exc}"
         ) from None
-    step = op.step_measure if side == "measure" else op.step_function
-    out = w[0] * v
-    vk = v
+    A = op.meas_op if side == "measure" else op.func_op
+    # vk and nxt are the ping-pong buffers of the series: each step writes
+    # A @ vk into nxt, and out takes wk * vk in place through tmp.  The
+    # CSR kernel works on flat buffers, so there the block is raveled.
+    vk = np.array(v, order="C")
+    if op.dense:
+        step = partial(np.matmul, A)
+    else:
+        step = _csr_step(A, 1 if v.ndim == 1 else v.shape[1])
+        vk = vk.reshape(-1)
+    nxt = np.empty_like(vk)
+    tmp = np.empty_like(vk)
+    out = w[0] * vk
     for k in range(1, w.size):
-        vk = step(vk)
+        step(vk, nxt)
+        vk, nxt = nxt, vk
         wk = w[k]
         if wk > 0.0:
-            out = out + wk * vk
-    return out
+            np.multiply(vk, wk, out=tmp)
+            out += tmp
+    return out.reshape(v.shape)
+
+
+def _csr_step(A: sparse.csr_matrix, m: int):
+    """step(x, y) sets y = A @ x for flat C-ordered blocks of m columns.
+
+    It calls the sparsetools kernel that scipy's ``A @ x`` reaches
+    (csr_matvec for one column, csr_matvecs for more) directly, skipping
+    the operator dispatch and the result allocation.  The kernel adds into
+    y, so y is zeroed first; the sums then run in the same order, and the
+    result is bit for bit that of ``A @ x``.
+    """
+    n = A.shape[0]
+    indptr, indices, data = A.indptr, A.indices, A.data
+    if m == 1:
+        def step(x: np.ndarray, y: np.ndarray) -> None:
+            y.fill(0.0)
+            _sparsetools.csr_matvec(n, n, indptr, indices, data, x, y)
+    else:
+        def step(x: np.ndarray, y: np.ndarray) -> None:
+            y.fill(0.0)
+            _sparsetools.csr_matvecs(n, n, m, indptr, indices, data, x, y)
+    return step
 
 
 def evolve_measure(chain: AbsorbedChain, v, t: float, series_tol: float = SERIES_TOL) -> np.ndarray:

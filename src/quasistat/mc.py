@@ -141,6 +141,57 @@ def _initial_cumulative(chain: AbsorbedChain, mu) -> np.ndarray:
     return cum
 
 
+def _require_every_path_ends(jumps: _JumpTables, cum_init: np.ndarray, in_stop: np.ndarray) -> None:
+    """Raise unless every path from the initial law stops in finite time.
+
+    A path ends on absorption, killing, entry into the stop set, or in a
+    state with no exit (a trap, reported after the run).  A state that
+    can be reached from the support of the initial law, has a positive
+    exit rate, and reaches none of those ends lies in a closed class the
+    path never leaves: with an infinite horizon its paths would jump
+    forever.
+    """
+    targets = jumps.targets
+    n = len(targets) - 1
+    preds: list[list[int]] = [[] for _ in range(n + 1)]
+    ends = []
+    for x in range(1, n + 1):
+        row = targets[x]
+        if in_stop[x] or not row or min(row) <= 0:
+            ends.append(x)
+        for y in row:
+            if y > 0:
+                preds[y].append(x)
+    can_end = np.zeros(n + 1, dtype=bool)
+    can_end[ends] = True
+    stack = ends
+    while stack:
+        for w in preds[stack.pop()]:
+            if not can_end[w]:
+                can_end[w] = True
+                stack.append(w)
+    # states the initial draw can pick: those that raise the cumulative law
+    start = (np.flatnonzero(np.diff(cum_init, prepend=0.0) > 0) + 1).tolist()
+    seen = np.zeros(n + 1, dtype=bool)
+    seen[start] = True
+    stack = start
+    while stack:
+        x = stack.pop()
+        if in_stop[x]:
+            continue  # paths stop on entry
+        for y in targets[x]:
+            if y > 0 and not seen[y]:
+                seen[y] = True
+                stack.append(y)
+    stuck = np.flatnonzero(seen & ~can_end)
+    if stuck.size:
+        raise ValidationError(
+            f"state {stuck[0]} is reachable from the initial law but no absorption, "
+            f"killing, stop-set or trap state is reachable from it; with an infinite "
+            f"horizon its paths would never end"
+        )
+
+
 def _initial_states(cum_init: np.ndarray, u: np.ndarray) -> np.ndarray:
     """States drawn from the initial law by uniforms u, as
     SubStream.next_choice draws them (count of entries below u * total)."""
@@ -195,7 +246,9 @@ def simulate_batch(
     Paths stop early at absorption (state 0), at truncation killing, or
     on first entry into stop_on_set when given (a start already inside
     counts as an immediate hit at time 0).  horizon may be math.inf as
-    long as one of the stopping events is almost sure.  States with zero
+    long as one of the stopping events is almost sure; a closed class of
+    states that no path can leave once inside raises ValidationError
+    before any draw.  States with zero
     exit rate hold forever and survive any finite horizon; with an
     infinite horizon the lowest-numbered path that reaches one is named
     in the ComputationError.  mu is a DistributionOnStates of the window
@@ -214,6 +267,8 @@ def simulate_batch(
     in_stop = np.zeros(chain.n_transient + 1, dtype=bool)
     if stop is not None:
         in_stop[list(stop)] = True
+    if horizon == math.inf:
+        _require_every_path_ends(jumps, cum_init, in_stop)
     end = np.empty(n_paths, dtype=np.int64)
     times = np.empty(n_paths, dtype=np.float64)
     status = np.empty(n_paths, dtype=np.uint8)

@@ -7,6 +7,7 @@ import pytest
 
 from quasistat import (
     KILLED_STATE,
+    ValidationError,
     STATUS_ABSORBED,
     STATUS_HIT_SET,
     STATUS_KILLED,
@@ -21,6 +22,8 @@ from quasistat import (
     evolve_measure,
     geometric_grid,
 )
+from quasistat.bd import _inner_tail
+from quasistat.engine import _poisson_weights, _uniformized
 from quasistat.mc import _KIND_PATH, _jump_tables
 from quasistat.streams import SubStream
 
@@ -165,6 +168,49 @@ def bd_moment_oracle(spec, z: int, lam: float, m: int) -> np.ndarray:
     n = chain.n_transient
     A = -(Q + lam * np.eye(n))
     return np.linalg.solve(A, chain.absorption_rates)
+
+
+def descent_sum_oracle(spec, z: int, x: int) -> float:
+    """sum_{k=z+1}^{x} E_k T_{k-1} with one rates_at call per level,
+    recursed downward from the anchor x.  The library fetches the rates
+    in chunks and must match this bit for bit, errors included."""
+    inner = _inner_tail(spec, x)
+    _, down = spec.rates_at(x)
+    if down <= 0:
+        raise ValidationError(f"death rate at {x} must be > 0")
+    total = 0.0
+    k = x
+    while True:
+        total += inner / down
+        k -= 1
+        if k == z:
+            return total
+        up_prev, down_prev = spec.rates_at(k)
+        if down_prev <= 0:
+            raise ValidationError(f"death rate at {k} must be > 0")
+        inner = 1.0 + (up_prev / down) * inner
+        down = down_prev
+
+
+def evolve_oracle(chain, vec, t: float, side: str, series_tol: float = 1e-13) -> np.ndarray:
+    """The Poisson series with scipy's ``@`` per term and a fresh array
+    per partial sum.  The library runs the same series on preallocated
+    buffers and must match this bit for bit."""
+    v = np.asarray(vec, dtype=np.float64)
+    op = _uniformized(chain)
+    mu = op.lam * t
+    if mu == 0.0:
+        return v.copy()
+    w = _poisson_weights(mu, series_tol)
+    A = op.meas_op if side == "measure" else op.func_op
+    out = w[0] * v
+    vk = v
+    for k in range(1, w.size):
+        vk = A @ vk
+        wk = w[k]
+        if wk > 0.0:
+            out = out + wk * vk
+    return out
 
 
 def power_iteration_qsd(chain, tol=1e-12, max_iters=100000):

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,10 +21,11 @@ from quasistat import (
     logistic_certificate,
     tail_expected_hitting,
 )
-from quasistat.bd import _inner_tail
+import quasistat.bd as bd_mod
+from quasistat.bd import _DESCENT_CHUNK, _descent_sum, _inner_tail
 from quasistat.cli import main
 
-from conftest import bd_hitting_oracle, bd_moment_oracle
+from conftest import bd_hitting_oracle, bd_moment_oracle, descent_sum_oracle
 
 LOGISTIC = BirthDeathSpec.logistic(1.0, 1.0, 1.0)
 
@@ -140,6 +142,93 @@ def test_hitting_rejects_bad_levels():
         tail_expected_hitting(LOGISTIC, -1, 5)
     with pytest.raises(ValidationError):
         tail_expected_hitting(LOGISTIC, 3, 3)
+
+
+# -- chunked ladder descent ----------------------------------------------------
+
+SPAN_LENGTHS = [1, _DESCENT_CHUNK - 1, _DESCENT_CHUNK, _DESCENT_CHUNK + 1, 3 * _DESCENT_CHUNK + 5]
+
+
+@pytest.mark.parametrize("span", SPAN_LENGTHS)
+@pytest.mark.parametrize("params,z", [((1.0, 1.0, 1.0), 1), ((2.0, 1.0, 0.25), 0), ((3, 1, 0.0505), 45)])
+def test_descent_matches_per_level_oracle_exactly(params, z, span):
+    spec = BirthDeathSpec.logistic(*params)
+    assert _descent_sum(spec, z, z + span) == descent_sum_oracle(spec, z, z + span)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.floats(min_value=0.0, max_value=5.0),
+    st.floats(min_value=0.01, max_value=5.0),
+    st.floats(min_value=0.02, max_value=2.0),
+    st.integers(min_value=0, max_value=60),
+    st.integers(min_value=1, max_value=2 * _DESCENT_CHUNK + 3),
+)
+def test_descent_matches_oracle_on_drawn_logistics(b, d, c, z, span):
+    # steep ladders overflow the anchor's tail; both must then raise alike
+    def outcome(descent):
+        try:
+            return descent(spec, z, z + span)
+        except DivergentMomentError as exc:
+            return str(exc)
+
+    spec = BirthDeathSpec.logistic(b, d, c)
+    assert outcome(_descent_sum) == outcome(descent_sum_oracle)
+
+
+def test_hitting_supremum_matches_per_level_descent(monkeypatch):
+    got = tail_expected_hitting(LOGISTIC, 1, math.inf)
+    monkeypatch.setattr(bd_mod, "_descent_sum", descent_sum_oracle)
+    assert got == tail_expected_hitting(LOGISTIC, 1, math.inf)
+
+
+def _spec_with_bad_levels(bad_birth=(), zero_death=()):
+    """Unit rates except a negative birth rate or a zero death rate on the
+    given levels; the callables work on scalars and arrays alike."""
+
+    def birth(x):
+        return np.where(np.isin(x, bad_birth), -1.0, 1.0)
+
+    def death(x):
+        return np.where(np.isin(x, zero_death), 0.0, 2.0)
+
+    return BirthDeathSpec(birth_rate=birth, death_rate=death)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"zero_death": [700]},
+        {"bad_birth": [700]},
+        {"zero_death": [50, 700]},
+        {"bad_birth": [50], "zero_death": [700]},
+        {"bad_birth": [700], "zero_death": [50]},
+        {"zero_death": [50, 700, 5000]},
+        {"bad_birth": [700], "zero_death": [700]},
+        {"zero_death": [_DESCENT_CHUNK + 12]},
+        {"zero_death": [12]},
+    ],
+)
+def test_descent_errors_name_the_highest_bad_level(bad):
+    spec = _spec_with_bad_levels(**bad)
+    x = 12 + 2 * _DESCENT_CHUNK
+    with pytest.raises(ValidationError) as want:
+        descent_sum_oracle(spec, 3, x)
+    with pytest.raises(ValidationError) as got:
+        _descent_sum(spec, 3, x)
+    assert str(got.value) == str(want.value)
+
+
+def test_hitting_supremum_peak_memory_stays_flat():
+    # the descent holds one chunk of rates at a time; whole doubling
+    # blocks of Python floats would peak near 40 MiB
+    tracemalloc.start()
+    try:
+        tail_expected_hitting(LOGISTIC, 1, math.inf)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 # -- exponential moments -------------------------------------------------------

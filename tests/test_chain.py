@@ -51,6 +51,42 @@ def test_custom_spec_negative_rate_rejected():
         spec.rates_at(3)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    st.floats(min_value=0.0, max_value=10.0),
+    st.floats(min_value=0.0, max_value=10.0),
+    st.floats(min_value=1e-4, max_value=10.0),
+    st.integers(min_value=1, max_value=10**6),
+    st.integers(min_value=0, max_value=300),
+)
+def test_rates_on_gives_the_floats_of_rates_at(b, d, c, lo, span):
+    spec = BirthDeathSpec.logistic(b, d, c)
+    up, down = spec.rates_on(lo, lo + span)
+    want = [spec.rates_at(x) for x in range(lo, lo + span + 1)]
+    assert list(zip(up.tolist(), down.tolist())) == want
+
+
+def test_rates_on_broadcasts_constant_callables():
+    spec = BirthDeathSpec(birth_rate=lambda x: 1.0, death_rate=lambda x: 2.0)
+    up, down = spec.rates_on(3, 7)
+    assert up.tolist() == [1.0] * 5 and down.tolist() == [2.0] * 5
+
+
+def test_rates_on_names_the_lowest_bad_level_like_rates_at():
+    # birth goes negative from 5 up, death turns infinite from 4 up
+    spec = BirthDeathSpec(
+        birth_rate=lambda x: 5.0 - x, death_rate=lambda x: np.where(x >= 4, math.inf, 1.0)
+    )
+    with pytest.raises(ValidationError) as want:
+        for x in range(2, 9):
+            spec.rates_at(x)
+    with pytest.raises(ValidationError) as got:
+        spec.rates_on(2, 8)
+    assert str(got.value) == str(want.value) == "death rate at x=4 must be finite and >= 0, got inf"
+    with pytest.raises(ValidationError, match="x >= 1, got 0"):
+        spec.rates_on(0, 3)
+
+
 # -- window truncation -----------------------------------------------------
 
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from quasistat import (
+    BirthDeathSpec,
     ComputationError,
     DistributionOnStates,
     NonConvergenceError,
@@ -30,6 +31,7 @@ from quasistat import (
     survival_probability,
     survival_vector,
     transition_operator,
+    truncate,
     tv_distance,
     yaglom_limit,
 )
@@ -37,7 +39,12 @@ from quasistat import (
 import quasistat
 from quasistat.engine import _DENSE_CUTOFF, _MAX_SERIES_TERMS, _poisson_weights
 
-from conftest import catastrophe_chain, power_iteration_qsd, random_small_absorbed_chain
+from conftest import (
+    catastrophe_chain,
+    evolve_oracle,
+    power_iteration_qsd,
+    random_small_absorbed_chain,
+)
 
 # Matrix-exponential reference for small windows.  The production path is
 # the scaled Poisson series, which never forms e^{tQ}; agreement across
@@ -129,6 +136,37 @@ def test_block_evolution_equals_column_by_column(which, m, t, side, seed):
             assert np.array_equal(got[:, j], want)
         else:  # a dense block product rounds differently from a matvec
             assert np.max(np.abs(got[:, j] - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def _layout(rng, n, kind):
+    if kind == "1d":
+        return rng.uniform(0.0, 1.0, size=n)
+    if kind == "F":
+        return np.asfortranarray(rng.uniform(0.0, 1.0, size=(n, 3)))
+    if kind == "strided":
+        return rng.uniform(0.0, 1.0, size=(n, 6))[:, ::2]
+    return rng.uniform(0.0, 1.0, size=(n, kind))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([8, 63, 64, 65, 130, 368]),
+    st.sampled_from(["reflect", "kill"]),
+    st.sampled_from(["measure", "function"]),
+    st.sampled_from(["1d", 1, 2, 7, "F", "strided"]),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_evolution_matches_the_matmul_oracle_bit_for_bit(n_states, boundary, side, kind, t, seed):
+    chain = truncate(BirthDeathSpec.logistic(2.0, 1.0, 0.25), n_states, boundary)
+    v = _layout(np.random.default_rng(seed), chain.n_transient, kind)
+    before = v.copy()
+    evolve = evolve_measure if side == "measure" else evolve_function
+    got = evolve(chain, v, t)
+    want = evolve_oracle(chain, v, t, side)
+    assert got.shape == want.shape and got.flags.c_contiguous
+    assert np.array_equal(got, want)
+    assert np.array_equal(v, before)
 
 
 @pytest.mark.parametrize("tol", [1e-13, 1e-10, 1e-6])

@@ -189,6 +189,31 @@ def test_trap_state_survives_finite_horizon_only():
         simulate_batch(chain, mu, horizon=math.inf, n_paths=500, seed=3)
 
 
+def test_infinite_horizon_closed_class_is_rejected_before_any_draw():
+    # {2, 3} is a closed class with positive exit rates: a path that enters
+    # it jumps forever, so an infinite horizon would never end
+    chain = build_from_entries([(1, 0, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 2, 1.0)], 4)
+    mu = DistributionOnStates.delta(1, 4)
+    with pytest.raises(ValidationError, match="state 2 is reachable"):
+        simulate_batch(chain, mu, horizon=math.inf, n_paths=100, seed=1)
+    # a stop state inside the class, a finite horizon, or a start that
+    # cannot reach the class each make every path end
+    batch = simulate_batch(chain, mu, horizon=math.inf, n_paths=100, seed=1, stop_on_set=[3])
+    assert set(batch.status.tolist()) <= {STATUS_ABSORBED, STATUS_HIT_SET}
+    simulate_batch(chain, mu, horizon=5.0, n_paths=100, seed=1)
+    wide = build_from_entries([(1, 0, 1.0), (2, 3, 1.0), (3, 2, 1.0)], 4)
+    batch = simulate_batch(wide, DistributionOnStates.delta(1, 4), horizon=math.inf, n_paths=50, seed=1)
+    assert np.all(batch.status == STATUS_ABSORBED)
+
+
+def test_cli_rejects_never_ending_infinite_horizon(tmp_chain_file, tmp_path, capsys):
+    path = tmp_chain_file("states 4\nrate 1 0 1\nrate 1 2 1\nrate 2 3 1\nrate 3 2 1\n")
+    argv = ["simulate", "--chain", path, "--mu", "1", "--horizon", "inf",
+            "--n-paths", "100", "--seed", "1", "--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    assert "never end" in capsys.readouterr().err
+
+
 def test_stop_set_hits():
     chain = build_logistic(1.0, 1.0, 1.0, 64)
     spec = BirthDeathSpec.logistic(1.0, 1.0, 1.0)
