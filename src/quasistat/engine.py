@@ -19,9 +19,9 @@ Poisson weights instead of m.  A series allocates nothing per term: the
 products alternate between two preallocated buffers (on CSR windows
 through scipy's sparsetools kernel, called directly) and the weighted
 terms are added into the result in place, in the order and with the
-rounding of the plain ``out + w * (M @ v)`` loop.  Conditioning on survival is always a
-final normalization step, never baked into the operator, so
-unnormalized survival mass stays available to callers.
+rounding of the plain ``out + w * (M @ v)`` loop.  Conditioning on
+survival is always a final normalization step, never baked into the
+operator, so unnormalized survival mass stays available to callers.
 
 A series needs about L*t terms.  Past _MAX_SERIES_TERMS terms (stiff
 rates or long horizons) evolution raises ComputationError naming L, t

@@ -7,7 +7,6 @@ import pytest
 
 from quasistat import (
     KILLED_STATE,
-    ValidationError,
     STATUS_ABSORBED,
     STATUS_HIT_SET,
     STATUS_KILLED,
@@ -15,6 +14,7 @@ from quasistat import (
     ComputationError,
     DistributionOnStates,
     TrajectoryBatch,
+    ValidationError,
     build_from_entries,
     compute_absorption_sup,
     compute_alpha_K,
@@ -23,7 +23,7 @@ from quasistat import (
     geometric_grid,
 )
 from quasistat.bd import _inner_tail
-from quasistat.engine import _poisson_weights, _uniformized
+from quasistat.engine import SERIES_TOL, _poisson_weights, _uniformized
 from quasistat.mc import _KIND_PATH, _jump_tables
 from quasistat.streams import SubStream
 
@@ -192,7 +192,7 @@ def descent_sum_oracle(spec, z: int, x: int) -> float:
         down = down_prev
 
 
-def evolve_oracle(chain, vec, t: float, side: str, series_tol: float = 1e-13) -> np.ndarray:
+def evolve_oracle(chain, vec, t: float, side: str, series_tol: float = SERIES_TOL) -> np.ndarray:
     """The Poisson series with scipy's ``@`` per term and a fresh array
     per partial sum.  The library runs the same series on preallocated
     buffers and must match this bit for bit."""
