@@ -478,38 +478,51 @@ GOLDEN_ARTIFACTS = {
         ["simulate", "--logistic", "2", "1", "0.25", "--states", "64", "--mu", "5",
          "--horizon", "10", "--n-paths", "400", "--seed", "20261018"],
         "35b9f4b8bf5a6cc016f09a325ec261467b4cdfedabebc9971941a7c11e9fb2dc",
+        401,
     ),
     "kill-logistic-1-1-1-8": (
         ["simulate", "--logistic", "1", "1", "1", "--states", "8", "--boundary", "kill",
          "--mu", "7", "--horizon", "3", "--n-paths", "400", "--seed", "9"],
         "b7a97d473f87726a42a002209203f032c466ee50e85ce25298156d9a495e5bd4",
+        401,
     ),
     "stop-set-infinite-horizon": (
         ["simulate", "--logistic", "1", "1", "1", "--states", "64", "--mu", "uniform",
          "--stop-set", "1..3", "--horizon", "inf", "--n-paths", "400", "--seed", "11"],
         "ee4d4beb3d934106bf256b6b27bcff7e6fbc9f66dc2eb35bed95b54c169e6954",
+        401,
     ),
     "trap-state-finite-horizon": (
         ["simulate", "--chain", "trap.chain", "--mu", "1", "--horizon", "5",
          "--n-paths", "400", "--seed", "3"],
         "55816277fc84a6d102af52209f1a5cdcc7f85d4c5063f2cf696c5fdc71344377",
+        401,
     ),
     "fv-sample-times": (
         ["fv", "--logistic", "1", "1", "1", "--states", "32", "--horizon", "5",
          "--n-particles", "300", "--seed", "21", "--sample-times", "0:5:1.25"],
         "b01f3ab244ee637dafd774812c4bf7bf38f73975df48ff48e67322852811c444",
+        50,
+    ),
+    # kill respawns land on many particles, each running through many
+    # draws: 2708 redraws by t = 20
+    "fv-kill-window": (
+        ["fv", "--logistic", "1", "1", "1", "--states", "16", "--boundary", "kill",
+         "--horizon", "20", "--n-particles", "200", "--seed", "5", "--sample-times", "0:20:5"],
+        "01560141877fbac82ad565abb57783eed339f20e07604c2192d98a01abbb2f93",
+        32,
     ),
 }
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN_ARTIFACTS))
 def test_mc_artifacts_are_golden(case, tmp_path, monkeypatch, capsys):
-    argv, digest = GOLDEN_ARTIFACTS[case]
+    argv, digest, n_lines = GOLDEN_ARTIFACTS[case]
     (tmp_path / "trap.chain").write_text(TRAP_CHAIN, encoding="utf-8")
     monkeypatch.chdir(tmp_path)
     assert main([*argv, "--out", "out"]) == 0
     capsys.readouterr()
     name = "fv.csv" if argv[0] == "fv" else "batch.csv"
     data = (tmp_path / "out" / name).read_bytes()
-    assert len(data.splitlines()) == (50 if argv[0] == "fv" else 401)
+    assert len(data.splitlines()) == n_lines
     assert hashlib.sha256(data).hexdigest() == digest
