@@ -44,6 +44,9 @@ from .engine import (
 from .errors import QuasistatError, ValidationError
 from .textio import fmt
 
+# arithmetic grids longer than this are refused rather than built
+_MAX_GRID_POINTS = 10**6
+
 
 def _add_chain_args(p: argparse.ArgumentParser, need_states: bool = True):
     src = p.add_mutually_exclusive_group(required=True)
@@ -100,19 +103,35 @@ def _parse_states_list(text: str, n_transient: int) -> tuple[int, ...]:
 
 
 def _parse_grid(text: str) -> list[float]:
-    """Accept 'a:b:step' arithmetic grids or comma-separated times."""
+    """Accept 'a:b:step' arithmetic grids or comma-separated times.
+
+    Every time must be finite and the grid non-empty; an arithmetic grid
+    may hold at most _MAX_GRID_POINTS points."""
     text = text.strip()
-    if ":" in text:
-        a, b, step = (float(s) for s in text.split(":", 2))
-        if step <= 0 or b < a:
-            raise ValidationError(f"bad grid {text!r}")
-        out = []
-        t = a
-        while t <= b + 1e-12:
-            out.append(round(t, 12))
-            t += step
-        return out
-    return [float(s) for s in text.split(",") if s.strip()]
+    arithmetic = ":" in text
+    try:
+        if arithmetic:
+            a, b, step = values = [float(s) for s in text.split(":", 2)]
+        else:
+            values = [float(s) for s in text.split(",") if s.strip()]
+    except ValueError:
+        raise ValidationError(f"bad grid {text!r}") from None
+    if not all(map(math.isfinite, values)):
+        raise ValidationError(f"bad grid {text!r}: times must be finite")
+    if not arithmetic:
+        if not values:
+            raise ValidationError(f"bad grid {text!r}: no times")
+        return values
+    if step <= 0 or b < a:
+        raise ValidationError(f"bad grid {text!r}")
+    if (b - a) / step > _MAX_GRID_POINTS:
+        raise ValidationError(f"bad grid {text!r}: more than {_MAX_GRID_POINTS} points")
+    out = []
+    t = a
+    while t <= b + 1e-12:
+        out.append(round(t, 12))
+        t += step
+    return out
 
 
 def _parse_law(text: str, chain) -> DistributionOnStates:

@@ -15,7 +15,10 @@ The particle ensemble keeps n walkers moving under the chain dynamics;
 a walker that gets absorbed is instantly respawned on the position of a
 uniformly chosen other walker.  Its empirical law converges to the
 quasi-stationary law as n grows, which is the cross-check used against
-the exact engine.
+the exact engine.  Its events run one at a time in global time order,
+but each walker's next draws are prefetched in blocks, many walkers per
+numpy call; a draw's value depends only on its counter, so prefetching
+changes no output.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ import numpy as np
 
 from .chain import AbsorbedChain, DistributionOnStates
 from .errors import ComputationError, ValidationError
-from .streams import _GOLDEN, _INV53, _TINY, derive_key, mix64, u01
+from .streams import derive_key, u01
 from .textio import fmt, write_csv
 
 STATUS_ABSORBED = 0
@@ -45,6 +48,11 @@ _KIND_PARTICLE = 2
 
 # end-state sentinel for paths killed through the window top
 KILLED_STATE = -1
+
+# stream draws each Fleming-Viot particle holds ready, and the most one
+# event spends: the jump choice, a respawn choice and the holding time
+_FV_DEPTH = 16
+_FV_EVENT_DRAWS = 3
 
 
 class _JumpTables(NamedTuple):
@@ -381,9 +389,9 @@ def fleming_viot(
     particle, the choice coming from its own stream so results do not
     depend on event interleaving across particles.  Ties in event times
     break by particle index.  Returns one snapshot per sample time
-    (default: just the horizon).  The order is sequential, so only the
-    initial draws are batched; the event loop moves one particle at a
-    time.
+    (default: just the horizon).  The order is sequential, so the event
+    loop moves one particle at a time; the stream draws it reads are
+    prefetched, _FV_DEPTH per particle, by vectorised u01 calls.
     """
     if n_particles < 2:
         raise ValidationError("the ensemble needs at least 2 particles to respawn")
@@ -393,30 +401,37 @@ def fleming_viot(
         samples = [float(horizon)]
     else:
         samples = sorted(float(t) for t in sample_times)
-        if not samples or samples[0] < 0 or samples[-1] > horizon:
-            raise ValidationError("sample times must lie in [0, horizon]")
+        # a NaN fails both comparisons, so it cannot slip through the sort
+        if not samples or not all(0.0 <= t <= horizon for t in samples):
+            raise ValidationError("sample times must be finite and lie in [0, horizon]")
     if mu is None:
         mu = np.full(chain.n_transient, 1.0 / chain.n_transient)
     cum_init = _initial_cumulative(chain, mu)
 
     jumps = _jump_tables(chain)
     targets, cum, totals = jumps.targets, jumps.cum, jumps.totals
-    key_array = derive_key(seed, _KIND_PARTICLE, np.arange(n_particles, dtype=np.uint64))
-    start = _initial_states(cum_init, u01(key_array, 0))
+    keys = derive_key(seed, _KIND_PARTICLE, np.arange(n_particles, dtype=np.uint64))[:, None]
+    depth = np.arange(_FV_DEPTH, dtype=np.uint64)
+    # ready[i][p] is draw base[i] + p of particle i; used[i] of them are
+    # spent.  Draw 0 picks the start state and draw 1 the first holding
+    # time of a particle that can move.
+    base = np.zeros(n_particles, dtype=np.uint64)
+    first = u01(keys, depth)
+    start = _initial_states(cum_init, first[:, 0])
     movable = jumps.total_rates[start] > 0.0
-    # the event loop runs one particle at a time, on plain Python values
-    keys = key_array.tolist()
-    positions = start.tolist()
-    counters = np.where(movable, 2, 1).tolist()
     heap = [
         (-math.log(u) / q, int(i))
         for i, u, q in zip(
             np.flatnonzero(movable),
-            u01(key_array[movable], 1).tolist(),
+            first[movable, 1].tolist(),
             jumps.total_rates[start[movable]].tolist(),
         )
     ]
     heapq.heapify(heap)
+    ready = first.tolist()
+    del first
+    used = np.where(movable, 2, 1).tolist()
+    positions = start.tolist()
 
     log = math.log
     last = n_particles - 1
@@ -427,18 +442,27 @@ def fleming_viot(
             # the event stays on top until replaced; entries are distinct
             # (time, index) pairs, so pop order depends only on their set
             t_ev, i = heap[0]
-            key, c = keys[i], counters[i]
+            p = used[i]
+            if p > _FV_DEPTH - _FV_EVENT_DRAWS:
+                # refill every particle that has spent half its block, i
+                # among them, each from its own next counter
+                spent = np.array(used)
+                wave = np.flatnonzero(spent >= _FV_DEPTH // 2)
+                base[wave] += spent[wave].astype(np.uint64)
+                fresh = u01(keys[wave], base[wave, None] + depth).tolist()
+                for w, block in zip(wave.tolist(), fresh):
+                    ready[w] = block
+                    used[w] = 0
+                p = 0
+            draws = ready[i]
             x = positions[i]
             row = cum[x]
-            # SubStream.next_u01 and next_choice, inlined
-            u = (mix64(key + c * _GOLDEN) >> 11) * _INV53 or _TINY
-            j = bisect_left(row, u * row[-1])
+            j = bisect_left(row, draws[p] * row[-1])
             y = targets[x][j if j < len(row) else -1]
-            c += 1
+            p += 1
             if y <= 0:  # absorbed or killed: respawn on another particle
-                u = (mix64(key + c * _GOLDEN) >> 11) * _INV53 or _TINY
-                c += 1
-                k = int(u * last)
+                k = int(draws[p] * last)
+                p += 1
                 if k >= last:
                     k = last - 1
                 if k >= i:
@@ -448,12 +472,11 @@ def fleming_viot(
             positions[i] = y
             q = totals[y]
             if q > 0.0:
-                u = (mix64(key + c * _GOLDEN) >> 11) * _INV53 or _TINY
-                c += 1
-                heapq.heapreplace(heap, (t_ev - log(u) / q, i))
+                heapq.heapreplace(heap, (t_ev - log(draws[p]) / q, i))
+                p += 1
             else:
                 heapq.heappop(heap)
-            counters[i] = c
+            used[i] = p
         snapshots.append(
             ParticleEnsemble(
                 time=tau,

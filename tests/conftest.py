@@ -1,6 +1,8 @@
 """Shared chain builders used across the test modules."""
 
+import heapq
 import math
+from bisect import bisect_left
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from quasistat import (
     STATUS_SURVIVED,
     ComputationError,
     DistributionOnStates,
+    ParticleEnsemble,
     TrajectoryBatch,
     ValidationError,
     build_from_entries,
@@ -24,8 +27,14 @@ from quasistat import (
 )
 from quasistat.bd import _inner_tail
 from quasistat.engine import SERIES_TOL, _poisson_weights, _uniformized
-from quasistat.mc import _KIND_PATH, _jump_tables
-from quasistat.streams import SubStream
+from quasistat.mc import (
+    _KIND_PARTICLE,
+    _KIND_PATH,
+    _initial_cumulative,
+    _initial_states,
+    _jump_tables,
+)
+from quasistat.streams import _GOLDEN, _INV53, _TINY, SubStream, derive_key, mix64, u01
 
 # one line per acceptance criterion, replayed after the run so the
 # verdicts are visible even under pytest's output capture
@@ -331,6 +340,81 @@ def simulate_batch_oracle(chain, mu, horizon, n_paths, seed, stop_on_set=None):
         times=times,
         status=status,
     )
+
+
+def fleming_viot_oracle(chain, n_particles, horizon, seed, sample_times=None, mu=None):
+    """fleming_viot with every draw computed inline, one splitmix64 word
+    at a time on Python ints.  Valid inputs only; the library prefetches
+    each particle's draws in numpy blocks and must match this bit for
+    bit."""
+    if sample_times is None:
+        samples = [float(horizon)]
+    else:
+        samples = sorted(float(t) for t in sample_times)
+    if mu is None:
+        mu = np.full(chain.n_transient, 1.0 / chain.n_transient)
+    cum_init = _initial_cumulative(chain, mu)
+
+    jumps = _jump_tables(chain)
+    targets, cum, totals = jumps.targets, jumps.cum, jumps.totals
+    key_array = derive_key(seed, _KIND_PARTICLE, np.arange(n_particles, dtype=np.uint64))
+    start = _initial_states(cum_init, u01(key_array, 0))
+    movable = jumps.total_rates[start] > 0.0
+    keys = key_array.tolist()
+    positions = start.tolist()
+    counters = np.where(movable, 2, 1).tolist()
+    heap = [
+        (-math.log(u) / q, int(i))
+        for i, u, q in zip(
+            np.flatnonzero(movable),
+            u01(key_array[movable], 1).tolist(),
+            jumps.total_rates[start[movable]].tolist(),
+        )
+    ]
+    heapq.heapify(heap)
+
+    log = math.log
+    last = n_particles - 1
+    redraws = 0
+    snapshots = []
+    for tau in samples:
+        while heap and heap[0][0] <= tau:
+            t_ev, i = heap[0]
+            key, c = keys[i], counters[i]
+            x = positions[i]
+            row = cum[x]
+            u = (mix64(key + c * _GOLDEN) >> 11) * _INV53 or _TINY
+            j = bisect_left(row, u * row[-1])
+            y = targets[x][j if j < len(row) else -1]
+            c += 1
+            if y <= 0:
+                u = (mix64(key + c * _GOLDEN) >> 11) * _INV53 or _TINY
+                c += 1
+                k = int(u * last)
+                if k >= last:
+                    k = last - 1
+                if k >= i:
+                    k += 1
+                y = positions[k]
+                redraws += 1
+            positions[i] = y
+            q = totals[y]
+            if q > 0.0:
+                u = (mix64(key + c * _GOLDEN) >> 11) * _INV53 or _TINY
+                c += 1
+                heapq.heapreplace(heap, (t_ev - log(u) / q, i))
+            else:
+                heapq.heappop(heap)
+            counters[i] = c
+        snapshots.append(
+            ParticleEnsemble(
+                time=tau,
+                n_particles=n_particles,
+                positions=np.array(positions, dtype=np.int64),
+                redraw_count=redraws,
+            )
+        )
+    return snapshots
 
 
 @pytest.fixture

@@ -336,6 +336,27 @@ def test_fv_counts_and_qsd_comparison(tmp_path, capsys):
     assert set(totals.values()) == {400}
 
 
+@pytest.mark.parametrize(
+    "grid", ["nan", "1,nan,2", "1,inf", "0:nan:1", "0:inf:1", "nan:5:1", "0:5:inf", ",",
+             "1:2", "abc", "1e20:2e20:1"],
+)
+@pytest.mark.parametrize("command", ["fv", "decay"])
+def test_bad_time_grid_is_rejected_before_any_artifact(command, grid, tmp_path, capsys):
+    # an infinite or NaN end would otherwise grow the grid until memory
+    # runs out, and a NaN time would write NaN rows
+    out = tmp_path / "out"
+    argv = [command, "--logistic", "1", "1", "1", "--states", "16", "--out", str(out)]
+    if command == "fv":
+        argv += ["--horizon", "5", "--n-particles", "20", "--seed", "1", "--sample-times", grid]
+    else:
+        argv += ["--mu", "1", "--nu", "3", "--t-grid", grid]
+    code = run(argv)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and "bad grid" in err
+    assert not out.exists()
+
+
 # -- installed entry point ------------------------------------------------------------------------
 
 

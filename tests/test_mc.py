@@ -1,9 +1,10 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import simulate_batch_oracle
+from conftest import fleming_viot_oracle, simulate_batch_oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -31,6 +32,7 @@ from quasistat import (
     tail_expected_hitting,
     tv_distance,
 )
+from quasistat import mc
 from quasistat.cli import main
 from quasistat.streams import SubStream, derive_key, mix64, u01
 
@@ -402,6 +404,105 @@ def test_fleming_viot_validates_arguments():
     with pytest.raises(ValidationError):
         fleming_viot(chain, n_particles=10, horizon=1.0, seed=1,
                      mu=DistributionOnStates.delta(1, 8))
+
+
+@pytest.mark.parametrize(
+    "times", [[math.nan], [1.0, math.nan, 2.0], [math.inf], [-math.inf, 1.0], []]
+)
+def test_fleming_viot_rejects_non_finite_sample_times(times):
+    chain = build_logistic(1.0, 1.0, 1.0, 16)
+    with pytest.raises(ValidationError, match="sample times"):
+        fleming_viot(chain, n_particles=10, horizon=5.0, seed=1, sample_times=times)
+
+
+def _assert_same_snapshots(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.time == w.time
+        assert np.array_equal(g.positions, w.positions)
+        assert g.redraw_count == w.redraw_count
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=10**6),
+    st.sampled_from([REFLECT, KILL]),
+    st.booleans(),
+    st.sampled_from([2, 3, 17, 200]),
+    st.sampled_from([2.0, 25.0]),
+    st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=4),
+)
+def test_fleming_viot_matches_inline_draw_oracle(
+    seed, boundary, use_trap, n_particles, horizon, fractions
+):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 8))
+    trap = int(rng.integers(2, n + 1)) if use_trap else None  # a state with no exit
+    entries = [(1, 0, float(rng.uniform(0.05, 2.0)))]
+    for x in range(1, n + 1):
+        if x == trap:
+            continue
+        # in kill mode, target n + 1 lies above the window: truncation killing
+        for y in range(0, n + 2 if boundary == KILL else n + 1):
+            if y != x and rng.random() < 0.5:
+                # slow entry into the trap: once a few particles sit there,
+                # respawns land on it, yet the ensemble does not collapse
+                scale = 0.01 if y == trap else 1.0
+                entries.append((x, y, scale * float(rng.uniform(0.05, 2.0))))
+    chain = build_from_entries(entries, n + 1, boundary)
+    weights = rng.uniform(0.0, 1.0, size=n) * (rng.random(n) < 0.8)
+    weights[0] += 0.1
+    if trap is not None:
+        weights[trap - 1] = 0.0
+    times = [f * horizon for f in fractions] or None
+    args = (chain, n_particles, horizon, seed, times, weights)
+    _assert_same_snapshots(fleming_viot(*args), fleming_viot_oracle(*args))
+
+
+def test_fleming_viot_event_at_the_block_edge_matches_oracle():
+    # State 2 leaves for state 1 at once; state 1 is only absorbed.  With
+    # two particles both start on 2 (draws 0 and 1), jump to 1 (draws 2
+    # and 3), and from then on every event respawns onto the other
+    # particle at state 1: three draws each, starting at draws 4, 7, 10
+    # and 13.  The event at draw 13 spends the last 3 of the first block.
+    chain = build_from_entries([(2, 1, 1e6), (1, 0, 1.0)], 3)
+    mu = DistributionOnStates.delta(2, 3)
+    args = (chain, 2, 30.0, 4, [1e-3, 30.0], mu)
+    got = fleming_viot(*args)
+    _assert_same_snapshots(got, fleming_viot_oracle(*args))
+    # both particles made their 2-draw jump before any respawn, and then
+    # at least four respawns each
+    assert got[0].redraw_count == 0 and np.all(got[0].positions == 1)
+    assert got[1].redraw_count >= 30
+
+
+def test_fleming_viot_matches_oracle_on_a_large_ensemble():
+    chain = build_logistic(1.0, 1.0, 1.0, 64)
+    args = (chain, 1500, 20.0, 7, [0.0, 5.0, 12.5, 20.0], None)
+    _assert_same_snapshots(fleming_viot(*args), fleming_viot_oracle(*args))
+
+
+@pytest.mark.parametrize("depth", [3, 4, 5, 7])
+def test_fleming_viot_matches_oracle_with_shallow_blocks(depth, monkeypatch):
+    # a shallow block refills in nearly every event, so waves mix
+    # particles at every offset into their blocks
+    monkeypatch.setattr(mc, "_FV_DEPTH", depth)
+    chain = build_logistic(1.0, 1.0, 1.0, 16, KILL)
+    args = (chain, 50, 10.0, 11, [0.0, 2.5, 10.0], None)
+    _assert_same_snapshots(fleming_viot(*args), fleming_viot_oracle(*args))
+
+
+def test_fleming_viot_peak_memory_stays_small():
+    # 16 ready draws per particle hold about 1.1 MiB for 1500 particles;
+    # a block depth of 64 would peak near 4.4 MiB
+    chain = build_logistic(1.0, 1.0, 1.0, 64)
+    tracemalloc.start()
+    try:
+        fleming_viot(chain, 1500, 20.0, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 def test_fleming_viot_error_shrinks_with_ensemble_size():
