@@ -401,7 +401,8 @@ def fleming_viot(
         samples = [float(horizon)]
     else:
         samples = sorted(float(t) for t in sample_times)
-        # a NaN fails both comparisons, so it cannot slip through the sort
+        # every time is checked: sorted() may leave a NaN anywhere, and a
+        # NaN fails both comparisons
         if not samples or not all(0.0 <= t <= horizon for t in samples):
             raise ValidationError("sample times must be finite and lie in [0, horizon]")
     if mu is None:
@@ -411,12 +412,12 @@ def fleming_viot(
     jumps = _jump_tables(chain)
     targets, cum, totals = jumps.targets, jumps.cum, jumps.totals
     keys = derive_key(seed, _KIND_PARTICLE, np.arange(n_particles, dtype=np.uint64))[:, None]
-    depth = np.arange(_FV_DEPTH, dtype=np.uint64)
+    offsets = np.arange(_FV_DEPTH, dtype=np.uint64)
     # ready[i][p] is draw base[i] + p of particle i; used[i] of them are
     # spent.  Draw 0 picks the start state and draw 1 the first holding
     # time of a particle that can move.
     base = np.zeros(n_particles, dtype=np.uint64)
-    first = u01(keys, depth)
+    first = u01(keys, offsets)
     start = _initial_states(cum_init, first[:, 0])
     movable = jumps.total_rates[start] > 0.0
     heap = [
@@ -428,6 +429,7 @@ def fleming_viot(
         )
     ]
     heapq.heapify(heap)
+    # the event loop runs one particle at a time, on plain Python values
     ready = first.tolist()
     del first
     used = np.where(movable, 2, 1).tolist()
@@ -449,7 +451,7 @@ def fleming_viot(
                 spent = np.array(used)
                 wave = np.flatnonzero(spent >= _FV_DEPTH // 2)
                 base[wave] += spent[wave].astype(np.uint64)
-                fresh = u01(keys[wave], base[wave, None] + depth).tolist()
+                fresh = u01(keys[wave], base[wave, None] + offsets).tolist()
                 for w, block in zip(wave.tolist(), fresh):
                     ready[w] = block
                     used[w] = 0

@@ -470,10 +470,10 @@ def test_fleming_viot_event_at_the_block_edge_matches_oracle():
     args = (chain, 2, 30.0, 4, [1e-3, 30.0], mu)
     got = fleming_viot(*args)
     _assert_same_snapshots(got, fleming_viot_oracle(*args))
-    # both particles made their 2-draw jump before any respawn, and then
-    # at least four respawns each
+    # both particles made their 2-draw jump before any respawn; then
+    # 58 respawns (rate 1 each over 30 time units) run through the edge
     assert got[0].redraw_count == 0 and np.all(got[0].positions == 1)
-    assert got[1].redraw_count >= 30
+    assert got[1].redraw_count == 58
 
 
 def test_fleming_viot_matches_oracle_on_a_large_ensemble():
