@@ -208,7 +208,6 @@ class BdMomentResult:
     values: np.ndarray
     sup: float
     sup_at: int
-    stable: bool
     extrapolated: bool = False
 
     def value_at(self, x: int) -> float:
@@ -296,7 +295,6 @@ def exp_moment_hitting(
         values=h1,
         sup=max(1.0, sup),
         sup_at=z + 1 + i,
-        stable=True,
         extrapolated=extrapolated,
     )
 

@@ -101,6 +101,20 @@ def _stable_under_doubling(chain: AbsorbedChain, evaluate, value: float) -> bool
     return abs(v2 - value) <= _DOUBLING_RTOL * max(abs(value), abs(v2))
 
 
+def _unit_step(chain: AbsorbedChain, x0: int) -> tuple[np.ndarray, np.ndarray]:
+    """(reach, alive): P_x(X_1 = x0) and P_x(alive at 1) for every
+    transient x, from one series on the block [e_x0, 1].  Cached on the
+    window per anchor, so c1 and the absorption-rate c3 evolve it once."""
+    key = ("unit_step", x0)
+    step = chain._cache.get(key)
+    if step is None:
+        block = np.zeros((chain.n_transient, 2))
+        block[x0 - 1, 0] = 1.0
+        block[:, 1] = 1.0
+        step = chain._cache[key] = tuple(evolve_function(chain, block, 1.0).T)
+    return step
+
+
 @dataclass
 class ConstantEstimate:
     value: float
@@ -138,7 +152,7 @@ class C3Result:
     c4: ConstantEstimate | None = None
 
 
-def compute_c1(chain: AbsorbedChain, x0: int, doubling: bool = True) -> ConstantEstimate:
+def compute_c1(chain: AbsorbedChain, x0: int) -> ConstantEstimate:
     """Floor of P_x(X_1 = x0 | alive at 1) over all transient x.
 
     Empirical on a bare window; promoted to certified (for the window)
@@ -148,11 +162,7 @@ def compute_c1(chain: AbsorbedChain, x0: int, doubling: bool = True) -> Constant
         raise ValidationError(f"x0={x0} outside transient states 1..{chain.n_transient}")
 
     def floor_on(ch: AbsorbedChain) -> tuple[float, int]:
-        # columns [e_x0, 1] share one series: reach and survival
-        block = np.zeros((ch.n_transient, 2))
-        block[x0 - 1, 0] = 1.0
-        block[:, 1] = 1.0
-        reach, alive = evolve_function(ch, block, 1.0).T
+        reach, alive = _unit_step(ch, x0)
         ratios = reach / alive
         i = int(np.argmin(ratios))
         return float(ratios[i]), i + 1
@@ -167,7 +177,7 @@ def compute_c1(chain: AbsorbedChain, x0: int, doubling: bool = True) -> Constant
             failure_reason=f"state {argmin} cannot reach {x0} within unit time on this window",
         )
     est = ConstantEstimate(value=value, provenance=EMPIRICAL, attained_at=argmin)
-    if doubling and _stable_under_doubling(chain, lambda ch: floor_on(ch)[0], value):
+    if _stable_under_doubling(chain, lambda ch: floor_on(ch)[0], value):
         est.provenance = CERTIFIED
         est.window_limited = True
     return est
@@ -205,12 +215,7 @@ def compute_c2(chain: AbsorbedChain, K) -> C2Bounds:
     )
 
 
-def compute_c4(
-    chain: AbsorbedChain,
-    K,
-    lambda0: float,
-    doubling: bool = True,
-) -> ConstantEstimate:
+def compute_c4(chain: AbsorbedChain, K, lambda0: float) -> ConstantEstimate:
     """Ceiling on sup_x E_x exp(lambda0 * (time to hit K or 0)).
 
     Computed on the reflecting twin of the window by solving the linear
@@ -248,7 +253,7 @@ def compute_c4(
 
     value, argmax = moment_sup(chain)
     est = ConstantEstimate(value=value, provenance=EMPIRICAL, attained_at=argmax)
-    if doubling and _stable_under_doubling(chain, lambda ch: moment_sup(ch)[0], value):
+    if _stable_under_doubling(chain, lambda ch: moment_sup(ch)[0], value):
         est.provenance = CERTIFIED
         est.window_limited = True
     return est
@@ -266,7 +271,7 @@ def _c3_sojourn(chain: AbsorbedChain, x0: int, core) -> C3Result:
     return C3Result(c3=1.0, lambda0=lam, strategy=SOJOURN, provenance=CERTIFIED)
 
 
-def _c3_absorption_rate(chain: AbsorbedChain, x0: int, core, doubling: bool) -> C3Result:
+def _c3_absorption_rate(chain: AbsorbedChain, x0: int, core) -> C3Result:
     # Occupancy of x0 itself decays no faster than the worst per-state
     # killing rate C: for t >= 1 chain through time t-1 and use the
     # one-step floor into x0; for t <= 1 a holding bound caps how large
@@ -280,10 +285,7 @@ def _c3_absorption_rate(chain: AbsorbedChain, x0: int, core, doubling: bool) -> 
         )
 
     def floor_on(ch: AbsorbedChain) -> float:
-        e = np.zeros(ch.n_transient)
-        e[x0 - 1] = 1.0
-        reach = evolve_function(ch, e, 1.0)
-        return float(reach.min())
+        return float(_unit_step(ch, x0)[0].min())
 
     inf_reach = floor_on(chain)
     if inf_reach <= 0:
@@ -295,19 +297,13 @@ def _c3_absorption_rate(chain: AbsorbedChain, x0: int, core, doubling: bool) -> 
     guard = math.exp(min(0.0, C - chain.exit_rate(x0)))
     c3 = min(1.0, inf_reach * math.exp(C), guard)
     res = C3Result(c3=c3, lambda0=C, strategy=ABSORPTION_RATE, provenance=EMPIRICAL)
-    if doubling and _stable_under_doubling(chain, floor_on, inf_reach):
+    if _stable_under_doubling(chain, floor_on, inf_reach):
         res.provenance = CERTIFIED
         res.window_limited = True
     return res
 
 
-def compute_c3_lambda0(
-    chain: AbsorbedChain,
-    x0: int,
-    K,
-    strategy: str = BEST,
-    doubling: bool = True,
-) -> C3Result:
+def compute_c3_lambda0(chain: AbsorbedChain, x0: int, K, strategy: str = BEST) -> C3Result:
     """Occupancy floor P_x0(X_t in K) >= c3 * exp(-lambda0 t) for all t >= 0.
 
     sojourn: never leave x0 (c3 = 1, lambda0 = exit rate at x0; exact).
@@ -321,16 +317,16 @@ def compute_c3_lambda0(
     if strategy == SOJOURN:
         return _c3_sojourn(chain, x0, core)
     if strategy == ABSORPTION_RATE:
-        return _c3_absorption_rate(chain, x0, core, doubling)
+        return _c3_absorption_rate(chain, x0, core)
     if strategy != BEST:
         raise ValidationError(f"unknown c3 strategy {strategy!r}")
 
     candidates = []
-    for cand in (_c3_sojourn(chain, x0, core), _c3_absorption_rate(chain, x0, core, doubling)):
+    for cand in (_c3_sojourn(chain, x0, core), _c3_absorption_rate(chain, x0, core)):
         if cand.failed or cand.lambda0 <= 0:
             continue
         try:
-            cand.c4 = compute_c4(chain, core, cand.lambda0, doubling=doubling)
+            cand.c4 = compute_c4(chain, core, cand.lambda0)
         except DivergentMomentError:
             continue
         candidates.append(cand)
@@ -438,13 +434,7 @@ def assemble_certificate(
     )
 
 
-def certify(
-    chain: AbsorbedChain,
-    K,
-    x0: int,
-    c3_strategy: str = BEST,
-    doubling: bool = True,
-) -> HypothesisCertificate:
+def certify(chain: AbsorbedChain, K, x0: int, c3_strategy: str = BEST) -> HypothesisCertificate:
     """Assemble the full certificate for (chain, K, x0) or raise naming
     the first constant that cannot be established.
 
@@ -452,7 +442,7 @@ def certify(
     the solved exponential moment at that lambda0 (compute_c4).  The
     logistic and rate-criterion certificates run the same pipeline.
     """
-    return _certify(chain, _check_core(chain, K, x0), x0, c3_strategy, doubling)
+    return _certify(chain, _check_core(chain, K, x0), x0, c3_strategy)
 
 
 def _certify(
@@ -460,7 +450,6 @@ def _certify(
     core: tuple[int, ...],
     x0: int,
     c3_strategy: str,
-    doubling: bool,
     c4: ConstantEstimate | None = None,
 ) -> HypothesisCertificate:
     """c1, c2, c3/lambda0 and c4 on a checked (core, x0), then gamma.
@@ -470,7 +459,7 @@ def _certify(
     closed-form ceiling valid at the lambda0 the strategy yields)
     replaces the moment solve.
     """
-    c1e = compute_c1(chain, x0, doubling=doubling)
+    c1e = compute_c1(chain, x0)
     if c1e.failed or c1e.value <= 0:
         raise CertificationError(
             f"c1 floor vanishes: {c1e.failure_reason or 'no positive floor'}", part="c1"
@@ -478,7 +467,7 @@ def _certify(
     c2b = compute_c2(chain, core)
     if not c2b.certified > 0:
         raise CertificationError("c2 certified floor vanishes on K", part="c2")
-    c3r = compute_c3_lambda0(chain, x0, core, strategy=c3_strategy, doubling=doubling)
+    c3r = compute_c3_lambda0(chain, x0, core, strategy=c3_strategy)
     if c3r.failed or not c3r.c3 > 0:
         raise CertificationError(
             f"c3 occupancy floor failed: {c3r.failure_reason or 'zero floor'}", part="c3"
@@ -486,7 +475,7 @@ def _certify(
     c4e = c4 if c4 is not None else c3r.c4
     if c4e is None:
         try:
-            c4e = compute_c4(chain, core, c3r.lambda0, doubling=doubling)
+            c4e = compute_c4(chain, core, c3r.lambda0)
         except DivergentMomentError as exc:
             raise CertificationError(str(exc), part="c4") from exc
 

@@ -71,32 +71,38 @@ def _add_chain_args(p: argparse.ArgumentParser, need_states: bool = True):
 
 def _build_chain(args):
     """Resolve the chain source args into an AbsorbedChain."""
+    states = getattr(args, "states", "auto")
+    try:
+        n_states = None if states in (None, "auto") else int(states)
+    except ValueError:
+        raise ValidationError(f"--states must be an integer or 'auto', got {states!r}") from None
     if args.chain is not None:
         ch = load_chain_file(args.chain)
-        states = getattr(args, "states", None)
-        if states not in (None, "auto") and int(states) != ch.n_states:
+        if n_states is not None and n_states != ch.n_states:
             if ch.source_spec is None:
                 raise ValidationError(
                     "--states conflicts with the window fixed by the chain file"
                 )
-            ch = ch.regrow(int(states), args.boundary)
+            ch = ch.regrow(n_states, args.boundary)
         return ch
     b, d, c = args.logistic
-    states = getattr(args, "states", "auto")
-    if states == "auto":
+    if n_states is None:
         spec = BirthDeathSpec.logistic(b, d, c)
         return compute_qsd_auto(spec, tol=args.tol, boundary_mode=args.boundary).chain
-    return build_logistic(b, d, c, int(states), args.boundary)
+    return build_logistic(b, d, c, n_states, args.boundary)
 
 
 def _parse_states_list(text: str, n_transient: int) -> tuple[int, ...]:
     """Accept '1..5' ranges or '1,2,7' lists of transient states."""
     text = text.strip()
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        out = tuple(range(int(lo), int(hi) + 1))
-    else:
-        out = tuple(int(s) for s in text.split(",") if s.strip())
+    try:
+        if ".." in text:
+            lo, hi = text.split("..", 1)
+            out = tuple(range(int(lo), int(hi) + 1))
+        else:
+            out = tuple(int(s) for s in text.split(",") if s.strip())
+    except ValueError:
+        raise ValidationError(f"bad state set {text!r}") from None
     if not out or min(out) < 1 or max(out) > n_transient:
         raise ValidationError(f"state set {text!r} outside transient range 1..{n_transient}")
     return out
@@ -139,7 +145,11 @@ def _parse_law(text: str, chain) -> DistributionOnStates:
         return DistributionOnStates.uniform(chain.n_states)
     if text == "qsd":
         return compute_qsd(chain).qsd
-    return DistributionOnStates.delta(int(text), chain.n_states)
+    try:
+        state = int(text)
+    except ValueError:
+        raise ValidationError(f"bad law {text!r}: expected a state, 'uniform' or 'qsd'") from None
+    return DistributionOnStates.delta(state, chain.n_states)
 
 
 def _outpath(args, name: str) -> str:
@@ -255,7 +265,10 @@ def cmd_simulate(args) -> int:
         if args.stop_set is not None
         else None
     )
-    horizon = math.inf if args.horizon == "inf" else float(args.horizon)
+    try:
+        horizon = float(args.horizon)
+    except ValueError:
+        raise ValidationError(f"--horizon must be a time or 'inf', got {args.horizon!r}") from None
     batch = mc_mod.simulate_batch(
         chain, mu, horizon, args.n_paths, args.seed, stop_on_set=stop
     )

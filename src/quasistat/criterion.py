@@ -263,12 +263,7 @@ def find_minimal_core(chain: AbsorbedChain, k_max: int | None = None) -> tuple[i
     return None
 
 
-def derive_certificate_via_criterion(
-    chain: AbsorbedChain,
-    K,
-    x0: int,
-    doubling: bool = True,
-) -> HypothesisCertificate:
+def derive_certificate_via_criterion(chain: AbsorbedChain, K, x0: int) -> HypothesisCertificate:
     """Assemble a mixing certificate whose c4 comes from the closed-form
     rate bound alpha_K/(alpha_K - C) instead of a linear solve.
 
@@ -292,7 +287,7 @@ def derive_certificate_via_criterion(
             "absorption rate sup C is zero; no decay rate available", part="criterion"
         )
     cert = _certify(
-        chain, core, x0, ABSORPTION_RATE, doubling,
+        chain, core, x0, ABSORPTION_RATE,
         c4=ConstantEstimate(value=rep.c4_bound, provenance=CERTIFIED),
     )
     if abs(cert.lambda0 - rep.C) > 1e-12 * max(1.0, rep.C):

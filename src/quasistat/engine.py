@@ -15,9 +15,10 @@ Measures (row vectors) and functions (column vectors) evolve through the
 same series; measures push forward, functions pull back.  Either side
 also takes an (n, m) block of m columns: each series term is then one
 operator-times-block product, so m columns cost one pass over the
-Poisson weights instead of m.  A series allocates nothing per term: the
-products alternate between two preallocated buffers (on CSR windows
-through scipy's sparsetools kernel, called directly) and the weighted
+Poisson weights instead of m, and each column comes out bit for bit as
+it would alone.  The operator is always CSR.  A series allocates nothing
+per term: the products alternate between two preallocated buffers
+(through scipy's sparsetools kernel, called directly) and the weighted
 terms are added into the result in place, in the order and with the
 rounding of the plain ``out + w * (M @ v)`` loop.  Conditioning on
 survival is always a final normalization step, never baked into the
@@ -32,7 +33,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 from scipy import sparse
@@ -47,15 +47,6 @@ from .textio import fmt, write_csv
 
 SERIES_TOL = 1e-13
 
-# Below this size the operator is stored dense.  With the direct CSR
-# kernel the two are level at n = 63: a step took 1.8-2.1 us dense against
-# 1.5-1.7 us CSR on one vector, and 2.0-2.1 us against 1.9-2.3 us on a
-# 2-column block (2-core Xeon VM, numpy 2.4, scipy 1.17, one BLAS thread;
-# through scipy's ``@`` CSR took 4.7-5.1 and 4.8-7.2 us).  The split stays
-# because a dense product rounds differently, and the golden certificate
-# texts of small windows were recorded with it.
-_DENSE_CUTOFF = 64
-
 # Longest Poisson series evolution will run, in terms (= operator
 # products).  The weights alone take 8 bytes per term.
 _MAX_SERIES_TERMS = 10**7
@@ -65,23 +56,17 @@ _NULL_MASS = 1e-300
 
 
 class _Uniformized:
-    """Cached uniformized step for one chain: L, M (function side), M^T."""
+    """Cached uniformized step for one chain: L, M (function side), M^T,
+    both in CSR form."""
 
-    __slots__ = ("lam", "func_op", "meas_op", "dense")
+    __slots__ = ("lam", "func_op", "meas_op")
 
     def __init__(self, chain: AbsorbedChain):
         self.lam = chain.uniformization_rate()
-        n = chain.n_transient
         lam = self.lam if self.lam > 0 else 1.0
-        M = sparse.eye(n, format="csr") + chain.sub_generator / lam
-        self.dense = n < _DENSE_CUTOFF
-        if self.dense:
-            Md = M.toarray()
-            self.func_op = Md
-            self.meas_op = Md.T.copy()
-        else:
-            self.func_op = M.tocsr()
-            self.meas_op = M.T.tocsr()
+        M = sparse.eye(chain.n_transient, format="csr") + chain.sub_generator / lam
+        self.func_op = M.tocsr()
+        self.meas_op = M.T.tocsr()
 
 
 def _uniformized(chain: AbsorbedChain) -> _Uniformized:
@@ -143,13 +128,9 @@ def _evolve(chain: AbsorbedChain, vec: np.ndarray, t: float, series_tol: float, 
     A = op.meas_op if side == "measure" else op.func_op
     # vk and nxt are the ping-pong buffers of the series: each step writes
     # A @ vk into nxt, and out takes wk * vk in place through tmp.  The
-    # CSR kernel works on flat buffers, so there the block is raveled.
-    vk = np.array(v, order="C")
-    if op.dense:
-        step = partial(np.matmul, A)
-    else:
-        step = _csr_step(A, 1 if v.ndim == 1 else v.shape[1])
-        vk = vk.reshape(-1)
+    # CSR kernel works on flat buffers, so the block is raveled.
+    step = _csr_step(A, 1 if v.ndim == 1 else v.shape[1])
+    vk = np.array(v, order="C").reshape(-1)
     nxt = np.empty_like(vk)
     tmp = np.empty_like(vk)
     out = w[0] * vk
@@ -170,7 +151,9 @@ def _csr_step(A: sparse.csr_matrix, m: int):
     (csr_matvec for one column, csr_matvecs for more) directly, skipping
     the operator dispatch and the result allocation.  The kernel adds into
     y, so y is zeroed first; the sums then run in the same order, and the
-    result is bit for bit that of ``A @ x``.
+    result is bit for bit that of ``A @ x``.  csr_matvecs walks each row's
+    entries in the same order as csr_matvec, so column j of a block step
+    is bit for bit the step of column j alone.
     """
     n = A.shape[0]
     indptr, indices, data = A.indptr, A.indices, A.data
@@ -189,8 +172,7 @@ def evolve_measure(chain: AbsorbedChain, v, t: float, series_tol: float = SERIES
     """Push a (possibly unnormalized) mass vector forward for time t.
 
     v may be an (n,) vector or an (n, m) block of m measures; column j
-    of the result equals evolve_measure on column j alone (exactly on
-    sparse windows; to rounding on dense ones, n < _DENSE_CUTOFF).
+    of the result equals evolve_measure on column j alone, bit for bit.
     """
     return _evolve(chain, v, t, series_tol, "measure")
 
@@ -199,8 +181,7 @@ def evolve_function(chain: AbsorbedChain, u, t: float, series_tol: float = SERIE
     """Pull a function on transient states back for time t.
 
     u may be an (n,) vector or an (n, m) block of m functions; column j
-    of the result equals evolve_function on column j alone (exactly on
-    sparse windows; to rounding on dense ones, n < _DENSE_CUTOFF).
+    of the result equals evolve_function on column j alone, bit for bit.
     """
     return _evolve(chain, u, t, series_tol, "function")
 

@@ -31,7 +31,7 @@ from quasistat import (
     tv_distance,
 )
 from quasistat.certify import _stable_under_doubling
-from quasistat.chain import AbsorbedChain
+from quasistat.chain import AbsorbedChain, BirthDeathSpec, truncate
 
 from conftest import c2_survival_ratio_oracle, catastrophe_chain
 
@@ -60,10 +60,6 @@ def test_c1_on_logistic_window_is_attained_at_the_top_and_stays_empirical():
     est = compute_c1(chain, x0=1)
     assert est.attained_at == chain.n_transient
     assert est.provenance == "empirical_estimate" and not est.window_limited
-    # the value does not depend on the doubling switch
-    est_plain = compute_c1(chain, x0=1, doubling=False)
-    assert est.value == est_plain.value
-    assert est_plain.provenance == "empirical_estimate"
 
 
 def test_doubling_promotion_needs_agreement_on_a_regrown_window():
@@ -99,6 +95,54 @@ def test_certificate_builds_the_doubled_window_once(monkeypatch, strategy):
     assert regrown == [(127,)]
 
 
+def test_certificate_evolves_one_unit_step_per_window(monkeypatch):
+    # c1 and the absorption-rate c3 read the same [e_x0, 1] unit step, so
+    # each of the window and its doubled twin evolves it once; c2's core
+    # block is the third evolution, and c4 solves without evolving
+    certify_module = importlib.import_module("quasistat.certify")
+    calls = []
+    evolve = certify_module.evolve_function
+
+    def counting_evolve(chain, *args, **kwargs):
+        calls.append(chain.n_transient)
+        return evolve(chain, *args, **kwargs)
+
+    monkeypatch.setattr(certify_module, "evolve_function", counting_evolve)
+    cert = certify(build_logistic(2.0, 1.0, 0.25, 128), [1, 2, 3], 1, c3_strategy=BEST)
+    assert cert.gamma > 0
+    assert sorted(calls) == [127, 127, 254]  # twin: 2 * 127 + 1 states
+
+
+@pytest.mark.parametrize("boundary", ["reflect", "kill"])
+@pytest.mark.parametrize("n_states", [8, 63, 64, 130])
+def test_c3_floor_on_the_shared_unit_step_equals_the_single_column(monkeypatch, boundary, n_states):
+    # the absorption-rate floor reads column e_x0 of the cached [e_x0, 1]
+    # block; it must equal the column evolved alone, on the window and on
+    # its doubled twin
+    certify_module = importlib.import_module("quasistat.certify")
+    seen = []
+    stable = certify_module._stable_under_doubling
+
+    def recording(chain, evaluate, value):
+        seen.append((evaluate, value))
+        return stable(chain, evaluate, value)
+
+    monkeypatch.setattr(certify_module, "_stable_under_doubling", recording)
+    chain = truncate(BirthDeathSpec.logistic(2.0, 1.0, 0.25), n_states, boundary)
+    r = compute_c3_lambda0(chain, x0=1, K=[1], strategy=ABSORPTION_RATE)
+    assert not r.failed
+
+    def alone(ch):
+        e = np.zeros(ch.n_transient)
+        e[0] = 1.0
+        return float(evolve_function(ch, e, 1.0).min())
+
+    [(evaluate, floor)] = seen
+    assert floor == alone(chain)
+    twin = chain._cache["doubled"]
+    assert evaluate(twin) == alone(twin)
+
+
 def test_c1_unreachable_anchor_fails():
     # one-way ladder: state 3 cannot come back to 1
     chain = build_from_entries([(1, 2, 1.0), (2, 3, 1.0), (3, 2, 0.0), (1, 0, 1.0)], 4)
@@ -125,8 +169,8 @@ def test_c2_singleton_core_is_exact():
 @pytest.mark.parametrize(
     "chain, K",
     [
-        (build_logistic(1.0, 1.0, 1.0, 64), range(1, 4)),  # dense operator
-        (build_logistic(2.0, 1.0, 0.25, 100), range(1, 12)),  # sparse operator
+        (build_logistic(1.0, 1.0, 1.0, 64), range(1, 4)),
+        (build_logistic(2.0, 1.0, 0.25, 100), range(1, 12)),
         (catastrophe_chain(128), range(1, 9)),
     ],
     ids=["logistic-1-1-1-64", "logistic-2-1-0.25-100", "catastrophe-128"],
@@ -140,8 +184,8 @@ def test_c2_certified_below_survival_ratio_oracle(chain, K):
 
 
 def test_c2_step_floor_matches_column_loop_in_any_block_width(monkeypatch):
-    # entry (x, j) of the evolved indicator block is P_x(X_1 = K_j); on a
-    # sparse window it equals the column evolved alone, in any block width
+    # entry (x, j) of the evolved indicator block is P_x(X_1 = K_j); it
+    # equals the column evolved alone, in any block width
     chain = build_logistic(2.0, 1.0, 0.25, 100)
     core = list(range(1, 12))
     idx = [y - 1 for y in core]
@@ -368,8 +412,9 @@ def test_mixing_bound_dominates_observed_decay():
 # -- serialization ------------------------------------------------------------------
 
 # certificate_to_text of the three certificate routes, recorded before they
-# shared one assembly pipeline; the bytes must not move.  The windows have
-# at least 64 states, so evolution runs sparse and no BLAS gemm is involved.
+# shared one assembly pipeline; the bytes must not move.  These windows have
+# at least 64 transient states, so they kept their bytes when windows below
+# that size stopped evolving through a dense operator.
 GOLDEN_LOGISTIC_1_1_005 = """\
 quasistat certificate v1
 n_states = 80
@@ -431,9 +476,38 @@ provenance_c4 = certified_bound
 """
 
 
+# the text `certify --logistic 1 1 1` writes, on a 64-state window (63
+# transient states)
+GOLDEN_LOGISTIC_1_1_1 = """\
+quasistat certificate v1
+n_states = 64
+boundary = reflect
+K = 1
+x0 = 1
+c1 = 0.59662024303411332
+c2 = 1
+c3 = 1
+c4 = 8.5660317924294311
+lambda0 = 2
+gamma = 0.034824774031389893
+c3_strategy = sojourn
+window_limited = yes
+provenance_c1 = empirical_estimate
+provenance_c2 = certified_bound
+provenance_c3 = certified_bound
+provenance_c4 = empirical_estimate
+"""
+
+
 def test_logistic_certificate_text_is_golden():
     result = logistic_certificate(1.0, 1.0, 0.05)
     assert certificate_to_text(result.certificate) == GOLDEN_LOGISTIC_1_1_005
+
+
+def test_small_window_logistic_certificate_text_is_golden():
+    result = logistic_certificate(1.0, 1.0, 1.0)
+    assert result.chain.n_transient == 63
+    assert certificate_to_text(result.certificate) == GOLDEN_LOGISTIC_1_1_1
 
 
 def test_catastrophe_certificate_texts_are_golden():

@@ -1,3 +1,4 @@
+import hashlib
 import subprocess
 import sys
 
@@ -259,6 +260,24 @@ def test_decay_with_auto_certificate(tmp_path, capsys):
         assert tv_mu <= bound + 1e-9
 
 
+# sha256 of decay.csv on a 64-state window (63 transient states); the rows
+# from t = 8 on sit at the QSD's own residual (~7e-12), where any change in
+# rounding shows
+GOLDEN_DECAY_1_1_1_64 = "2642f1d292dd1a14ca7286404b65de79a1ab3f0100375190706d3bf82665d604"
+
+
+def test_small_window_decay_csv_is_golden(tmp_path, capsys):
+    code = run([
+        "decay", "--logistic", "1", "1", "1", "--states", "64", "--mu", "1", "--nu", "40",
+        "--t-grid", "1:12:1", "--out", str(tmp_path),
+    ])
+    capsys.readouterr()
+    assert code == 0
+    data = (tmp_path / "decay.csv").read_bytes()
+    assert len(data.splitlines()) == 13
+    assert hashlib.sha256(data).hexdigest() == GOLDEN_DECAY_1_1_1_64
+
+
 def test_decay_auto_certify_needs_logistic(tmp_path, capsys):
     p = tmp_path / "chain.txt"
     p.write_text(CATASTROPHE_FILE)
@@ -355,6 +374,41 @@ def test_bad_time_grid_is_rejected_before_any_artifact(command, grid, tmp_path, 
     assert code == 1
     assert err.startswith("error:") and "bad grid" in err
     assert not out.exists()
+
+
+LOGISTIC_16 = ["--logistic", "1", "1", "1", "--states", "16"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["simulate", *LOGISTIC_16, "--mu", "abc", "--horizon", "1", "--n-paths", "3",
+          "--seed", "1"], "bad law 'abc'"),
+        (["fv", *LOGISTIC_16, "--mu", "x", "--horizon", "1", "--n-particles", "3",
+          "--seed", "1"], "bad law 'x'"),
+        (["decay", *LOGISTIC_16, "--mu", "1", "--nu", "2.5"], "bad law '2.5'"),
+        (["simulate", *LOGISTIC_16, "--mu", "1", "--horizon", "abc", "--n-paths", "3",
+          "--seed", "1"], "--horizon must be a time"),
+        (["simulate", *LOGISTIC_16, "--mu", "1", "--horizon", "1", "--n-paths", "3",
+          "--seed", "1", "--stop-set", "1..x"], "bad state set '1..x'"),
+        (["certify", *LOGISTIC_16, "--K", "1,b", "--x0", "1"], "bad state set '1,b'"),
+        (["criterion", *LOGISTIC_16, "--K", "a..3"], "bad state set 'a..3'"),
+        (["qsd", "--logistic", "1", "1", "1", "--states", "abc"], "--states must be an integer"),
+        (["qsd", "--chain", "chain.txt", "--states", "2.5"], "--states must be an integer"),
+    ],
+    ids=["simulate-mu", "fv-mu", "decay-nu", "horizon", "stop-set", "certify-K",
+         "criterion-K", "states-logistic", "states-chain"],
+)
+def test_unparseable_argument_is_validation_error(argv, message, tmp_path, monkeypatch, capsys):
+    # int() or float() on raw argument text must end as a ValidationError,
+    # with an error: line and no artifact, not as a traceback
+    (tmp_path / "chain.txt").write_text(CATASTROPHE_FILE)
+    monkeypatch.chdir(tmp_path)
+    code = run([*argv, "--out", "out"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and message in err
+    assert not (tmp_path / "out").exists()
 
 
 # -- installed entry point ------------------------------------------------------------------------

@@ -234,7 +234,7 @@ def test_solved_moment_never_exceeds_rate_bound(seed):
     rep = check_uniform_rates(chain)
     if not rep.uniform_rates_holds or rep.K is None:
         pytest.skip("no witness core for this draw")
-    est = compute_c4(chain, rep.K, rep.lambda0, doubling=False)
+    est = compute_c4(chain, rep.K, rep.lambda0)
     assert est.value <= rep.c4_bound * (1 + 1e-9)
 
 
