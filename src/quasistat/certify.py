@@ -571,6 +571,14 @@ def parse_certificate_text(text: str) -> HypothesisCertificate:
             raise ValidationError(f"bad certificate line: {ln!r}")
         k, v = ln.split("=", 1)
         kv[k.strip()] = v.strip()
+
+    def number(field, convert):
+        try:
+            return convert(kv[field])
+        except ValueError:
+            bad = kv[field]
+            raise ValidationError(f"certificate field {field} is malformed: {bad!r}") from None
+
     try:
         prov = {
             name: kv[f"provenance_{name}"]
@@ -578,16 +586,16 @@ def parse_certificate_text(text: str) -> HypothesisCertificate:
             if f"provenance_{name}" in kv
         }
         return HypothesisCertificate(
-            K=tuple(int(x) for x in kv["K"].split(",")),
-            x0=int(kv["x0"]),
-            c1=float(kv["c1"]),
-            c2=float(kv["c2"]),
-            c3=float(kv["c3"]),
-            c4=float(kv["c4"]),
-            lambda0=float(kv["lambda0"]),
-            gamma=float(kv["gamma"]),
+            K=number("K", lambda v: tuple(int(x) for x in v.split(","))),
+            x0=number("x0", int),
+            c1=number("c1", float),
+            c2=number("c2", float),
+            c3=number("c3", float),
+            c4=number("c4", float),
+            lambda0=number("lambda0", float),
+            gamma=number("gamma", float),
             c3_strategy=kv.get("c3_strategy", BEST),
-            n_states=int(kv["n_states"]),
+            n_states=number("n_states", int),
             boundary_mode=kv.get("boundary", "reflect"),
             provenance=prov,
             window_limited=kv.get("window_limited", "yes") == "yes",

@@ -65,7 +65,11 @@ def _add_chain_args(p: argparse.ArgumentParser, need_states: bool = True):
             help="window size incl. state 0, or 'auto' to grow until the QSD is stable "
             "(parametric chains only; default auto)",
         )
-    p.add_argument("--boundary", choices=[REFLECT, KILL], default=REFLECT)
+    p.add_argument(
+        "--boundary",
+        choices=[REFLECT, KILL],
+        help="window top (default: reflect for --logistic, the file's own for --chain)",
+    )
     p.add_argument("--tol", type=float, default=1e-10, help="stabilization tolerance")
 
 
@@ -78,18 +82,22 @@ def _build_chain(args):
         raise ValidationError(f"--states must be an integer or 'auto', got {states!r}") from None
     if args.chain is not None:
         ch = load_chain_file(args.chain)
-        if n_states is not None and n_states != ch.n_states:
-            if ch.source_spec is None:
-                raise ValidationError(
-                    "--states conflicts with the window fixed by the chain file"
-                )
-            ch = ch.regrow(n_states, args.boundary)
-        return ch
+        size = ch.n_states if n_states is None else n_states
+        boundary = args.boundary or ch.boundary_mode
+        if (size, boundary) == (ch.n_states, ch.boundary_mode):
+            return ch
+        if ch.source_spec is None:
+            flag, fixed = "--states", "window"
+            if size == ch.n_states:
+                flag, fixed = "--boundary", "boundary"
+            raise ValidationError(f"{flag} conflicts with the {fixed} fixed by the chain file")
+        return ch.regrow(size, boundary)
     b, d, c = args.logistic
+    boundary = args.boundary or REFLECT
     if n_states is None:
         spec = BirthDeathSpec.logistic(b, d, c)
-        return compute_qsd_auto(spec, tol=args.tol, boundary_mode=args.boundary).chain
-    return build_logistic(b, d, c, n_states, args.boundary)
+        return compute_qsd_auto(spec, tol=args.tol, boundary_mode=boundary).chain
+    return build_logistic(b, d, c, n_states, boundary)
 
 
 def _parse_states_list(text: str, n_transient: int) -> tuple[int, ...]:
@@ -197,7 +205,9 @@ def cmd_certify(args) -> int:
     path = _outpath(args, "certificate.txt")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(certificate_to_text(cert))
-    _emit(path, f"gamma={fmt(cert.gamma)}, K=1..{cert.K[-1]}, lambda0={fmt(cert.lambda0)}")
+    K = cert.K
+    core = f"{K[0]}..{K[-1]}" if K[-1] - K[0] == len(K) - 1 else ",".join(map(str, K))
+    _emit(path, f"gamma={fmt(cert.gamma)}, K={core}, lambda0={fmt(cert.lambda0)}")
     return 0
 
 

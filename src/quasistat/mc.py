@@ -5,11 +5,16 @@ whose k-th draw depends only on (seed, stream id, k).  Scheduling, batch
 splits, or platform thread counts therefore cannot change any output;
 rerunning with the same seed reproduces results bit for bit.
 
+Both samplers read one table per chain: every state's jump targets and
+cumulative rates, the rows concatenated, from which a draw picks a jump
+by bisection.
+
 Independent paths run in lockstep: simulate_batch advances every live
 path by one jump per numpy step, drawing from all path streams at once.
 Each path still sees exactly the draws, jump choices and float
 operations it would see run on its own, so the output equals a
-path-by-path loop bit for bit.
+path-by-path loop on scalar streams bit for bit (the test suite keeps
+that loop as its reference).
 
 The particle ensemble keeps n walkers moving under the chain dynamics;
 a walker that gets absorbed is instantly respawned on the position of a
@@ -24,7 +29,6 @@ changes no output.
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -56,25 +60,21 @@ _FV_EVENT_DRAWS = 3
 
 
 class _JumpTables(NamedTuple):
-    """Per-state jump targets and cumulative rates, in two layouts.
+    """Jump targets and cumulative rates of every state, rows concatenated.
 
-    targets[x] pairs with cum[x]; target 0 is absorption and -1 is
-    truncation killing; totals[x] is cum[x][-1], the exit rate (0 for a
-    state that never leaves).  The particle ensemble moves one particle
-    per event and reads the plain lists; simulate_batch moves all paths
-    at once and reads the same rows concatenated, row x sitting at
-    flat_cum[start[x]:start[x + 1]], with total_rates as the array of
-    totals.  The flat layout costs O(nnz) memory whatever the largest
-    row.
+    Row x sits at start[x]:start[x + 1] of targets and cum; target 0 is
+    absorption and -1 truncation killing.  cum holds the running sums of
+    the row's rates, so its last entry is totals[x], the exit rate (0 for
+    a state that never leaves, whose row is empty).  The particle
+    ensemble bisects one row at a time and simulate_batch all rows at
+    once, both on this layout, which costs O(nnz) memory whatever the
+    largest row.
     """
 
-    targets: list[list[int]]
-    cum: list[list[float]]
-    totals: list[float]
     start: np.ndarray
-    flat_targets: np.ndarray
-    flat_cum: np.ndarray
-    total_rates: np.ndarray
+    targets: np.ndarray
+    cum: np.ndarray
+    totals: np.ndarray
     # bisection steps that pin an index down in the longest row
     depth: int
 
@@ -84,45 +84,40 @@ def _jump_tables(chain: AbsorbedChain) -> _JumpTables:
     if tables is not None:
         return tables
     n = chain.n_transient
-    targets: list[list[int]] = [[] for _ in range(n + 1)]
-    cum: list[list[float]] = [[] for _ in range(n + 1)]
+    start = [0, 0]
+    targets: list[int] = []
+    cum: list[float] = []
     totals = [0.0] * (n + 1)
     rows = chain.sub_generator.tocsr()
     for x in range(1, n + 1):
-        tg, cw = [], []
         acc = 0.0
         a = float(chain.absorption_rates[x - 1])
         if a > 0:
             acc += a
-            tg.append(0)
-            cw.append(acc)
-        start, end = rows.indptr[x - 1], rows.indptr[x]
-        for pos in range(start, end):
+            targets.append(0)
+            cum.append(acc)
+        for pos in range(rows.indptr[x - 1], rows.indptr[x]):
             y = int(rows.indices[pos]) + 1
             r = float(rows.data[pos])
             if y == x or r <= 0:
                 continue
             acc += r
-            tg.append(y)
-            cw.append(acc)
+            targets.append(y)
+            cum.append(acc)
         k = float(chain.kill_rates[x - 1])
         if k > 0:
             acc += k
-            tg.append(KILLED_STATE)
-            cw.append(acc)
-        targets[x] = tg
-        cum[x] = cw
+            targets.append(KILLED_STATE)
+            cum.append(acc)
+        start.append(len(cum))
         totals[x] = acc
-    lengths = [len(row) for row in cum]
+    widest = max(b - a for a, b in zip(start, start[1:]))
     tables = _JumpTables(
-        targets=targets,
-        cum=cum,
-        totals=totals,
-        start=np.concatenate(([0], np.cumsum(lengths))),
-        flat_targets=np.fromiter(itertools.chain.from_iterable(targets), np.int64),
-        flat_cum=np.fromiter(itertools.chain.from_iterable(cum), np.float64),
-        total_rates=np.array(totals),
-        depth=(max(lengths) - 1).bit_length() if max(lengths) > 0 else 0,
+        start=np.array(start, dtype=np.int64),
+        targets=np.array(targets, dtype=np.int64),
+        cum=np.array(cum, dtype=np.float64),
+        totals=np.array(totals),
+        depth=max(widest - 1, 0).bit_length(),
     )
     chain._cache["jump_tables"] = tables
     return tables
@@ -159,12 +154,13 @@ def _require_every_path_ends(jumps: _JumpTables, cum_init: np.ndarray, in_stop: 
     path never leaves: with an infinite horizon its paths would jump
     forever.
     """
-    targets = jumps.targets
-    n = len(targets) - 1
+    bounds, targets = jumps.start.tolist(), jumps.targets.tolist()
+    rows = [targets[a:b] for a, b in zip(bounds, bounds[1:])]
+    n = len(rows) - 1
     preds: list[list[int]] = [[] for _ in range(n + 1)]
     ends = []
     for x in range(1, n + 1):
-        row = targets[x]
+        row = rows[x]
         if in_stop[x] or not row or min(row) <= 0:
             ends.append(x)
         for y in row:
@@ -187,7 +183,7 @@ def _require_every_path_ends(jumps: _JumpTables, cum_init: np.ndarray, in_stop: 
         x = stack.pop()
         if in_stop[x]:
             continue  # paths stop on entry
-        for y in targets[x]:
+        for y in rows[x]:
             if y > 0 and not seen[y]:
                 seen[y] = True
                 stack.append(y)
@@ -201,8 +197,9 @@ def _require_every_path_ends(jumps: _JumpTables, cum_init: np.ndarray, in_stop: 
 
 
 def _initial_states(cum_init: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """States drawn from the initial law by uniforms u, as
-    SubStream.next_choice draws them (count of entries below u * total)."""
+    """States drawn from the initial law by uniforms u: one plus the
+    count of cumulative entries below u * total, capped at the last
+    state."""
     idx = np.searchsorted(cum_init, u * cum_init[-1], side="left")
     return np.minimum(idx, cum_init.size - 1) + 1
 
@@ -293,7 +290,7 @@ def simulate_batch(
     # the same draw counter: 2 per jump after the initial choice.
     counter = 1
     while path.size:
-        q = jumps.total_rates[x]
+        q = jumps.totals[x]
         # math.log, not np.log: np.log's last bit depends on the SIMD
         # code path, and the times must match the per-path loop exactly
         hold = np.fromiter(map(log, u01(keys, counter).tolist()), np.float64, path.size)
@@ -305,16 +302,16 @@ def simulate_batch(
             end[done], times[done], status[done] = x[out], horizon, STATUS_SURVIVED
             keep = ~out
             path, keys, x, t, q = path[keep], keys[keep], x[keep], t[keep], q[keep]
-        # first row entry >= v, as SubStream.next_choice bisects it
+        # first row entry >= v, the row's last entry if none is
         v = u01(keys, counter + 1) * q
         lo = jumps.start[x]
         hi = jumps.start[x + 1] - 1
         for _ in range(jumps.depth):
             mid = (lo + hi) >> 1
-            below = jumps.flat_cum[mid] < v
+            below = jumps.cum[mid] < v
             lo = np.where(below, mid + 1, lo)
             hi = np.where(below, hi, mid)
-        x = jumps.flat_targets[lo]
+        x = jumps.targets[lo]
         out = (x <= 0) | in_stop[x]
         if out.any():
             done = path[out]
@@ -410,7 +407,6 @@ def fleming_viot(
     cum_init = _initial_cumulative(chain, mu)
 
     jumps = _jump_tables(chain)
-    targets, cum, totals = jumps.targets, jumps.cum, jumps.totals
     keys = derive_key(seed, _KIND_PARTICLE, np.arange(n_particles, dtype=np.uint64))[:, None]
     offsets = np.arange(_FV_DEPTH, dtype=np.uint64)
     # ready[i][p] is draw base[i] + p of particle i; used[i] of them are
@@ -418,14 +414,14 @@ def fleming_viot(
     # time of a particle that can move.
     base = np.zeros(n_particles, dtype=np.uint64)
     first = u01(keys, offsets)
-    start = _initial_states(cum_init, first[:, 0])
-    movable = jumps.total_rates[start] > 0.0
+    initial = _initial_states(cum_init, first[:, 0])
+    movable = jumps.totals[initial] > 0.0
     heap = [
         (-math.log(u) / q, int(i))
         for i, u, q in zip(
             np.flatnonzero(movable),
             first[movable, 1].tolist(),
-            jumps.total_rates[start[movable]].tolist(),
+            jumps.totals[initial[movable]].tolist(),
         )
     ]
     heapq.heapify(heap)
@@ -433,7 +429,9 @@ def fleming_viot(
     ready = first.tolist()
     del first
     used = np.where(movable, 2, 1).tolist()
-    positions = start.tolist()
+    positions = initial.tolist()
+    start, targets = jumps.start.tolist(), jumps.targets.tolist()
+    cum, totals = jumps.cum.tolist(), jumps.totals.tolist()
 
     log = math.log
     last = n_particles - 1
@@ -458,9 +456,8 @@ def fleming_viot(
                 p = 0
             draws = ready[i]
             x = positions[i]
-            row = cum[x]
-            j = bisect_left(row, draws[p] * row[-1])
-            y = targets[x][j if j < len(row) else -1]
+            # first row entry >= the draw, the row's last entry if none is
+            y = targets[bisect_left(cum, draws[p] * totals[x], start[x], start[x + 1] - 1)]
             p += 1
             if y <= 0:  # absorbed or killed: respawn on another particle
                 k = int(draws[p] * last)

@@ -3,10 +3,10 @@
 Each stream is an independent keyed sequence: draw k of stream (seed, idx)
 is a pure function of (seed, idx, k).  Results are therefore identical
 however paths are scheduled or batched, which is what makes simulation
-output bit-reproducible for a fixed seed.  ``SubStream`` draws from one
-stream at a time; ``u01`` draws from many streams at once (one uint64 key
-and counter per stream), for paths that advance in lockstep, and returns
-the same values bit for bit.
+output bit-reproducible for a fixed seed.  ``u01`` is the one draw
+kernel: it reads many streams at once (one uint64 key and counter per
+stream), for paths that advance in lockstep and for particles that
+prefetch their draws in blocks.
 
 The generator is the splitmix64 finalizer applied to a Weyl sequence,
 a standard construction with full 64-bit state and no correlations
@@ -15,8 +15,6 @@ statistics in the test suite).
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -50,47 +48,9 @@ def derive_key(seed: int, *indices):
 
 def u01(keys: np.ndarray, counters) -> np.ndarray:
     """Draw number ``counters`` of each stream in ``keys`` (uint64 arrays,
-    or one counter for all): elementwise what ``SubStream.next_u01``
-    returns at that counter, bit for bit."""
+    or one counter for all): a uniform on (0, 1), a multiple of 2**-53
+    below 1, with 0 replaced by the smallest positive double."""
     z = keys + np.asarray(counters, dtype=np.uint64) * np.uint64(_GOLDEN)
     u = (mix64(z) >> 11) * _INV53
     # the smallest nonzero u is 2**-53 > _TINY, so this only replaces 0
     return np.maximum(u, _TINY)
-
-
-class SubStream:
-    """One keyed stream with an explicit draw counter.
-
-    Methods advance the counter by exactly one draw each, so the k-th
-    value of a stream never depends on how earlier values were used.
-    """
-
-    __slots__ = ("key", "counter")
-
-    def __init__(self, seed: int, *indices: int):
-        self.key = derive_key(seed, *indices)
-        self.counter = 0
-
-    def next_u01(self) -> float:
-        """Uniform on (0, 1): a multiple of 2**-53 below 1, with 0 replaced
-        by the smallest positive double."""
-        z = (self.key + self.counter * _GOLDEN) & _MASK
-        self.counter += 1
-        u = (mix64(z) >> 11) * _INV53
-        return u if u > 0.0 else _TINY
-
-    def next_exponential(self, rate: float) -> float:
-        """Exponential holding time with the given rate (> 0)."""
-        return -math.log(self.next_u01()) / rate
-
-    def next_choice(self, cumulative) -> int:
-        """Index drawn from a cumulative weight array (last entry = total)."""
-        u = self.next_u01() * cumulative[-1]
-        lo, hi = 0, len(cumulative) - 1
-        while lo < hi:
-            mid = (lo + hi) >> 1
-            if cumulative[mid] < u:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo

@@ -27,14 +27,8 @@ from quasistat import (
 )
 from quasistat.bd import _inner_tail
 from quasistat.engine import SERIES_TOL, _poisson_weights, _uniformized
-from quasistat.mc import (
-    _KIND_PARTICLE,
-    _KIND_PATH,
-    _initial_cumulative,
-    _initial_states,
-    _jump_tables,
-)
-from quasistat.streams import _GOLDEN, _INV53, _TINY, SubStream, derive_key, mix64, u01
+from quasistat.mc import _KIND_PARTICLE, _KIND_PATH, _initial_cumulative, _initial_states
+from quasistat.streams import _GOLDEN, _INV53, _MASK, _TINY, derive_key, mix64, u01
 
 # one line per acceptance criterion, replayed after the run so the
 # verdicts are visible even under pytest's output capture
@@ -285,15 +279,78 @@ def minimal_core_oracle(chain, k_max=None):
     return None
 
 
+class SubStream:
+    """One keyed stream with an explicit draw counter: the scalar
+    reference for the library's vectorised u01.
+
+    Each method advances the counter by exactly one draw, so the k-th
+    value of a stream never depends on how earlier values were used.
+    """
+
+    __slots__ = ("key", "counter")
+
+    def __init__(self, seed: int, *indices: int):
+        self.key = derive_key(seed, *indices)
+        self.counter = 0
+
+    def next_u01(self) -> float:
+        """Uniform on (0, 1): a multiple of 2**-53 below 1, with 0 replaced
+        by the smallest positive double."""
+        z = (self.key + self.counter * _GOLDEN) & _MASK
+        self.counter += 1
+        u = (mix64(z) >> 11) * _INV53
+        return u if u > 0.0 else _TINY
+
+    def next_choice(self, cumulative) -> int:
+        """Index drawn from a cumulative weight array (last entry = total)."""
+        u = self.next_u01() * cumulative[-1]
+        lo, hi = 0, len(cumulative) - 1
+        while lo < hi:
+            mid = (lo + hi) >> 1
+            if cumulative[mid] < u:
+                lo = mid + 1
+            else:
+                hi = mid
+        return lo
+
+
+def jump_rows_oracle(chain):
+    """Per-state jump rows read off the dense generator: (targets, cum,
+    totals), with targets[x] pairing cum[x] for states 1..n_transient
+    (row 0 is empty).  Absorption (target 0) comes first, then the other
+    states in increasing order, then truncation killing (KILLED_STATE);
+    zero rates are left out.  cum[x] holds the running sums of the row
+    and totals[x] its last entry, 0.0 for an empty row.  Shares no code
+    with the library's flat tables, which must match it bit for bit."""
+    Q = chain.sub_generator.toarray()
+    n = chain.n_transient
+    targets, cum, totals = [[]], [[]], [0.0]
+    for x in range(1, n + 1):
+        rates = [(0, float(chain.absorption_rates[x - 1]))]
+        rates += [(y, float(Q[x - 1, y - 1])) for y in range(1, n + 1) if y != x]
+        rates.append((KILLED_STATE, float(chain.kill_rates[x - 1])))
+        tg, cw = [], []
+        acc = 0.0
+        for y, r in rates:
+            if r > 0:
+                acc += r
+                tg.append(y)
+                cw.append(acc)
+        targets.append(tg)
+        cum.append(cw)
+        totals.append(acc)
+    return targets, cum, totals
+
+
 def simulate_batch_oracle(chain, mu, horizon, n_paths, seed, stop_on_set=None):
     """simulate_batch path by path: one SubStream per path, run to its
-    end before the next path starts.  Valid inputs only; the library
-    advances all paths together and must match this bit for bit."""
+    end before the next path starts, on the rows of jump_rows_oracle.
+    Valid inputs only; the library advances all paths together and must
+    match this bit for bit."""
     weights = mu.weights if isinstance(mu, DistributionOnStates) else np.asarray(mu, float)
     cum_init = np.cumsum(weights).tolist()
     stop = frozenset(int(x) for x in stop_on_set) if stop_on_set is not None else None
-    jumps = _jump_tables(chain)
-    targets, cum, totals = jumps.targets, jumps.cum, jumps.totals
+    targets, cum, totals = jump_rows_oracle(chain)
     end = np.empty(n_paths, dtype=np.int64)
     times = np.empty(n_paths, dtype=np.float64)
     status = np.empty(n_paths, dtype=np.uint8)
@@ -344,9 +401,9 @@ def simulate_batch_oracle(chain, mu, horizon, n_paths, seed, stop_on_set=None):
 
 def fleming_viot_oracle(chain, n_particles, horizon, seed, sample_times=None, mu=None):
     """fleming_viot with every draw computed inline, one splitmix64 word
-    at a time on Python ints.  Valid inputs only; the library prefetches
-    each particle's draws in numpy blocks and must match this bit for
-    bit."""
+    at a time on Python ints, on the rows of jump_rows_oracle.  Valid
+    inputs only; the library prefetches each particle's draws in numpy
+    blocks and must match this bit for bit."""
     if sample_times is None:
         samples = [float(horizon)]
     else:
@@ -355,11 +412,11 @@ def fleming_viot_oracle(chain, n_particles, horizon, seed, sample_times=None, mu
         mu = np.full(chain.n_transient, 1.0 / chain.n_transient)
     cum_init = _initial_cumulative(chain, mu)
 
-    jumps = _jump_tables(chain)
-    targets, cum, totals = jumps.targets, jumps.cum, jumps.totals
+    targets, cum, totals = jump_rows_oracle(chain)
     key_array = derive_key(seed, _KIND_PARTICLE, np.arange(n_particles, dtype=np.uint64))
     start = _initial_states(cum_init, u01(key_array, 0))
-    movable = jumps.total_rates[start] > 0.0
+    exit_rates = np.array(totals)
+    movable = exit_rates[start] > 0.0
     keys = key_array.tolist()
     positions = start.tolist()
     counters = np.where(movable, 2, 1).tolist()
@@ -368,7 +425,7 @@ def fleming_viot_oracle(chain, n_particles, horizon, seed, sample_times=None, mu
         for i, u, q in zip(
             np.flatnonzero(movable),
             u01(key_array[movable], 1).tolist(),
-            jumps.total_rates[start[movable]].tolist(),
+            exit_rates[start[movable]].tolist(),
         )
     ]
     heapq.heapify(heap)

@@ -116,6 +116,47 @@ def test_qsd_matches_library(tmp_path, capsys):
     assert max(abs(a - b) for a, b in zip(got, want)) < 1e-12
 
 
+KILL_RATES_FILE = """\
+states 4
+boundary kill
+rate 1 0 1.0
+rate 1 2 1.0
+rate 2 1 1.0
+rate 2 3 1.0
+rate 3 2 1.0
+rate 3 4 0.5
+"""
+
+
+def test_boundary_flag_applies_to_chain_files(tmp_path, capsys):
+    # without --boundary a chain file keeps its own boundary; a parametric
+    # file is regrown under the flag, an explicit rate table refuses it
+    (tmp_path / "logistic.chain").write_text("states 16\nboundary kill\nlogistic 1 1 1\n")
+    (tmp_path / "rates.chain").write_text(KILL_RATES_FILE)
+
+    def qsd(name, *argv):
+        assert run(["qsd", *argv, "--out", str(tmp_path / name)]) == 0
+        return (tmp_path / name / "qsd.csv").read_bytes()
+
+    logistic = ["--chain", str(tmp_path / "logistic.chain")]
+    own = qsd("own", *logistic)
+    assert qsd("kill", *logistic, "--boundary", "kill") == own
+    regrown = qsd("reflect", *logistic, "--boundary", "reflect")
+    assert regrown != own
+    assert regrown == qsd("parametric", "--logistic", "1", "1", "1", "--states", "16")
+    assert qsd("resized", *logistic, "--states", "20", "--boundary", "reflect") == qsd(
+        "parametric-20", "--logistic", "1", "1", "1", "--states", "20"
+    )
+    rates = ["--chain", str(tmp_path / "rates.chain")]
+    assert qsd("rates-kill", *rates, "--boundary", "kill") == qsd("rates", *rates)
+    capsys.readouterr()
+    code = run(["qsd", *rates, "--boundary", "reflect", "--out", str(tmp_path / "bad")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and "--boundary conflicts" in err
+    assert not (tmp_path / "bad").exists()
+
+
 def test_qsd_reruns_byte_identical(tmp_path, capsys):
     a_dir = tmp_path / "a"
     b_dir = tmp_path / "b"
@@ -198,6 +239,19 @@ def test_certify_direct_route_matches_library(tmp_path, capsys):
 
     want = certify(quasistat.parse_chain_text(CATASTROPHE_FILE), (1,), 1)
     assert cert == want
+
+
+@pytest.mark.parametrize(
+    "core, shown",
+    [("1", "K=1..1"), ("1..2", "K=1..2"), ("2,1", "K=1..2"), ("1,3", "K=1,3")],
+)
+def test_certify_summary_names_the_core(core, shown, tmp_path, capsys):
+    # a range only for a contiguous core, a comma list otherwise
+    p = tmp_path / "chain.txt"
+    p.write_text(CATASTROPHE_FILE)
+    code = run(["certify", "--chain", str(p), "--K", core, "--x0", "1", "--out", str(tmp_path)])
+    assert code == 0
+    assert f", {shown}, lambda0=" in capsys.readouterr().out
 
 
 # -- criterion -----------------------------------------------------------------------------
@@ -395,14 +449,20 @@ LOGISTIC_16 = ["--logistic", "1", "1", "1", "--states", "16"]
         (["criterion", *LOGISTIC_16, "--K", "a..3"], "bad state set 'a..3'"),
         (["qsd", "--logistic", "1", "1", "1", "--states", "abc"], "--states must be an integer"),
         (["qsd", "--chain", "chain.txt", "--states", "2.5"], "--states must be an integer"),
+        (["decay", *LOGISTIC_16, "--mu", "1", "--nu", "2", "--certificate", "bad.cert"],
+         "certificate field K is malformed: '1,x'"),
     ],
     ids=["simulate-mu", "fv-mu", "decay-nu", "horizon", "stop-set", "certify-K",
-         "criterion-K", "states-logistic", "states-chain"],
+         "criterion-K", "states-logistic", "states-chain", "certificate-file-K"],
 )
 def test_unparseable_argument_is_validation_error(argv, message, tmp_path, monkeypatch, capsys):
-    # int() or float() on raw argument text must end as a ValidationError,
-    # with an error: line and no artifact, not as a traceback
+    # int() or float() on raw argument or file text must end as a
+    # ValidationError, with an error: line and no artifact, not as a traceback
     (tmp_path / "chain.txt").write_text(CATASTROPHE_FILE)
+    (tmp_path / "bad.cert").write_text(
+        "quasistat certificate v1\nK = 1,x\nx0 = 1\nc1 = 0.5\nc2 = 0.5\nc3 = 0.5\n"
+        "c4 = 2\nlambda0 = 1\ngamma = 0.01\nn_states = 16\n"
+    )
     monkeypatch.chdir(tmp_path)
     code = run([*argv, "--out", "out"])
     err = capsys.readouterr().err

@@ -1,10 +1,11 @@
 import hashlib
+import itertools
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import fleming_viot_oracle, simulate_batch_oracle
+from conftest import SubStream, fleming_viot_oracle, jump_rows_oracle, simulate_batch_oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -34,7 +35,7 @@ from quasistat import (
 )
 from quasistat import mc
 from quasistat.cli import main
-from quasistat.streams import SubStream, derive_key, mix64, u01
+from quasistat.streams import derive_key, mix64, u01
 
 
 # -- keyed streams -------------------------------------------------------------
@@ -60,27 +61,32 @@ def test_stream_keys_separate_indices():
     assert all(k % 2 == 1 for k in list(xs)[:10])
 
 
+def _stream_draws(n, seed, *indices):
+    """The first n draws of one stream, through the vectorised kernel."""
+    keys = np.full(n, derive_key(seed, *indices), dtype=np.uint64)
+    return u01(keys, np.arange(n, dtype=np.uint64))
+
+
 def test_u01_range_and_mean():
-    s = SubStream(1, 3)
-    vals = [s.next_u01() for _ in range(20000)]
-    assert all(0.0 < v < 1.0 for v in vals)
+    vals = _stream_draws(20000, 1, 3)
+    assert np.all((0.0 < vals) & (vals < 1.0))
     # mean of U(0,1): 3-sigma band at n=20000 is about +-0.0061
-    assert abs(np.mean(vals) - 0.5) < 0.0075
+    assert abs(vals.mean() - 0.5) < 0.0075
 
 
 def test_exponential_moments():
-    s = SubStream(2, 4)
     n = 20000
-    vals = np.array([s.next_exponential(2.0) for _ in range(n)])
+    # holding times at rate 2, as the samplers draw them
+    vals = np.array([-math.log(u) / 2.0 for u in _stream_draws(n, 2, 4).tolist()])
     se = vals.std(ddof=1) / math.sqrt(n)
     assert abs(vals.mean() - 0.5) < 3 * se
 
 
 def test_choice_follows_weights():
-    s = SubStream(3, 5)
-    cum = [0.2, 0.5, 1.0]
+    cum = np.array([0.2, 0.5, 1.0])
     n = 30000
-    counts = np.bincount([s.next_choice(cum) for _ in range(n)], minlength=3)
+    states = mc._initial_states(cum, _stream_draws(n, 3, 5))
+    counts = np.bincount(states - 1, minlength=3)
     for got, p in zip(counts / n, [0.2, 0.3, 0.5]):
         assert abs(got - p) < 3 * math.sqrt(p * (1 - p) / n)
 
@@ -134,6 +140,49 @@ def test_mix64_is_deterministic_and_avalanching():
     # flipping one input bit flips roughly half the output bits
     diff = mix64(0x1234) ^ mix64(0x1235)
     assert 10 < bin(diff).count("1") < 54
+
+
+# -- jump tables -------------------------------------------------------------------
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), st.sampled_from([REFLECT, KILL]))
+def test_jump_tables_match_the_row_oracle(data, boundary):
+    n = data.draw(st.integers(min_value=1, max_value=9), label="n")
+    # in kill mode, target n + 1 lies above the window: truncation killing
+    top = n + 1 if boundary == KILL else n
+    # sparse entries, zero rates among them (a zero rate adds no jump)
+    rate = st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=50.0))
+    entries = data.draw(
+        st.lists(
+            st.tuples(st.integers(1, n), st.integers(0, top), rate).filter(
+                lambda e: e[0] != e[1]
+            ),
+            max_size=30,
+        ),
+        label="entries",
+    )
+    # one dense row: every other state, absorption and (in kill mode)
+    # killing, each at a positive rate
+    dense = data.draw(st.integers(1, n), label="dense")
+    others = [y for y in range(top + 1) if y != dense]
+    rates = data.draw(
+        st.lists(st.floats(min_value=1e-3, max_value=50.0),
+                 min_size=len(others), max_size=len(others)),
+        label="dense rates",
+    )
+    entries += list(zip([dense] * len(others), others, rates))
+    chain = build_from_entries(entries, n + 1, boundary)
+    jumps = mc._jump_tables(chain)
+    targets, cum, totals = jump_rows_oracle(chain)
+    lengths = [len(row) for row in cum]
+    assert jumps.start.tolist() == [0, *itertools.accumulate(lengths)]
+    assert jumps.targets.tolist() == [y for row in targets for y in row]
+    assert jumps.cum.tolist() == [c for row in cum for c in row]
+    assert jumps.totals.tolist() == totals
+    # the lockstep bisection pins an index down in the longest row
+    widest = max(lengths)
+    assert 2**jumps.depth >= widest and (jumps.depth == 0 or 2 ** (jumps.depth - 1) < widest)
 
 
 # -- path batches ----------------------------------------------------------------
