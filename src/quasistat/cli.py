@@ -185,11 +185,21 @@ def cmd_qsd(args) -> int:
     return 0
 
 
+def _refuse_kill_for_auto_core(args) -> None:
+    """The auto-core logistic certificate is computed on reflecting windows."""
+    if args.boundary == KILL:
+        raise ValidationError(
+            "--boundary kill does not apply to the auto-core logistic certificate, "
+            "which is computed on reflecting windows"
+        )
+
+
 def cmd_certify(args) -> int:
     if args.logistic is not None and args.K is None:
         # the auto-core certificate fixes K = 1..z0, x0 = 1 and the direct route
         if args.route == "criterion" or args.x0 is not None:
             raise ValidationError("--route criterion and --x0 need an explicit --K")
+        _refuse_kill_for_auto_core(args)
         b, d, c = args.logistic
         result = bd_mod.logistic_certificate(b, d, c, tol=args.tol)
         cert = result.certificate
@@ -256,6 +266,7 @@ def cmd_decay(args) -> int:
     elif args.auto_certify:
         if args.logistic is None:
             raise ValidationError("--auto-certify needs a --logistic chain")
+        _refuse_kill_for_auto_core(args)
         b, d, c = args.logistic
         cert = bd_mod.logistic_certificate(b, d, c, tol=args.tol).certificate
     rho = compute_qsd(chain, tol=min(args.tol, 1e-10)).qsd

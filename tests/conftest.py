@@ -142,7 +142,7 @@ def bd_region_chain(spec, z: int, m: int):
     Relabels level z+i as window state i, so hitting {<= z} in the full
     chain is absorption in the window.  Assembled through the public
     entry constructor on purpose: oracles built here share no code with
-    the series/banded implementations they check.
+    the series and descent implementations they check.
     """
     entries = []
     n = m - z
@@ -165,19 +165,24 @@ def bd_hitting_oracle(spec, z: int, m: int) -> np.ndarray:
 
 
 def bd_moment_oracle(spec, z: int, lam: float, m: int) -> np.ndarray:
-    """E_x exp(lam * time to reach z) for x = z+1..m, dense solve."""
+    """E_x exp(lam * time to reach z) for x = z+1..m on the window z..m
+    with its top reflected, by a sparse linear solve.  The window cuts
+    off the levels above m, so every value lies below the chain's."""
+    from scipy.sparse import identity
+    from scipy.sparse.linalg import spsolve
+
     chain = bd_region_chain(spec, z, m)
-    Q = chain.sub_generator.toarray()
-    n = chain.n_transient
-    A = -(Q + lam * np.eye(n))
-    return np.linalg.solve(A, chain.absorption_rates)
+    A = -(chain.sub_generator + lam * identity(chain.n_transient))
+    return spsolve(A.tocsc(), chain.absorption_rates)
 
 
-def descent_sum_oracle(spec, z: int, x: int) -> float:
+def descent_sum_oracle(spec, z: int, x: int, inner=None) -> float:
     """sum_{k=z+1}^{x} E_k T_{k-1} with one rates_at call per level,
-    recursed downward from the anchor x.  The library fetches the rates
+    recursed downward from the anchor x, where the ladder tail is inner
+    (by default summed upward from x).  The library fetches the rates
     in chunks and must match this bit for bit, errors included."""
-    inner = _inner_tail(spec, x)
+    if inner is None:
+        inner = _inner_tail(spec, x)
     _, down = spec.rates_at(x)
     if down <= 0:
         raise ValidationError(f"death rate at {x} must be > 0")

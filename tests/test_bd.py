@@ -113,16 +113,22 @@ def test_hitting_crowding_term_belongs_in_the_divisor():
 
 
 def test_hitting_supremum_bounds_every_start():
-    sup = tail_expected_hitting(LOGISTIC, 1, math.inf)
+    lo, hi = tail_expected_hitting(LOGISTIC, 1, math.inf)
+    assert 0 < lo <= hi and (hi - lo) / hi <= 1e-6
     for x in [2, 5, 10, 100, 1000]:
-        assert tail_expected_hitting(LOGISTIC, 1, x) <= sup
-    assert sup == pytest.approx(tail_expected_hitting(LOGISTIC, 1, 10**6), rel=1e-3)
+        assert tail_expected_hitting(LOGISTIC, 1, x) < lo
+    # the sum to level 10**6 is a truncation: it falls short of the
+    # proved lower end by about the 1e-6 the levels above it carry
+    assert tail_expected_hitting(LOGISTIC, 1, 10**6) < lo
 
 
-def test_hitting_supremum_truncation_is_stable():
-    a = tail_expected_hitting(LOGISTIC, 1, math.inf, max_terms=10**5)
-    b = tail_expected_hitting(LOGISTIC, 1, math.inf, max_terms=10**6)
-    assert abs(a - b) / b < 1e-4
+def test_hitting_supremum_needs_the_logistic_law():
+    spec = BirthDeathSpec(birth_rate=lambda x: x, death_rate=lambda x: x * x)
+    assert tail_expected_hitting(spec, 1, 50) > 0  # finite x works for any spec
+    with pytest.raises(ValidationError):
+        tail_expected_hitting(spec, 1, math.inf)
+    with pytest.raises(ValidationError):
+        exp_moment_hitting(spec, 1, 1.0)
 
 
 def test_hitting_divergence_detected():
@@ -177,6 +183,8 @@ def test_descent_matches_oracle_on_drawn_logistics(b, d, c, z, span):
 
 
 def test_hitting_supremum_matches_per_level_descent(monkeypatch):
+    # both ends come from chunked descents from the same level, anchored
+    # at the floor and the ceiling of its ladder tail
     got = tail_expected_hitting(LOGISTIC, 1, math.inf)
     monkeypatch.setattr(bd_mod, "_descent_sum", descent_sum_oracle)
     assert got == tail_expected_hitting(LOGISTIC, 1, math.inf)
@@ -235,15 +243,19 @@ def test_hitting_supremum_peak_memory_stays_flat():
 
 
 def test_moment_matches_dense_oracle():
+    # the ceilings at finite x sit on the window solve: 1024 levels cut
+    # off nothing visible at x <= 64
     res = exp_moment_hitting(LOGISTIC, 1, 2.0, x_max=256)
     oracle = bd_moment_oracle(LOGISTIC, 1, 2.0, 1024)
     for x in range(2, 65):
         assert res.value_at(x) == pytest.approx(float(oracle[x - 2]), rel=1e-10)
+        assert res.value_at(x) >= float(oracle[x - 2])
 
 
 def test_moment_tends_to_one_at_small_rates():
     res = exp_moment_hitting(LOGISTIC, 1, 1e-10)
     assert res.sup == pytest.approx(1.0, abs=1e-6)
+    assert 1.0 <= res.sup_lo <= res.sup
 
 
 def test_moment_monotone_in_rate():
@@ -252,18 +264,23 @@ def test_moment_monotone_in_rate():
     assert all(s >= 1 for s in sups)
 
 
-def test_moment_window_extrapolation_converges():
-    # the supremum estimate should be nearly window-free
+def test_moment_sup_does_not_depend_on_x_max():
+    # x_max only sets how many finite-x values are kept
     a = exp_moment_hitting(LOGISTIC, 1, 2.0, x_max=128)
     b = exp_moment_hitting(LOGISTIC, 1, 2.0, x_max=512)
-    assert a.sup == pytest.approx(b.sup, rel=1e-3)
+    assert (a.sup_lo, a.sup) == (b.sup_lo, b.sup)
+    assert np.array_equal(a.values, b.values[:a.values.size])
 
 
 def test_moment_divergence_raises():
     sub = BirthDeathSpec.logistic(1.0, 2.0, 0.0)
-    # critical rate for the linear chain is (sqrt(2)-1)^2, far below 3
+    # critical rate for the linear chain is (sqrt(2)-1)^2, far below 3;
+    # with c = 0 every supremum over all levels is infinite anyway
     with pytest.raises(DivergentMomentError):
         exp_moment_hitting(sub, 1, 3.0)
+    # d_2 = 4 < lam: the floor descent proves E_2 exp(lam T_1) infinite
+    with pytest.raises(DivergentMomentError, match="diverges"):
+        exp_moment_hitting(LOGISTIC, 1, 50.0)
 
 
 def test_moment_validates_arguments():
@@ -283,6 +300,91 @@ def test_find_z0_logistic():
 
 def test_find_z0_none_when_hopeless():
     assert find_z0(BirthDeathSpec.logistic(1.0, 2.0, 0.0), 3.0, z_max=5) is None
+    # z0 = 60 lies above z_max
+    assert find_z0(BirthDeathSpec.logistic(2.0, 1.0, 0.0205), 3.0, z_max=59) is None
+
+
+# z0 at rate b + d: the seven certify benchmark sets, the two table sets
+# not among them, and three small-c chains on which the earlier
+# window-growth test wrongly read divergence (it gave 73, 75 and 64)
+Z0_PINS = {
+    (1, 1, 1): 1, (0.5, 1, 0.2): 2, (0.5, 1, 0.05): 3, (2, 1, 0.25): 6, (1, 1, 0.05): 9,
+    (2, 1, 0.1): 14, (3, 1, 0.0505): 45, (2, 1, 0.05): 27, (2, 1, 0.0205): 60,
+    (2.676, 2.43, 0.0154): 56, (2.12, 1.89, 0.0117): 59, (1.694, 1.622, 0.0115): 45,
+}
+
+
+@pytest.mark.parametrize("params", sorted(Z0_PINS))
+def test_find_z0_pinned_levels(params):
+    spec = BirthDeathSpec.logistic(*params)
+    assert find_z0(spec, params[0] + params[1]) == Z0_PINS[params]
+
+
+def test_find_z0_stable_under_bench_jitter():
+    # the benchmark draws each rate within +-0.2 % of its set
+    rng = np.random.default_rng(20)
+    for params in [(1, 1, 1), (0.5, 1, 0.2), (0.5, 1, 0.05), (2, 1, 0.25), (1, 1, 0.05),
+                   (2, 1, 0.1), (3, 1, 0.0505)]:
+        for _ in range(4):
+            b, d, c = np.asarray(params) * (1 + rng.uniform(-0.002, 0.002, 3))
+            assert find_z0(BirthDeathSpec.logistic(b, d, c), b + d) == Z0_PINS[params]
+
+
+# the table sets with the transient size n of their certificate windows
+TABLE_SETS = {(1, 1, 1): 63, (2, 1, 0.25): 63, (1, 1, 0.05): 79, (2, 1, 0.05): 223,
+              (2, 1, 0.0205): 487}
+
+
+@pytest.mark.parametrize("params", sorted(TABLE_SETS))
+def test_enclosures_at_z0_on_table_sets(params):
+    spec = BirthDeathSpec.logistic(*params)
+    lam = params[0] + params[1]
+    z = Z0_PINS[params]
+    lo, hi = tail_expected_hitting(spec, z, math.inf)
+    assert (hi - lo) / hi <= 1e-6
+    assert tail_expected_hitting(spec, z, 10**6) <= hi
+    res = exp_moment_hitting(spec, z, lam)
+    assert (res.sup - res.sup_lo) / res.sup <= 1e-5
+    n = TABLE_SETS[params]
+    for levels in (n, 2 * n + 1, 4 * n + 3, 16384):
+        assert bd_moment_oracle(spec, z, lam, z + levels).max() <= res.sup
+
+
+@pytest.mark.parametrize("params,z", [((1, 1, 1), 1), ((2, 1, 0.25), 6)])
+def test_intervals_nest_as_the_descent_level_grows(params, z, monkeypatch):
+    # from level 64, from the chosen level M and from 8 M: each interval
+    # must lie inside the one before, and the ceilings from level 64 must
+    # stay above the window solve on 16384 levels
+    spec = BirthDeathSpec.logistic(*params)
+    lam = params[0] + params[1]
+    chosen = bd_mod._descent_level
+    runs = []
+    for level in (lambda *a: 64, chosen, lambda *a: 8 * chosen(*a)):
+        monkeypatch.setattr(bd_mod, "_descent_level", level)
+        runs.append((tail_expected_hitting(spec, z, math.inf), exp_moment_hitting(spec, z, lam, 64)))
+    for (hit_a, mom_a), (hit_b, mom_b) in zip(runs, runs[1:]):
+        assert hit_a[0] <= hit_b[0] <= hit_b[1] <= hit_a[1]
+        assert mom_a.sup_lo <= mom_b.sup_lo <= mom_b.sup <= mom_a.sup
+    window = bd_moment_oracle(spec, z, lam, z + 16384)
+    assert np.all(window[:64 - z] <= runs[0][1].values)
+
+
+def test_small_c_chain_moment_and_hitting_enclosures():
+    spec = BirthDeathSpec.logistic(2.676, 2.43, 0.0154)
+    lam = 2.676 + 2.43
+    res = exp_moment_hitting(spec, 56, lam, x_max=356)
+    window = bd_moment_oracle(spec, 56, lam, 16384)
+    assert window.max() == pytest.approx(11806.1, abs=0.05)
+    assert window.max() < res.sup_lo <= res.sup < 12068.3
+    # at finite x the ceilings sit on the window solve
+    ceil = res.values
+    assert np.all(window[:ceil.size] <= ceil)
+    assert np.all(ceil - window[:ceil.size] <= 1e-8 * ceil)
+    for params in [(2.676, 2.43, 0.0154), (2.12, 1.89, 0.0117), (1.694, 1.622, 0.0115)]:
+        spec = BirthDeathSpec.logistic(*params)
+        z = Z0_PINS[params]
+        lo, hi = tail_expected_hitting(spec, z, math.inf)
+        assert tail_expected_hitting(spec, z, 10**6) < lo <= hi
 
 
 # -- end-to-end logistic pipeline ------------------------------------------------
@@ -323,12 +425,15 @@ def test_bd_report_contents():
     assert rep.hitting_x[0] == 2 and rep.hitting_x[-1] == 30
     # cumulative in x
     assert np.all(np.diff(rep.hitting_values) > 0)
-    assert rep.sup_hitting >= rep.hitting_values[-1]
+    assert rep.sup_hitting >= rep.sup_hitting_lo >= rep.hitting_values[-1]
     assert rep.moment is not None
     for x in [2, 10, 30]:
         assert rep.moment.value_at(x) >= 1
+    assert rep.moment.sup >= rep.moment.sup_lo >= rep.moment.value_at(30)
     text = rep.to_text()
-    assert "sup_expected_hitting" in text and "moment_sup" in text
+    for key in ("sup_expected_hitting", "sup_expected_hitting_lo", "moment_sup", "moment_sup_lo"):
+        assert f"\n{key} = " in text
+    assert "moment_sup_at" not in text
 
 
 def test_bd_report_values_match_series():

@@ -332,6 +332,26 @@ def test_small_window_decay_csv_is_golden(tmp_path, capsys):
     assert hashlib.sha256(data).hexdigest() == GOLDEN_DECAY_1_1_1_64
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["certify", "--logistic", "1", "1", "1"],
+        ["decay", "--logistic", "1", "1", "1", "--states", "16", "--mu", "1", "--nu", "2",
+         "--t-grid", "1,2", "--auto-certify"],
+    ],
+)
+def test_auto_core_certificate_refuses_kill_boundary(argv, tmp_path, capsys):
+    # the auto-core certificate is computed on reflecting windows, so a
+    # kill boundary would be ignored (certify) or paired with the wrong
+    # window (decay); reflect, the default, is accepted
+    out = tmp_path / "out"
+    assert run([*argv, "--boundary", "kill", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--boundary kill" in err
+    assert not (out / "certificate.txt").exists() and not (out / "decay.csv").exists()
+    assert run([*argv, "--boundary", "reflect", "--out", str(out)]) == 0
+
+
 def test_decay_auto_certify_needs_logistic(tmp_path, capsys):
     p = tmp_path / "chain.txt"
     p.write_text(CATASTROPHE_FILE)
