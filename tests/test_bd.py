@@ -461,42 +461,42 @@ def test_bd_csvs(tmp_path):
 
 # -- golden bytes ----------------------------------------------------------------------
 #
-# sha256 of the three artifacts `bd` writes, recorded with the per-level
-# ladder descent; any change to the order of the hitting-time recursion
-# or to the moment band moves them.
+# sha256 of the three artifacts `bd` writes, recorded with the proved
+# ladder descents; any change to the order of the hitting-time recursion,
+# to the descent level or to the moment descent moves them.
 
 GOLDEN_BD = {
     "1-1-1": (
         ["--logistic", "1", "1", "1"],
         {
-            "bd_report.txt": "bb86c1b1037e6689c6abe320972c1b2c9323866d050aaa67f64c14f96c371872",
+            "bd_report.txt": "c34babfce9692dc6631f3093596414334d9f0c31a23df0e0f649eff6ef6fc800",
             "bd_alpha.csv": "e1325a72cb3e5b62299946232434f67b836a1b95eb9a18a77ed2b3b309e95622",
-            "bd_hitting.csv": "60e7d18672a3b0be0eae7675e0859a5f7f1d62001c7515f4158c94d961759cf6",
+            "bd_hitting.csv": "d71de304c48d744448a209778fafb13ac808d17e6e62b4ec42758b406313628a",
         },
     ),
     "2-1-0.25": (
         ["--logistic", "2", "1", "0.25"],
         {
-            "bd_report.txt": "9ac5072aca21edc7638296b0ecfbc7089915aecf7ce72260e66e43daef05b965",
+            "bd_report.txt": "8cd95b6700100e619c147ccb75509cdb3b60a5559e672f8afad3c3c105c4d71e",
             "bd_alpha.csv": "c0fa545850dd15ed651e4bd1c79ddc3695b2c78371a51e04de14de97f77bfdbf",
-            "bd_hitting.csv": "91124abf670774f9daa3dfeba7f6b7561e788c7b52990a7f7780a04d378d6d62",
+            "bd_hitting.csv": "4b40f2ddd7d2fe69da0ab22adcd2ba1814e37e4e5c2fb67a18d24b86c32ad566",
         },
     ),
     "2-1-0.25-x60": (
         ["--logistic", "2", "1", "0.25", "--x-max", "60"],
         {
-            "bd_report.txt": "9ac5072aca21edc7638296b0ecfbc7089915aecf7ce72260e66e43daef05b965",
+            "bd_report.txt": "8cd95b6700100e619c147ccb75509cdb3b60a5559e672f8afad3c3c105c4d71e",
             "bd_alpha.csv": "c0fa545850dd15ed651e4bd1c79ddc3695b2c78371a51e04de14de97f77bfdbf",
-            "bd_hitting.csv": "a0905e757787ba994d7fcfa64415a15ed50a033329b29edfbfd9ca4ae5668629",
+            "bd_hitting.csv": "68c722c8837a96c438b428a991709a859ccfd10be77a59d8628b839632599969",
         },
     ),
     # z0 = 45 lies above the default x_max of 30, so this set needs --x-max
     "3-1-0.0505-x60": (
         ["--logistic", "3", "1", "0.0505", "--x-max", "60"],
         {
-            "bd_report.txt": "140a757ce8c7cc4c88f0540c3c40c0ed321285235ebb665f1fc659cc0129c47f",
+            "bd_report.txt": "07c0748bfd996395e6059ad57bc23e2c5c547444dfd69b770ac8357ffe5e758e",
             "bd_alpha.csv": "1e6c8bc71d573974f5301f60a1c8931c78f13f643af4b40b4dce89ab65339b85",
-            "bd_hitting.csv": "9c4a69cab0fbee66ea2ee15e24368320a1ef572500b074291564061caba810bc",
+            "bd_hitting.csv": "67273f0e09eea11140c2581108d407d27f58a2b27e3979c27c7997afcba1275d",
         },
     ),
 }
