@@ -393,8 +393,9 @@ def exp_moment_hitting(spec: BirthDeathSpec, z: int, lam: float, x_max: int | No
     s = _slack(m - z)
     sup = ceil_prod * math.exp(theta * upper) * (1.0 + s)
     if bad is not None or not math.isfinite(sup):
+        where = "overflows" if bad is None else f"fails at level {bad}"
         raise DivergentMomentError(f"exponential moment at rate {lam} (z={z}) is not proved "
-                                   f"finite: the ceiling descent fails at level {bad}")
+                                   f"finite: the ceiling descent from level {m} {where}")
     return BdMomentResult(z, lam, x_max, np.cumprod(phis) * (1.0 + s), sup,
                           floor_prod * math.exp(lam * lower) * (1.0 - s))
 
