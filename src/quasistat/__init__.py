@@ -17,6 +17,7 @@ from .bd import (
     build_bd_report,
     exp_moment_hitting,
     find_z0,
+    hitting_from_infinity,
     hitting_to_csv,
     logistic_certificate,
     tail_expected_hitting,

@@ -264,35 +264,42 @@ def _descent_level(spec: BirthDeathSpec, z: int, lam: float | None = None) -> in
     raise DivergentMomentError("no descent level up to 2**22 bounds the tail; not proved finite")
 
 
-def tail_expected_hitting(spec: BirthDeathSpec, z: int, x) -> float | tuple[float, float]:
+def tail_expected_hitting(spec: BirthDeathSpec, z: int, x: int) -> float:
     """E_x(time to reach z) for a birth-death chain, x > z >= 0.
 
-    Finite x gives the exact finite sum sum_{k=z+1}^{x} E_k T_{k-1} (any
-    spec), from one descent anchored at x with the ladder tail summed
-    upward from x.  The rate callables are evaluated on float arrays of
-    levels, a few thousand at a time (BirthDeathSpec.rates_on), so they
-    must be elementwise; the recursion runs level by level on plain
-    floats, giving the same bits as one rates_at call per level.  A bad
-    rate raises ValidationError naming the highest bad level below x.
-
-    x = math.inf gives E_inf T_z = sup_x E_x T_z as a proved interval
-    (lo, hi), for logistic specs only.  Above the level M of
-    _descent_level, r_M = sup_{l >= M} b_l/d_{l+1} < 1, so every ladder
-    tail inner(k), k >= M, lies in [1, 1/(1 - r_M)] (it is a sum of
-    products of such ratios, the empty one first).  The descent from M
-    is increasing in inner(M), so anchoring it at 1 and at 1/(1 - r_M)
-    bounds the levels z+1..M, and sum_{k>M} inner(k)/d_k lies between
-    lower and upper/(1 - r_M) of _ladder_tail.  Both ends widen by
-    _slack(M - z).  c = 0 raises DivergentMomentError (proved infinite);
-    other specs raise ValidationError.
+    The exact finite sum sum_{k=z+1}^{x} E_k T_{k-1} (any spec), from one
+    descent anchored at x with the ladder tail summed upward from x.  The
+    rate callables are evaluated on float arrays of levels, a few
+    thousand at a time (BirthDeathSpec.rates_on), so they must be
+    elementwise; the recursion runs level by level on plain floats,
+    giving the same bits as one rates_at call per level.  A bad rate
+    raises ValidationError naming the highest bad level below x.
     """
     if z < 0:
         raise ValidationError(f"target level z must be >= 0, got {z}")
-    if x != math.inf:
-        x = int(x)
-        if x <= z:
-            raise ValidationError(f"need x > z, got x={x}, z={z}")
-        return _descent_sum(spec, z, x)
+    if not math.isfinite(x):
+        raise ValidationError("x must be finite; hitting_from_infinity bounds E_inf T_z")
+    x = int(x)
+    if x <= z:
+        raise ValidationError(f"need x > z, got x={x}, z={z}")
+    return _descent_sum(spec, z, x)
+
+
+def hitting_from_infinity(spec: BirthDeathSpec, z: int) -> tuple[float, float]:
+    """E_inf T_z = sup_x E_x T_z as a proved interval (lo, hi), for
+    logistic specs, z >= 0.
+
+    Above the level M of _descent_level, r_M = sup_{l >= M} b_l/d_{l+1}
+    < 1, so every ladder tail inner(k), k >= M, lies in [1, 1/(1 - r_M)]
+    (it is a sum of products of such ratios, the empty one first).  The
+    descent from M is increasing in inner(M), so anchoring it at 1 and
+    at 1/(1 - r_M) bounds the levels z+1..M, and sum_{k>M} inner(k)/d_k
+    lies between lower and upper/(1 - r_M) of _ladder_tail.  Both ends
+    widen by _slack(M - z).  c = 0 raises DivergentMomentError (proved
+    infinite); other specs raise ValidationError.
+    """
+    if z < 0:
+        raise ValidationError(f"target level z must be >= 0, got {z}")
     m = _descent_level(spec, z)
     r, lower, upper = _ladder_tail(*spec.params, m)
     top = 1.0 / (1.0 - r)
@@ -530,7 +537,7 @@ def build_bd_report(
             moment = exp_moment_hitting(spec, z, lambda0, x_max=max(x_max, z + 2))
         except DivergentMomentError:
             moment = None
-    sup_lo, sup_hi = tail_expected_hitting(spec, z, math.inf)
+    sup_lo, sup_hi = hitting_from_infinity(spec, z)
     return BdHittingReport(
         b=b,
         d=d,

@@ -17,6 +17,7 @@ from quasistat import (
     build_bd_report,
     exp_moment_hitting,
     find_z0,
+    hitting_from_infinity,
     hitting_to_csv,
     logistic_certificate,
     tail_expected_hitting,
@@ -112,21 +113,39 @@ def test_hitting_crowding_term_belongs_in_the_divisor():
     assert abs(bad - oracle) / oracle > 1e-3
 
 
+def assert_encloses_truncation(params, z, lo, hi):
+    """Check (lo, hi) against E_{10**6} T_z plus what the levels above
+    10**6 carry.
+
+    That remainder is sum_{k>n} inner(k)/d_k, n = 10**6.  For c >= 0.01
+    and b, d <= 3, every inner(k) there lies in [1, 1 + 3e-4] and
+    sum_{k>n} 1/d_k is 1/(c n) to within 2e-4 relative, so E_inf T_z
+    lies in old + [1 - 1e-3, 1 + 1e-3]/(c n), old = E_{10**6} T_z.  The
+    interval must meet that range; with a width of at most 1e-6 relative
+    it then sits within about 1e-6 relative of the truth.
+    """
+    n = 10**6
+    old = tail_expected_hitting(BirthDeathSpec.logistic(*params), z, n)
+    beyond = 1.0 / (params[2] * n)
+    assert old < lo <= hi and (hi - lo) / hi <= 1e-6
+    assert lo <= old + beyond * (1 + 1e-3)
+    assert old + beyond * (1 - 1e-3) <= hi
+
+
 def test_hitting_supremum_bounds_every_start():
-    lo, hi = tail_expected_hitting(LOGISTIC, 1, math.inf)
-    assert 0 < lo <= hi and (hi - lo) / hi <= 1e-6
+    lo, hi = hitting_from_infinity(LOGISTIC, 1)
     for x in [2, 5, 10, 100, 1000]:
         assert tail_expected_hitting(LOGISTIC, 1, x) < lo
     # the sum to level 10**6 is a truncation: it falls short of the
     # proved lower end by about the 1e-6 the levels above it carry
-    assert tail_expected_hitting(LOGISTIC, 1, 10**6) < lo
+    assert_encloses_truncation((1, 1, 1), 1, lo, hi)
 
 
 def test_hitting_supremum_needs_the_logistic_law():
     spec = BirthDeathSpec(birth_rate=lambda x: x, death_rate=lambda x: x * x)
     assert tail_expected_hitting(spec, 1, 50) > 0  # finite x works for any spec
     with pytest.raises(ValidationError):
-        tail_expected_hitting(spec, 1, math.inf)
+        hitting_from_infinity(spec, 1)
     with pytest.raises(ValidationError):
         exp_moment_hitting(spec, 1, 1.0)
 
@@ -134,18 +153,22 @@ def test_hitting_supremum_needs_the_logistic_law():
 def test_hitting_divergence_detected():
     # supercritical: mass escapes upward, the ladder tail is not summable
     with pytest.raises(DivergentMomentError):
-        tail_expected_hitting(BirthDeathSpec.logistic(2.0, 1.0, 0.0), 1, math.inf)
+        hitting_from_infinity(BirthDeathSpec.logistic(2.0, 1.0, 0.0), 1)
     # critical unit-rate walk: null recurrent, expectation infinite
     with pytest.raises(DivergentMomentError):
-        tail_expected_hitting(BirthDeathSpec.logistic(1.0, 1.0, 0.0), 1, math.inf)
+        hitting_from_infinity(BirthDeathSpec.logistic(1.0, 1.0, 0.0), 1)
     # harmonic tail: every descent costs ~1/k, the sum grows like log
     with pytest.raises(DivergentMomentError):
-        tail_expected_hitting(BirthDeathSpec.logistic(0.0, 1.0, 0.0), 1, math.inf)
+        hitting_from_infinity(BirthDeathSpec.logistic(0.0, 1.0, 0.0), 1)
 
 
 def test_hitting_rejects_bad_levels():
     with pytest.raises(ValidationError):
         tail_expected_hitting(LOGISTIC, -1, 5)
+    with pytest.raises(ValidationError):
+        tail_expected_hitting(LOGISTIC, 1, math.inf)
+    with pytest.raises(ValidationError):
+        hitting_from_infinity(LOGISTIC, -1)
     with pytest.raises(ValidationError):
         tail_expected_hitting(LOGISTIC, 3, 3)
 
@@ -185,9 +208,9 @@ def test_descent_matches_oracle_on_drawn_logistics(b, d, c, z, span):
 def test_hitting_supremum_matches_per_level_descent(monkeypatch):
     # both ends come from chunked descents from the same level, anchored
     # at the floor and the ceiling of its ladder tail
-    got = tail_expected_hitting(LOGISTIC, 1, math.inf)
+    got = hitting_from_infinity(LOGISTIC, 1)
     monkeypatch.setattr(bd_mod, "_descent_sum", descent_sum_oracle)
-    assert got == tail_expected_hitting(LOGISTIC, 1, math.inf)
+    assert got == hitting_from_infinity(LOGISTIC, 1)
 
 
 def _spec_with_bad_levels(bad_birth=(), zero_death=()):
@@ -232,7 +255,7 @@ def test_hitting_supremum_peak_memory_stays_flat():
     # blocks of Python floats would peak near 40 MiB
     tracemalloc.start()
     try:
-        tail_expected_hitting(LOGISTIC, 1, math.inf)
+        hitting_from_infinity(LOGISTIC, 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -340,9 +363,7 @@ def test_enclosures_at_z0_on_table_sets(params):
     spec = BirthDeathSpec.logistic(*params)
     lam = params[0] + params[1]
     z = Z0_PINS[params]
-    lo, hi = tail_expected_hitting(spec, z, math.inf)
-    assert (hi - lo) / hi <= 1e-6
-    assert tail_expected_hitting(spec, z, 10**6) <= hi
+    assert_encloses_truncation(params, z, *hitting_from_infinity(spec, z))
     res = exp_moment_hitting(spec, z, lam)
     assert (res.sup - res.sup_lo) / res.sup <= 1e-5
     n = TABLE_SETS[params]
@@ -361,7 +382,7 @@ def test_intervals_nest_as_the_descent_level_grows(params, z, monkeypatch):
     runs = []
     for level in (lambda *a: 64, chosen, lambda *a: 8 * chosen(*a)):
         monkeypatch.setattr(bd_mod, "_descent_level", level)
-        runs.append((tail_expected_hitting(spec, z, math.inf), exp_moment_hitting(spec, z, lam, 64)))
+        runs.append((hitting_from_infinity(spec, z), exp_moment_hitting(spec, z, lam, 64)))
     for (hit_a, mom_a), (hit_b, mom_b) in zip(runs, runs[1:]):
         assert hit_a[0] <= hit_b[0] <= hit_b[1] <= hit_a[1]
         assert mom_a.sup_lo <= mom_b.sup_lo <= mom_b.sup <= mom_a.sup
@@ -383,8 +404,7 @@ def test_small_c_chain_moment_and_hitting_enclosures():
     for params in [(2.676, 2.43, 0.0154), (2.12, 1.89, 0.0117), (1.694, 1.622, 0.0115)]:
         spec = BirthDeathSpec.logistic(*params)
         z = Z0_PINS[params]
-        lo, hi = tail_expected_hitting(spec, z, math.inf)
-        assert tail_expected_hitting(spec, z, 10**6) < lo <= hi
+        assert_encloses_truncation(params, z, *hitting_from_infinity(spec, z))
 
 
 # -- end-to-end logistic pipeline ------------------------------------------------
