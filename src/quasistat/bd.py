@@ -243,24 +243,33 @@ def _ceiling(spec: BirthDeathSpec, lam: float, m: int) -> tuple[float, float] | 
     return theta, (1.0 + theta / big_d) * (1.0 + _ROUND)
 
 
+def _admissible_levels(spec: BirthDeathSpec, z: int, lam: float | None):
+    """The powers of two M from 2**10 to 2**22, smallest first, with
+    M > z and M^2 >= d/c (so r_M is the supremum of the ratios above M),
+    r_M < 1 and a ceiling supersolution at rate lam when one is given:
+    the levels a descent from M can prove anything from."""
+    b, d, c = _logistic_params(spec)
+    for m in (2**j for j in range(10, 23)):
+        if m > z and m * m * c >= d and _ladder_tail(b, d, c, m)[0] < 1.0:
+            if lam is None or _ceiling(spec, lam, m) is not None:
+                yield m
+
+
 def _descent_level(spec: BirthDeathSpec, z: int, lam: float | None = None) -> int:
     """The level M the interval bounds descend from.
 
-    The smallest power of two from 2**10 up with M > z and M^2 >= d/c
-    (so r_M is the supremum of the ratios above M), r_M < 1, a ceiling
-    supersolution at rate lam when one is given, and a closed-form tail
-    whose own width upper/(1 - r_M) - lower is at most _TAIL_WIDTH times
-    the integral of 1/d_x from max(z, 1) + 1, a lower bound on E_inf T_z.
-    That width falls like 1/M^2.  Past 2**22 nothing is proved:
-    DivergentMomentError.
+    The smallest admissible level (_admissible_levels) whose closed-form
+    tail has its own width upper/(1 - r_M) - lower at most _TAIL_WIDTH
+    times the integral of 1/d_x from max(z, 1) + 1, a lower bound on
+    E_inf T_z.  That width falls like 1/M^2.  Past 2**22 nothing is
+    proved: DivergentMomentError.
     """
     b, d, c = _logistic_params(spec)
     want = _TAIL_WIDTH * _ladder_tail(b, d, c, max(z, 1))[1]
-    for m in (2**j for j in range(10, 23)):
+    for m in _admissible_levels(spec, z, lam):
         r, lower, upper = _ladder_tail(b, d, c, m)
-        if m > z and m * m * c >= d and r < 1.0 and upper / (1.0 - r) - lower <= want:
-            if lam is None or _ceiling(spec, lam, m) is not None:
-                return m
+        if upper / (1.0 - r) - lower <= want:
+            return m
     raise DivergentMomentError("no descent level up to 2**22 bounds the tail; not proved finite")
 
 
@@ -413,13 +422,15 @@ def find_z0(spec: BirthDeathSpec, lam: float, z_max: int = 200) -> int | None:
 
     E_x exp(lam T_z) is finite for every x exactly when phi_k is finite
     for every k > z, so z0 is the highest level at which the ceiling
-    descent of exp_moment_hitting (from the level M of _descent_level at
-    z = 1) fails, or 1 if it never fails.  c = 0, or no descent level up
-    to 2**22, gives None.
+    descent of exp_moment_hitting fails, or 1 if it never fails.  z0
+    needs no tail width, so the descent starts at the smallest
+    admissible level above 1 (_admissible_levels); a lower start can
+    only loosen the ceilings and raise z0, never lower it below the
+    true level.  c = 0, or no admissible level up to 2**22, gives None.
     """
     try:
-        m = _descent_level(spec, 1, lam)
-    except DivergentMomentError:
+        m = next(_admissible_levels(spec, 1, lam))
+    except (DivergentMomentError, StopIteration):
         return None
     z0 = _solve_moment(spec, 1, lam, m, _ceiling(spec, lam, m)[1], True)[2] or 1
     return z0 if z0 <= z_max else None

@@ -11,11 +11,21 @@ anchor state x0 in K:
 
 Together they give the contraction coefficient
 gamma = c1*c2*c3 / (2*c4) and the mixing bound 2*(1-gamma)^floor(t) on
-the TV distance between any two conditioned laws.  Each constant tracks
-whether it is a proved bound for the window (certified) or a numerical
-observation (empirical).  A certificate computes only what gamma reads:
-c2, for instance, is its proved floor alone, and building a certificate
-evolves no law or function past t = 1.
+the TV distance between any two conditioned laws.  Each constant is
+computed once, on the window it was asked for, and its label follows
+from how it is built:
+
+  certified_bound     proved by construction: c2's floor, the sojourn
+                      c3 and a closed-form c4 handed in by the caller;
+  empirical_estimate  a numerical value of the window itself: c1, the
+                      absorption-rate c3 and the solved c4, which are
+                      attained at states that move when the window
+                      grows, so they say nothing proved about the chain
+                      the window truncates.
+
+A certificate computes only what gamma reads: c2, for instance, is its
+proved floor alone, and building a certificate evolves no law or
+function past t = 1.
 """
 
 from __future__ import annotations
@@ -27,7 +37,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import spsolve
 
-from .chain import AbsorbedChain
+from .chain import AbsorbedChain, _check_boundary_mode
 from .engine import (
     SERIES_TOL,
     evolve_function,
@@ -47,10 +57,6 @@ EMPIRICAL = "empirical_estimate"
 SOJOURN = "sojourn"
 ABSORPTION_RATE = "absorption_rate"
 BEST = "best"
-
-# Relative agreement under window doubling required before an estimate
-# computed on a finite window is promoted to a certified bound.
-_DOUBLING_RTOL = 1e-9
 
 # Largest (states x columns) block c2 evolves at once: 8 MiB of float64.
 _BLOCK_ENTRIES = 2**20
@@ -87,20 +93,6 @@ def _core_exit_rates(chain: AbsorbedChain, core) -> tuple[np.ndarray, sparse.csr
     return out_idx, rows, into + refl.absorption_rates[out_idx]
 
 
-def _stable_under_doubling(chain: AbsorbedChain, evaluate, value: float) -> bool:
-    """Whether evaluate(window regrown to 2n+1 states) agrees with value
-    to _DOUBLING_RTOL; a window without a generating rule cannot regrow
-    and never qualifies.  The regrown twin is built once per window and
-    cached, so every doubling check of a certificate shares it."""
-    if chain.source_spec is None:
-        return False
-    twin = chain._cache.get("doubled")
-    if twin is None:
-        twin = chain._cache["doubled"] = chain.regrow(2 * chain.n_transient + 1)
-    v2 = evaluate(twin)
-    return abs(v2 - value) <= _DOUBLING_RTOL * max(abs(value), abs(v2))
-
-
 def _unit_step(chain: AbsorbedChain, x0: int) -> tuple[np.ndarray, np.ndarray]:
     """(reach, alive): P_x(X_1 = x0) and P_x(alive at 1) for every
     transient x, from one series on the block [e_x0, 1].  Cached on the
@@ -119,7 +111,6 @@ def _unit_step(chain: AbsorbedChain, x0: int) -> tuple[np.ndarray, np.ndarray]:
 class ConstantEstimate:
     value: float
     provenance: str
-    window_limited: bool = False
     attained_at: int | None = None
     failed: bool = False
     failure_reason: str | None = None
@@ -146,7 +137,6 @@ class C3Result:
     lambda0: float
     strategy: str
     provenance: str
-    window_limited: bool = False
     failed: bool = False
     failure_reason: str | None = None
     c4: ConstantEstimate | None = None
@@ -155,32 +145,24 @@ class C3Result:
 def compute_c1(chain: AbsorbedChain, x0: int) -> ConstantEstimate:
     """Floor of P_x(X_1 = x0 | alive at 1) over all transient x.
 
-    Empirical on a bare window; promoted to certified (for the window)
-    when the value is stable under doubling a parametric window.
+    Always an empirical_estimate: the value of this window, read off the
+    shared unit step.  On truncated chains the worst start is typically
+    the window top, which moves when the window grows.
     """
     if not 1 <= x0 <= chain.n_transient:
         raise ValidationError(f"x0={x0} outside transient states 1..{chain.n_transient}")
-
-    def floor_on(ch: AbsorbedChain) -> tuple[float, int]:
-        reach, alive = _unit_step(ch, x0)
-        ratios = reach / alive
-        i = int(np.argmin(ratios))
-        return float(ratios[i]), i + 1
-
-    value, argmin = floor_on(chain)
-    if value <= 0.0:
+    reach, alive = _unit_step(chain, x0)
+    ratios = reach / alive
+    i = int(np.argmin(ratios))
+    if ratios[i] <= 0.0:
         return ConstantEstimate(
             value=0.0,
             provenance=EMPIRICAL,
-            attained_at=argmin,
+            attained_at=i + 1,
             failed=True,
-            failure_reason=f"state {argmin} cannot reach {x0} within unit time on this window",
+            failure_reason=f"state {i + 1} cannot reach {x0} within unit time on this window",
         )
-    est = ConstantEstimate(value=value, provenance=EMPIRICAL, attained_at=argmin)
-    if _stable_under_doubling(chain, lambda ch: floor_on(ch)[0], value):
-        est.provenance = CERTIFIED
-        est.window_limited = True
-    return est
+    return ConstantEstimate(value=float(ratios[i]), provenance=EMPIRICAL, attained_at=i + 1)
 
 
 def compute_c2(chain: AbsorbedChain, K) -> C2Bounds:
@@ -222,41 +204,35 @@ def compute_c4(chain: AbsorbedChain, K, lambda0: float) -> ConstantEstimate:
     system the moment satisfies off K.  A singular or sign-violating
     solution means the moment is infinite at this rate and raises
     DivergentMomentError.  Always >= 1; equals 1 when K covers the
-    window.
+    window.  Always an empirical_estimate: the solved moment of this
+    window, which on truncated chains grows with the window.
     """
     core = _check_core(chain, K)
     if not (lambda0 > 0 and math.isfinite(lambda0)):
         raise ValidationError(f"lambda0 must be finite and > 0, got {lambda0}")
-
-    def moment_sup(ch: AbsorbedChain) -> tuple[float, int]:
-        out_idx, rows, into_stop = _core_exit_rates(ch, core)
-        if out_idx.size == 0:
-            return 1.0, core[0]
-        QDD = rows[:, out_idx]
-        A = (-(QDD + lambda0 * sparse.eye(out_idx.size, format="csr"))).tocsc()
-        try:
-            h = spsolve(A, into_stop)
-        except Exception as exc:  # singular factorization
-            raise DivergentMomentError(
-                f"exponential moment diverges at lambda0={lambda0!r}: {exc}"
-            ) from None
-        h = np.atleast_1d(np.asarray(h, dtype=np.float64))
-        scale = max(1.0, float(np.abs(into_stop).max()))
-        resid = np.abs(A @ h - into_stop).max()
-        if not np.all(np.isfinite(h)) or np.any(h < 1.0 - 1e-9) or resid > 1e-8 * scale * max(1.0, np.abs(h).max()):
-            raise DivergentMomentError(
-                f"exponential moment diverges at lambda0={lambda0!r} "
-                f"(solution leaves the feasible cone; residual {resid:.3e})"
-            )
-        j = int(np.argmax(h))
-        return max(1.0, float(h[j])), int(out_idx[j]) + 1
-
-    value, argmax = moment_sup(chain)
-    est = ConstantEstimate(value=value, provenance=EMPIRICAL, attained_at=argmax)
-    if _stable_under_doubling(chain, lambda ch: moment_sup(ch)[0], value):
-        est.provenance = CERTIFIED
-        est.window_limited = True
-    return est
+    out_idx, rows, into_stop = _core_exit_rates(chain, core)
+    if out_idx.size == 0:
+        return ConstantEstimate(value=1.0, provenance=EMPIRICAL, attained_at=core[0])
+    QDD = rows[:, out_idx]
+    A = (-(QDD + lambda0 * sparse.eye(out_idx.size, format="csr"))).tocsc()
+    try:
+        h = spsolve(A, into_stop)
+    except Exception as exc:  # singular factorization
+        raise DivergentMomentError(
+            f"exponential moment diverges at lambda0={lambda0!r}: {exc}"
+        ) from None
+    h = np.atleast_1d(np.asarray(h, dtype=np.float64))
+    scale = max(1.0, float(np.abs(into_stop).max()))
+    resid = np.abs(A @ h - into_stop).max()
+    if not np.all(np.isfinite(h)) or np.any(h < 1.0 - 1e-9) or resid > 1e-8 * scale * max(1.0, np.abs(h).max()):
+        raise DivergentMomentError(
+            f"exponential moment diverges at lambda0={lambda0!r} "
+            f"(solution leaves the feasible cone; residual {resid:.3e})"
+        )
+    j = int(np.argmax(h))
+    return ConstantEstimate(
+        value=max(1.0, float(h[j])), provenance=EMPIRICAL, attained_at=int(out_idx[j]) + 1
+    )
 
 
 def _c3_sojourn(chain: AbsorbedChain, x0: int, core) -> C3Result:
@@ -272,10 +248,12 @@ def _c3_sojourn(chain: AbsorbedChain, x0: int, core) -> C3Result:
 
 
 def _c3_absorption_rate(chain: AbsorbedChain, x0: int, core) -> C3Result:
-    # Occupancy of x0 itself decays no faster than the worst per-state
-    # killing rate C: for t >= 1 chain through time t-1 and use the
-    # one-step floor into x0; for t <= 1 a holding bound caps how large
-    # c3 may be.  All pieces are one-step or rate quantities.
+    """Occupancy of x0 itself decays no faster than the worst per-state
+    killing rate C: for t >= 1 chain through time t-1 and use the
+    one-step floor into x0; for t <= 1 a holding bound caps how large c3
+    may be.  All pieces are one-step or rate quantities.  Always an
+    empirical_estimate: the floor is this window's, read off the shared
+    unit step, and moves when the window grows."""
     dead_rates = chain.absorption_rates + chain.kill_rates
     C = float(dead_rates.max())
     if C <= 0:
@@ -283,11 +261,7 @@ def _c3_absorption_rate(chain: AbsorbedChain, x0: int, core) -> C3Result:
             c3=0.0, lambda0=0.0, strategy=ABSORPTION_RATE, provenance=EMPIRICAL,
             failed=True, failure_reason="chain is never absorbed inside the window",
         )
-
-    def floor_on(ch: AbsorbedChain) -> float:
-        return float(_unit_step(ch, x0)[0].min())
-
-    inf_reach = floor_on(chain)
+    inf_reach = float(_unit_step(chain, x0)[0].min())
     if inf_reach <= 0:
         return C3Result(
             c3=0.0, lambda0=C, strategy=ABSORPTION_RATE, provenance=EMPIRICAL,
@@ -296,11 +270,7 @@ def _c3_absorption_rate(chain: AbsorbedChain, x0: int, core) -> C3Result:
         )
     guard = math.exp(min(0.0, C - chain.exit_rate(x0)))
     c3 = min(1.0, inf_reach * math.exp(C), guard)
-    res = C3Result(c3=c3, lambda0=C, strategy=ABSORPTION_RATE, provenance=EMPIRICAL)
-    if _stable_under_doubling(chain, floor_on, inf_reach):
-        res.provenance = CERTIFIED
-        res.window_limited = True
-    return res
+    return C3Result(c3=c3, lambda0=C, strategy=ABSORPTION_RATE, provenance=EMPIRICAL)
 
 
 def compute_c3_lambda0(chain: AbsorbedChain, x0: int, K, strategy: str = BEST) -> C3Result:
@@ -363,8 +333,20 @@ class HypothesisCertificate:
     window_limited: bool = True
 
     def __post_init__(self):
+        if not self.n_states >= 2:
+            raise ValidationError(f"n_states must be >= 2, got {self.n_states}")
         if not self.K or self.x0 not in self.K:
             raise ValidationError("certificate needs a core set K containing x0")
+        if not all(1 <= x < self.n_states for x in self.K):
+            raise ValidationError(
+                f"core set {self.K} must lie inside the transient states 1..{self.n_states - 1}"
+            )
+        _check_boundary_mode(self.boundary_mode)
+        for name, label in self.provenance.items():
+            if label not in (CERTIFIED, EMPIRICAL):
+                raise ValidationError(
+                    f"provenance of {name} must be {CERTIFIED} or {EMPIRICAL}, got {label!r}"
+                )
         for name in ("c1", "c2", "c3"):
             v = getattr(self, name)
             if not (0 < v <= 1 + 1e-12):
@@ -383,8 +365,8 @@ class HypothesisCertificate:
 
     def bound(self, t: float) -> float:
         """TV mixing bound 2*(1-gamma)^floor(t); never below 0."""
-        if t < 0:
-            raise ValidationError(f"time must be >= 0, got {t}")
+        if not (0 <= t < math.inf):
+            raise ValidationError(f"time must be finite and >= 0, got {t}")
         return 2.0 * (1.0 - self.gamma) ** math.floor(t)
 
 

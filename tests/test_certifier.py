@@ -1,4 +1,5 @@
 import importlib
+import math
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from quasistat import (
     logistic_certificate,
     tv_distance,
 )
-from quasistat.certify import _stable_under_doubling
+from quasistat.certify import _unit_step
 from quasistat.chain import AbsorbedChain, BirthDeathSpec, truncate
 
 from conftest import c2_survival_ratio_oracle, catastrophe_chain
@@ -55,34 +56,16 @@ def test_c1_positive_and_conditional():
 
 def test_c1_on_logistic_window_is_attained_at_the_top_and_stays_empirical():
     # the worst start sits at the window top, which moves when the window
-    # doubles, so the doubling check never promotes c1 on this window
+    # grows, so c1 is the window's value, never a proved bound
     chain = build_logistic(1.0, 1.0, 1.0, 64)
     est = compute_c1(chain, x0=1)
     assert est.attained_at == chain.n_transient
-    assert est.provenance == "empirical_estimate" and not est.window_limited
-
-
-def test_doubling_promotion_needs_agreement_on_a_regrown_window():
-    chain = build_logistic(1.0, 1.0, 1.0, 16)
-    seen = []
-
-    def evaluate(ch):
-        seen.append(ch.n_transient)
-        return 0.5
-
-    assert _stable_under_doubling(chain, evaluate, 0.5)
-    assert _stable_under_doubling(chain, evaluate, 0.5 * (1 + 5e-10))
-    assert not _stable_under_doubling(chain, evaluate, 0.5 * (1 + 5e-9))
-    assert seen == [30, 30, 30]  # 15 transient states regrown to 2 * 15 + 1 states
-    # a window without a generating rule cannot regrow, so never promotes
-    assert not _stable_under_doubling(catastrophe_chain(), evaluate, 0.5)
-    assert len(seen) == 3
+    assert est.provenance == "empirical_estimate"
 
 
 @pytest.mark.parametrize("strategy", [BEST, SOJOURN])
-def test_certificate_builds_the_doubled_window_once(monkeypatch, strategy):
-    # c1, the absorption-rate c3 and c4 (at each candidate rate) all check
-    # doubling on the same 2n+1 twin, which the window caches
+def test_certificate_never_regrows_the_window(monkeypatch, strategy):
+    # every constant is computed on the window it was asked for
     regrown = []
     regrow = AbsorbedChain.regrow
 
@@ -92,13 +75,29 @@ def test_certificate_builds_the_doubled_window_once(monkeypatch, strategy):
 
     monkeypatch.setattr(AbsorbedChain, "regrow", counting_regrow)
     certify(build_logistic(1, 1, 1, 64), [1, 2, 3], 1, c3_strategy=strategy)
-    assert regrown == [(127,)]
+    assert regrown == []
+
+
+@pytest.mark.parametrize("strategy", [BEST, SOJOURN])
+def test_certificate_fits_the_series_cap_of_its_own_window(monkeypatch, strategy):
+    # the unit step of this 30-state window fits under the cap; a window
+    # twice its size would not, and the certificate must not build one
+    engine = importlib.import_module("quasistat.engine")
+    monkeypatch.setattr(engine, "_MAX_SERIES_TERMS", 1200)
+    cert = certify(build_logistic(1, 1, 1, 31), [1, 2, 3], 1, c3_strategy=strategy)
+    assert cert.gamma > 0 and cert.n_states == 31
+
+
+def test_absorption_rate_c3_on_a_parametric_window_is_empirical():
+    chain = build_logistic(1, 1, 1, 64)
+    r = compute_c3_lambda0(chain, 1, [1, 2, 3], ABSORPTION_RATE)
+    assert not r.failed and r.provenance == "empirical_estimate"
 
 
 def test_certificate_evolves_one_unit_step_per_window(monkeypatch):
     # c1 and the absorption-rate c3 read the same [e_x0, 1] unit step, so
-    # each of the window and its doubled twin evolves it once; c2's core
-    # block is the third evolution, and c4 solves without evolving
+    # the window evolves it once; c2's core block is the second
+    # evolution, and c4 solves without evolving
     certify_module = importlib.import_module("quasistat.certify")
     calls = []
     evolve = certify_module.evolve_function
@@ -110,37 +109,25 @@ def test_certificate_evolves_one_unit_step_per_window(monkeypatch):
     monkeypatch.setattr(certify_module, "evolve_function", counting_evolve)
     cert = certify(build_logistic(2.0, 1.0, 0.25, 128), [1, 2, 3], 1, c3_strategy=BEST)
     assert cert.gamma > 0
-    assert sorted(calls) == [127, 127, 254]  # twin: 2 * 127 + 1 states
+    assert calls == [127, 127]
 
 
 @pytest.mark.parametrize("boundary", ["reflect", "kill"])
 @pytest.mark.parametrize("n_states", [8, 63, 64, 130])
-def test_c3_floor_on_the_shared_unit_step_equals_the_single_column(monkeypatch, boundary, n_states):
+def test_c3_floor_on_the_shared_unit_step_equals_the_single_column(boundary, n_states):
     # the absorption-rate floor reads column e_x0 of the cached [e_x0, 1]
-    # block; it must equal the column evolved alone, on the window and on
-    # its doubled twin
-    certify_module = importlib.import_module("quasistat.certify")
-    seen = []
-    stable = certify_module._stable_under_doubling
-
-    def recording(chain, evaluate, value):
-        seen.append((evaluate, value))
-        return stable(chain, evaluate, value)
-
-    monkeypatch.setattr(certify_module, "_stable_under_doubling", recording)
+    # block; it must equal the column evolved alone
     chain = truncate(BirthDeathSpec.logistic(2.0, 1.0, 0.25), n_states, boundary)
     r = compute_c3_lambda0(chain, x0=1, K=[1], strategy=ABSORPTION_RATE)
     assert not r.failed
 
-    def alone(ch):
-        e = np.zeros(ch.n_transient)
-        e[0] = 1.0
-        return float(evolve_function(ch, e, 1.0).min())
-
-    [(evaluate, floor)] = seen
-    assert floor == alone(chain)
-    twin = chain._cache["doubled"]
-    assert evaluate(twin) == alone(twin)
+    e = np.zeros(chain.n_transient)
+    e[0] = 1.0
+    alone = float(evolve_function(chain, e, 1.0).min())
+    assert float(_unit_step(chain, 1)[0].min()) == alone
+    C = float((chain.absorption_rates + chain.kill_rates).max())
+    guard = math.exp(min(0.0, C - chain.exit_rate(1)))
+    assert r.c3 == min(1.0, alone * math.exp(C), guard)
 
 
 def test_c1_unreachable_anchor_fails():
@@ -335,8 +322,9 @@ def test_certificate_bound_monotone():
     vals = [cert.bound(t) for t in ts]
     assert all(b >= a for a, b in zip(vals[1:], vals))
     assert all(v > 0 for v in vals)
-    with pytest.raises(ValidationError):
-        cert.bound(-1.0)
+    for t in (-1.0, math.inf, math.nan):
+        with pytest.raises(ValidationError, match="time must be finite and >= 0"):
+            cert.bound(t)
 
 
 def test_certificate_validation_rejects_inconsistent_gamma():
@@ -537,3 +525,25 @@ def test_parse_rejects_garbage():
         parse_certificate_text(maimed)
     with pytest.raises(ValidationError, match="bad certificate line"):
         parse_certificate_text("quasistat certificate v1\nwhat even is this\n")
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("K", "0,1", "core set"),
+        ("K", "1,8", "core set"),
+        ("n_states", "1", "n_states"),
+        ("boundary", "sideways", "boundary mode"),
+        ("provenance_c1", "proved_by_hope", "provenance of c1"),
+    ],
+    ids=["K-has-0", "K-past-window", "n_states-below-2", "boundary", "provenance"],
+)
+def test_parse_rejects_fields_outside_their_range(field, value, message):
+    cert = certify(catastrophe_chain(), K=[1], x0=1)
+    assert cert.n_states == 8
+    lines = certificate_to_text(cert).splitlines()
+    text = "\n".join(
+        f"{field} = {value}" if ln.split(" = ")[0] == field else ln for ln in lines
+    )
+    with pytest.raises(ValidationError, match=message):
+        parse_certificate_text(text)

@@ -374,6 +374,21 @@ def test_decay_reads_certificate_file(tmp_path, capsys):
     assert len(lines) == 4
 
 
+def test_decay_refuses_a_certificate_file_with_a_bad_boundary(tmp_path, capsys):
+    assert run(["certify", "--logistic", "1", "1", "1", "--out", str(tmp_path)]) == 0
+    path = tmp_path / "certificate.txt"
+    path.write_text(path.read_text().replace("boundary = reflect", "boundary = sideways"))
+    out = tmp_path / "out"
+    code = run([
+        "decay", "--logistic", "1", "1", "1", "--mu", "1", "--nu", "qsd",
+        "--t-grid", "1,2,4", "--certificate", str(path), "--out", str(out),
+    ])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and "sideways" in err
+    assert not out.exists()
+
+
 # -- simulate and fv ------------------------------------------------------------------------------
 
 
