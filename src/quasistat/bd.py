@@ -540,6 +540,8 @@ def build_bd_report(
         z = z0 if z0 is not None else 1
     if x_max <= z:
         raise ValidationError(f"x_max must exceed z={z}")
+    # first, so a c = 0 set fails on its proof before the ladder-tail scan
+    sup_lo, sup_hi = hitting_from_infinity(spec, z)
     # E_x T_z is cumulative in x: the terms of one descent from x_max
     terms = [t for chunk in _descent_terms(spec, z, x_max, _inner_tail(spec, x_max)) for t in chunk]
     moment = None
@@ -548,7 +550,6 @@ def build_bd_report(
             moment = exp_moment_hitting(spec, z, lambda0, x_max=max(x_max, z + 2))
         except DivergentMomentError:
             moment = None
-    sup_lo, sup_hi = hitting_from_infinity(spec, z)
     return BdHittingReport(
         b=b,
         d=d,

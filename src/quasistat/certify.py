@@ -24,8 +24,10 @@ from how it is built:
                       the window truncates.
 
 A certificate computes only what gamma reads: c2, for instance, is its
-proved floor alone, and building a certificate evolves no law or
-function past t = 1.
+proved floor alone.  Building one evolves a single function-side block
+to t = 1 and nothing past it: the anchor indicator, the constant 1 and
+the indicators of the other core states, from which c1, c2's step floor
+and the absorption-rate c3 are all read (_unit_step).
 """
 
 from __future__ import annotations
@@ -58,7 +60,8 @@ SOJOURN = "sojourn"
 ABSORPTION_RATE = "absorption_rate"
 BEST = "best"
 
-# Largest (states x columns) block c2 evolves at once: 8 MiB of float64.
+# Largest (states x columns) block the unit step evolves at once: 8 MiB
+# of float64.
 _BLOCK_ENTRIES = 2**20
 
 
@@ -93,18 +96,54 @@ def _core_exit_rates(chain: AbsorbedChain, core) -> tuple[np.ndarray, sparse.csr
     return out_idx, rows, into + refl.absorption_rates[out_idx]
 
 
-def _unit_step(chain: AbsorbedChain, x0: int) -> tuple[np.ndarray, np.ndarray]:
-    """(reach, alive): P_x(X_1 = x0) and P_x(alive at 1) for every
-    transient x, from one series on the block [e_x0, 1].  Cached on the
-    window per anchor, so c1 and the absorption-rate c3 evolve it once."""
-    key = ("unit_step", x0)
-    step = chain._cache.get(key)
-    if step is None:
-        block = np.zeros((chain.n_transient, 2))
-        block[x0 - 1, 0] = 1.0
-        block[:, 1] = 1.0
-        step = chain._cache[key] = tuple(evolve_function(chain, block, 1.0).T)
-    return step
+def _unit_step(
+    chain: AbsorbedChain, x0: int, core: tuple[int, ...] | None = None
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """(reach, alive, step_floor) from one series on the block
+    [e_x0, 1, e_j for j in core - {x0}] evolved to t = 1.
+
+    reach and alive are P_x(X_1 = x0) and P_x(alive at 1) for every
+    transient x, which c1 and the absorption-rate c3 read; step_floor is
+    min over x, j in core of P_x(X_1 = j), c2's floor for t >= 1 (core
+    contains x0 and defaults to {x0}).  Column j of a block is bit for
+    bit column j evolved alone, so the block changes no value.
+
+    The window caches (reach, alive) per anchor and step_floor per core,
+    and a call evolves only the columns it has no cached value for, so a
+    certificate evolves once.  The columns run in blocks of at most
+    _BLOCK_ENTRIES entries (two columns at the least), the first
+    carrying e_x0 and 1, and only each block's minimum over the core
+    rows is kept, so memory stays linear in the window.
+    """
+    core = (x0,) if core is None else core
+    cache = chain._cache
+    step = cache.get(("unit_step", x0))
+    floor = cache.get(("step_floor", core))
+    if step is not None and floor is not None:
+        return (*step, floor)
+    n = chain.n_transient
+    idx = np.array([x - 1 for x in core])
+    # the state of each indicator column to evolve; None is the column 1
+    hot = [x0 - 1, None] if step is None else []
+    if floor is None:
+        hot += [x - 1 for x in core if x != x0]
+    block_floor = math.inf
+    width = max(2, _BLOCK_ENTRIES // n)
+    for lo in range(0, len(hot), width):
+        cols = hot[lo:lo + width]
+        block = np.zeros((n, len(cols)))
+        for j, x in enumerate(cols):
+            block[slice(None) if x is None else x, j] = 1.0
+        out = evolve_function(chain, block, 1.0)
+        if step is None:
+            step = cache[("unit_step", x0)] = (out[:, 0].copy(), out[:, 1].copy())
+            out = out[:, 2:]
+        if out.shape[1]:
+            block_floor = min(block_floor, float(out[idx].min()))
+    if floor is None:
+        # the e_x0 column is reach itself
+        floor = cache[("step_floor", core)] = min(block_floor, float(step[0][idx].min()))
+    return (*step, floor)
 
 
 @dataclass
@@ -147,11 +186,21 @@ def compute_c1(chain: AbsorbedChain, x0: int) -> ConstantEstimate:
 
     Always an empirical_estimate: the value of this window, read off the
     shared unit step.  On truncated chains the worst start is typically
-    the window top, which moves when the window grows.
+    the window top, which moves when the window grows.  A state whose
+    survival to t = 1 underflows to 0 leaves the floor undefined and
+    raises CertificationError naming it.
     """
     if not 1 <= x0 <= chain.n_transient:
         raise ValidationError(f"x0={x0} outside transient states 1..{chain.n_transient}")
-    reach, alive = _unit_step(chain, x0)
+    reach, alive, _ = _unit_step(chain, x0)
+    dead = np.nonzero(alive <= 0.0)[0]
+    if dead.size:
+        # reach <= alive, so the ratio there is 0/0: no float carries it
+        raise CertificationError(
+            f"c1 is not computable on this window: the survival of state {dead[0] + 1} "
+            f"to t = 1 underflows to 0",
+            part="c1",
+        )
     ratios = reach / alive
     i = int(np.argmin(ratios))
     if ratios[i] <= 0.0:
@@ -170,7 +219,10 @@ def compute_c2(chain: AbsorbedChain, K) -> C2Bounds:
 
     Two proved floors, each uniform in t on its regime: a holding bound
     exp(-max exit rate on K) for t <= 1, and the worst K-to-K one-step
-    probability for t >= 1.  Both need evolution up to t = 1 only.
+    probability for t >= 1.  Both need evolution up to t = 1 only: the
+    step floor is read off the shared unit step (_unit_step), evolved
+    with the certificate's anchor when a certificate built it and with
+    the smallest core state otherwise.
     """
     core = _check_core(chain, K)
     idx = np.array([x - 1 for x in core])
@@ -179,19 +231,9 @@ def compute_c2(chain: AbsorbedChain, K) -> C2Bounds:
         return C2Bounds(certified=1.0, hold_floor=1.0, step_floor=1.0)
     q_max = float(np.max(chain.total_exit_rates()[idx]))
     hold_floor = math.exp(-q_max)
-
-    # column j of a block is the indicator of core state j, so entry (x, j)
-    # is P_x(X_1 = j): one series serves a whole block of K, and blocks
-    # of at most _BLOCK_ENTRIES entries keep memory linear in the window
-    n = chain.n_transient
-    width = max(1, _BLOCK_ENTRIES // n)
-    step_floor = math.inf
-    for lo in range(0, idx.size, width):
-        cols = idx[lo:lo + width]
-        basis = np.zeros((n, cols.size))
-        basis[cols, np.arange(cols.size)] = 1.0
-        reach = evolve_function(chain, basis, 1.0)
-        step_floor = min(step_floor, float(reach[idx].min()))
+    step_floor = chain._cache.get(("step_floor", core))
+    if step_floor is None:
+        step_floor = _unit_step(chain, core[0], core)[2]
     return C2Bounds(
         certified=min(hold_floor, step_floor), hold_floor=hold_floor, step_floor=step_floor
     )
@@ -441,6 +483,8 @@ def _certify(
     closed-form ceiling valid at the lambda0 the strategy yields)
     replaces the moment solve.
     """
+    # c1, c2's step floor and the absorption-rate c3 read one unit step
+    _unit_step(chain, x0, core)
     c1e = compute_c1(chain, x0)
     if c1e.failed or c1e.value <= 0:
         raise CertificationError(

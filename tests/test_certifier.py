@@ -94,10 +94,8 @@ def test_absorption_rate_c3_on_a_parametric_window_is_empirical():
     assert not r.failed and r.provenance == "empirical_estimate"
 
 
-def test_certificate_evolves_one_unit_step_per_window(monkeypatch):
-    # c1 and the absorption-rate c3 read the same [e_x0, 1] unit step, so
-    # the window evolves it once; c2's core block is the second
-    # evolution, and c4 solves without evolving
+def _count_evolutions(monkeypatch):
+    # the package's certify() shadows its module of the same name
     certify_module = importlib.import_module("quasistat.certify")
     calls = []
     evolve = certify_module.evolve_function
@@ -107,16 +105,32 @@ def test_certificate_evolves_one_unit_step_per_window(monkeypatch):
         return evolve(chain, *args, **kwargs)
 
     monkeypatch.setattr(certify_module, "evolve_function", counting_evolve)
+    return calls
+
+
+def test_certificate_evolves_one_unit_step_per_window(monkeypatch):
+    # c1, c2's step floor and the absorption-rate c3 read the same
+    # [e_x0, 1, e_K] unit step, so the window evolves once, and c4 solves
+    # without evolving
+    calls = _count_evolutions(monkeypatch)
     cert = certify(build_logistic(2.0, 1.0, 0.25, 128), [1, 2, 3], 1, c3_strategy=BEST)
     assert cert.gamma > 0
-    assert calls == [127, 127]
+    assert calls == [127]
+
+
+def test_criterion_certificate_evolves_one_unit_step(monkeypatch):
+    # the criterion route runs the same pipeline with a closed-form c4
+    calls = _count_evolutions(monkeypatch)
+    cert = derive_certificate_via_criterion(catastrophe_chain(128), range(1, 9), 1)
+    assert cert.gamma > 0
+    assert calls == [127]
 
 
 @pytest.mark.parametrize("boundary", ["reflect", "kill"])
 @pytest.mark.parametrize("n_states", [8, 63, 64, 130])
 def test_c3_floor_on_the_shared_unit_step_equals_the_single_column(boundary, n_states):
-    # the absorption-rate floor reads column e_x0 of the cached [e_x0, 1]
-    # block; it must equal the column evolved alone
+    # the absorption-rate floor reads column e_x0 of the cached unit step;
+    # it must equal the column evolved alone
     chain = truncate(BirthDeathSpec.logistic(2.0, 1.0, 0.25), n_states, boundary)
     r = compute_c3_lambda0(chain, x0=1, K=[1], strategy=ABSORPTION_RATE)
     assert not r.failed
@@ -128,6 +142,84 @@ def test_c3_floor_on_the_shared_unit_step_equals_the_single_column(boundary, n_s
     C = float((chain.absorption_rates + chain.kill_rates).max())
     guard = math.exp(min(0.0, C - chain.exit_rate(1)))
     assert r.c3 == min(1.0, alone * math.exp(C), guard)
+
+
+def _unit_step_oracle(chain, core, x0):
+    """c1, c2's step floor and the absorption-rate c3 floor from columns
+    evolved alone, one evolve_function call per column."""
+    n = chain.n_transient
+
+    def alone(x):
+        e = np.zeros(n)
+        e[x - 1] = 1.0
+        return evolve_function(chain, e, 1.0)
+
+    reach = alone(x0)
+    ratios = reach / evolve_function(chain, np.ones(n), 1.0)
+    idx = [y - 1 for y in core]
+    step_floor = min(float(alone(y)[idx].min()) for y in core)
+    return float(ratios.min()), step_floor, float(reach.min())
+
+
+def _unit_step_cases():
+    cases = []
+    for boundary in ("reflect", "kill"):
+        for n_states in (8, 63, 64, 130):
+            n = n_states - 1
+            core = tuple(range(1, min(n, 6) + 1))
+            for x0 in (core[0], core[len(core) // 2], core[-1]):
+                cases.append(pytest.param(boundary, n_states, core, x0, None,
+                                          id=f"{boundary}-{n_states}-K{len(core)}-x0={x0}"))
+            cases.append(pytest.param(boundary, n_states, (n,), n, None,
+                                      id=f"{boundary}-{n_states}-K1"))
+        # a core spanning at least 3 blocks: 3 columns per block, the first
+        # block e_x0, 1 and one core column
+        cases.append(pytest.param(boundary, 64, tuple(range(2, 12)), 6, 3,
+                                  id=f"{boundary}-64-K10-3-columns-per-block"))
+    return cases
+
+
+@pytest.mark.parametrize("boundary, n_states, core, x0, block_columns", _unit_step_cases())
+def test_shared_unit_step_block_equals_columns_evolved_alone(
+    monkeypatch, boundary, n_states, core, x0, block_columns
+):
+    chain = truncate(BirthDeathSpec.logistic(2.0, 1.0, 0.25), n_states, boundary)
+    calls = _count_evolutions(monkeypatch)
+    if block_columns is not None:
+        certify_module = importlib.import_module("quasistat.certify")
+        monkeypatch.setattr(certify_module, "_BLOCK_ENTRIES", block_columns * chain.n_transient)
+    c1, step_floor, reach_floor = _unit_step_oracle(chain, core, x0)
+
+    reach, alive, floor = _unit_step(chain, x0, core)
+    assert floor == step_floor
+    assert float(reach.min()) == reach_floor
+    assert compute_c1(chain, x0).value == c1
+    assert compute_c2(chain, core).step_floor == (1.0 if len(core) == 1 else step_floor)
+    r = compute_c3_lambda0(chain, x0, core, strategy=ABSORPTION_RATE)
+    C = float((chain.absorption_rates + chain.kill_rates).max())
+    guard = math.exp(min(0.0, C - chain.exit_rate(x0)))
+    assert r.c3 == min(1.0, reach_floor * math.exp(C), guard)
+    # e_x0, 1 and |K| - 1 core columns, one series per block; every read
+    # after the first is cached
+    assert len(calls) == (1 if block_columns is None else -(-(1 + len(core)) // block_columns))
+    assert block_columns is None or len(calls) >= 3
+    # only length-n columns and scalars stay behind
+    for key, value in chain._cache.items():
+        if key[0] == "unit_step":
+            assert all(col.shape == (chain.n_transient,) for col in value)
+        elif key[0] == "step_floor":
+            assert isinstance(value, float)
+
+
+def test_c2_alone_evolves_its_core_with_the_smallest_state_as_anchor(monkeypatch):
+    # without a certificate's anchor, c2 evolves [e_1, 1, e_2, ..., e_k]
+    # and leaves state 1's unit step cached for c1
+    chain = build_logistic(2.0, 1.0, 0.25, 100)
+    calls = _count_evolutions(monkeypatch)
+    compute_c2(chain, range(1, 12))
+    compute_c1(chain, 1)
+    compute_c3_lambda0(chain, 1, [1], strategy=ABSORPTION_RATE)
+    assert calls == [99]
 
 
 def test_c1_unreachable_anchor_fails():
@@ -184,7 +276,7 @@ def test_c2_step_floor_matches_column_loop_in_any_block_width(monkeypatch):
     # the package's certify() shadows its module of the same name
     certify_module = importlib.import_module("quasistat.certify")
     monkeypatch.setattr(certify_module, "_BLOCK_ENTRIES", 3 * chain.n_transient)
-    assert compute_c2(chain, core) == whole
+    assert compute_c2(build_logistic(2.0, 1.0, 0.25, 100), core) == whole
 
 
 def test_c2_empty_core_rejected():

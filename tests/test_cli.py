@@ -1,6 +1,8 @@
 import hashlib
 import subprocess
 import sys
+import time
+import warnings
 
 import pytest
 
@@ -77,6 +79,21 @@ def test_series_past_the_cap_is_computation_error(tmp_path, capsys):
     assert code == 1
     assert err.startswith("error:") and "cap" in err
     assert "Traceback" not in err
+
+
+def test_survival_underflow_names_c1_and_the_state(tmp_path, capsys):
+    # state 2 dies at rate 1000, so its survival to t = 1 underflows to 0
+    # and c1's ratio there is 0/0: a certification failure, not a bad value
+    p = tmp_path / "fast_death.txt"
+    p.write_text("states 3\nboundary reflect\nrate 1 2 1\nrate 1 0 1\nrate 2 0 1000\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(["certify", "--chain", str(p), "--K", "1", "--x0", "1", "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: c1 ")
+    assert "state 2" in err and "underflows" in err
+    assert not (tmp_path / "certificate.txt").exists()
 
 
 def test_missing_file_is_io_error(tmp_path, capsys):
@@ -294,6 +311,22 @@ def test_bd_artifacts(tmp_path, capsys):
     hitting = (tmp_path / "bd_hitting.csv").read_text().strip().splitlines()
     assert hitting[0].startswith("x,")
     assert len(hitting) == 12  # x = 2..12
+
+
+@pytest.mark.parametrize("logistic", [("1", "1", "0"), ("0.99999", "1", "0"), ("0.5", "1", "0")])
+def test_bd_without_competition_fails_fast_on_its_proof(tmp_path, capsys, logistic):
+    # c = 0 makes sum_k 1/d_k diverge; that proof must come before any
+    # ladder-tail scan, which for b >= d runs 10**6 levels and then blames
+    # the finite-x tail
+    start = time.perf_counter()
+    code = run(["bd", "--logistic", *logistic, "--out", str(tmp_path)])
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "c = 0: sum_k 1/d_k diverges" in err
+    assert "ladder tail" not in err
+    assert elapsed < 0.5
+    assert not (tmp_path / "bd_report.txt").exists()
 
 
 # -- decay -------------------------------------------------------------------------------------
