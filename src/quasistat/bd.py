@@ -452,7 +452,6 @@ def logistic_certificate(
     c: float,
     tol: float = 1e-10,
     z_max: int = 200,
-    n_max: int = 16384,
 ) -> LogisticCertificate:
     """Certify conditional mixing for the logistic chain (b, d, c).
 
@@ -473,9 +472,7 @@ def logistic_certificate(
             f"no core below {z_max} has a finite entry-time moment at rate {lambda0}",
             part="z0",
         )
-    qsd = compute_qsd_auto(
-        spec, tol=tol, boundary_mode=REFLECT, n_start=max(32, 4 * (z0 + 1)), n_max=n_max
-    )
+    qsd = compute_qsd_auto(spec, tol=tol, boundary_mode=REFLECT, n_start=max(32, 4 * (z0 + 1)))
     chain = qsd.chain
     if abs(chain.exit_rate(1) - lambda0) > 1e-12 * max(1.0, lambda0):
         raise CertificationError("window exit rate at 1 deviates from b + d", part="c3")

@@ -28,6 +28,10 @@ proved floor alone.  Building one evolves a single function-side block
 to t = 1 and nothing past it: the anchor indicator, the constant 1 and
 the indicators of the other core states, from which c1, c2's step floor
 and the absorption-rate c3 are all read (_unit_step).
+
+A constant that cannot be established raises CertificationError at the
+point where it fails, its part naming the constant (c1, c2, c3 or c4);
+no result carries a failure flag.
 """
 
 from __future__ import annotations
@@ -41,7 +45,6 @@ from scipy.sparse.linalg import spsolve
 
 from .chain import AbsorbedChain, _check_boundary_mode
 from .engine import (
-    SERIES_TOL,
     evolve_function,
     survival_vector,  # noqa: F401  re-exported: callers and tracers reach it here
 )
@@ -151,8 +154,6 @@ class ConstantEstimate:
     value: float
     provenance: str
     attained_at: int | None = None
-    failed: bool = False
-    failure_reason: str | None = None
 
 
 @dataclass
@@ -176,8 +177,6 @@ class C3Result:
     lambda0: float
     strategy: str
     provenance: str
-    failed: bool = False
-    failure_reason: str | None = None
     c4: ConstantEstimate | None = None
 
 
@@ -187,8 +186,9 @@ def compute_c1(chain: AbsorbedChain, x0: int) -> ConstantEstimate:
     Always an empirical_estimate: the value of this window, read off the
     shared unit step.  On truncated chains the worst start is typically
     the window top, which moves when the window grows.  A state whose
-    survival to t = 1 underflows to 0 leaves the floor undefined and
-    raises CertificationError naming it.
+    survival to t = 1 underflows to 0 leaves the floor undefined, and a
+    state that cannot reach x0 makes it vanish; either raises
+    CertificationError naming the state.
     """
     if not 1 <= x0 <= chain.n_transient:
         raise ValidationError(f"x0={x0} outside transient states 1..{chain.n_transient}")
@@ -204,12 +204,9 @@ def compute_c1(chain: AbsorbedChain, x0: int) -> ConstantEstimate:
     ratios = reach / alive
     i = int(np.argmin(ratios))
     if ratios[i] <= 0.0:
-        return ConstantEstimate(
-            value=0.0,
-            provenance=EMPIRICAL,
-            attained_at=i + 1,
-            failed=True,
-            failure_reason=f"state {i + 1} cannot reach {x0} within unit time on this window",
+        raise CertificationError(
+            f"c1 floor vanishes: state {i + 1} cannot reach {x0} within unit time on this window",
+            part="c1",
         )
     return ConstantEstimate(value=float(ratios[i]), provenance=EMPIRICAL, attained_at=i + 1)
 
@@ -222,7 +219,8 @@ def compute_c2(chain: AbsorbedChain, K) -> C2Bounds:
     probability for t >= 1.  Both need evolution up to t = 1 only: the
     step floor is read off the shared unit step (_unit_step), evolved
     with the certificate's anchor when a certificate built it and with
-    the smallest core state otherwise.
+    the smallest core state otherwise.  A vanishing floor raises
+    CertificationError.
     """
     core = _check_core(chain, K)
     idx = np.array([x - 1 for x in core])
@@ -234,9 +232,10 @@ def compute_c2(chain: AbsorbedChain, K) -> C2Bounds:
     step_floor = chain._cache.get(("step_floor", core))
     if step_floor is None:
         step_floor = _unit_step(chain, core[0], core)[2]
-    return C2Bounds(
-        certified=min(hold_floor, step_floor), hold_floor=hold_floor, step_floor=step_floor
-    )
+    certified = min(hold_floor, step_floor)
+    if not certified > 0:
+        raise CertificationError("c2 certified floor vanishes on K", part="c2")
+    return C2Bounds(certified=certified, hold_floor=hold_floor, step_floor=step_floor)
 
 
 def compute_c4(chain: AbsorbedChain, K, lambda0: float) -> ConstantEstimate:
@@ -282,9 +281,8 @@ def _c3_sojourn(chain: AbsorbedChain, x0: int, core) -> C3Result:
     # x0 is in K, so c3 = 1 with lambda0 = q(x0) is exact for the window.
     lam = chain.exit_rate(x0)
     if lam <= 0:
-        return C3Result(
-            c3=1.0, lambda0=0.0, strategy=SOJOURN, provenance=CERTIFIED,
-            failed=True, failure_reason=f"state {x0} has zero exit rate",
+        raise CertificationError(
+            f"c3 occupancy floor failed: state {x0} has zero exit rate", part="c3"
         )
     return C3Result(c3=1.0, lambda0=lam, strategy=SOJOURN, provenance=CERTIFIED)
 
@@ -299,16 +297,14 @@ def _c3_absorption_rate(chain: AbsorbedChain, x0: int, core) -> C3Result:
     dead_rates = chain.absorption_rates + chain.kill_rates
     C = float(dead_rates.max())
     if C <= 0:
-        return C3Result(
-            c3=0.0, lambda0=0.0, strategy=ABSORPTION_RATE, provenance=EMPIRICAL,
-            failed=True, failure_reason="chain is never absorbed inside the window",
+        raise CertificationError(
+            "c3 occupancy floor failed: chain is never absorbed inside the window", part="c3"
         )
     inf_reach = float(_unit_step(chain, x0)[0].min())
     if inf_reach <= 0:
-        return C3Result(
-            c3=0.0, lambda0=C, strategy=ABSORPTION_RATE, provenance=EMPIRICAL,
-            failed=True,
-            failure_reason=f"some window state cannot reach {x0} within unit time",
+        raise CertificationError(
+            f"c3 occupancy floor failed: some window state cannot reach {x0} within unit time",
+            part="c3",
         )
     guard = math.exp(min(0.0, C - chain.exit_rate(x0)))
     c3 = min(1.0, inf_reach * math.exp(C), guard)
@@ -323,32 +319,37 @@ def compute_c3_lambda0(chain: AbsorbedChain, x0: int, K, strategy: str = BEST) -
     (lambda0 = C, c3 from one-step reachability of x0).
     best: evaluate both, solve for c4 at each rate, keep the pair with
     the larger resulting gamma; the matching c4 rides along so callers
-    do not recompute it.
+    do not recompute it.  A strategy that fails raises
+    CertificationError(part="c3"); best skips it, or one whose moment
+    diverges, and raises only when neither is left.  A zero c3 (the
+    absorption-rate floor underflows when x0 exits far faster than C)
+    raises too.
     """
     core = _check_core(chain, K, x0)
     if strategy == SOJOURN:
         return _c3_sojourn(chain, x0, core)
     if strategy == ABSORPTION_RATE:
-        return _c3_absorption_rate(chain, x0, core)
-    if strategy != BEST:
+        best = _c3_absorption_rate(chain, x0, core)
+    elif strategy == BEST:
+        candidates = []
+        for route in (_c3_sojourn, _c3_absorption_rate):
+            try:
+                cand = route(chain, x0, core)
+                cand.c4 = compute_c4(chain, core, cand.lambda0)
+            except (CertificationError, DivergentMomentError):
+                continue
+            candidates.append(cand)
+        if not candidates:
+            raise CertificationError(
+                "no occupancy-decay strategy yields a finite exponential moment", part="c3"
+            )
+        # prefer the larger c3/c4 ratio; ties go to the sojourn construction
+        best = max(candidates, key=lambda r: (r.c3 / r.c4.value, r.strategy == SOJOURN))
+    else:
         raise ValidationError(f"unknown c3 strategy {strategy!r}")
-
-    candidates = []
-    for cand in (_c3_sojourn(chain, x0, core), _c3_absorption_rate(chain, x0, core)):
-        if cand.failed or cand.lambda0 <= 0:
-            continue
-        try:
-            cand.c4 = compute_c4(chain, core, cand.lambda0)
-        except DivergentMomentError:
-            continue
-        candidates.append(cand)
-    if not candidates:
-        raise CertificationError(
-            "no occupancy-decay strategy yields a finite exponential moment", part="c3"
-        )
-    # prefer the larger c3/c4 ratio; ties go to the sojourn construction
-    candidates.sort(key=lambda r: (r.c3 / r.c4.value, r.strategy == SOJOURN), reverse=True)
-    return candidates[0]
+    if not best.c3 > 0:
+        raise CertificationError("c3 occupancy floor failed: zero floor", part="c3")
+    return best
 
 
 @dataclass(frozen=True)
@@ -425,7 +426,6 @@ def assemble_certificate(
     n_states: int,
     boundary_mode: str,
     provenance: dict | None = None,
-    window_limited: bool = True,
 ) -> HypothesisCertificate:
     gamma = c1 * c2 * c3 / (2.0 * c4)
     if gamma == 0.0 and min(c1, c2, c3) > 0:
@@ -454,7 +454,6 @@ def assemble_certificate(
         n_states=int(n_states),
         boundary_mode=boundary_mode,
         provenance=dict(provenance or {}),
-        window_limited=window_limited,
     )
 
 
@@ -486,18 +485,8 @@ def _certify(
     # c1, c2's step floor and the absorption-rate c3 read one unit step
     _unit_step(chain, x0, core)
     c1e = compute_c1(chain, x0)
-    if c1e.failed or c1e.value <= 0:
-        raise CertificationError(
-            f"c1 floor vanishes: {c1e.failure_reason or 'no positive floor'}", part="c1"
-        )
     c2b = compute_c2(chain, core)
-    if not c2b.certified > 0:
-        raise CertificationError("c2 certified floor vanishes on K", part="c2")
     c3r = compute_c3_lambda0(chain, x0, core, strategy=c3_strategy)
-    if c3r.failed or not c3r.c3 > 0:
-        raise CertificationError(
-            f"c3 occupancy floor failed: {c3r.failure_reason or 'zero floor'}", part="c3"
-        )
     c4e = c4 if c4 is not None else c3r.c4
     if c4e is None:
         try:
@@ -522,7 +511,6 @@ def _certify(
             "c3": c3r.provenance,
             "c4": c4e.provenance,
         },
-        window_limited=True,
     )
 
 
@@ -550,7 +538,7 @@ def check_ratio_inequality(
     t_cur = 0.0
     worst = math.inf
     for t in ts:
-        h = evolve_function(chain, h, t - t_cur, SERIES_TOL)
+        h = evolve_function(chain, h, t - t_cur)
         t_cur = t
         hmax = float(h.max())
         if hmax < 1e-300:

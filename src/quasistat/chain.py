@@ -174,6 +174,30 @@ class DistributionOnStates:
         return f"DistributionOnStates(n_states={self.n_states})"
 
 
+def law_weights(chain: AbsorbedChain, mu, what: str = "law") -> np.ndarray:
+    """Weights over states 1..n_transient of a law on the window.
+
+    mu is a DistributionOnStates of the window or a raw weight array
+    (finite, non-negative, positive finite total; it need not sum to 1,
+    and comes back as given).  what names the law in the errors.
+    """
+    if isinstance(mu, DistributionOnStates):
+        if mu.n_states != chain.n_states:
+            raise ValidationError(
+                f"{what} lives on {mu.n_states} states but the window has {chain.n_states}"
+            )
+        return mu.weights
+    weights = np.asarray(mu, dtype=np.float64)
+    if weights.shape != (chain.n_transient,):
+        raise ValidationError(f"{what} length does not match the window")
+    if not np.all(np.isfinite(weights)) or np.any(weights < 0):
+        raise ValidationError(f"{what} weights must be finite and >= 0")
+    total = float(weights.sum())
+    if not (total > 0 and math.isfinite(total)):
+        raise ValidationError(f"{what} weights must have positive finite total mass")
+    return weights
+
+
 class AbsorbedChain:
     """An absorbed CTMC restricted to the window {0..N}.
 

@@ -161,14 +161,12 @@ def compute_alpha_K(chain: AbsorbedChain, K) -> tuple[float, int | None, list[st
     return value, at, notes
 
 
-def check_core_return(chain: AbsorbedChain, K) -> CriterionReport:
-    """Evaluate the core-return test alpha_K > C for a given core."""
+def _rate_report(chain: AbsorbedChain) -> CriterionReport:
+    """C, q_bar, alpha and the uniform-rates verdict, with no core yet."""
     C, c_at = compute_absorption_sup(chain)
-    q_bar, _, q_notes = compute_q_bar(chain)
+    q_bar, _, notes = compute_q_bar(chain)
     alpha_uniform = compute_alpha_uniform(chain)
-    alpha_K, a_at, notes = compute_alpha_K(chain, K)
-    holds = alpha_K > C
-    rep = CriterionReport(
+    return CriterionReport(
         n_states=chain.n_states,
         boundary_mode=chain.boundary_mode,
         C=C,
@@ -176,58 +174,41 @@ def check_core_return(chain: AbsorbedChain, K) -> CriterionReport:
         q_bar=q_bar,
         alpha_uniform=alpha_uniform,
         uniform_rates_holds=bool(math.isfinite(q_bar) and alpha_uniform > C),
-        K=tuple(sorted({int(x) for x in K})),
-        alpha_K=alpha_K,
-        alpha_attained_at=a_at,
-        core_return_holds=holds,
-        notes=q_notes + notes,
+        notes=notes,
     )
-    if holds and math.isfinite(alpha_K):
-        rep.lambda0 = C
-        rep.c4_bound = alpha_K / (alpha_K - C)
-    elif holds:
-        rep.lambda0 = C
-        rep.c4_bound = 1.0
-        rep.notes.append("alpha_K infinite (vacuous); c4 bound degenerates to 1")
+
+
+def check_core_return(chain: AbsorbedChain, K) -> CriterionReport:
+    """Evaluate the core-return test alpha_K > C for a given core."""
+    rep = _rate_report(chain)
+    rep.alpha_K, rep.alpha_attained_at, notes = compute_alpha_K(chain, K)
+    rep.K = tuple(sorted({int(x) for x in K}))
+    rep.notes += notes
+    rep.core_return_holds = rep.alpha_K > rep.C
+    if rep.core_return_holds:
+        rep.lambda0 = rep.C
+        if math.isfinite(rep.alpha_K):
+            rep.c4_bound = rep.alpha_K / (rep.alpha_K - rep.C)
+        else:
+            rep.c4_bound = 1.0
+            rep.notes.append("alpha_K infinite (vacuous); c4 bound degenerates to 1")
     return rep
 
 
 def check_uniform_rates(chain: AbsorbedChain) -> CriterionReport:
     """Evaluate the uniform-rates test (bounded rates, column floor > C).
 
-    When it holds, a prefix core satisfying the core-return test is
-    attached, serving as a constructive witness of the implication.
+    When it holds, the report is check_core_return's for the smallest
+    prefix core that passes, a constructive witness of the implication.
     """
-    C, c_at = compute_absorption_sup(chain)
-    q_bar, _, q_notes = compute_q_bar(chain)
-    alpha_uniform = compute_alpha_uniform(chain)
-    holds = bool(math.isfinite(q_bar) and alpha_uniform > C)
-    rep = CriterionReport(
-        n_states=chain.n_states,
-        boundary_mode=chain.boundary_mode,
-        C=C,
-        C_attained_at=c_at,
-        q_bar=q_bar,
-        alpha_uniform=alpha_uniform,
-        uniform_rates_holds=holds,
-        notes=q_notes,
-    )
-    if holds:
-        K = find_minimal_core(chain)
-        if K is None:
-            rep.notes.append(
-                "uniform-rates test holds but no prefix core passes on this window"
-            )
-        else:
-            sub = check_core_return(chain, K)
-            rep.K = K
-            rep.alpha_K = sub.alpha_K
-            rep.alpha_attained_at = sub.alpha_attained_at
-            rep.core_return_holds = sub.core_return_holds
-            rep.lambda0 = sub.lambda0
-            rep.c4_bound = sub.c4_bound
-            rep.notes.extend(n for n in sub.notes if n not in rep.notes)
-    return rep
+    rep = _rate_report(chain)
+    if not rep.uniform_rates_holds:
+        return rep
+    K = find_minimal_core(chain)
+    if K is None:
+        rep.notes.append("uniform-rates test holds but no prefix core passes on this window")
+        return rep
+    return check_core_return(chain, K)
 
 
 def find_minimal_core(chain: AbsorbedChain, k_max: int | None = None) -> tuple[int, ...] | None:

@@ -3,9 +3,10 @@
 All evolution under the sub-generator is computed as a Poisson-weighted
 power series of the uniformized sub-stochastic step M = I + Q/L, with L
 the largest exit rate.  The series is truncated when the remaining
-Poisson tail mass drops below ``series_tol``; every term of M is
-non-negative, so the truncation error in any computed vector is bounded
-by series_tol times its input mass.  No matrix exponentials are formed.
+Poisson tail mass drops below the constant SERIES_TOL; every term of M
+is non-negative, so the truncation error in any computed vector is
+bounded by SERIES_TOL times its input mass.  No matrix exponentials are
+formed.  A law handed in as raw weights is checked by chain.law_weights.
 
 The quasi-stationary law is not found by evolution: it is solved by
 inverse iteration on one sparse LU of the sub-generator, at a cost that
@@ -41,11 +42,21 @@ from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import splu
 from scipy.special import gammaln, pdtr, pdtrik, xlogy
 
-from .chain import REFLECT, AbsorbedChain, BirthDeathSpec, DistributionOnStates, truncate
+from .chain import (
+    REFLECT,
+    AbsorbedChain,
+    BirthDeathSpec,
+    DistributionOnStates,
+    law_weights,
+    truncate,
+)
 from .errors import ComputationError, NonConvergenceError, ValidationError
 from .textio import fmt, write_csv
 
 SERIES_TOL = 1e-13
+
+# Largest window compute_qsd_auto grows to, in states.
+QSD_AUTO_MAX_STATES = 16384
 
 # Longest Poisson series evolution will run, in terms (= operator
 # products).  The weights alone take 8 bytes per term.
@@ -106,7 +117,7 @@ def _poisson_weights(mu: float, series_tol: float) -> np.ndarray:
     return np.exp(xlogy(ks, mu) - gammaln(ks + 1) - mu)
 
 
-def _evolve(chain: AbsorbedChain, vec: np.ndarray, t: float, series_tol: float, side: str) -> np.ndarray:
+def _evolve(chain: AbsorbedChain, vec: np.ndarray, t: float, side: str) -> np.ndarray:
     if t < 0 or not math.isfinite(t):
         raise ValidationError(f"time must be finite and >= 0, got {t}")
     v = np.asarray(vec, dtype=np.float64)
@@ -119,7 +130,7 @@ def _evolve(chain: AbsorbedChain, vec: np.ndarray, t: float, series_tol: float, 
     if mu == 0.0:
         return v.copy()
     try:
-        w = _poisson_weights(mu, series_tol)
+        w = _poisson_weights(mu, SERIES_TOL)
     except ComputationError as exc:
         raise ComputationError(
             f"evolution over t={t} at uniformization rate L={op.lam:.3e} on the "
@@ -168,57 +179,47 @@ def _csr_step(A: sparse.csr_matrix, m: int):
     return step
 
 
-def evolve_measure(chain: AbsorbedChain, v, t: float, series_tol: float = SERIES_TOL) -> np.ndarray:
+def evolve_measure(chain: AbsorbedChain, v, t: float) -> np.ndarray:
     """Push a (possibly unnormalized) mass vector forward for time t.
 
     v may be an (n,) vector or an (n, m) block of m measures; column j
     of the result equals evolve_measure on column j alone, bit for bit.
     """
-    return _evolve(chain, v, t, series_tol, "measure")
+    return _evolve(chain, v, t, "measure")
 
 
-def evolve_function(chain: AbsorbedChain, u, t: float, series_tol: float = SERIES_TOL) -> np.ndarray:
+def evolve_function(chain: AbsorbedChain, u, t: float) -> np.ndarray:
     """Pull a function on transient states back for time t.
 
     u may be an (n,) vector or an (n, m) block of m functions; column j
     of the result equals evolve_function on column j alone, bit for bit.
     """
-    return _evolve(chain, u, t, series_tol, "function")
-
-
-def _as_weights(chain: AbsorbedChain, mu) -> np.ndarray:
-    if isinstance(mu, DistributionOnStates):
-        if mu.n_states != chain.n_states:
-            raise ValidationError(
-                f"distribution lives on {mu.n_states} states but chain has {chain.n_states}"
-            )
-        return mu.weights
-    return np.asarray(mu, dtype=np.float64)
+    return _evolve(chain, u, t, "function")
 
 
 # -- public evolution API --------------------------------------------------
 
 
-def transition_operator(chain: AbsorbedChain, mu, t: float, series_tol: float = SERIES_TOL) -> np.ndarray:
+def transition_operator(chain: AbsorbedChain, mu, t: float) -> np.ndarray:
     """Unnormalized sub-probability vector: mass still alive per state at t.
 
     The total of the returned vector is the survival probability of the
     input law; it is strictly less than 1 for t > 0 whenever absorption
     is reachable.
     """
-    return evolve_measure(chain, _as_weights(chain, mu), t, series_tol)
+    return evolve_measure(chain, law_weights(chain, mu), t)
 
 
-def survival_vector(chain: AbsorbedChain, t: float, series_tol: float = SERIES_TOL) -> np.ndarray:
+def survival_vector(chain: AbsorbedChain, t: float) -> np.ndarray:
     """P_x(T_0 and top-kill both after t) for every transient x."""
     ones = np.ones(chain.n_transient)
-    return evolve_function(chain, ones, t, series_tol)
+    return evolve_function(chain, ones, t)
 
 
-def survival_probability(chain: AbsorbedChain, x: int, t: float, series_tol: float = SERIES_TOL) -> float:
+def survival_probability(chain: AbsorbedChain, x: int, t: float) -> float:
     if not 1 <= x <= chain.n_transient:
         raise ValidationError(f"state {x} outside transient range 1..{chain.n_transient}")
-    return float(survival_vector(chain, t, series_tol)[x - 1])
+    return float(survival_vector(chain, t)[x - 1])
 
 
 def tv_distance(mu, nu) -> float:
@@ -240,11 +241,9 @@ def _normalize_mass(v: np.ndarray, what: str) -> tuple[np.ndarray, float]:
     return v / total, total
 
 
-def conditional_distribution(
-    chain: AbsorbedChain, mu, t: float, series_tol: float = SERIES_TOL
-) -> DistributionOnStates:
+def conditional_distribution(chain: AbsorbedChain, mu, t: float) -> DistributionOnStates:
     """Law at time t conditioned on not yet being absorbed (nor killed)."""
-    v = transition_operator(chain, mu, t, series_tol)
+    v = transition_operator(chain, mu, t)
     law, _ = _normalize_mass(v, f"conditional law at t={t}")
     return DistributionOnStates(law, _skip_checks=True)
 
@@ -255,7 +254,6 @@ def conditional_propagator(
     s: float,
     t: float,
     horizon: float,
-    series_tol: float = SERIES_TOL,
 ) -> DistributionOnStates:
     """Propagate a time-s law to time t under conditioning on survival
     up to the fixed later horizon.
@@ -271,16 +269,16 @@ def conditional_propagator(
         raise ValidationError(
             f"need 0 <= s <= t <= horizon finite, got s={s}, t={t}, horizon={horizon}"
         )
-    w = _as_weights(chain, mu).copy()
+    w = law_weights(chain, mu).copy()
     ones = np.ones(chain.n_transient)
-    h_after_t = evolve_function(chain, ones, horizon - t, series_tol)
+    h_after_t = evolve_function(chain, ones, horizon - t)
     # survival from time s = survival from t pulled back another t - s;
     # both are only needed up to scale, so renormalize to dodge underflow
     m = float(h_after_t.max())
     if m < _NULL_MASS:
         raise ComputationError("survival to the horizon is numerically null from every state")
     h_after_t = h_after_t / m
-    h_after_s = evolve_function(chain, h_after_t, t - s, series_tol)
+    h_after_s = evolve_function(chain, h_after_t, t - s)
 
     alive = w > 0
     if np.any(alive & (h_after_s < _NULL_MASS)):
@@ -290,7 +288,7 @@ def conditional_propagator(
         )
     tilted = np.zeros_like(w)
     tilted[alive] = w[alive] / h_after_s[alive]
-    moved = evolve_measure(chain, tilted, t - s, series_tol)
+    moved = evolve_measure(chain, tilted, t - s)
     out = moved * h_after_t
     law, _ = _normalize_mass(out, f"conditioned propagation to t={t} under horizon {horizon}")
     return DistributionOnStates(law, _skip_checks=True)
@@ -305,7 +303,6 @@ class ConvergenceTrace:
 
     times: np.ndarray
     tv_to_limit: np.ndarray
-    tv_between_pair: np.ndarray | None = None
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=np.float64)
@@ -316,10 +313,6 @@ class ConvergenceTrace:
             raise ValidationError("trace times must be strictly increasing")
         if np.any(self.tv_to_limit < 0) or np.any(self.tv_to_limit > 2 + 1e-12):
             raise ValidationError("TV values must lie in [0, 2]")
-        if self.tv_between_pair is not None:
-            self.tv_between_pair = np.asarray(self.tv_between_pair, dtype=np.float64)
-            if self.tv_between_pair.shape != self.times.shape:
-                raise ValidationError("trace arrays must have matching lengths")
 
 
 @dataclass
@@ -436,7 +429,7 @@ def check_qsd(chain: AbsorbedChain, rho, t_grid, tol: float) -> tuple[bool, floa
     Returns (all within tol, worst TV deviation).  Evolution along the
     grid is incremental, so later grid points reuse earlier work.
     """
-    w = _as_weights(chain, rho)
+    w = law_weights(chain, rho)
     ts = sorted(float(t) for t in t_grid)
     if any(t < 0 for t in ts):
         raise ValidationError("grid times must be >= 0")
@@ -444,7 +437,7 @@ def check_qsd(chain: AbsorbedChain, rho, t_grid, tol: float) -> tuple[bool, floa
     cur = w.copy()
     t_cur = 0.0
     for t in ts:
-        cur = evolve_measure(chain, cur, t - t_cur, SERIES_TOL)
+        cur = evolve_measure(chain, cur, t - t_cur)
         cur, _ = _normalize_mass(cur, f"conditional law at t={t}")
         t_cur = t
         worst = max(worst, float(np.abs(cur - w).sum()))
@@ -456,14 +449,14 @@ def compute_qsd_auto(
     tol: float = 1e-10,
     boundary_mode: str = REFLECT,
     n_start: int = 32,
-    n_max: int = 16384,
-    qsd_tol: float | None = None,
 ) -> QsdResult:
     """Grow the window until the computed QSD stops moving in TV.
 
-    The window size doubles from n_start; two consecutive windows whose
-    QSDs differ by less than tol (smaller embedded into larger) end the
-    search.  The result on the larger window is returned.
+    The window size doubles from n_start up to QSD_AUTO_MAX_STATES; two
+    consecutive windows whose QSDs differ by less than tol (smaller
+    embedded into larger) end the search.  The result on the larger
+    window is returned.  Each window's QSD is solved to min(tol/100,
+    1e-12).
     """
     if isinstance(source, AbsorbedChain):
         if source.source_spec is None:
@@ -473,11 +466,11 @@ def compute_qsd_auto(
         spec = source
     else:
         raise ValidationError(f"cannot auto-size a window for {type(source).__name__}")
-    inner_tol = qsd_tol if qsd_tol is not None else min(tol * 1e-2, 1e-12)
+    inner_tol = min(tol * 1e-2, 1e-12)
     n = max(4, n_start)
     prev = compute_qsd(truncate(spec, n, boundary_mode), tol=inner_tol)
     gap = math.inf
-    while n * 2 <= n_max:
+    while n * 2 <= QSD_AUTO_MAX_STATES:
         n *= 2
         cur = compute_qsd(truncate(spec, n, boundary_mode), tol=inner_tol)
         gap = tv_distance(prev.qsd.embed(cur.qsd.n_states), cur.qsd)
@@ -485,7 +478,7 @@ def compute_qsd_auto(
             return cur
         prev = cur
     raise NonConvergenceError(
-        f"QSD did not stabilize below window size {n_max} (last change {gap:.3e})"
+        f"QSD did not stabilize below window size {QSD_AUTO_MAX_STATES} (last change {gap:.3e})"
     )
 
 
@@ -496,12 +489,10 @@ def yaglom_limit(
     chain: AbsorbedChain,
     mu,
     tol: float = 1e-10,
-    t0: float = 1.0,
-    ratio: float = 2.0,
     max_steps: int = 200,
     crosscheck: bool = True,
 ) -> tuple[DistributionOnStates, ConvergenceTrace]:
-    """Limit of the conditional law from mu along a geometric time grid.
+    """Limit of the conditional law from mu along the time grid 1, 2, 4, ...
 
     Convergence is declared when the TV step between consecutive grid
     points falls below tol twice in a row.  The limit is cross-checked
@@ -509,17 +500,15 @@ def yaglom_limit(
     that shares no evolution code with this one); disagreement points at
     a window too small for the starting law and raises.
     """
-    if ratio <= 1:
-        raise ValidationError("grid ratio must exceed 1")
-    w = _as_weights(chain, mu)
+    w = law_weights(chain, mu)
     cur = w / w.sum()
     t_cur = 0.0
     times, laws = [], []
     small_streak = 0
     prev = cur
-    t = t0
+    t = 1.0
     for _ in range(max_steps):
-        cur = evolve_measure(chain, cur, t - t_cur, SERIES_TOL)
+        cur = evolve_measure(chain, cur, t - t_cur)
         cur, _ = _normalize_mass(cur, f"conditional law at t={t}")
         t_cur = t
         times.append(t)
@@ -529,7 +518,7 @@ def yaglom_limit(
         small_streak = small_streak + 1 if inc < tol else 0
         if small_streak >= 2:
             break
-        t *= ratio
+        t *= 2.0
     else:
         raise NonConvergenceError(
             f"conditional law still moving after {max_steps} geometric steps",
@@ -587,16 +576,16 @@ def decay_table(
         raise ValidationError("grid times must be >= 0")
     if rho is None:
         rho = compute_qsd(chain).qsd
-    r = _as_weights(chain, rho)
-    a = _as_weights(chain, mu).copy()
-    b = _as_weights(chain, nu).copy()
+    r = law_weights(chain, rho)
+    a = law_weights(chain, mu).copy()
+    b = law_weights(chain, nu).copy()
     a = a / a.sum()
     b = b / b.sum()
     rows = []
     t_cur = 0.0
     for t in ts:
         # both laws share one series: evolve them as an (n, 2) block
-        ab = evolve_measure(chain, np.column_stack((a, b)), t - t_cur, SERIES_TOL)
+        ab = evolve_measure(chain, np.column_stack((a, b)), t - t_cur)
         a, _ = _normalize_mass(ab[:, 0], f"conditional law at t={t}")
         b, _ = _normalize_mass(ab[:, 1], f"conditional law at t={t}")
         t_cur = t

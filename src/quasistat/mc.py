@@ -36,7 +36,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .chain import AbsorbedChain, DistributionOnStates
+from .chain import AbsorbedChain, DistributionOnStates, law_weights
 from .errors import ComputationError, ValidationError
 from .streams import derive_key, u01
 from .textio import fmt, write_csv
@@ -124,24 +124,9 @@ def _jump_tables(chain: AbsorbedChain) -> _JumpTables:
 
 
 def _initial_cumulative(chain: AbsorbedChain, mu) -> np.ndarray:
-    """Cumulative weights of the initial law over states 1..n_transient.
-
-    mu is a DistributionOnStates of the window or a raw weight array
-    (finite, non-negative, positive finite total; it need not sum to 1).
-    """
-    if isinstance(mu, DistributionOnStates):
-        if mu.n_states != chain.n_states:
-            raise ValidationError("initial law lives on a different window")
-        return np.cumsum(mu.weights)
-    weights = np.asarray(mu, dtype=np.float64)
-    if weights.shape != (chain.n_transient,):
-        raise ValidationError("initial law length does not match the window")
-    if not np.all(np.isfinite(weights)) or np.any(weights < 0):
-        raise ValidationError("initial law weights must be finite and >= 0")
-    cum = np.cumsum(weights)
-    if not (cum[-1] > 0 and math.isfinite(cum[-1])):
-        raise ValidationError("initial law weights must have positive finite total mass")
-    return cum
+    """Cumulative weights of the initial law over states 1..n_transient
+    (checked by law_weights; raw weights need not sum to 1)."""
+    return np.cumsum(law_weights(chain, mu, "initial law"))
 
 
 def _require_every_path_ends(jumps: _JumpTables, cum_init: np.ndarray, in_stop: np.ndarray) -> None:

@@ -44,7 +44,6 @@ def test_c1_positive_and_conditional():
     chain = catastrophe_chain()
     est = compute_c1(chain, x0=1)
     assert 0 < est.value <= 1
-    assert not est.failed
     # conditioning on survival can only raise the raw reach probability
     from quasistat import evolve_function
 
@@ -91,7 +90,7 @@ def test_certificate_fits_the_series_cap_of_its_own_window(monkeypatch, strategy
 def test_absorption_rate_c3_on_a_parametric_window_is_empirical():
     chain = build_logistic(1, 1, 1, 64)
     r = compute_c3_lambda0(chain, 1, [1, 2, 3], ABSORPTION_RATE)
-    assert not r.failed and r.provenance == "empirical_estimate"
+    assert r.provenance == "empirical_estimate"
 
 
 def _count_evolutions(monkeypatch):
@@ -133,7 +132,7 @@ def test_c3_floor_on_the_shared_unit_step_equals_the_single_column(boundary, n_s
     # it must equal the column evolved alone
     chain = truncate(BirthDeathSpec.logistic(2.0, 1.0, 0.25), n_states, boundary)
     r = compute_c3_lambda0(chain, x0=1, K=[1], strategy=ABSORPTION_RATE)
-    assert not r.failed
+    assert 0 < r.c3 <= 1
 
     e = np.zeros(chain.n_transient)
     e[0] = 1.0
@@ -195,10 +194,15 @@ def test_shared_unit_step_block_equals_columns_evolved_alone(
     assert float(reach.min()) == reach_floor
     assert compute_c1(chain, x0).value == c1
     assert compute_c2(chain, core).step_floor == (1.0 if len(core) == 1 else step_floor)
-    r = compute_c3_lambda0(chain, x0, core, strategy=ABSORPTION_RATE)
     C = float((chain.absorption_rates + chain.kill_rates).max())
     guard = math.exp(min(0.0, C - chain.exit_rate(x0)))
-    assert r.c3 == min(1.0, reach_floor * math.exp(C), guard)
+    c3 = min(1.0, reach_floor * math.exp(C), guard)
+    if c3 > 0:
+        assert compute_c3_lambda0(chain, x0, core, strategy=ABSORPTION_RATE).c3 == c3
+    else:
+        # at the window top the holding guard underflows: no floor
+        with pytest.raises(CertificationError, match="zero floor"):
+            compute_c3_lambda0(chain, x0, core, strategy=ABSORPTION_RATE)
     # e_x0, 1 and |K| - 1 core columns, one series per block; every read
     # after the first is cached
     assert len(calls) == (1 if block_columns is None else -(-(1 + len(core)) // block_columns))
@@ -225,9 +229,12 @@ def test_c2_alone_evolves_its_core_with_the_smallest_state_as_anchor(monkeypatch
 def test_c1_unreachable_anchor_fails():
     # one-way ladder: state 3 cannot come back to 1
     chain = build_from_entries([(1, 2, 1.0), (2, 3, 1.0), (3, 2, 0.0), (1, 0, 1.0)], 4)
-    est = compute_c1(chain, x0=1)
-    assert est.failed and est.value == 0.0
-    assert "cannot reach" in est.failure_reason
+    with pytest.raises(CertificationError) as ei:
+        compute_c1(chain, x0=1)
+    assert ei.value.part == "c1"
+    assert str(ei.value) == (
+        "c1 floor vanishes: state 2 cannot reach 1 within unit time on this window"
+    )
 
 
 def test_c1_rejects_bad_anchor():
@@ -298,7 +305,6 @@ def test_c3_sojourn_is_exact():
 def test_c3_absorption_rate_uses_worst_kill():
     chain = catastrophe_chain()
     r = compute_c3_lambda0(chain, x0=1, K=[1], strategy=ABSORPTION_RATE)
-    assert not r.failed
     assert r.lambda0 == pytest.approx(float(chain.absorption_rates.max()))
     assert 0 < r.c3 <= 1
 
@@ -311,12 +317,10 @@ def test_c3_best_attaches_matching_c4():
     assert r.c4.value == pytest.approx(direct.value)
     # best must not lose to either fixed strategy
     for s in (SOJOURN, ABSORPTION_RATE):
-        cand = compute_c3_lambda0(chain, x0=1, K=[1], strategy=s)
-        if cand.failed:
-            continue
         try:
+            cand = compute_c3_lambda0(chain, x0=1, K=[1], strategy=s)
             c4s = compute_c4(chain, [1], cand.lambda0)
-        except DivergentMomentError:
+        except (CertificationError, DivergentMomentError):
             continue
         assert r.c3 / r.c4.value >= cand.c3 / c4s.value - 1e-12
 
@@ -406,6 +410,68 @@ def test_certify_names_failing_part():
     with pytest.raises(CertificationError) as ei:
         certify(chain, K=[1], x0=1)
     assert ei.value.part == "c1"
+
+
+# each case: (rates (x, y, rate), K, strategy, failing part, message); the
+# window holds the states the rates name
+_FAILING_CERTIFICATES = {
+    # state 3 jumps only to 1, so P_3(X_1 = 3) = 0: c2's step floor vanishes
+    "c2-step-floor": (
+        [(1, 2, 1.0), (2, 1, 1.0), (3, 1, 1.0), (1, 0, 1.0)], [1, 3], BEST, "c2",
+        "c2 certified floor vanishes on K",
+    ),
+    # the moment off {1} diverges at both rates: 0.2 (sojourn) and 0.1 (C)
+    "c3-no-strategy": (
+        [(1, 2, 0.1), (1, 0, 0.1), (2, 1, 0.1)], [1], BEST, "c3",
+        "no occupancy-decay strategy yields a finite exponential moment",
+    ),
+    "c4-sojourn-rate": (
+        [(1, 2, 0.1), (1, 0, 0.1), (2, 1, 0.1)], [1], SOJOURN, "c4",
+        "exponential moment diverges at lambda0=0.2 "
+        "(solution leaves the feasible cone; residual 0.000e+00)",
+    ),
+    "c3-anchor-never-leaves": (
+        [(2, 1, 1.0), (2, 0, 1.0)], [1], SOJOURN, "c3",
+        "c3 occupancy floor failed: state 1 has zero exit rate",
+    ),
+    "c3-window-never-absorbs": (
+        [(1, 2, 1.0), (2, 1, 1.0)], [1], ABSORPTION_RATE, "c3",
+        "c3 occupancy floor failed: chain is never absorbed inside the window",
+    ),
+    # state 1 exits at 1001 against C = 1: the holding guard exp(C - 1001)
+    # underflows to 0
+    "c3-zero-floor": (
+        [(1, 2, 1000.0), (2, 1, 1000.0), (1, 0, 1.0), (2, 0, 1.0)], [1], ABSORPTION_RATE, "c3",
+        "c3 occupancy floor failed: zero floor",
+    ),
+    # best keeps that pair: the sojourn moment diverges at rate 1001
+    "c3-zero-floor-best": (
+        [(1, 2, 1000.0), (2, 1, 1000.0), (1, 0, 1.0), (2, 0, 1.0)], [1], BEST, "c3",
+        "c3 occupancy floor failed: zero floor",
+    ),
+}
+
+
+@pytest.mark.filterwarnings("ignore::scipy.sparse.linalg.MatrixRankWarning")
+@pytest.mark.parametrize("case", _FAILING_CERTIFICATES)
+def test_certify_failure_names_part_and_reason(case):
+    entries, K, strategy, part, message = _FAILING_CERTIFICATES[case]
+    chain = build_from_entries(entries, 1 + max(max(x, y) for x, y, _ in entries))
+    with pytest.raises(CertificationError) as ei:
+        certify(chain, K, 1, c3_strategy=strategy)
+    assert ei.value.part == part
+    assert str(ei.value) == message
+
+
+def test_absorption_rate_c3_raises_when_the_anchor_is_unreachable():
+    # one-way ladder: states 2 and 3 never come back to 1
+    chain = build_from_entries([(1, 2, 1.0), (2, 3, 1.0), (1, 0, 1.0)], 4)
+    with pytest.raises(CertificationError) as ei:
+        compute_c3_lambda0(chain, 1, [1], ABSORPTION_RATE)
+    assert ei.value.part == "c3"
+    assert str(ei.value) == (
+        "c3 occupancy floor failed: some window state cannot reach 1 within unit time"
+    )
 
 
 def test_certificate_bound_monotone():

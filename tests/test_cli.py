@@ -96,6 +96,31 @@ def test_survival_underflow_names_c1_and_the_state(tmp_path, capsys):
     assert not (tmp_path / "certificate.txt").exists()
 
 
+@pytest.mark.filterwarnings("ignore::scipy.sparse.linalg.MatrixRankWarning")
+@pytest.mark.parametrize(
+    "chain, K, message",
+    [
+        # one-way ladder: states 2 and 3 never come back to 1
+        ("states 4\nrate 1 2 1\nrate 2 3 1\nrate 1 0 1\n", "1",
+         "c1 floor vanishes: state 2 cannot reach 1 within unit time on this window"),
+        # state 3 jumps only to 1: no one-step floor from 3 back to 3
+        ("states 4\nrate 1 2 1\nrate 2 1 1\nrate 3 1 1\nrate 1 0 1\n", "1,3",
+         "c2 certified floor vanishes on K"),
+        # the moment off {1} diverges at both candidate rates
+        ("states 3\nrate 1 2 0.1\nrate 1 0 0.1\nrate 2 1 0.1\n", "1",
+         "no occupancy-decay strategy yields a finite exponential moment"),
+    ],
+    ids=["c1", "c2", "c3"],
+)
+def test_certify_failure_prints_the_constant_and_exits_1(tmp_path, capsys, chain, K, message):
+    p = tmp_path / "fails.chain"
+    p.write_text(chain)
+    code = run(["certify", "--chain", str(p), "--K", K, "--x0", "1", "--out", str(tmp_path)])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "certificate.txt").exists()
+
+
 def test_missing_file_is_io_error(tmp_path, capsys):
     code = run(["qsd", "--chain", str(tmp_path / "nope.txt"), "--out", str(tmp_path)])
     assert code == 1

@@ -120,6 +120,17 @@ def test_core_return_failure():
     assert rep.c4_bound is None
 
 
+def test_core_return_on_the_whole_window_is_vacuous():
+    # K covers every transient state: alpha_K is +inf, so the test holds at
+    # lambda0 = C and the moment ceiling degenerates to 1
+    chain = catastrophe_chain()
+    rep = check_core_return(chain, list(chain.transient_states))
+    assert rep.core_return_holds and rep.alpha_K == math.inf
+    assert rep.lambda0 == rep.C
+    assert rep.c4_bound == 1.0
+    assert rep.notes[-1] == "alpha_K infinite (vacuous); c4 bound degenerates to 1"
+
+
 def test_alternating_chain_splits_the_verdicts():
     chain = alternating_catastrophe_chain()
     rep = check_uniform_rates(chain)
@@ -137,6 +148,8 @@ def test_uniform_rates_attaches_witness_core():
     assert rep.K == (1,)
     assert rep.core_return_holds
     assert rep.c4_bound == pytest.approx(1.5)
+    # the report is the witness core's own core-return report
+    assert rep == check_core_return(chain, rep.K)
 
 
 def test_uniform_rates_prefix_scan_can_fail():

@@ -24,14 +24,19 @@ from quasistat import (
     batch_to_csv,
     build_from_entries,
     build_logistic,
+    check_qsd,
     compute_qsd,
     conditional_distribution,
     conditional_estimate,
+    conditional_propagator,
+    decay_table,
     ensembles_to_csv,
     fleming_viot,
     simulate_batch,
     tail_expected_hitting,
+    transition_operator,
     tv_distance,
+    yaglom_limit,
 )
 from quasistat import mc
 from quasistat.cli import main
@@ -300,19 +305,35 @@ def test_simulate_validates_arguments():
         simulate_batch(chain, DistributionOnStates.delta(1, 8), horizon=1.0, n_paths=10, seed=1)
 
 
-@pytest.mark.parametrize("run", ["simulate", "fv"])
+# every function that takes a law as raw weights, on a 16-state window;
+# Monte Carlo names it the initial law
+_delta = DistributionOnStates.delta(1, 16)
+_LAW_USERS = {
+    "simulate": lambda chain, w: simulate_batch(chain, w, horizon=1.0, n_paths=10, seed=1),
+    "fv": lambda chain, w: fleming_viot(chain, n_particles=10, horizon=1.0, seed=1, mu=w),
+    "transition_operator": lambda chain, w: transition_operator(chain, w, 1.0),
+    "conditional_distribution": lambda chain, w: conditional_distribution(chain, w, 1.0),
+    "conditional_propagator": lambda chain, w: conditional_propagator(chain, w, 0.0, 1.0, 2.0),
+    "check_qsd": lambda chain, w: check_qsd(chain, w, [1.0], tol=1e-6),
+    "yaglom_limit": lambda chain, w: yaglom_limit(chain, w),
+    "decay_table-mu": lambda chain, w: decay_table(chain, w, _delta, [1.0], rho=_delta),
+    "decay_table-nu": lambda chain, w: decay_table(chain, _delta, w, [1.0], rho=_delta),
+    "decay_table-rho": lambda chain, w: decay_table(chain, _delta, _delta, [1.0], rho=w),
+}
+
+
+@pytest.mark.parametrize("run", _LAW_USERS)
 @pytest.mark.parametrize(
     "weights",
-    [np.ones(5), np.zeros(15), -np.ones(15), np.full(15, np.nan), np.full(15, np.inf)],
-    ids=["wrong-length", "all-zero", "negative", "nan", "inf"],
+    [np.ones(5), np.zeros(15), -np.ones(15), np.full(15, np.nan), np.full(15, np.inf),
+     np.r_[2.0, np.zeros(13), -1.0]],
+    ids=["wrong-length", "all-zero", "negative", "nan", "inf", "one-negative"],
 )
 def test_raw_initial_law_is_validated(run, weights):
     chain = build_logistic(1.0, 1.0, 1.0, 16)
-    with pytest.raises(ValidationError, match="initial law"):
-        if run == "simulate":
-            simulate_batch(chain, weights, horizon=1.0, n_paths=10, seed=1)
-        else:
-            fleming_viot(chain, n_particles=10, horizon=1.0, seed=1, mu=weights)
+    with pytest.raises(ValidationError, match="initial law" if run in ("simulate", "fv") else "law"):
+        _LAW_USERS[run](chain, weights)
+
 
 
 def test_raw_initial_law_need_not_be_normalised():
