@@ -1,18 +1,20 @@
 """Finite-window models of continuous-time Markov chains absorbed at state 0.
 
 The state space is the window {0, 1, ..., N} with 0 absorbing and
-1..N transient.  A chain is stored as its sub-generator on the transient
-block (sparse, row-major) together with the absorption column Q(x, 0)
-and, in "kill" boundary mode, the rate lost upward through the top of
-the window.  Chains built from a parametric birth-death family remember
-their generating rule so the window can be regrown on demand.
+1..N transient.  A chain is built from its jumps between transient
+states, given as three arrays (source, target, rate), together with the
+absorption column Q(x, 0) and, in "kill" boundary mode, the rate lost
+upward through the top of the window; it is stored as its sub-generator
+on the transient block (sparse, row-major).  Chains built from a
+parametric birth-death family remember their generating rule so the
+window can be regrown on demand.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable
 
 import numpy as np
 from scipy import sparse
@@ -212,6 +214,12 @@ class AbsorbedChain:
     kill_rates : extra killing per state from truncation (zero except
         possibly at the top row in KILL mode, or as built).
     source_spec : the BirthDeathSpec this window was cut from, if any.
+
+    jumps is (src, dst, rate): three equal-length arrays, one entry per
+    jump src -> dst between transient states.  Zero rates are dropped.
+    Each exit rate sums absorption, killing and the row's jump rates in
+    the given order; a pair given twice has its rates summed in the
+    sub-generator.
     """
 
     def __init__(
@@ -219,7 +227,7 @@ class AbsorbedChain:
         *,
         n_states: int,
         boundary_mode: str,
-        off_diagonal: Mapping[tuple[int, int], float],
+        jumps: tuple,
         absorption_rates,
         kill_rates=None,
         source_spec: BirthDeathSpec | None = None,
@@ -244,34 +252,39 @@ class AbsorbedChain:
             if not np.all(np.isfinite(v)) or np.any(v < 0):
                 raise ValidationError(f"{label} rates must be finite and >= 0")
 
-        rows, cols, vals = [], [], []
-        out_rate = absorb + kill
-        for (x, y), r in off_diagonal.items():
-            if not (1 <= x <= n and 1 <= y <= n):
+        src = np.asarray(jumps[0], dtype=np.int64)
+        dst = np.asarray(jumps[1], dtype=np.int64)
+        rate = np.asarray(jumps[2], dtype=np.float64)
+        # the first bad jump in the given order, named by its first failed check
+        outside = (src < 1) | (src > n) | (dst < 1) | (dst > n)
+        diagonal = src == dst
+        bad_rate = ~np.isfinite(rate) | (rate < 0)
+        bad = outside | diagonal | bad_rate
+        if bad.any():
+            i = int(np.argmax(bad))
+            x, y = src[i], dst[i]
+            if outside[i]:
                 raise ValidationError(f"off-diagonal rate ({x} -> {y}) falls outside transient states 1..{n}")
-            if x == y:
+            if diagonal[i]:
                 raise ValidationError(f"diagonal entry ({x} -> {x}) may not be specified directly")
-            r = float(r)
-            if not math.isfinite(r) or r < 0:
-                raise ValidationError(f"rate ({x} -> {y}) must be finite and >= 0, got {r}")
-            if r == 0.0:
-                continue
-            rows.append(x - 1)
-            cols.append(y - 1)
-            vals.append(r)
-            out_rate[x - 1] += r
-
-        diag = -out_rate
-        rows.extend(range(n))
-        cols.extend(range(n))
-        vals.extend(diag)
+            raise ValidationError(f"rate ({x} -> {y}) must be finite and >= 0, got {float(rate[i])}")
+        keep = rate != 0.0
+        src, dst, rate = src[keep], dst[keep], rate[keep]
+        out_rate = absorb + kill
+        np.add.at(out_rate, src - 1, rate)
+        diag = np.arange(n)
         self.sub_generator = sparse.csr_matrix(
-            (vals, (rows, cols)), shape=(n, n), dtype=np.float64
+            (
+                np.concatenate((rate, -out_rate)),
+                (np.concatenate((src - 1, diag)), np.concatenate((dst - 1, diag))),
+            ),
+            shape=(n, n),
+            dtype=np.float64,
         )
         self.sub_generator.sum_duplicates()
         self.absorption_rates = absorb
         self.kill_rates = kill
-        self._off_diagonal = {k: float(v) for k, v in off_diagonal.items() if float(v) != 0.0}
+        self._jumps = (src, dst, rate)
         self._cache: dict = {}
 
     # -- basic geometry -------------------------------------------------
@@ -290,7 +303,9 @@ class AbsorbedChain:
             raise ValidationError("use exit_rate/diagonal for x == y")
         if y == 0:
             return float(self.absorption_rates[x - 1])
-        return self._off_diagonal.get((x, y), 0.0)
+        if not (1 <= x <= self.n_transient and 1 <= y <= self.n_transient):
+            return 0.0
+        return float(self.sub_generator[x - 1, y - 1])
 
     def exit_rate(self, x: int) -> float:
         """Total outflow rate -Q(x, x), truncation killing included."""
@@ -312,7 +327,7 @@ class AbsorbedChain:
         return AbsorbedChain(
             n_states=self.n_states,
             boundary_mode=REFLECT,
-            off_diagonal=self._off_diagonal,
+            jumps=self._jumps,
             absorption_rates=self.absorption_rates,
             kill_rates=None,
             source_spec=self.source_spec,
@@ -363,31 +378,32 @@ def truncate(spec: BirthDeathSpec, n_states: int, boundary_mode: str = REFLECT) 
     REFLECT drops the birth rate at the top state (conservative in the
     window); KILL keeps it as extra killing, so computed survival mass is
     a lower bound for the untruncated chain.
+
+    The rates of all levels come from one spec.rates_on call, so this
+    relies on the rate callables working elementwise on arrays, as
+    BirthDeathSpec documents.  The death at level 1 is the absorption
+    rate; the jumps list the deaths above level 1, then the births below
+    the top.
     """
     _check_boundary_mode(boundary_mode)
     if n_states < 2:
         raise ValidationError("window needs at least 2 states")
     n = n_states - 1
-    off: dict[tuple[int, int], float] = {}
+    up, down = spec.rates_on(1, n)
+    levels = np.arange(1, n + 1)
     absorb = np.zeros(n)
+    absorb[0] = down[0]
     kill = np.zeros(n)
-    for x in range(1, n + 1):
-        up, down = spec.rates_at(x)
-        if down > 0:
-            if x == 1:
-                absorb[0] = down
-            else:
-                off[(x, x - 1)] = down
-        if up > 0:
-            if x < n:
-                off[(x, x + 1)] = up
-            elif boundary_mode == KILL:
-                kill[n - 1] = up
-            # reflect: drop the top birth rate
+    if boundary_mode == KILL:
+        kill[n - 1] = up[n - 1]
     return AbsorbedChain(
         n_states=n_states,
         boundary_mode=boundary_mode,
-        off_diagonal=off,
+        jumps=(
+            np.concatenate((levels[1:], levels[:-1])),
+            np.concatenate((levels[:-1], levels[1:])),
+            np.concatenate((down[1:], up[:-1])),
+        ),
         absorption_rates=absorb,
         kill_rates=kill,
         source_spec=spec,
@@ -438,10 +454,11 @@ def build_from_entries(
                 f"target state {y} lies above the window top {n}; "
                 f"use KILL boundary mode or enlarge the window"
             )
+    pairs = np.array(list(off), dtype=np.int64).reshape(-1, 2)
     return AbsorbedChain(
         n_states=n_states,
         boundary_mode=boundary_mode,
-        off_diagonal=off,
+        jumps=(pairs[:, 0], pairs[:, 1], np.array(list(off.values()), dtype=np.float64)),
         absorption_rates=absorb,
         kill_rates=kill,
         source_spec=None,

@@ -25,6 +25,12 @@ rounding of the plain ``out + w * (M @ v)`` loop.  Conditioning on
 survival is always a final normalization step, never baked into the
 operator, so unnormalized survival mass stays available to callers.
 
+Every check along a time grid (check_qsd, yaglom_limit, decay_table,
+conditional_distribution, and certify's survival-ratio check) walks
+the grid with one generator, _walk: it checks the grid once, evolves
+each step from the previous grid time and rescales every column to
+mass 1, so a long grid never underflows.
+
 A series needs about L*t terms.  Past _MAX_SERIES_TERMS terms (stiff
 rates or long horizons) evolution raises ComputationError naming L, t
 and the window instead of allocating the weights.
@@ -241,10 +247,35 @@ def _normalize_mass(v: np.ndarray, what: str) -> tuple[np.ndarray, float]:
     return v / total, total
 
 
+def _walk(chain: AbsorbedChain, v, times, side: str):
+    """Yield (t, v_t) along the sorted grid, v_t rescaled to mass 1.
+
+    v is an (n,) vector or an (n, m) block; each column of v_t has mass
+    1.  Each step is evolved from the previous grid time (from 0 for
+    the first), so later grid points reuse earlier work, and the
+    rescaling keeps long grids clear of underflow.  The grid is checked
+    when the walk starts: every time finite and >= 0.
+    """
+    ts = [float(t) for t in times]
+    bad = [t for t in ts if not (math.isfinite(t) and t >= 0)]
+    if bad:
+        raise ValidationError(f"time must be finite and >= 0, got {bad[0]}")
+    evolve = evolve_measure if side == "measure" else evolve_function
+    what = "conditional law" if side == "measure" else "survival function"
+    t_cur = 0.0
+    for t in sorted(ts):
+        v = evolve(chain, v, t - t_cur)
+        t_cur = t
+        if v.ndim == 1:
+            v, _ = _normalize_mass(v, f"{what} at t={t}")
+        else:
+            v = np.column_stack([_normalize_mass(col, f"{what} at t={t}")[0] for col in v.T])
+        yield t, v
+
+
 def conditional_distribution(chain: AbsorbedChain, mu, t: float) -> DistributionOnStates:
     """Law at time t conditioned on not yet being absorbed (nor killed)."""
-    v = transition_operator(chain, mu, t)
-    law, _ = _normalize_mass(v, f"conditional law at t={t}")
+    _, law = next(_walk(chain, law_weights(chain, mu), [t], "measure"))
     return DistributionOnStates(law, _skip_checks=True)
 
 
@@ -430,16 +461,8 @@ def check_qsd(chain: AbsorbedChain, rho, t_grid, tol: float) -> tuple[bool, floa
     grid is incremental, so later grid points reuse earlier work.
     """
     w = law_weights(chain, rho)
-    ts = sorted(float(t) for t in t_grid)
-    if any(t < 0 for t in ts):
-        raise ValidationError("grid times must be >= 0")
     worst = 0.0
-    cur = w.copy()
-    t_cur = 0.0
-    for t in ts:
-        cur = evolve_measure(chain, cur, t - t_cur)
-        cur, _ = _normalize_mass(cur, f"conditional law at t={t}")
-        t_cur = t
+    for _, cur in _walk(chain, w, t_grid, "measure"):
         worst = max(worst, float(np.abs(cur - w).sum()))
     return worst < tol, worst
 
@@ -490,7 +513,6 @@ def yaglom_limit(
     mu,
     tol: float = 1e-10,
     max_steps: int = 200,
-    crosscheck: bool = True,
 ) -> tuple[DistributionOnStates, ConvergenceTrace]:
     """Limit of the conditional law from mu along the time grid 1, 2, 4, ...
 
@@ -498,19 +520,14 @@ def yaglom_limit(
     points falls below tol twice in a row.  The limit is cross-checked
     against compute_qsd on the same window (inverse iteration, a route
     that shares no evolution code with this one); disagreement points at
-    a window too small for the starting law and raises.
+    a window too small for the starting law and raises.  A reducible
+    window has no unique QSD and skips the cross-check.
     """
     w = law_weights(chain, mu)
-    cur = w / w.sum()
-    t_cur = 0.0
+    prev = w / w.sum()
     times, laws = [], []
     small_streak = 0
-    prev = cur
-    t = 1.0
-    for _ in range(max_steps):
-        cur = evolve_measure(chain, cur, t - t_cur)
-        cur, _ = _normalize_mass(cur, f"conditional law at t={t}")
-        t_cur = t
+    for t, cur in _walk(chain, prev, [2.0**k for k in range(max_steps)], "measure"):
         times.append(t)
         laws.append(cur)
         inc = float(np.abs(cur - prev).sum())
@@ -518,12 +535,11 @@ def yaglom_limit(
         small_streak = small_streak + 1 if inc < tol else 0
         if small_streak >= 2:
             break
-        t *= 2.0
     else:
         raise NonConvergenceError(
             f"conditional law still moving after {max_steps} geometric steps",
             trace=ConvergenceTrace(
-                np.array(times), np.abs(np.array(laws) - cur).sum(axis=1)
+                np.array(times), np.abs(np.array(laws) - prev).sum(axis=1)
             ),
         )
     limit = laws[-1]
@@ -531,18 +547,17 @@ def yaglom_limit(
         times=np.array(times),
         tv_to_limit=np.abs(np.array(laws) - limit).sum(axis=1),
     )
-    if crosscheck:
-        try:
-            ref = compute_qsd(chain, tol=min(tol, 1e-10))
-        except ValidationError:
-            ref = None  # reducible window: no unique QSD to compare against
-        if ref is not None:
-            gap = tv_distance(limit, ref.qsd.weights)
-            if gap > 10 * tol:
-                raise ComputationError(
-                    f"long-time conditional law disagrees with the QSD by TV {gap:.3e}; "
-                    f"the window (n_states={chain.n_states}) is likely too small"
-                )
+    try:
+        ref = compute_qsd(chain, tol=min(tol, 1e-10))
+    except ValidationError:
+        ref = None  # reducible window: no unique QSD to compare against
+    if ref is not None:
+        gap = tv_distance(limit, ref.qsd.weights)
+        if gap > 10 * tol:
+            raise ComputationError(
+                f"long-time conditional law disagrees with the QSD by TV {gap:.3e}; "
+                f"the window (n_states={chain.n_states}) is likely too small"
+            )
     return DistributionOnStates(limit, _skip_checks=True), trace
 
 
@@ -571,24 +586,15 @@ def decay_table(
     certificate, when given, must expose .bound(t); its value lands in
     the last column so tables are directly checkable against the bound.
     """
-    ts = sorted(float(t) for t in t_grid)
-    if any(t < 0 for t in ts):
-        raise ValidationError("grid times must be >= 0")
     if rho is None:
         rho = compute_qsd(chain).qsd
     r = law_weights(chain, rho)
-    a = law_weights(chain, mu).copy()
-    b = law_weights(chain, nu).copy()
-    a = a / a.sum()
-    b = b / b.sum()
+    a = law_weights(chain, mu)
+    b = law_weights(chain, nu)
     rows = []
-    t_cur = 0.0
-    for t in ts:
-        # both laws share one series: evolve them as an (n, 2) block
-        ab = evolve_measure(chain, np.column_stack((a, b)), t - t_cur)
-        a, _ = _normalize_mass(ab[:, 0], f"conditional law at t={t}")
-        b, _ = _normalize_mass(ab[:, 1], f"conditional law at t={t}")
-        t_cur = t
+    # both laws share one series: they walk as an (n, 2) block
+    for t, ab in _walk(chain, np.column_stack((a / a.sum(), b / b.sum())), t_grid, "measure"):
+        a, b = ab.T
         rows.append(
             DecayRow(
                 t=t,

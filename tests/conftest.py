@@ -6,6 +6,7 @@ from bisect import bisect_left
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from quasistat import (
     KILLED_STATE,
@@ -345,6 +346,40 @@ def jump_rows_oracle(chain):
         cum.append(cw)
         totals.append(acc)
     return targets, cum, totals
+
+
+def chain_oracle(n_states, off_diagonal, absorption_rates, kill_rates):
+    """(sub_generator, absorption, kill) of a window assembled entry by
+    entry from a {(x, y): rate} mapping, with AbsorbedChain's checks and
+    messages: each entry is checked in the mapping's order, zero rates
+    are skipped, and each exit rate adds the row's jump rates to
+    absorption plus killing in that order.  Shares no code with the
+    library's array constructor, which must match it bit for bit."""
+    n = n_states - 1
+    absorb = np.asarray(absorption_rates, dtype=np.float64)
+    kill = np.asarray(kill_rates, dtype=np.float64)
+    rows, cols, vals = [], [], []
+    out_rate = absorb + kill
+    for (x, y), r in off_diagonal.items():
+        if not (1 <= x <= n and 1 <= y <= n):
+            raise ValidationError(f"off-diagonal rate ({x} -> {y}) falls outside transient states 1..{n}")
+        if x == y:
+            raise ValidationError(f"diagonal entry ({x} -> {x}) may not be specified directly")
+        r = float(r)
+        if not math.isfinite(r) or r < 0:
+            raise ValidationError(f"rate ({x} -> {y}) must be finite and >= 0, got {r}")
+        if r == 0.0:
+            continue
+        rows.append(x - 1)
+        cols.append(y - 1)
+        vals.append(r)
+        out_rate[x - 1] += r
+    rows.extend(range(n))
+    cols.extend(range(n))
+    vals.extend(-out_rate)
+    Q = sparse.csr_matrix((vals, (rows, cols)), shape=(n, n), dtype=np.float64)
+    Q.sum_duplicates()
+    return Q, absorb, kill
 
 
 def simulate_batch_oracle(chain, mu, horizon, n_paths, seed, stop_on_set=None):

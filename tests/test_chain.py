@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quasistat import (
@@ -15,9 +15,11 @@ from quasistat import (
     build_logistic,
     load_chain_file,
     parse_chain_text,
+    truncate,
 )
+from quasistat.chain import AbsorbedChain
 
-from conftest import catastrophe_chain
+from conftest import catastrophe_chain, chain_oracle
 
 
 # -- parametric rates ------------------------------------------------------
@@ -276,6 +278,104 @@ def test_parse_errors_carry_line_numbers():
 def test_parse_rejects_window_violation_with_file_name():
     with pytest.raises(ValidationError, match="mychain"):
         parse_chain_text("states 3\nrate 2 3 1.0\nrate 1 0 1.0\n", name="mychain")
+
+
+# -- jump arrays against the entry-by-entry constructor ----------------------
+
+
+def _assert_matches_chain_oracle(chain, off, absorb, kill):
+    """The window and its reflecting twin against chain_oracle, byte for byte."""
+    for built, kill_rates in ((chain, kill), (chain.as_reflecting(), np.zeros_like(kill))):
+        Q, want_absorb, want_kill = chain_oracle(chain.n_states, off, absorb, kill_rates)
+        for name in ("data", "indices", "indptr"):
+            got, want = getattr(built.sub_generator, name), getattr(Q, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+        assert built.absorption_rates.tobytes() == want_absorb.tobytes()
+        assert built.kill_rates.tobytes() == want_kill.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.floats(min_value=0.0, max_value=10.0),
+    st.floats(min_value=0.0, max_value=10.0),
+    st.floats(min_value=1e-4, max_value=10.0),
+    st.integers(min_value=2, max_value=300),
+    st.sampled_from([REFLECT, KILL]),
+)
+def test_logistic_windows_match_chain_oracle(b, d, c, n_states, mode):
+    spec = BirthDeathSpec.logistic(b, d, c)
+    # the walk over levels that built the rate mapping of a window
+    n = n_states - 1
+    off, absorb, kill = {}, np.zeros(n), np.zeros(n)
+    for x in range(1, n + 1):
+        up, down = spec.rates_at(x)
+        if down > 0:
+            if x == 1:
+                absorb[0] = down
+            else:
+                off[(x, x - 1)] = down
+        if up > 0:
+            if x < n:
+                off[(x, x + 1)] = up
+            elif mode == KILL:
+                kill[n - 1] = up
+    _assert_matches_chain_oracle(truncate(spec, n_states, mode), off, absorb, kill)
+
+
+@st.composite
+def _entry_tables(draw):
+    n_states = draw(st.integers(min_value=2, max_value=8))
+    n = n_states - 1
+    mode = draw(st.sampled_from([REFLECT, KILL]))
+    top = n + 2 if mode == KILL else n
+    rate = st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=1e3))
+    entries = draw(st.lists(
+        st.tuples(st.integers(1, n), st.integers(0, top), rate), max_size=30
+    ))
+    return n_states, mode, [(x, y, r) for x, y, r in entries if x != y]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_entry_tables())
+# row 2 lists targets 4, 1, 3 out of column order, 4 twice, a zero rate
+# to 3 and a kill target above the window; 3 -> 4 is a lone zero
+@example((5, KILL, [(2, 4, 1.0), (2, 1, 0.5), (2, 3, 0.0), (2, 4, 0.1), (2, 6, 2.0),
+                    (2, 3, 0.3), (3, 4, 0.0), (1, 0, 1.0), (4, 3, 0.7)]))
+def test_entry_tables_match_chain_oracle(table):
+    n_states, mode, entries = table
+    # the accumulation that built the rate mapping of an entry table
+    n = n_states - 1
+    off, absorb, kill = {}, np.zeros(n), np.zeros(n)
+    for x, y, r in entries:
+        if y == 0:
+            absorb[x - 1] += r
+        elif y <= n:
+            off[(x, y)] = off.get((x, y), 0.0) + r
+        else:
+            kill[x - 1] += r
+    _assert_matches_chain_oracle(build_from_entries(entries, n_states, mode), off, absorb, kill)
+
+
+@pytest.mark.parametrize(
+    "jumps",
+    [
+        {(2, 3): 1.0, (1, 5): 1.0, (2, 2): 1.0},
+        {(1, 2): 1.0, (3, 3): -1.0, (0, 1): 1.0},
+        {(2, 3): math.nan, (1, 5): 1.0},
+        {(3, 1): 0.0, (2, 1): -2.0},
+    ],
+    ids=["outside", "diagonal-before-rate", "rate-before-outside", "negative"],
+)
+def test_jump_checks_name_the_first_bad_entry_like_chain_oracle(jumps):
+    with pytest.raises(ValidationError) as want:
+        chain_oracle(4, jumps, np.ones(3), np.zeros(3))
+    src, dst = np.array(list(jumps)).T
+    with pytest.raises(ValidationError) as got:
+        AbsorbedChain(
+            n_states=4, boundary_mode=REFLECT, jumps=(src, dst, list(jumps.values())),
+            absorption_rates=np.ones(3),
+        )
+    assert str(got.value) == str(want.value)
 
 
 # -- rate accessors ----------------------------------------------------------

@@ -96,7 +96,6 @@ def test_survival_underflow_names_c1_and_the_state(tmp_path, capsys):
     assert not (tmp_path / "certificate.txt").exists()
 
 
-@pytest.mark.filterwarnings("ignore::scipy.sparse.linalg.MatrixRankWarning")
 @pytest.mark.parametrize(
     "chain, K, message",
     [
@@ -119,6 +118,21 @@ def test_certify_failure_prints_the_constant_and_exits_1(tmp_path, capsys, chain
     assert code == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "certificate.txt").exists()
+
+
+def test_singular_moment_system_fails_without_a_warning(tmp_path, capsys):
+    # off {1} the moment system at rate C = 0.1 is exactly singular; the
+    # solver's warning becomes the divergence that ends the certificate
+    p = tmp_path / "singular.chain"
+    p.write_text("states 3\nrate 1 2 0.1\nrate 1 0 0.1\nrate 2 1 0.1\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run(["certify", "--chain", str(p), "--K", "1", "--x0", "1", "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == "error: no occupancy-decay strategy yields a finite exponential moment\n"
+    assert [str(w.message) for w in caught] == []
+    assert "Warning" not in err
 
 
 def test_missing_file_is_io_error(tmp_path, capsys):

@@ -17,7 +17,9 @@ from quasistat import (
     ValidationError,
     build_from_entries,
     build_logistic,
+    certify,
     check_qsd,
+    check_ratio_inequality,
     compute_qsd,
     compute_qsd_auto,
     conditional_distribution,
@@ -444,12 +446,6 @@ def test_yaglom_nonconvergence_raises():
         yaglom_limit(chain, DistributionOnStates.delta(1, 64), tol=1e-12, max_steps=2)
 
 
-def test_yaglom_crosscheck_can_be_disabled():
-    chain = build_logistic(1.0, 1.0, 1.0, 32)
-    lim, _ = yaglom_limit(chain, DistributionOnStates.delta(1, 32), tol=1e-9, crosscheck=False)
-    assert float(lim.weights.sum()) == pytest.approx(1.0)
-
-
 # -- decay tables and grids ----------------------------------------------------
 
 
@@ -474,6 +470,26 @@ def test_decay_table_without_certificate():
         assert math.isnan(r.certified_bound)
     assert rows[-1].tv_pair < rows[0].tv_pair
     assert rows[-1].tv_mu_to_qsd < 1e-6
+
+
+_GRID_WALKS = {
+    "check_qsd": lambda chain, grid: check_qsd(chain, compute_qsd(chain).qsd, grid, 1e-6),
+    "decay_table": lambda chain, grid: decay_table(
+        chain, DistributionOnStates.delta(1, chain.n_states),
+        DistributionOnStates.delta(3, chain.n_states), grid,
+    ),
+    "check_ratio_inequality": lambda chain, grid: check_ratio_inequality(
+        chain, certify(chain, K=[1], x0=1), grid
+    ),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -0.5])
+@pytest.mark.parametrize("walk", _GRID_WALKS)
+def test_time_grids_reject_nan_inf_and_negative_times(walk, bad):
+    chain = catastrophe_chain()
+    with pytest.raises(ValidationError, match=f"time must be finite and >= 0, got {bad}"):
+        _GRID_WALKS[walk](chain, [1.0, bad, 2.0])
 
 
 def test_csv_writers(tmp_path):
