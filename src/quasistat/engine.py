@@ -523,6 +523,8 @@ def yaglom_limit(
     a window too small for the starting law and raises.  A reducible
     window has no unique QSD and skips the cross-check.
     """
+    if max_steps < 1:
+        raise ValidationError(f"max_steps must be >= 1, got {max_steps}")
     w = law_weights(chain, mu)
     prev = w / w.sum()
     times, laws = [], []

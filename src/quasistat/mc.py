@@ -7,7 +7,9 @@ rerunning with the same seed reproduces results bit for bit.
 
 Both samplers read one table per chain: every state's jump targets and
 cumulative rates, the rows concatenated, from which a draw picks a jump
-by bisection.
+by bisection.  One step kernel, _step, moves many walkers by one jump
+each per numpy call: the jump choice, then the holding time in the new
+state.
 
 Independent paths run in lockstep: simulate_batch advances every live
 path by one jump per numpy step, drawing from all path streams at once.
@@ -20,17 +22,17 @@ The particle ensemble keeps n walkers moving under the chain dynamics;
 a walker that gets absorbed is instantly respawned on the position of a
 uniformly chosen other walker.  Its empirical law converges to the
 quasi-stationary law as n grows, which is the cross-check used against
-the exact engine.  Its events run one at a time in global time order,
-but each walker's next draws are prefetched in blocks, many walkers per
-numpy call; a draw's value depends only on its counter, so prefetching
-changes no output.
+the exact engine.  Its events are defined in global (time, particle
+index) order, yet walkers move in lockstep between respawns, their only
+coupling: an absorbed walker waits until the walker it copies has
+recorded its path past the respawn, then reads the position there from
+a short per-walker history.  The output equals the one-event-at-a-time
+loop bit for bit (the test suite keeps that loop as its reference).
 """
 
 from __future__ import annotations
 
-import heapq
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -53,10 +55,10 @@ _KIND_PARTICLE = 2
 # end-state sentinel for paths killed through the window top
 KILLED_STATE = -1
 
-# stream draws each Fleming-Viot particle holds ready, and the most one
-# event spends: the jump choice, a respawn choice and the holding time
-_FV_DEPTH = 16
-_FV_EVENT_DRAWS = 3
+# events each Fleming-Viot particle keeps in its history ring (at least
+# 2); a particle whose ring is full of entries a respawn may still read
+# waits, so this bounds both memory and how far walkers drift apart
+_FV_WIDTH = 32
 
 
 class _JumpTables(NamedTuple):
@@ -65,9 +67,8 @@ class _JumpTables(NamedTuple):
     Row x sits at start[x]:start[x + 1] of targets and cum; target 0 is
     absorption and -1 truncation killing.  cum holds the running sums of
     the row's rates, so its last entry is totals[x], the exit rate (0 for
-    a state that never leaves, whose row is empty).  The particle
-    ensemble bisects one row at a time and simulate_batch all rows at
-    once, both on this layout, which costs O(nnz) memory whatever the
+    a state that never leaves, whose row is empty).  _step bisects many
+    rows at once on this layout, which costs O(nnz) memory whatever the
     largest row.
     """
 
@@ -189,6 +190,38 @@ def _initial_states(cum_init: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.minimum(idx, cum_init.size - 1) + 1
 
 
+def _exit_times(jumps: _JumpTables, keys: np.ndarray, counters, x: np.ndarray, t) -> np.ndarray:
+    """When walkers that entered states x at times t leave them:
+    t - log(u) / q(x), u being draw `counters` of each stream; inf where
+    q(x) = 0, a state that never leaves."""
+    # math.log, not np.log: np.log's last bit depends on the SIMD code
+    # path, and the times must match the one-walker reference loops exactly
+    hold = np.fromiter(map(math.log, u01(keys, counters).tolist()), np.float64, len(x))
+    with np.errstate(divide="ignore"):
+        return t - hold / jumps.totals[x]
+
+
+def _step(jumps: _JumpTables, keys: np.ndarray, counters, x: np.ndarray, t):
+    """Move walkers in states x at times t by one jump each.
+
+    Draw `counters` picks the jump target by bisection of x's row; draw
+    counters + 1 is the holding time in the target.  Returns the targets
+    and the times the walkers leave them; a target <= 0 (absorption or
+    killing) has no holding time, and its time is meaningless.
+    """
+    # first row entry >= v, the row's last entry if none is
+    v = u01(keys, counters) * jumps.totals[x]
+    lo = jumps.start[x]
+    hi = jumps.start[x + 1] - 1
+    for _ in range(jumps.depth):
+        mid = (lo + hi) >> 1
+        below = jumps.cum[mid] < v
+        lo = np.where(below, mid + 1, lo)
+        hi = np.where(below, hi, mid)
+    y = jumps.targets[lo]
+    return y, _exit_times(jumps, keys, counters + 1, y, t)
+
+
 @dataclass
 class TrajectoryBatch:
     """Outcome of n independent paths run to absorption, a set hit,
@@ -269,44 +302,32 @@ def simulate_batch(
     hit = in_stop[x]
     end[hit], times[hit], status[hit] = x[hit], 0.0, STATUS_HIT_SET
     path, keys, x = path[~hit], keys[~hit], x[~hit]
-    t = np.zeros(path.size)
-    log = math.log
     # Every live path has made the same number of jumps, so all sit at
-    # the same draw counter: 2 per jump after the initial choice.
-    counter = 1
-    while path.size:
-        q = jumps.totals[x]
-        # math.log, not np.log: np.log's last bit depends on the SIMD
-        # code path, and the times must match the per-path loop exactly
-        hold = np.fromiter(map(log, u01(keys, counter).tolist()), np.float64, path.size)
-        with np.errstate(divide="ignore"):
-            t = t - hold / q  # a state with q = 0 holds forever: t = inf
-        out = t >= horizon
+    # the same draw counter: 2 per jump after the initial choice and the
+    # first holding time.
+    t = _exit_times(jumps, keys, 1, x, 0.0)
+    counter = 2
+    while True:
+        out = t >= horizon  # a state with q = 0 holds forever: t = inf
         if out.any():
             done = path[out]
             end[done], times[done], status[done] = x[out], horizon, STATUS_SURVIVED
             keep = ~out
-            path, keys, x, t, q = path[keep], keys[keep], x[keep], t[keep], q[keep]
-        # first row entry >= v, the row's last entry if none is
-        v = u01(keys, counter + 1) * q
-        lo = jumps.start[x]
-        hi = jumps.start[x + 1] - 1
-        for _ in range(jumps.depth):
-            mid = (lo + hi) >> 1
-            below = jumps.cum[mid] < v
-            lo = np.where(below, mid + 1, lo)
-            hi = np.where(below, hi, mid)
-        x = jumps.targets[lo]
-        out = (x <= 0) | in_stop[x]
+            path, keys, x, t = path[keep], keys[keep], x[keep], t[keep]
+        if not path.size:
+            break
+        y, t_next = _step(jumps, keys, counter, x, t)
+        out = (y <= 0) | in_stop[y]
         if out.any():
             done = path[out]
-            xo = x[out]
-            end[done], times[done] = xo, t[out]
+            yo = y[out]
+            end[done], times[done] = yo, t[out]
             status[done] = np.where(
-                xo == 0, STATUS_ABSORBED, np.where(xo < 0, STATUS_KILLED, STATUS_HIT_SET)
+                yo == 0, STATUS_ABSORBED, np.where(yo < 0, STATUS_KILLED, STATUS_HIT_SET)
             )
             keep = ~out
-            path, keys, x, t = path[keep], keys[keep], x[keep], t[keep]
+            path, keys, y, t_next = path[keep], keys[keep], y[keep], t_next[keep]
+        x, t = y, t_next
         counter += 2
 
     if horizon == math.inf and np.any(status == STATUS_SURVIVED):
@@ -366,14 +387,27 @@ def fleming_viot(
 ) -> list[ParticleEnsemble]:
     """Interacting-particle estimate of the quasi-stationary law.
 
-    Events run in global time order off one heap; an absorbed (or
-    killed) particle adopts the position of a uniformly drawn other
-    particle, the choice coming from its own stream so results do not
-    depend on event interleaving across particles.  Ties in event times
-    break by particle index.  Returns one snapshot per sample time
-    (default: just the horizon).  The order is sequential, so the event
-    loop moves one particle at a time; the stream draws it reads are
-    prefetched, _FV_DEPTH per particle, by vectorised u01 calls.
+    An absorbed (or killed) particle adopts the position of a uniformly
+    drawn other particle, the choice coming from its own stream.  The
+    reference order is sequential: events in global order of the key
+    (time, particle index), ties in time broken by index, each respawn
+    reading the other particle's position at its key.  Returns one
+    snapshot per sample time (default: just the horizon), with the
+    positions and the respawns up to that time.
+
+    The loop reaches the same result in numpy lockstep.  Each round it
+    resolves every respawn whose source particle has recorded its path
+    past the respawn key, takes the snapshots that every particle has
+    passed, and moves every free particle by one jump.  A particle whose
+    jump ends in absorption or killing draws its source k and blocks at
+    its key (a, i).  It resolves once k's frontier key, (next event time,
+    k) or k's own block key, exceeds (a, i); its new position is k's state
+    after k's last event keyed below (a, i).  The blocked particle with
+    the lowest key can always resolve, so the loop cannot deadlock.  Each
+    particle records its events in a ring of _FV_WIDTH (time, state)
+    entries.  An entry keyed at or below every frontier is read only as
+    the last such entry, so the others may be overwritten; a particle
+    whose oldest entry is still needed waits a round.
     """
     if n_particles < 2:
         raise ValidationError("the ensemble needs at least 2 particles to respawn")
@@ -392,84 +426,90 @@ def fleming_viot(
     cum_init = _initial_cumulative(chain, mu)
 
     jumps = _jump_tables(chain)
-    keys = derive_key(seed, _KIND_PARTICLE, np.arange(n_particles, dtype=np.uint64))[:, None]
-    offsets = np.arange(_FV_DEPTH, dtype=np.uint64)
-    # ready[i][p] is draw base[i] + p of particle i; used[i] of them are
-    # spent.  Draw 0 picks the start state and draw 1 the first holding
-    # time of a particle that can move.
-    base = np.zeros(n_particles, dtype=np.uint64)
-    first = u01(keys, offsets)
-    initial = _initial_states(cum_init, first[:, 0])
-    movable = jumps.totals[initial] > 0.0
-    heap = [
-        (-math.log(u) / q, int(i))
-        for i, u, q in zip(
-            np.flatnonzero(movable),
-            first[movable, 1].tolist(),
-            jumps.totals[initial[movable]].tolist(),
-        )
-    ]
-    heapq.heapify(heap)
-    # the event loop runs one particle at a time, on plain Python values
-    ready = first.tolist()
-    del first
-    used = np.where(movable, 2, 1).tolist()
-    positions = initial.tolist()
-    start, targets = jumps.start.tolist(), jumps.targets.tolist()
-    cum, totals = jumps.cum.tolist(), jumps.totals.tolist()
+    n, width, last = n_particles, _FV_WIDTH, n_particles - 1
+    ids = np.arange(n)
+    keys = derive_key(seed, _KIND_PARTICLE, ids.astype(np.uint64))
+    # draw 0 picks the start state and draw 1 the first holding time
+    x = _initial_states(cum_init, u01(keys, 0))
+    front = _exit_times(jumps, keys, 1, x, 0.0)  # next event time, or block time
+    counter = np.full(n, 2, dtype=np.uint64)
+    blocked = np.zeros(n, dtype=bool)
+    source = np.zeros(n, dtype=np.int64)  # whom a blocked particle copies
+    # ring of each particle's latest events, oldest at slot tail[i]; read
+    # from there the times never decrease, and unwritten slots hold the
+    # start state at -inf
+    ring_t = np.full((n, width), -np.inf)
+    ring_x = np.repeat(x.astype(np.int32)[:, None], width, axis=1)
+    tail = np.zeros(n, dtype=np.int64)
 
-    log = math.log
-    last = n_particles - 1
-    redraws = 0
+    def record(i, t, y):
+        ring_t[i, tail[i]] = t
+        ring_x[i, tail[i]] = y
+        tail[i] = (tail[i] + 1) % width
+
+    def state_at(i, below):
+        # particle i's state after its last event timed below `below`
+        passed = np.count_nonzero(ring_t[i] < below[:, None], axis=1)
+        return ring_x[i, (tail[i] + passed - 1) % width]
+
+    times = np.array(samples)
+    t_end = samples[-1]
+    # respawns resolved per sample: redraws[s] counts those timed in
+    # (times[s - 1], times[s]]
+    redraws = np.zeros(len(samples) + 1, dtype=np.int64)
     snapshots: list[ParticleEnsemble] = []
-    for tau in samples:
-        while heap and heap[0][0] <= tau:
-            # the event stays on top until replaced; entries are distinct
-            # (time, index) pairs, so pop order depends only on their set
-            t_ev, i = heap[0]
-            p = used[i]
-            if p > _FV_DEPTH - _FV_EVENT_DRAWS:
-                # refill every particle that has spent half its block, i
-                # among them, each from its own next counter
-                spent = np.array(used)
-                wave = np.flatnonzero(spent >= _FV_DEPTH // 2)
-                base[wave] += spent[wave].astype(np.uint64)
-                fresh = u01(keys[wave], base[wave, None] + offsets).tolist()
-                for w, block in zip(wave.tolist(), fresh):
-                    ready[w] = block
-                    used[w] = 0
-                p = 0
-            draws = ready[i]
-            x = positions[i]
-            # first row entry >= the draw, the row's last entry if none is
-            y = targets[bisect_left(cum, draws[p] * totals[x], start[x], start[x + 1] - 1)]
-            p += 1
-            if y <= 0:  # absorbed or killed: respawn on another particle
-                k = int(draws[p] * last)
-                p += 1
-                if k >= last:
-                    k = last - 1
-                if k >= i:
-                    k += 1
-                y = positions[k]
-                redraws += 1
-            positions[i] = y
-            q = totals[y]
-            if q > 0.0:
-                heapq.heapreplace(heap, (t_ev - log(draws[p]) / q, i))
-                p += 1
-            else:
-                heapq.heappop(heap)
-            used[i] = p
-        snapshots.append(
-            ParticleEnsemble(
-                time=tau,
-                n_particles=n_particles,
-                positions=np.array(positions, dtype=np.int64),
-                redraw_count=redraws,
+    while True:
+        waiting = np.flatnonzero(blocked)
+        if waiting.size:
+            k, a = source[waiting], front[waiting]
+            ready = (front[k] > a) | ((front[k] == a) & (k > waiting))
+            if ready.any():
+                i, k, a = waiting[ready], k[ready], a[ready]
+                # k's events keyed below (a, i): timed before a, or at a when k < i
+                y = state_at(k, np.where(k < i, np.nextafter(a, np.inf), a))
+                record(i, a, y)
+                x[i] = y
+                front[i] = _exit_times(jumps, keys[i], counter[i], y, a)
+                counter[i] += 1
+                blocked[i] = False
+                redraws += np.bincount(np.searchsorted(times, a), minlength=redraws.size)
+        # the lowest frontier key; no respawn or snapshot still to come
+        # reads an event keyed below it
+        low = int(np.argmin(front))
+        t_low = front[low]
+        while len(snapshots) < len(samples) and samples[len(snapshots)] < t_low:
+            s = len(snapshots)
+            at_or_before = np.nextafter(times[s : s + 1], np.inf)
+            snapshots.append(
+                ParticleEnsemble(
+                    time=samples[s],
+                    n_particles=n,
+                    positions=state_at(ids, at_or_before).astype(np.int64),
+                    redraw_count=int(redraws[: s + 1].sum()),
+                )
             )
-        )
-    return snapshots
+        if len(snapshots) == len(samples):
+            return snapshots
+        # a particle may overwrite its oldest entry once the next one is
+        # keyed at or below the lowest frontier
+        after = ring_t[ids, (tail + 1) % width]
+        free = (after < t_low) | ((after == t_low) & (ids <= low))
+        i = np.flatnonzero(free & ~blocked & (front <= t_end))
+        t, c = front[i], counter[i]
+        y, t_next = _step(jumps, keys[i], c, x[i], t)
+        counter[i] = c + 2
+        gone = y <= 0
+        if gone.any():
+            # absorbed or killed: draw the particle to copy, and block
+            g = i[gone]
+            k = np.minimum((u01(keys[g], c[gone] + 1) * last).astype(np.int64), last - 1)
+            source[g] = k + (k >= g)
+            blocked[g] = True
+            stay = ~gone
+            i, t, y, t_next = i[stay], t[stay], y[stay], t_next[stay]
+        record(i, t, y)
+        x[i] = y
+        front[i] = t_next
 
 
 # -- text output ---------------------------------------------------------------

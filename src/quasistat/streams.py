@@ -5,8 +5,7 @@ is a pure function of (seed, idx, k).  Results are therefore identical
 however paths are scheduled or batched, which is what makes simulation
 output bit-reproducible for a fixed seed.  ``u01`` is the one draw
 kernel: it reads many streams at once (one uint64 key and counter per
-stream), for paths that advance in lockstep and for particles that
-prefetch their draws in blocks.
+stream), for paths and particles that advance in lockstep.
 
 The generator is the splitmix64 finalizer applied to a Weyl sequence,
 a standard construction with full 64-bit state and no correlations

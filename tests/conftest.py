@@ -201,6 +201,18 @@ def descent_sum_oracle(spec, z: int, x: int, inner=None) -> float:
         down = down_prev
 
 
+def moment_descent_oracle(spec, z: int, lam: float, m: int, top: float) -> float:
+    """prod_{k=z+1}^{m} phi_k descended from phi_{m+1} = top by
+    phi_k = d_k/(b_k + d_k - lam - b_k phi_{k+1}), one rates_at call per
+    level, in plain floats (no directed rounding)."""
+    phi, prod = top, 1.0
+    for k in range(m, z, -1):
+        up, down = spec.rates_at(k)
+        phi = down / (up + down - lam - up * phi)
+        prod *= phi
+    return prod
+
+
 def evolve_oracle(chain, vec, t: float, side: str, series_tol: float = SERIES_TOL) -> np.ndarray:
     """The Poisson series with scipy's ``@`` per term and a fresh array
     per partial sum.  The library runs the same series on preallocated
@@ -440,10 +452,11 @@ def simulate_batch_oracle(chain, mu, horizon, n_paths, seed, stop_on_set=None):
 
 
 def fleming_viot_oracle(chain, n_particles, horizon, seed, sample_times=None, mu=None):
-    """fleming_viot with every draw computed inline, one splitmix64 word
-    at a time on Python ints, on the rows of jump_rows_oracle.  Valid
-    inputs only; the library prefetches each particle's draws in numpy
-    blocks and must match this bit for bit."""
+    """fleming_viot in its reference order: events one at a time off a
+    heap keyed (time, particle index), every draw computed inline, one
+    splitmix64 word at a time on Python ints, on the rows of
+    jump_rows_oracle.  Valid inputs only; the library moves particles in
+    numpy lockstep between respawns and must match this bit for bit."""
     if sample_times is None:
         samples = [float(horizon)]
     else:

@@ -26,7 +26,7 @@ import quasistat.bd as bd_mod
 from quasistat.bd import _DESCENT_CHUNK, _descent_sum, _inner_tail
 from quasistat.cli import main
 
-from conftest import bd_hitting_oracle, bd_moment_oracle, descent_sum_oracle
+from conftest import bd_hitting_oracle, bd_moment_oracle, descent_sum_oracle, moment_descent_oracle
 
 LOGISTIC = BirthDeathSpec.logistic(1.0, 1.0, 1.0)
 
@@ -388,6 +388,30 @@ def test_intervals_nest_as_the_descent_level_grows(params, z, monkeypatch):
         assert mom_a.sup_lo <= mom_b.sup_lo <= mom_b.sup <= mom_a.sup
     window = bd_moment_oracle(spec, z, lam, z + 16384)
     assert np.all(window[:64 - z] <= runs[0][1].values)
+
+
+@pytest.mark.parametrize("params,z,m", [((1, 1, 1), 1, 3), ((1, 1, 1), 1, 8), ((1, 3, 2), 1, 3),
+                                        ((2, 1, 0.25), 6, 16)])
+def test_intervals_cover_every_admitted_anchor_at_a_small_level(params, z, m, monkeypatch):
+    # From level M the proofs admit any unknown at M between its floor
+    # and its ceiling (ladder tail in [1, 1/(1 - r_M)], phi_{M+1} in
+    # [1, psi_{M+1}]) and any remainder between the closed-form tail
+    # bounds; each end must cover its extreme corner.  At the default M
+    # the anchors move the ends by O(1/M^3), inside the O(1/M^2) tail
+    # slack; at a small M they move them by up to half.  The anchor-1
+    # corners are the reflected window solves.
+    spec = BirthDeathSpec.logistic(*params)
+    lam = params[0] + params[1]
+    monkeypatch.setattr(bd_mod, "_descent_level", lambda *a: m)
+    r, lower, upper = bd_mod._ladder_tail(*params, m)
+    top = 1.0 / (1.0 - r)
+    lo, hi = hitting_from_infinity(spec, z)
+    assert lo <= bd_hitting_oracle(spec, z, m)[-1] + lower
+    assert descent_sum_oracle(spec, z, m, top) + top * upper <= hi
+    theta, psi = bd_mod._ceiling(spec, lam, m)
+    res = exp_moment_hitting(spec, z, lam, x_max=m)
+    assert res.sup_lo <= bd_moment_oracle(spec, z, lam, m)[-1] * math.exp(lam * lower)
+    assert moment_descent_oracle(spec, z, lam, m, psi) * math.exp(theta * upper) <= res.sup
 
 
 def test_small_c_chain_moment_and_hitting_enclosures():

@@ -446,6 +446,14 @@ def test_yaglom_nonconvergence_raises():
         yaglom_limit(chain, DistributionOnStates.delta(1, 64), tol=1e-12, max_steps=2)
 
 
+@pytest.mark.parametrize("max_steps", [0, -1])
+def test_yaglom_rejects_an_empty_grid(max_steps):
+    # an empty walk has no law to report, not even a non-convergence trace
+    chain = build_logistic(1.0, 1.0, 1.0, 16)
+    with pytest.raises(ValidationError, match="max_steps"):
+        yaglom_limit(chain, DistributionOnStates.delta(1, 16), max_steps=max_steps)
+
+
 # -- decay tables and grids ----------------------------------------------------
 
 

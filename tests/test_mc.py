@@ -552,19 +552,53 @@ def test_fleming_viot_matches_oracle_on_a_large_ensemble():
     _assert_same_snapshots(fleming_viot(*args), fleming_viot_oracle(*args))
 
 
-@pytest.mark.parametrize("depth", [3, 4, 5, 7])
-def test_fleming_viot_matches_oracle_with_shallow_blocks(depth, monkeypatch):
-    # a shallow block refills in nearly every event, so waves mix
-    # particles at every offset into their blocks
-    monkeypatch.setattr(mc, "_FV_DEPTH", depth)
+@pytest.mark.parametrize("width", [2, 3, 4])
+def test_fleming_viot_matches_oracle_with_narrow_history(width, monkeypatch):
+    # a narrow ring fills in nearly every round, so particles wait on the
+    # lowest frontier and respawns read entries just before overwriting
+    monkeypatch.setattr(mc, "_FV_WIDTH", width)
     chain = build_logistic(1.0, 1.0, 1.0, 16, KILL)
     args = (chain, 50, 10.0, 11, [0.0, 2.5, 10.0], None)
     _assert_same_snapshots(fleming_viot(*args), fleming_viot_oracle(*args))
 
 
+@pytest.mark.parametrize("width", [2, mc._FV_WIDTH])
+def test_fleming_viot_same_time_events_match_oracle(width, monkeypatch):
+    # State 2 leaves at rate 1e300: t - log(u)/q rounds back to t, so a
+    # particle makes several events at one float time; in a width-2 ring
+    # the lowest particle must overwrite entries keyed at its own frontier
+    monkeypatch.setattr(mc, "_FV_WIDTH", width)
+    chain = build_from_entries(
+        [(2, 3, 5e299), (2, 1, 5e299), (3, 2, 1.0), (3, 0, 0.5), (1, 0, 1.0), (1, 2, 1.0)], 4
+    )
+    args = (chain, 40, 20.0, 3, [0.0, 5.0, 20.0], None)
+    got = fleming_viot(*args)
+    _assert_same_snapshots(got, fleming_viot_oracle(*args))
+    assert got[-1].redraw_count > 0
+
+
+@pytest.mark.parametrize("width", [2, mc._FV_WIDTH])
+def test_fleming_viot_ties_across_particles_match_oracle(width, monkeypatch):
+    # Holding times rounded up to half units, over exit rates 2 and 4, put
+    # every event on a grid of 1/8: events of different particles share
+    # float times, so respawns, snapshots and the overwrite rule see ties
+    # broken by particle index
+    log = math.log
+    monkeypatch.setattr(math, "log", lambda u: -math.ceil(-log(u) * 2) / 2)
+    monkeypatch.setattr(mc, "_FV_WIDTH", width)
+    chain = build_from_entries(
+        [(1, 0, 1.0), (1, 2, 1.0), (2, 1, 2.0), (2, 3, 2.0), (3, 2, 1.0), (3, 0, 1.0)], 4
+    )
+    args = (chain, 30, 12.0, 5, [0.0, 3.0, 12.0], None)
+    got = fleming_viot(*args)
+    _assert_same_snapshots(got, fleming_viot_oracle(*args))
+    assert got[-1].redraw_count > 100
+
+
 def test_fleming_viot_peak_memory_stays_small():
-    # 16 ready draws per particle hold about 1.1 MiB for 1500 particles;
-    # a block depth of 64 would peak near 4.4 MiB
+    # a 32-event history ring per particle peaks near 1.1 MiB for 1500
+    # particles; a ring wide enough for every event (about 240 here)
+    # peaks near 8 MiB
     chain = build_logistic(1.0, 1.0, 1.0, 64)
     tracemalloc.start()
     try:
