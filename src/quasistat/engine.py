@@ -46,7 +46,7 @@ from scipy import sparse
 from scipy.sparse import _sparsetools
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import splu
-from scipy.special import gammaln, pdtr, pdtrik, xlogy
+from scipy.special import gammaln, pdtr, pdtrc, pdtrik, xlogy
 
 from .chain import (
     REFLECT,
@@ -94,26 +94,45 @@ def _uniformized(chain: AbsorbedChain) -> _Uniformized:
     return op
 
 
-def _poisson_weights(mu: float, series_tol: float) -> np.ndarray:
-    """Poisson(mu) pmf from 0 up to the point where the tail < series_tol.
+def _poisson_cutoff(mu: float, series_tol: float) -> int:
+    """The least k >= 0 with P(N > k) < series_tol or equal, N ~ Poisson(mu).
 
-    The truncation point is scipy.stats.poisson.isf(series_tol, mu) and
-    the weights its pmf, written with the same scipy.special formulas so
-    that importing the package does not load scipy.stats.
+    At SERIES_TOL and coarser this is scipy.stats.poisson.isf(series_tol,
+    mu), written with the same scipy.special formulas (so that importing
+    the package does not load scipy.stats); the certificate goldens were
+    recorded with it.  isf reads the tail as 1 - series_tol, which is
+    good to 2**-53 absolute, so a finer tolerance would lose its digits
+    (below 2**-54 it rounds to 1 and the inversion returns NaN): there
+    the cutoff is bisected on the upper tail pdtrc instead.
     """
+    if series_tol >= SERIES_TOL:
+        # isf(tol) = ppf(1 - tol): the least k with P(N <= k) >= 1 - tol
+        q = 1.0 - series_tol
+        k = math.ceil(pdtrik(q, mu))
+        below = max(k - 1, 0)
+        return below if pdtr(below, mu) >= q else k
+    lo, hi, step = -1, math.ceil(mu), math.ceil(math.sqrt(mu)) + 1
+    while pdtrc(hi, mu) > series_tol:
+        lo, hi, step = hi, hi + step, 2 * step
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if pdtrc(mid, mu) > series_tol:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+def _poisson_weights(mu: float, series_tol: float) -> np.ndarray:
+    """Poisson(mu) pmf from 0 up to one past _poisson_cutoff, in the
+    formulas of scipy.stats.poisson.pmf."""
     if not 0 < series_tol < 1:
         raise ValidationError(f"series_tol must lie in (0, 1), got {series_tol}")
     if not mu <= _MAX_SERIES_TERMS:
         raise ComputationError(
             f"Poisson series of mean {mu:.3e} exceeds the cap of {_MAX_SERIES_TERMS} terms"
         )
-    # isf(tol) = ppf(1 - tol): the least k with P(N <= k) >= 1 - tol
-    q = 1.0 - series_tol
-    k = math.ceil(pdtrik(q, mu))
-    below = max(k - 1, 0)
-    if pdtr(below, mu) >= q:
-        k = below
-    kmax = k + 1
+    kmax = _poisson_cutoff(mu, series_tol) + 1
     if kmax + 1 > _MAX_SERIES_TERMS:
         raise ComputationError(
             f"Poisson series of mean {mu:.3e} needs {kmax + 1} terms, "

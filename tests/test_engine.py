@@ -178,6 +178,20 @@ def test_poisson_weights_match_scipy_stats(mu, tol):
     assert np.array_equal(w, poisson.pmf(np.arange(kmax + 1), mu))
 
 
+@pytest.mark.parametrize("tol", [1e-17, 5e-17, 1e-18, 1e-19, 1e-20])
+@pytest.mark.parametrize("mu", [1e-6, 1e-3, 0.1, 1.0, 3.9, 7.5, 30.0, 42.0, 1e3, 8.2e3, 1e5, 3e6])
+def test_poisson_weights_below_double_resolution_cut_on_the_upper_tail(mu, tol):
+    # 1 - tol rounds to 1 here, so isf has no answer: the cutoff k is the
+    # least one whose upper tail P(N > k) is at most tol
+    from scipy.stats import poisson
+
+    w = _poisson_weights(mu, tol)
+    k = w.size - 2
+    assert poisson.sf(k, mu) <= tol
+    assert k == 0 or poisson.sf(k - 1, mu) > tol
+    assert np.array_equal(w, poisson.pmf(np.arange(w.size), mu))
+
+
 @pytest.mark.parametrize("mu", [2.0 * _MAX_SERIES_TERMS, 1e20, math.inf, math.nan])
 def test_poisson_weights_cap_raises(mu):
     with pytest.raises(ComputationError, match="cap"):
