@@ -32,6 +32,7 @@ loop bit for bit (the test suite keeps that loop as its reference).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -403,7 +404,9 @@ def fleming_viot(
     its key (a, i).  It resolves once k's frontier key, (next event time,
     k) or k's own block key, exceeds (a, i); its new position is k's state
     after k's last event keyed below (a, i).  The blocked particle with
-    the lowest key can always resolve, so the loop cannot deadlock.  Each
+    the lowest key can always resolve, so the loop cannot deadlock; a
+    round that resolves no respawn, takes no snapshot and moves no
+    particle would repeat forever, and raises ComputationError.  Each
     particle records its events in a ring of _FV_WIDTH (time, state)
     entries.  An entry keyed at or below every frontier is read only as
     the last such entry, so the others may be overwritten; a particle
@@ -458,12 +461,14 @@ def fleming_viot(
     # (times[s - 1], times[s]]
     redraws = np.zeros(len(samples) + 1, dtype=np.int64)
     snapshots: list[ParticleEnsemble] = []
-    while True:
+    for round_ in itertools.count():
+        taken, resolved = len(snapshots), False
         waiting = np.flatnonzero(blocked)
         if waiting.size:
             k, a = source[waiting], front[waiting]
             ready = (front[k] > a) | ((front[k] == a) & (k > waiting))
-            if ready.any():
+            resolved = bool(ready.any())
+            if resolved:
                 i, k, a = waiting[ready], k[ready], a[ready]
                 # k's events keyed below (a, i): timed before a, or at a when k < i
                 y = state_at(k, np.where(k < i, np.nextafter(a, np.inf), a))
@@ -495,6 +500,11 @@ def fleming_viot(
         after = ring_t[ids, (tail + 1) % width]
         free = (after < t_low) | ((after == t_low) & (ids <= low))
         i = np.flatnonzero(free & ~blocked & (front <= t_end))
+        if not (resolved or len(snapshots) > taken or i.size):
+            raise ComputationError(
+                f"Fleming-Viot round {round_} made no progress: it resolved no "
+                f"respawn, took no snapshot and moved no particle"
+            )
         t, c = front[i], counter[i]
         y, t_next = _step(jumps, keys[i], c, x[i], t)
         counter[i] = c + 2

@@ -595,6 +595,23 @@ def test_fleming_viot_ties_across_particles_match_oracle(width, monkeypatch):
     assert got[-1].redraw_count > 100
 
 
+def test_fleming_viot_round_without_progress_raises(monkeypatch):
+    # A NaN event time compares false with every key: the particle that
+    # holds it never moves again, the lowest frontier becomes NaN, so no
+    # ring entry may be overwritten, no respawn copying that particle
+    # resolves and no snapshot is taken.  The loop would spin; it raises.
+    step = mc._step
+
+    def nan_past_two(jumps, keys, counters, x, t):
+        y, t_next = step(jumps, keys, counters, x, t)
+        return y, np.where(t_next > 2.0, np.nan, t_next)
+
+    monkeypatch.setattr(mc, "_step", nan_past_two)
+    chain = build_logistic(1.0, 1.0, 1.0, 16)
+    with pytest.raises(ComputationError, match=r"Fleming-Viot round \d+ made no progress"):
+        fleming_viot(chain, 20, 10.0, 3)
+
+
 def test_fleming_viot_peak_memory_stays_small():
     # a 32-event history ring per particle peaks near 1.1 MiB for 1500
     # particles; a ring wide enough for every event (about 240 here)
