@@ -529,12 +529,13 @@ def test_fleming_viot_matches_inline_draw_oracle(
     _assert_same_snapshots(fleming_viot(*args), fleming_viot_oracle(*args))
 
 
-def test_fleming_viot_event_at_the_block_edge_matches_oracle():
+def test_fleming_viot_respawns_through_one_particle_pair_match_oracle():
     # State 2 leaves for state 1 at once; state 1 is only absorbed.  With
-    # two particles both start on 2 (draws 0 and 1), jump to 1 (draws 2
-    # and 3), and from then on every event respawns onto the other
-    # particle at state 1: three draws each, starting at draws 4, 7, 10
-    # and 13.  The event at draw 13 spends the last 3 of the first block.
+    # two particles both start on 2 (draws 0 and 1) and jump to 1 (draws
+    # 2 and 3); from then on every event is an absorption that respawns
+    # the particle onto the other one, at state 1.  Each respawn reads
+    # the only other particle's path, so the pair alternates between
+    # blocking and copying through 58 respawns.
     chain = build_from_entries([(2, 1, 1e6), (1, 0, 1.0)], 3)
     mu = DistributionOnStates.delta(2, 3)
     args = (chain, 2, 30.0, 4, [1e-3, 30.0], mu)
