@@ -46,6 +46,7 @@ from scipy.sparse.linalg import MatrixRankWarning, spsolve
 
 from .chain import AbsorbedChain, _check_boundary_mode
 from .engine import (
+    _BLOCK_ENTRIES,
     _walk,
     evolve_function,
     survival_vector,  # noqa: F401  re-exported: callers and tracers reach it here
@@ -63,11 +64,6 @@ EMPIRICAL = "empirical_estimate"
 SOJOURN = "sojourn"
 ABSORPTION_RATE = "absorption_rate"
 BEST = "best"
-
-# Largest (states x columns) block the unit step evolves at once: 8 MiB
-# of float64.
-_BLOCK_ENTRIES = 2**20
-
 
 def _check_core(chain: AbsorbedChain, K, x0: int | None = None) -> tuple[int, ...]:
     """The sorted core set, checked to lie in the window and, when an

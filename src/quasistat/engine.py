@@ -5,8 +5,10 @@ power series of the uniformized sub-stochastic step M = I + Q/L, with L
 the largest exit rate.  The series is truncated when the remaining
 Poisson tail mass drops below the constant SERIES_TOL; every term of M
 is non-negative, so the truncation error in any computed vector is
-bounded by SERIES_TOL times its input mass.  No matrix exponentials are
-formed.  A law handed in as raw weights is checked by chain.law_weights.
+bounded by SERIES_TOL times its input mass.  No matrix exponential
+routine is called: the one dense matrix evolution forms, the walk's step
+propagator below, is the series' own output squared.  A law handed in as
+raw weights is checked by chain.law_weights.
 
 The quasi-stationary law is not found by evolution: it is solved by
 inverse iteration on one sparse LU of the sub-generator, at a cost that
@@ -29,16 +31,28 @@ Every check along a time grid (check_qsd, yaglom_limit, decay_table,
 conditional_distribution, and certify's survival-ratio check) walks
 the grid with one generator, _walk: it checks the grid once, evolves
 each step from the previous grid time and rescales every column to
-mass 1, so a long grid never underflows.
+mass 1, so a long grid never underflows.  A step of length dt is either
+one series of about L*dt terms or one product with the dense step
+propagator P(dt), whichever a fitted cost estimate finds cheaper over
+all the grid's steps of that length.  P(dt) is scaling and squaring on
+the one series kernel: the series evolves the identity block to
+dt/2**k at tolerance SERIES_TOL/2**k, and k squarings follow.  It is
+formed only while its n*n entries fit the _BLOCK_ENTRIES memory cap.
+Like the truncated series it is entrywise non-negative and below the
+exact step, so walked probabilities stay lower bounds, and it loses at
+most SERIES_TOL of mass per step (see _walk).
 
 A series needs about L*t terms.  Past _MAX_SERIES_TERMS terms (stiff
 rates or long horizons) evolution raises ComputationError naming L, t
-and the window instead of allocating the weights.
+and the window instead of allocating the weights.  The walk's
+propagator runs about L*dt/2**k terms, so under the memory cap a grid
+step of any length stays short.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,6 +81,25 @@ QSD_AUTO_MAX_STATES = 16384
 # Longest Poisson series evolution will run, in terms (= operator
 # products).  The weights alone take 8 bytes per term.
 _MAX_SERIES_TERMS = 10**7
+
+# Largest block, in float64 entries (8 MiB), that evolution holds for
+# one purpose: certify's unit step evolves its columns in pieces of at
+# most this many entries, and _walk builds a dense n x n step propagator
+# only while n*n fits.
+_BLOCK_ENTRIES = 2**20
+
+# _walk's cost model, fitted on a 2-core x86-64 VM (CHANGES.md has the
+# fit and the crossover table).  A series term costs _TERM_S plus
+# _ENTRY_S per stored operator entry and block column.  A dense n x n
+# squaring through the same kernel costs _CUBE_S per n**3, as measured
+# on squared propagators of logistic windows, whose subnormal products
+# make it up to four times slower than on a random matrix.  The base
+# step of a propagator has Poisson mean L*tau <= _BASE_MEAN, the value
+# with the smallest worst-case build time over windows of 16-400 states.
+_TERM_S = 3e-6
+_ENTRY_S = 1e-9
+_CUBE_S = 8e-10
+_BASE_MEAN = 16.0
 
 # Unnormalized mass below this is treated as a numerically null event.
 _NULL_MASS = 1e-300
@@ -142,20 +175,28 @@ def _poisson_weights(mu: float, series_tol: float) -> np.ndarray:
     return np.exp(xlogy(ks, mu) - gammaln(ks + 1) - mu)
 
 
-def _evolve(chain: AbsorbedChain, vec: np.ndarray, t: float, side: str) -> np.ndarray:
-    if t < 0 or not math.isfinite(t):
-        raise ValidationError(f"time must be finite and >= 0, got {t}")
+def _as_block(chain: AbsorbedChain, vec) -> np.ndarray:
+    """vec as float64, checked to be an (n,) vector or an (n, m) block."""
     v = np.asarray(vec, dtype=np.float64)
     if v.ndim not in (1, 2) or v.shape[0] != chain.n_transient:
         raise ValidationError(
             f"vector shape {v.shape} does not match the {chain.n_transient} transient states"
         )
+    return v
+
+
+def _evolve(
+    chain: AbsorbedChain, vec, t: float, side: str, series_tol: float = SERIES_TOL
+) -> np.ndarray:
+    if t < 0 or not math.isfinite(t):
+        raise ValidationError(f"time must be finite and >= 0, got {t}")
+    v = _as_block(chain, vec)
     op = _uniformized(chain)
     mu = op.lam * t
     if mu == 0.0:
         return v.copy()
     try:
-        w = _poisson_weights(mu, SERIES_TOL)
+        w = _poisson_weights(mu, series_tol)
     except ComputationError as exc:
         raise ComputationError(
             f"evolution over t={t} at uniformization rate L={op.lam:.3e} on the "
@@ -266,6 +307,64 @@ def _normalize_mass(v: np.ndarray, what: str) -> tuple[np.ndarray, float]:
     return v / total, total
 
 
+def _walk_squarings(chain: AbsorbedChain, dt: float, steps: int, m: int) -> int | None:
+    """How _walk takes its grid steps of length dt: the number k of
+    squarings that builds their propagator, or None for the series.
+
+    The propagator needs n*n <= _BLOCK_ENTRIES and a lower estimated
+    cost than the series, both summed over the `steps` grid steps of
+    length dt on an m-column walk.  The series runs about L*dt terms per
+    step; the propagator runs one series of about L*dt/2**k terms on the
+    n-column identity, then k dense n x n products, then one dense
+    product per step.
+    """
+    n = chain.n_transient
+    op = _uniformized(chain)
+    mu = op.lam * dt
+    if mu == 0.0 or not math.isfinite(mu) or n * n > _BLOCK_ENTRIES:
+        return None
+    k = max(0, math.ceil(math.log2(mu / _BASE_MEAN)))
+    series = (
+        steps * (_poisson_cutoff(mu, SERIES_TOL) + 1) * (_TERM_S + _ENTRY_S * op.func_op.nnz * m)
+        if mu <= _MAX_SERIES_TERMS else math.inf
+    )
+    build = (
+        (_poisson_cutoff(op.lam * math.ldexp(dt, -k), math.ldexp(SERIES_TOL, -k)) + 1)
+        * (_TERM_S + _ENTRY_S * op.func_op.nnz * n)
+        + k * n**3 * _CUBE_S
+    )
+    return k if build + steps * (_TERM_S + _ENTRY_S * n * n * m) < series else None
+
+
+def _dense_csr(P: np.ndarray) -> sparse.csr_matrix:
+    """The n x n array P as a CSR operator that stores all n*n entries,
+    zeros too, its data a view of P."""
+    n = P.shape[0]
+    indices = np.tile(np.arange(n, dtype=np.int32), n)
+    indptr = np.arange(0, n * n + 1, n, dtype=np.int32)
+    return sparse.csr_matrix((P.reshape(-1), indices, indptr), shape=(n, n))
+
+
+def _step_propagator(chain: AbsorbedChain, dt: float, side: str, k: int) -> sparse.csr_matrix:
+    """The step of length dt on one side as a dense CSR operator:
+    P(dt/2**k) from the series at SERIES_TOL/2**k, squared k times.
+
+    The squarings run through the series' sparsetools kernel, not BLAS:
+    its sums follow the index order on every machine, where BLAS's
+    order depends on the processor, and walked laws are compared
+    byte for byte.
+    """
+    n = chain.n_transient
+    tau, tol = math.ldexp(dt, -k), math.ldexp(SERIES_TOL, -k)
+    P = _evolve(chain, np.eye(n), tau, side, tol)
+    for _ in range(k):
+        # A.data is P raveled, the C-ordered n x n block to multiply
+        A = _dense_csr(P)
+        P = np.empty((n, n))
+        _csr_step(A, n)(A.data, P.reshape(-1))
+    return _dense_csr(P)
+
+
 def _walk(chain: AbsorbedChain, v, times, side: str):
     """Yield (t, v_t) along the sorted grid, v_t rescaled to mass 1.
 
@@ -274,16 +373,47 @@ def _walk(chain: AbsorbedChain, v, times, side: str):
     the first), so later grid points reuse earlier work, and the
     rescaling keeps long grids clear of underflow.  The grid is checked
     when the walk starts: every time finite and >= 0.
+
+    A step of length dt goes one of two ways, whichever _walk_squarings
+    estimates cheaper for all the grid's steps of that length: the
+    series of about L*dt terms, or one product with the dense step
+    propagator P(dt), built once per distinct dt.  P(dt) is the series
+    on the identity block to tau = dt/2**k at tolerance SERIES_TOL/2**k,
+    squared k times, and is used only while its n*n entries fit
+    _BLOCK_ENTRIES.  It keeps the series' guarantees.  The truncated
+    P(tau) is entrywise non-negative and below the exact one, so its
+    powers are too, and every walked probability stays a lower bound.
+    Each factor loses at most SERIES_TOL/2**k of the mass it is handed
+    (the dropped Poisson tail), and no factor adds mass, so the 2**k
+    factors of one step lose at most 2**k * SERIES_TOL/2**k =
+    SERIES_TOL, the same per-step bound as one series.  Rounding comes
+    on top: each factor rounds its mass by about L*tau eps, and the
+    squarings carry that along 2**k times, about L*dt eps in all, as
+    in one series of L*dt terms.
     """
     ts = [float(t) for t in times]
     bad = [t for t in ts if not (math.isfinite(t) and t >= 0)]
     if bad:
         raise ValidationError(f"time must be finite and >= 0, got {bad[0]}")
+    ts.sort()
+    v = _as_block(chain, v)
+    m = 1 if v.ndim == 1 else v.shape[1]
     evolve = evolve_measure if side == "measure" else evolve_function
     what = "conditional law" if side == "measure" else "survival function"
+    steps = Counter(b - a for a, b in zip([0.0, *ts], ts))
+    products = {}  # dt -> the propagator's step(x, y), or None for the series
     t_cur = 0.0
-    for t in sorted(ts):
-        v = evolve(chain, v, t - t_cur)
+    for t in ts:
+        dt = t - t_cur
+        if dt not in products:
+            k = _walk_squarings(chain, dt, steps[dt], m)
+            products[dt] = None if k is None else _csr_step(_step_propagator(chain, dt, side, k), m)
+        step = products[dt]
+        if step is None:
+            v = evolve(chain, v, dt)
+        else:
+            x, v = np.ascontiguousarray(v), np.empty(v.shape)
+            step(x.reshape(-1), v.reshape(-1))
         t_cur = t
         if v.ndim == 1:
             v, _ = _normalize_mass(v, f"{what} at t={t}")

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -39,7 +40,15 @@ from quasistat import (
 )
 
 import quasistat
-from quasistat.engine import _MAX_SERIES_TERMS, _poisson_weights
+from quasistat import engine
+from quasistat.engine import (
+    _MAX_SERIES_TERMS,
+    SERIES_TOL,
+    _poisson_weights,
+    _step_propagator,
+    _walk,
+    _walk_squarings,
+)
 
 from conftest import (
     catastrophe_chain,
@@ -530,3 +539,159 @@ def test_csv_writers(tmp_path):
     decay_to_csv(rows, d)
     got = d.read_text().strip().splitlines()
     assert got[0].startswith("t,") and len(got) == 3
+
+
+# -- the walk's step propagator ------------------------------------------------
+
+
+def series_walk(chain, v, times, side):
+    """The walk as one series per grid step, each column rescaled to
+    mass 1 on its own: the route _walk takes where the propagator does
+    not pay, in the same arithmetic."""
+    evolve = evolve_measure if side == "measure" else evolve_function
+    t_cur = 0.0
+    for t in sorted(times):
+        v = evolve(chain, v, t - t_cur)
+        t_cur = t
+        v = v / v.sum() if v.ndim == 1 else np.column_stack([c / c.sum() for c in v.T])
+        yield t, v
+
+
+def expm_walk(chain, v, times, side):
+    """The walk through dense matrix exponentials."""
+    Q = chain.sub_generator.toarray()
+    t_cur = 0.0
+    for t in sorted(times):
+        E = expm(Q * (t - t_cur))
+        t_cur = t
+        v = E.T @ v if side == "measure" else E @ v
+        yield t, v / v.sum(axis=0)
+
+
+@contextmanager
+def propagator_builds():
+    """Record the (dt, side, k) of every step propagator _walk builds."""
+    builds = []
+    with pytest.MonkeyPatch.context() as mp:
+        def spy(chain, dt, side, k):
+            builds.append((dt, side, k))
+            return _step_propagator(chain, dt, side, k)
+
+        mp.setattr(engine, "_step_propagator", spy)
+        yield builds
+
+
+def _rel_max(a, b):
+    return float(np.abs(a - b).max() / np.abs(b).max())
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([33, 65, 81]),
+    st.sampled_from(["reflect", "kill"]),
+    st.sampled_from(["measure", "function"]),
+    st.sampled_from(["1d", 1, 3]),
+    st.sampled_from(["repeat", "distinct"]),
+    st.integers(min_value=2, max_value=24),
+    st.integers(min_value=1, max_value=6),
+    st.booleans(),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_walk_propagator_matches_series_and_expm(
+    n_states, boundary, side, kind, grid, eighths, points, with_zero, seed
+):
+    # steps are multiples of 1/8, so a repeated step is the same float
+    # each time; the cost estimate is told that each step length repeats
+    # 10**9 times, so every step of nonzero length takes the propagator
+    chain = truncate(BirthDeathSpec.logistic(1.0, 1.0, 0.25), n_states, boundary)
+    v = _layout(np.random.default_rng(seed), chain.n_transient, kind)
+    dt = eighths / 8
+    if grid == "repeat":
+        times = [dt * i for i in range(1, points + 1)]
+    else:
+        times = [dt * (2**i + i) for i in range(points)]
+    if with_zero:
+        times = [0.0, 0.0, *times[::-1]]
+    with propagator_builds() as builds, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(
+            engine, "_walk_squarings",
+            lambda chain, dt, steps, m: _walk_squarings(chain, dt, 10**9, m),
+        )
+        got = list(_walk(chain, v, times, side))
+    # one propagator per distinct nonzero step length
+    lengths = {b - a for a, b in zip([0.0, *sorted(times)], sorted(times))} - {0.0}
+    assert sorted(b[0] for b in builds) == sorted(lengths)
+    assert all(b[1] == side for b in builds)
+    for (t, a), (_, b), (_, c) in zip(
+        got, series_walk(chain, v, times, side), expm_walk(chain, v, times, side)
+    ):
+        assert a.shape == v.shape
+        assert _rel_max(a, b) <= 1e-12
+        assert _rel_max(a, c) <= 1e-12
+
+
+def uniform_loss_chain(n: int, loss: float):
+    """A birth-death window whose every state is absorbed at rate loss,
+    so each state survives to t with probability exp(-loss * t)."""
+    entries = []
+    for x in range(1, n + 1):
+        entries.append((x, 0, loss))
+        if x < n:
+            entries.append((x, x + 1, 1.0 * x))
+        if x > 1:
+            entries.append((x, x - 1, 1.0 * x + 0.05 * x * x))
+    return build_from_entries(entries, n + 1)
+
+
+@pytest.mark.parametrize("side", ["measure", "function"])
+@pytest.mark.parametrize("dt", [1.0, 4.0, 16.0])
+@pytest.mark.parametrize("n", [40, 64])
+def test_step_propagator_mass_deficit_is_at_most_series_tol(n, dt, side):
+    # the 2**k factors of P(dt) each lose at most SERIES_TOL / 2**k of
+    # mass to truncation.  Rounding moves each factor's mass by about
+    # L * dt / 2**k eps, as for any series of that many terms, and the
+    # squarings carry it along 2**k times: L * dt * eps in all.
+    chain = uniform_loss_chain(n, 0.5)
+    k = _walk_squarings(chain, dt, 1000, 1)  # a thousand steps pay for it
+    assert k is not None and k >= 4
+    P = _step_propagator(chain, dt, side, k).toarray()
+    assert P.shape == (n, n) and P.min() >= 0.0
+    # input mass e_j comes out as column j on the measure side (its law)
+    # and as row j on the function side (its survival function)
+    mass = P.sum(axis=0) if side == "measure" else P.sum(axis=1)
+    exact = math.exp(-0.5 * dt)
+    rounding = chain.uniformization_rate() * dt * np.finfo(float).eps
+    deficit = (exact - mass) / exact
+    assert deficit.max() <= SERIES_TOL + rounding
+    assert deficit.min() >= -rounding
+
+
+def test_walk_over_the_memory_cap_takes_the_series_route():
+    # a dense propagator is built only while its n*n entries fit the cap
+    chain = build_logistic(1.0, 1.0, 1.0, 65)
+    n = chain.n_transient
+    v = np.zeros((n, 2))
+    v[0, 0] = v[39, 1] = 1.0
+    times = [float(t) for t in range(1, 13)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "_BLOCK_ENTRIES", n * n - 1)
+        with propagator_builds() as builds:
+            got = list(_walk(chain, v, times, "measure"))
+        assert not builds
+        for (_, a), (_, b) in zip(got, series_walk(chain, v, times, "measure")):
+            assert np.array_equal(a, b)
+        mp.setattr(engine, "_BLOCK_ENTRIES", n * n)
+        with propagator_builds() as builds:
+            list(_walk(chain, v, times, "measure"))
+        assert len(builds) == 1
+    # at the real cap: 1024 transient states fit, 1025 do not
+    assert _walk_squarings(build_logistic(1.0, 1.0, 1.0, 1025), 1.0, 12, 2) is not None
+    assert _walk_squarings(build_logistic(1.0, 1.0, 1.0, 1026), 1.0, 12, 2) is None
+
+
+def test_walk_keeps_the_series_where_it_is_cheaper():
+    # one short step on a small window: a few series terms beat building
+    # and squaring an n x n block; a zero step evolves nothing
+    chain = build_logistic(1.0, 1.0, 1.0, 17)
+    assert _walk_squarings(chain, 0.01, 1, 1) is None
+    assert _walk_squarings(chain, 0.0, 100, 1) is None
