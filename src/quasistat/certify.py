@@ -65,6 +65,7 @@ SOJOURN = "sojourn"
 ABSORPTION_RATE = "absorption_rate"
 BEST = "best"
 
+
 def _check_core(chain: AbsorbedChain, K, x0: int | None = None) -> tuple[int, ...]:
     """The sorted core set, checked to lie in the window and, when an
     anchor is given, to contain it."""
