@@ -9,7 +9,9 @@ Both samplers read one table per chain: every state's jump targets and
 cumulative rates, the rows concatenated, from which a draw picks a jump
 by bisection.  One step kernel, _step, moves many walkers by one jump
 each per numpy call: the jump choice, then the holding time in the new
-state.
+state.  Holding times take their logs in one compiled call to the C
+library's log, the function math.log calls (see _log), so no draw goes
+through a Python-level call.
 
 Independent paths run in lockstep: simulate_batch advances every live
 path by one jump per numpy step, drawing from all path streams at once.
@@ -38,6 +40,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from scipy.special import xlogy
 
 from .chain import AbsorbedChain, DistributionOnStates, law_weights
 from .errors import ComputationError, ValidationError
@@ -195,11 +198,18 @@ def _exit_times(jumps: _JumpTables, keys: np.ndarray, counters, x: np.ndarray, t
     """When walkers that entered states x at times t leave them:
     t - log(u) / q(x), u being draw `counters` of each stream; inf where
     q(x) = 0, a state that never leaves."""
-    # math.log, not np.log: np.log's last bit depends on the SIMD code
-    # path, and the times must match the one-walker reference loops exactly
-    hold = np.fromiter(map(math.log, u01(keys, counters).tolist()), np.float64, len(x))
     with np.errstate(divide="ignore"):
-        return t - hold / jumps.totals[x]
+        return t - _log(u01(keys, counters)) / jumps.totals[x]
+
+
+def _log(u: np.ndarray) -> np.ndarray:
+    """log(u) elementwise, bit for bit what math.log returns.
+
+    xlogy(1, u) is 1 * log(u), one call to the C library's log per entry,
+    the function math.log calls; np.log's last bit depends on the SIMD
+    code path.  Holding times must match the one-walker reference loops,
+    which use math.log, exactly."""
+    return xlogy(1.0, u)
 
 
 def _step(jumps: _JumpTables, keys: np.ndarray, counters, x: np.ndarray, t):
@@ -438,22 +448,26 @@ def fleming_viot(
     counter = np.full(n, 2, dtype=np.uint64)
     blocked = np.zeros(n, dtype=bool)
     source = np.zeros(n, dtype=np.int64)  # whom a blocked particle copies
-    # ring of each particle's latest events, oldest at slot tail[i]; read
-    # from there the times never decrease, and unwritten slots hold the
+    # ring of each particle's latest events: particle i owns the width
+    # entries from i * width on, the oldest at i * width + tail[i]; read
+    # from there the times never decrease, and unwritten entries hold the
     # start state at -inf
-    ring_t = np.full((n, width), -np.inf)
-    ring_x = np.repeat(x.astype(np.int32)[:, None], width, axis=1)
+    ring_t = np.full(n * width, -np.inf)
+    ring_x = np.repeat(x.astype(np.int32), width)
+    rows_t = ring_t.reshape(n, width)
     tail = np.zeros(n, dtype=np.int64)
 
     def record(i, t, y):
-        ring_t[i, tail[i]] = t
-        ring_x[i, tail[i]] = y
-        tail[i] = (tail[i] + 1) % width
+        at = tail[i]
+        slot = i * width + at
+        ring_t[slot] = t
+        ring_x[slot] = y
+        tail[i] = (at + 1) % width
 
     def state_at(i, below):
         # particle i's state after its last event timed below `below`
-        passed = np.count_nonzero(ring_t[i] < below[:, None], axis=1)
-        return ring_x[i, (tail[i] + passed - 1) % width]
+        passed = np.count_nonzero(rows_t[i] < below[:, None], axis=1)
+        return ring_x[i * width + (tail[i] + passed - 1) % width]
 
     times = np.array(samples)
     t_end = samples[-1]
@@ -497,7 +511,7 @@ def fleming_viot(
             return snapshots
         # a particle may overwrite its oldest entry once the next one is
         # keyed at or below the lowest frontier
-        after = ring_t[ids, (tail + 1) % width]
+        after = ring_t[ids * width + (tail + 1) % width]
         free = (after < t_low) | ((after == t_low) & (ids <= low))
         i = np.flatnonzero(free & ~blocked & (front <= t_end))
         if not (resolved or len(snapshots) > taken or i.size):

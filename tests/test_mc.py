@@ -40,7 +40,7 @@ from quasistat import (
 )
 from quasistat import mc
 from quasistat.cli import main
-from quasistat.streams import derive_key, mix64, u01
+from quasistat.streams import _TINY, derive_key, mix64, u01
 
 
 # -- keyed streams -------------------------------------------------------------
@@ -82,7 +82,7 @@ def test_u01_range_and_mean():
 def test_exponential_moments():
     n = 20000
     # holding times at rate 2, as the samplers draw them
-    vals = np.array([-math.log(u) / 2.0 for u in _stream_draws(n, 2, 4).tolist()])
+    vals = -mc._log(_stream_draws(n, 2, 4)) / 2.0
     se = vals.std(ddof=1) / math.sqrt(n)
     assert abs(vals.mean() - 0.5) < 3 * se
 
@@ -110,6 +110,39 @@ def test_vectorised_draws_match_substream(seed):
             s.counter = int(np.broadcast_to(c, (300,))[i])
             want.append(s.next_u01())
         assert u01(keys, c).tolist() == want
+
+
+def test_u01_leaves_its_inputs_alone_and_broadcasts_the_counter():
+    # u01 mixes in place, in buffers of its own
+    keys = derive_key(5, 1, np.arange(257, dtype=np.uint64))
+    counters = np.full(257, 9, dtype=np.uint64)
+    keys_before, counters_before = keys.copy(), counters.copy()
+    one = u01(keys, 9)
+    each = u01(keys, counters)
+    assert np.array_equal(keys, keys_before) and np.array_equal(counters, counters_before)
+    assert one.dtype == np.float64 and one.tolist() == each.tolist()
+    one[:] = 0.0
+    assert np.array_equal(keys, keys_before)
+    for c in (3, counters[:0]):
+        none = u01(keys[:0], c)
+        assert none.shape == (0,) and none.dtype == np.float64
+
+
+def test_vectorised_log_matches_math_log_bit_for_bit():
+    # The samplers' holding times must equal the scalar reference loops',
+    # which take math.log.  np.log's last bit depends on the SIMD code
+    # path: on an AVX-512 machine it differs on about 0.35 % of draws.
+    keys = derive_key(31, 4, np.arange(1000, dtype=np.uint64))
+    steps = np.arange(1000, dtype=np.uint64) * np.uint64(7919)
+    draws = [u01(keys, steps + np.uint64(c)) for c in range(0, 1000 * 1_000_003, 1_000_003)]
+    k = np.arange(1, 1 << 12, dtype=np.float64)
+    edges = [k * 2.0**-53, 1.0 - k * 2.0**-53, np.array([_TINY, 0.5])]
+    u = np.concatenate(draws + edges)
+    assert u.size > 10**6
+    want = np.fromiter(map(math.log, u.tolist()), np.float64, u.size)
+    got = mc._log(u)
+    assert got.dtype == np.float64
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def _unmix64(y: int) -> int:
@@ -583,9 +616,11 @@ def test_fleming_viot_ties_across_particles_match_oracle(width, monkeypatch):
     # Holding times rounded up to half units, over exit rates 2 and 4, put
     # every event on a grid of 1/8: events of different particles share
     # float times, so respawns, snapshots and the overwrite rule see ties
-    # broken by particle index
-    log = math.log
+    # broken by particle index.  The oracle takes its logs from math.log,
+    # the library from its vectorised hook; both get the same rounding.
+    log, hook = math.log, mc._log
     monkeypatch.setattr(math, "log", lambda u: -math.ceil(-log(u) * 2) / 2)
+    monkeypatch.setattr(mc, "_log", lambda u: -np.ceil(-hook(u) * 2) / 2)
     monkeypatch.setattr(mc, "_FV_WIDTH", width)
     chain = build_from_entries(
         [(1, 0, 1.0), (1, 2, 1.0), (2, 1, 2.0), (2, 3, 2.0), (3, 2, 1.0), (3, 0, 1.0)], 4
