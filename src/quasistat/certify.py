@@ -25,9 +25,13 @@ from how it is built:
 
 A certificate computes only what gamma reads: c2, for instance, is its
 proved floor alone.  Building one evolves a single function-side block
-to t = 1 and nothing past it: the anchor indicator, the constant 1 and
-the indicators of the other core states, from which c1, c2's step floor
-and the absorption-rate c3 are all read (_unit_step).
+to t = 1 and nothing past it: the anchor indicator and the constant 1,
+from which c1 and the absorption-rate c3 are read, plus, when c2's step
+floor can bind, the indicators of the other core states (_unit_step).
+Where the engine's cost model puts those columns above two half-step
+columns, a function-side and a measure-side series to t = 1/2 first try
+to prove that the step floor cannot go below the hold floor; only if
+they fail do the core columns run.
 
 A constant that cannot be established raises CertificationError at the
 point where it fails, its part naming the constant (c1, c2, c3 or c4);
@@ -42,13 +46,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import MatrixRankWarning, spsolve
 
 from .chain import AbsorbedChain, _check_boundary_mode
 from .engine import (
     _BLOCK_ENTRIES,
+    _series_cost,
     _walk,
     evolve_function,
+    evolve_measure,
     survival_vector,  # noqa: F401  re-exported: callers and tracers reach it here
 )
 from .errors import (
@@ -97,6 +102,55 @@ def _core_exit_rates(chain: AbsorbedChain, core) -> tuple[np.ndarray, sparse.csr
     return out_idx, rows, into + refl.absorption_rates[out_idx]
 
 
+def _hold_floor(chain: AbsorbedChain, core) -> float:
+    """exp(-max exit rate on the core): every core state sits still up to
+    t = 1 with at least this probability, c2's floor for t <= 1."""
+    idx = np.array([x - 1 for x in core])
+    return math.exp(-float(np.max(chain.total_exit_rates()[idx])))
+
+
+def _half_step_floor(chain: AbsorbedChain, x0: int, core) -> float:
+    """min over x in core of P_x(X_1/2 = x0), times min over j in core
+    of P_x0(X_1/2 = j): a proved floor on min over x, j in core of
+    P_x(X_1 = j), from one function-side and one measure-side column.
+
+    By Chapman-Kolmogorov on non-negative terms, P_x(X_1 = j) >=
+    P_x(X_1/2 = x0) * P_x0(X_1/2 = j), and each truncated series lies
+    below its exact factor.
+    """
+    idx = np.array([x - 1 for x in core])
+    e = np.zeros(chain.n_transient)
+    e[x0 - 1] = 1.0
+    into = float(evolve_function(chain, e, 0.5)[idx].min())
+    return into * float(evolve_measure(chain, e, 0.5)[idx].min())
+
+
+def _half_step_pays(chain: AbsorbedChain, base: int, core_columns: int) -> bool:
+    """Whether trying the half-step floor pays at even odds, by the
+    engine's series cost model: whether core_columns indicator columns,
+    riding in a unit-step block with `base` other columns, cost more
+    than twice the two half-step columns.  Then what the floor saves
+    when it holds (the core columns, less the half steps) outweighs what
+    it wastes when it fails (the half steps)."""
+    width = max(2, _BLOCK_ENTRIES // chain.n_transient)
+
+    def unit_step_cost(m: int) -> float:
+        return sum(_series_cost(chain, 1.0, min(width, m - lo)) for lo in range(0, m, width))
+
+    half_steps = 2 * _series_cost(chain, 0.5, 1)
+    return 2 * half_steps < unit_step_cost(base + core_columns) - unit_step_cost(base)
+
+
+# How far the half-step floor must clear the hold floor.  Both series
+# and their product add and multiply non-negative numbers only, so
+# rounding can raise the product over its exact value only by a relative
+# error of about terms * (longest operator row + log of the Poisson
+# mean) units of 2**-53, the weights' own rounding counted: about 1e-11
+# on a 4600-term series over rows of 3 entries, 1e-7 at the engine's
+# 10**7-term cap on such rows.  1e-3 covers 10**12 such units.
+_HALF_STEP_SLACK = 1e-3
+
+
 def _unit_step(
     chain: AbsorbedChain, x0: int, core: tuple[int, ...] | None = None
 ) -> tuple[np.ndarray, np.ndarray, float]:
@@ -105,14 +159,28 @@ def _unit_step(
 
     reach and alive are P_x(X_1 = x0) and P_x(alive at 1) for every
     transient x, which c1 and the absorption-rate c3 read; step_floor is
-    min over x, j in core of P_x(X_1 = j), c2's floor for t >= 1 (core
-    contains x0 and defaults to {x0}).  Column j of a block is bit for
-    bit column j evolved alone, so the block changes no value.
+    c2's floor for t >= 1 (core contains x0 and defaults to {x0}): a
+    proved floor on min over x, j in core of P_x(X_1 = j), and that
+    minimum itself whenever it can be below the hold floor.  Column j of
+    a block is bit for bit column j evolved alone, so the block changes
+    no value.
+
+    The core columns feed the step floor alone, so when the engine's
+    cost model (_half_step_pays) puts them above two half-step columns,
+    the floor is first tried without them: _half_step_floor's
+    Chapman-Kolmogorov product through x0.  If that clears the hold
+    floor by the factor 1 + _HALF_STEP_SLACK, which covers its rounding,
+    the minimum cannot bind, c2 is the hold floor exactly as the full
+    block would give it, and the product is the step floor; only
+    [e_x0, 1] is evolved to t = 1.  Otherwise the core columns run as
+    usual and the step floor is the exact minimum.
 
     The window caches (reach, alive) per anchor and step_floor per core,
     and a call evolves only the columns it has no cached value for, so a
-    certificate evolves once.  The columns run in blocks of at most
-    _BLOCK_ENTRIES entries (two columns at the least), the first
+    certificate evolves once.  A step floor cached from the half-step
+    product depends on the anchor that built it; any anchor's is a proof
+    that the minimum does not bind.  The columns run in blocks of at
+    most _BLOCK_ENTRIES entries (two columns at the least), the first
     carrying e_x0 and 1, and only each block's minimum over the core
     rows is kept, so memory stays linear in the window.
     """
@@ -126,8 +194,13 @@ def _unit_step(
     idx = np.array([x - 1 for x in core])
     # the state of each indicator column to evolve; None is the column 1
     hot = [x0 - 1, None] if step is None else []
-    if floor is None:
-        hot += [x - 1 for x in core if x != x0]
+    others = [x - 1 for x in core if x != x0] if floor is None else []
+    if others and _half_step_pays(chain, len(hot), len(others)):
+        half = _half_step_floor(chain, x0, core)
+        if half >= _hold_floor(chain, core) * (1.0 + _HALF_STEP_SLACK):
+            floor = cache[("step_floor", core)] = half
+            others = []
+    hot += others
     block_floor = math.inf
     width = max(2, _BLOCK_ENTRIES // n)
     for lo in range(0, len(hot), width):
@@ -160,7 +233,13 @@ class C2Bounds:
 
     certified = min(hold_floor, step_floor) where hold_floor covers
     t <= 1 (probability of just sitting still) and step_floor covers
-    t >= 1 (worst one-step transition probability within K).  Any
+    t >= 1.  step_floor is a proved floor on the worst one-step
+    transition probability within K, and that minimum itself whenever
+    it can bind.  When it cannot, it may instead be the Chapman-Kolmogorov
+    product min_x P_x(X_1/2 = x0) * min_j P_x0(X_1/2 = j) over K, which
+    the truncated half-step series only under-estimate; it is used only
+    when it is at least hold_floor * (1 + _HALF_STEP_SLACK), the slack
+    covering its rounding, so certified is hold_floor either way.  Any
     observed ratio min/max survival over K can only be larger.
     """
 
@@ -213,20 +292,22 @@ def compute_c2(chain: AbsorbedChain, K) -> C2Bounds:
     """Floor on min/max survival probability across the core K.
 
     Two proved floors, each uniform in t on its regime: a holding bound
-    exp(-max exit rate on K) for t <= 1, and the worst K-to-K one-step
-    probability for t >= 1.  Both need evolution up to t = 1 only: the
-    step floor is read off the shared unit step (_unit_step), evolved
-    with the certificate's anchor when a certificate built it and with
-    the smallest core state otherwise.  A vanishing floor raises
-    CertificationError.
+    exp(-max exit rate on K) for t <= 1 (_hold_floor), and a floor on
+    the worst K-to-K one-step probability for t >= 1.  Both need
+    evolution up to t = 1 only: the step floor is read off the shared
+    unit step (_unit_step), evolved with the certificate's anchor when a
+    certificate built it and with the smallest core state otherwise.  It
+    is the exact minimum whenever that can be below the hold floor, and
+    otherwise may be the half-step Chapman-Kolmogorov product
+    P_x(X_1/2 = x0) * P_x0(X_1/2 = j), which then clears the hold floor
+    by the rounding slack 1 + _HALF_STEP_SLACK; either way c2 is the
+    same.  A vanishing floor raises CertificationError.
     """
     core = _check_core(chain, K)
-    idx = np.array([x - 1 for x in core])
     if len(core) == 1:
         # a single-state core compares survival only with itself
         return C2Bounds(certified=1.0, hold_floor=1.0, step_floor=1.0)
-    q_max = float(np.max(chain.total_exit_rates()[idx]))
-    hold_floor = math.exp(-q_max)
+    hold_floor = _hold_floor(chain, core)
     step_floor = chain._cache.get(("step_floor", core))
     if step_floor is None:
         step_floor = _unit_step(chain, core[0], core)[2]
@@ -252,6 +333,10 @@ def compute_c4(chain: AbsorbedChain, K, lambda0: float) -> ConstantEstimate:
     out_idx, rows, into_stop = _core_exit_rates(chain, core)
     if out_idx.size == 0:
         return ConstantEstimate(value=1.0, provenance=EMPIRICAL, attained_at=core[0])
+    # imported here, not at the top: scipy.sparse.linalg loads scipy.linalg,
+    # which commands that solve nothing never need
+    from scipy.sparse.linalg import MatrixRankWarning, spsolve
+
     QDD = rows[:, out_idx]
     A = (-(QDD + lambda0 * sparse.eye(out_idx.size, format="csr"))).tocsc()
     try:

@@ -58,8 +58,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 from scipy.sparse import _sparsetools
-from scipy.sparse.csgraph import connected_components
-from scipy.sparse.linalg import splu
 from scipy.special import gammaln, pdtr, pdtrc, pdtrik, xlogy
 
 from .chain import (
@@ -88,7 +86,8 @@ _MAX_SERIES_TERMS = 10**7
 # only while n*n fits.
 _BLOCK_ENTRIES = 2**20
 
-# _walk's cost model, fitted on a 2-core x86-64 VM (CHANGES.md has the
+# The cost model of _walk (and, through _series_cost, of certify's
+# half-step floor), fitted on a 2-core x86-64 VM (CHANGES.md has the
 # fit and the crossover table).  A series term costs _TERM_S plus
 # _ENTRY_S per stored operator entry and block column.  A dense n x n
 # squaring through the same kernel costs _CUBE_S per n**3, as measured
@@ -307,6 +306,17 @@ def _normalize_mass(v: np.ndarray, what: str) -> tuple[np.ndarray, float]:
     return v / total, total
 
 
+def _series_cost(chain: AbsorbedChain, t: float, m: int, steps: int = 1) -> float:
+    """Estimated seconds of `steps` series to time t on an m-column
+    block, by the cost model of _TERM_S and _ENTRY_S; inf past the term
+    cap."""
+    op = _uniformized(chain)
+    mu = op.lam * t
+    if not mu <= _MAX_SERIES_TERMS:
+        return math.inf
+    return steps * (_poisson_cutoff(mu, SERIES_TOL) + 1) * (_TERM_S + _ENTRY_S * op.func_op.nnz * m)
+
+
 def _walk_squarings(chain: AbsorbedChain, dt: float, steps: int, m: int) -> int | None:
     """How _walk takes its grid steps of length dt: the number k of
     squarings that builds their propagator, or None for the series.
@@ -324,10 +334,7 @@ def _walk_squarings(chain: AbsorbedChain, dt: float, steps: int, m: int) -> int 
     if mu == 0.0 or not math.isfinite(mu) or n * n > _BLOCK_ENTRIES:
         return None
     k = max(0, math.ceil(math.log2(mu / _BASE_MEAN)))
-    series = (
-        steps * (_poisson_cutoff(mu, SERIES_TOL) + 1) * (_TERM_S + _ENTRY_S * op.func_op.nnz * m)
-        if mu <= _MAX_SERIES_TERMS else math.inf
-    )
+    series = _series_cost(chain, dt, m, steps)
     build = (
         (_poisson_cutoff(op.lam * math.ldexp(dt, -k), math.ldexp(SERIES_TOL, -k)) + 1)
         * (_TERM_S + _ENTRY_S * op.func_op.nnz * n)
@@ -520,6 +527,10 @@ def _require_irreducible(chain: AbsorbedChain) -> None:
     n = chain.n_transient
     if n == 1:
         return
+    # imported here, not at the top: csgraph loads scipy.sparse.linalg and
+    # scipy.linalg, which commands that solve nothing never need
+    from scipy.sparse.csgraph import connected_components
+
     ncomp, _ = connected_components(chain.sub_generator, directed=True, connection="strong")
     if ncomp != 1:
         raise ValidationError(
@@ -540,6 +551,8 @@ def _inverse_operator(chain: AbsorbedChain):
     choice anyway; forcing them keeps every Schur complement an
     M-matrix and the triangular solves free of cancellation.
     """
+    from scipy.sparse.linalg import splu  # imported here: see _require_irreducible
+
     A = -chain.sub_generator.T
     if not np.any(chain.absorption_rates + chain.kill_rates):
         A = A + (chain.uniformization_rate() or 1.0) * sparse.eye(chain.n_transient)

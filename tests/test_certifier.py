@@ -34,7 +34,7 @@ from quasistat import (
 from quasistat.certify import _unit_step
 from quasistat.chain import AbsorbedChain, BirthDeathSpec, truncate
 
-from conftest import c2_survival_ratio_oracle, catastrophe_chain
+from conftest import c2_survival_ratio_oracle, catastrophe_chain, random_small_absorbed_chain
 
 
 # -- c1: one-step conditional floor into the anchor ---------------------------
@@ -93,18 +93,31 @@ def test_absorption_rate_c3_on_a_parametric_window_is_empirical():
     assert r.provenance == "empirical_estimate"
 
 
-def _count_evolutions(monkeypatch):
+def _count_evolutions(monkeypatch, detail=False):
+    """The window size of every evolution certify makes, either side; with
+    detail, (side, window size, t, columns) instead."""
     # the package's certify() shadows its module of the same name
     certify_module = importlib.import_module("quasistat.certify")
     calls = []
-    evolve = certify_module.evolve_function
 
-    def counting_evolve(chain, *args, **kwargs):
-        calls.append(chain.n_transient)
-        return evolve(chain, *args, **kwargs)
+    def counting(side, evolve):
+        def counting_evolve(chain, v, t):
+            columns = 1 if np.ndim(v) == 1 else np.shape(v)[1]
+            calls.append((side, chain.n_transient, t, columns) if detail else chain.n_transient)
+            return evolve(chain, v, t)
+        return counting_evolve
 
-    monkeypatch.setattr(certify_module, "evolve_function", counting_evolve)
+    for side in ("function", "measure"):
+        name = f"evolve_{side}"
+        monkeypatch.setattr(certify_module, name, counting(side, getattr(certify_module, name)))
     return calls
+
+
+def _force_half_step(monkeypatch, tried: bool):
+    """Make the unit step try the half-step floor (tried) or skip it,
+    whatever the cost model says."""
+    certify_module = importlib.import_module("quasistat.certify")
+    monkeypatch.setattr(certify_module, "_half_step_pays", lambda *args: tried)
 
 
 def test_certificate_evolves_one_unit_step_per_window(monkeypatch):
@@ -184,6 +197,9 @@ def test_shared_unit_step_block_equals_columns_evolved_alone(
 ):
     chain = truncate(BirthDeathSpec.logistic(2.0, 1.0, 0.25), n_states, boundary)
     calls = _count_evolutions(monkeypatch)
+    # the exact block under test: with 3 columns per block the cost model
+    # would try the half-step floor instead
+    _force_half_step(monkeypatch, False)
     if block_columns is not None:
         certify_module = importlib.import_module("quasistat.certify")
         monkeypatch.setattr(certify_module, "_BLOCK_ENTRIES", block_columns * chain.n_transient)
@@ -224,6 +240,103 @@ def test_c2_alone_evolves_its_core_with_the_smallest_state_as_anchor(monkeypatch
     compute_c1(chain, 1)
     compute_c3_lambda0(chain, 1, [1], strategy=ABSORPTION_RATE)
     assert calls == [99]
+
+
+def _exact_step_floor(chain, core):
+    """min over x, j in core of P_x(X_1 = j), one column evolved alone
+    per core state."""
+    idx = [y - 1 for y in core]
+    return min(
+        float(evolve_function(chain, np.eye(chain.n_transient)[:, y], 1.0)[idx].min()) for y in idx
+    )
+
+
+def _certificate_text(case):
+    if case[0] == "logistic":
+        return certificate_to_text(logistic_certificate(*case[1]).certificate)
+    chain, core = catastrophe_chain(128), range(1, 9)
+    if case[1] == "criterion":
+        return certificate_to_text(derive_certificate_via_criterion(chain, core, 1))
+    return certificate_to_text(certify(chain, core, 1))
+
+
+# the logistic sets of the certify benchmark (core sizes 1, 2, 3, 6, 9, 14
+# and 45), one more (core 27) and the catastrophe chain's two routes
+_ROUTE_CASES = [
+    pytest.param(("logistic", p), id="logistic-" + "-".join(map(str, p)))
+    for p in [(1, 1, 1), (0.5, 1, 0.2), (0.5, 1, 0.05), (2, 1, 0.25), (1, 1, 0.05), (2, 1, 0.1),
+              (3, 1, 0.0505), (2, 1, 0.049)]
+] + [pytest.param(("catastrophe", route), id=f"catastrophe-128-{route}")
+     for route in ("direct", "criterion")]
+
+
+@pytest.mark.parametrize("case", _ROUTE_CASES)
+def test_unit_step_half_step_route_leaves_certificate_bytes_alone(monkeypatch, case):
+    # c2 is the hold floor whenever the half-step floor clears it, so the
+    # certificate reads the same whichever route the cost model picks
+    texts = []
+    for tried in (False, True):
+        _force_half_step(monkeypatch, tried)
+        texts.append(_certificate_text(case))
+    assert texts[0] == texts[1]
+
+
+def _half_step_cases():
+    cases = []
+    for boundary in ("reflect", "kill"):
+        for n_states in (8, 64, 130):
+            chain = truncate(BirthDeathSpec.logistic(2.0, 1.0, 0.25), n_states, boundary)
+            for x0 in (1, 4, 6):
+                cases.append(pytest.param(chain, tuple(range(1, 7)), x0,
+                                          id=f"{boundary}-{n_states}-x0={x0}"))
+    for seed in range(12):
+        chain = random_small_absorbed_chain(seed)
+        core = tuple(range(1, chain.n_transient + 1))
+        cases.append(pytest.param(chain, core, 1 + seed % len(core), id=f"random-{seed}"))
+    return cases
+
+
+@pytest.mark.parametrize("chain, core, x0", _half_step_cases())
+def test_unit_step_half_step_floor_is_below_the_exact_floor(chain, core, x0):
+    # Chapman-Kolmogorov through x0 at t = 1/2 keeps one path of many
+    certify_module = importlib.import_module("quasistat.certify")
+    assert certify_module._half_step_floor(chain, x0, core) <= _exact_step_floor(chain, core)
+
+
+def test_unit_step_falls_back_to_the_exact_floor_when_the_half_step_fails(monkeypatch):
+    # a deep core of a fast catastrophe chain: its 39 core columns cost
+    # enough for the half-step floor to be tried, and the climb to state
+    # 40 in half a unit of time is too rare for it to clear the hold floor
+    certify_module = importlib.import_module("quasistat.certify")
+    chain = catastrophe_chain(128, birth=4.0, drop=12.0, absorb=4.0)
+    core = tuple(range(1, 41))
+    assert certify_module._half_step_pays(chain, 2, len(core) - 1)
+    hold = certify_module._hold_floor(chain, core)
+    assert certify_module._half_step_floor(chain, 1, core) < hold
+    exact = _exact_step_floor(chain, core)
+    calls = _count_evolutions(monkeypatch, detail=True)
+
+    assert _unit_step(chain, 1, core)[2] == exact
+    b = compute_c2(chain, core)
+    assert b.step_floor == exact and b.certified == exact < hold
+    n = chain.n_transient
+    assert calls == [("function", n, 0.5, 1), ("measure", n, 0.5, 1), ("function", n, 1.0, 41)]
+
+
+def test_unit_step_of_a_z0_45_certificate_evolves_two_columns_and_two_half_steps(monkeypatch):
+    # the 44 other core columns feed only c2's step floor, which the
+    # half-step floor proves cannot go below the hold floor
+    certify_module = importlib.import_module("quasistat.certify")
+    calls = _count_evolutions(monkeypatch, detail=True)
+    result = logistic_certificate(3.0, 1.0, 0.0505)
+    chain, core = result.chain, result.certificate.K
+    assert len(core) == 45
+    n = chain.n_transient
+    assert calls == [("function", n, 0.5, 1), ("measure", n, 0.5, 1), ("function", n, 1.0, 2)]
+    b = compute_c2(chain, core)
+    assert b.step_floor == certify_module._half_step_floor(chain, 1, core)
+    assert b.step_floor >= b.hold_floor * (1 + certify_module._HALF_STEP_SLACK)
+    assert result.certificate.c2 == b.certified == b.hold_floor
 
 
 def test_c1_unreachable_anchor_fails():
@@ -283,6 +396,8 @@ def test_c2_step_floor_matches_column_loop_in_any_block_width(monkeypatch):
     # the package's certify() shadows its module of the same name
     certify_module = importlib.import_module("quasistat.certify")
     monkeypatch.setattr(certify_module, "_BLOCK_ENTRIES", 3 * chain.n_transient)
+    # narrow blocks would make the cost model try the half-step floor
+    _force_half_step(monkeypatch, False)
     assert compute_c2(build_logistic(2.0, 1.0, 0.25, 100), core) == whole
 
 

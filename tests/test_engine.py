@@ -213,11 +213,14 @@ def test_evolution_past_the_series_cap_names_rate_time_and_window():
         evolve_function(chain, np.ones(2), 1.0)
 
 
-def test_import_does_not_load_scipy_stats():
+# the library never calls scipy.stats; the solvers (sparse LU, spsolve,
+# connected components) load only when a command solves something
+@pytest.mark.parametrize("module", ["scipy.stats", "scipy.linalg", "scipy.sparse.linalg"])
+def test_import_does_not_load(module):
     src = os.path.dirname(os.path.dirname(os.path.abspath(quasistat.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(
-        [sys.executable, "-c", "import sys, quasistat; print('scipy.stats' in sys.modules)"],
+        [sys.executable, "-c", f"import sys, quasistat.cli; print({module!r} in sys.modules)"],
         env=env, capture_output=True, text=True, check=True,
     )
     assert out.stdout.strip() == "False"
