@@ -13,6 +13,7 @@ same inputs and seeds produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -325,6 +326,9 @@ def cmd_fv(args) -> int:
 # -- parser ---------------------------------------------------------------
 
 
+# built once per process: in-process callers of main (tests, benchmark
+# workers) would otherwise rebuild seven subparsers on every call
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="quasistat",

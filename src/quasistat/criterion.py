@@ -12,6 +12,15 @@ Two checkable conditions on the jump rates alone:
 
 Both are evaluated on the reflecting twin of the window so truncation
 killing never masquerades as absorption.
+
+find_minimal_core looks for the smallest prefix core {1..k} that passes
+the core-return test.  It works per state, not per prefix: a state x is
+outside {1..k} only while k < x, so its rate into the core is summed
+over its jumps into states below x, rank by rank in column order, and
+k_x is the first prefix at which that sum's ceiling exceeds C.  A
+reversed running maximum of k_x marks every candidate prefix at once,
+and candidates are confirmed in increasing order with compute_alpha_K,
+so the work is O(nnz) plus one alpha_K per candidate.
 """
 
 from __future__ import annotations
@@ -217,30 +226,52 @@ def find_minimal_core(chain: AbsorbedChain, k_max: int | None = None) -> tuple[i
     Only prefixes are scanned; chains whose inbound mass concentrates on
     high states may pass with some non-prefix core yet fail here.
 
-    One pass over the columns of the reflecting window accumulates, for
-    every state, its rate into {1..k} u {0} as k grows; a prefix whose
-    running minimum may exceed C is confirmed with compute_alpha_K, so
-    the answer is the one compute_alpha_K gives prefix by prefix.
+    State x lies outside {1..k} only while k < x, so only its jumps into
+    states j < x matter.  Each state's rate into {1..k} u {0} is summed
+    rank by rank over those jumps in column order, one numpy pass per
+    rank, starting from its absorption rate: every partial sum is the
+    float a prefix-by-prefix accumulation would hold.  From these, k_x is
+    the first prefix at which x's ceiling (an upper bound on what
+    compute_alpha_K finds for x) exceeds C: 0 when the absorption rate
+    alone does, never when no prefix below x does.  Ceilings only grow
+    with k, so prefix k is a candidate exactly when max over x > k of
+    k_x is at most k, which one reversed running maximum gives for every
+    k.  Candidates are confirmed in increasing order with compute_alpha_K,
+    so the answer is the one compute_alpha_K gives prefix by prefix.
     """
     C, _ = compute_absorption_sup(chain)
-    top = chain.n_transient - 1 if k_max is None else min(k_max, chain.n_transient - 1)
+    n = chain.n_transient
+    top = n - 1 if k_max is None else min(k_max, n - 1)
+    if top < 1:
+        return None
     refl = chain.as_reflecting()
-    Q = refl.sub_generator.tocsc()
+    # canonical CSR (the chain sums duplicates), so each row's columns ascend
+    Q = refl.sub_generator
+    row = np.repeat(np.arange(n), np.diff(Q.indptr))
+    below = np.nonzero(Q.indices < row)[0]
+    rank = below - Q.indptr[row[below]]
+    below = below[np.argsort(rank, kind="stable")]
     into_core = refl.absorption_rates.astype(np.float64)
-    terms = np.zeros(refl.n_transient, dtype=np.int64)
-    # an upper bound on what compute_alpha_K finds per state: the absorption
-    # rate plus one core rate rounds the same in either order, while longer
-    # sums, which it adds in another order, get a relative margin
-    ceiling = into_core.copy()
-    for k in range(1, top + 1):
-        rows = Q.indices[Q.indptr[k - 1]:Q.indptr[k]]
-        into_core[rows] += Q.data[Q.indptr[k - 1]:Q.indptr[k]]
-        terms[rows] += 1
-        ceiling[rows] = into_core[rows] * np.where(terms[rows] > 1, 1.0 + _SUM_RTOL, 1.0)
-        if float(ceiling[k:].min()) > C:
-            alpha, _, _ = compute_alpha_K(chain, range(1, k + 1))
-            if alpha > C:
-                return tuple(range(1, k + 1))
+    never = n + 1
+    k_x = np.where(into_core > C, 0, never)
+    lo = 0
+    for r, hi in enumerate(np.cumsum(np.bincount(rank))):
+        entries = below[lo:hi]
+        lo = hi
+        x = row[entries]  # one entry per state in each rank
+        into_core[x] += Q.data[entries]
+        # the absorption rate plus one core rate rounds the same in either
+        # order, while longer sums, which compute_alpha_K adds in another
+        # order, get a relative margin
+        ceiling = into_core[x] * (1.0 + _SUM_RTOL) if r else into_core[x]
+        hit = (ceiling > C) & (k_x[x] == never)
+        k_x[x[hit]] = Q.indices[entries[hit]] + 1
+    suffix_max = np.maximum.accumulate(k_x[::-1])[::-1]
+    ks = np.arange(1, top + 1)
+    for k in ks[suffix_max[1:top + 1] <= ks].tolist():
+        alpha, _, _ = compute_alpha_K(chain, range(1, k + 1))
+        if alpha > C:
+            return tuple(range(1, k + 1))
     return None
 
 

@@ -287,7 +287,8 @@ def alpha_uniform_oracle(chain):
 
 def minimal_core_oracle(chain, k_max=None):
     """Smallest prefix {1..k} with alpha_K > C, one compute_alpha_K call
-    per prefix (O(n * nnz); the library makes one cumulative pass)."""
+    per prefix (O(n * nnz); the library ranks each state's jumps once,
+    in O(nnz))."""
     C, _ = compute_absorption_sup(chain)
     top = chain.n_transient - 1 if k_max is None else min(k_max, chain.n_transient - 1)
     for k in range(1, top + 1):

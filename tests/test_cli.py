@@ -13,7 +13,7 @@ from quasistat import (
     derive_certificate_via_criterion,
     parse_certificate_text,
 )
-from quasistat.cli import main
+from quasistat.cli import build_parser, main
 
 CATASTROPHE_FILE = """\
 states 8
@@ -576,6 +576,43 @@ def test_unparseable_argument_is_validation_error(argv, message, tmp_path, monke
     assert code == 1
     assert err.startswith("error:") and message in err
     assert not (tmp_path / "out").exists()
+
+
+# -- the shared parser ----------------------------------------------------------------------------
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_back_to_back_commands_write_what_separate_calls_write(tmp_path, capsys):
+    # the certify call's --K and --x0 must not leak into the criterion call
+    # that follows it on the same parser
+    chain = tmp_path / "chain.txt"
+    chain.write_text(CATASTROPHE_FILE)
+    commands = [
+        ["certify", "--chain", str(chain), "--K", "1", "--x0", "1"],
+        ["criterion", "--chain", str(chain)],
+    ]
+    for argv in commands:
+        assert run([*argv, "--out", str(tmp_path / "together")]) == 0
+    for i, argv in enumerate(commands):
+        build_parser.cache_clear()
+        assert run([*argv, "--out", str(tmp_path / f"alone{i}")]) == 0
+    capsys.readouterr()
+    together = tmp_path / "together"
+    assert (together / "certificate.txt").read_bytes() == (
+        tmp_path / "alone0" / "certificate.txt").read_bytes()
+    assert (together / "criterion.txt").read_bytes() == (
+        tmp_path / "alone1" / "criterion.txt").read_bytes()
+    assert "K = 1" in (together / "criterion.txt").read_text()
+
+
+def test_help_exits_zero_with_usage(capsys):
+    assert run(["--help"]) == 0
+    assert run(["--help"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("usage: quasistat") == 2
 
 
 # -- installed entry point ------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import importlib
 import math
 
+import numpy as np
 import pytest
 
 from quasistat import (
@@ -172,6 +173,24 @@ def test_find_minimal_core_is_minimal():
     assert not a1 > C  # the singleton prefix genuinely fails
 
 
+def sparse_jump_chain(seed):
+    """Random chain whose rows hold up to 20 jumps, drawn towards low
+    states, with a random absorption rate on every state: many states
+    enter a prefix core through several jumps, so the scan adds many
+    ranks per state and the first passing prefix varies."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(20, 49))  # transient states 1..n
+    entries = []
+    for x in range(1, n + 1):
+        entries.append((x, 0, float(rng.uniform(0.0, 1.0))))
+        others = np.array([y for y in range(1, n + 1) if y != x])
+        weights = 1.0 / others
+        m = int(rng.integers(0, min(20, n - 1) + 1))
+        for y in rng.choice(others, size=m, replace=False, p=weights / weights.sum()):
+            entries.append((x, int(y), float(rng.uniform(0.05, 0.4))))
+    return build_from_entries(entries, n + 1)
+
+
 def top_column_chain(n_states, rate=2.0, absorb=0.5):
     """Every state is absorbed at `absorb` and jumps at `rate` to the
     second-highest state h, which jumps to the top: the only positive
@@ -195,13 +214,15 @@ def top_column_chain(n_states, rate=2.0, absorb=0.5):
         lambda: top_column_chain(256),
         lambda: build_logistic(1.0, 1.0, 1.0, 64),
     ]
-    + [lambda s=s: random_return_chain(s) for s in range(40)],
+    + [lambda s=s: random_return_chain(s) for s in range(40)]
+    + [lambda s=s: sparse_jump_chain(s) for s in range(30)],
 )
 def test_criterion_scans_match_oracles(make):
     chain = make()
     assert compute_alpha_uniform(chain) == alpha_uniform_oracle(chain)
-    assert find_minimal_core(chain) == minimal_core_oracle(chain)
-    assert find_minimal_core(chain, k_max=3) == minimal_core_oracle(chain, k_max=3)
+    n = chain.n_transient
+    for k_max in (None, 1, 3, n // 2, n - 2, n + 5):
+        assert find_minimal_core(chain, k_max) == minimal_core_oracle(chain, k_max)
 
 
 def test_minimal_core_scan_survives_summation_order():
@@ -214,6 +235,48 @@ def test_minimal_core_scan_survives_summation_order():
     alpha, _, _ = compute_alpha_K(chain, [1, 2])
     assert alpha > 1.9 == compute_absorption_sup(chain)[0]
     assert find_minimal_core(chain) == minimal_core_oracle(chain) == (1, 2)
+
+
+def count_alpha_K_calls(monkeypatch):
+    """Record the prefix size of every compute_alpha_K call the scan makes."""
+    criterion_mod = importlib.import_module("quasistat.criterion")
+    original = criterion_mod.compute_alpha_K
+    sizes = []
+
+    def counted(chain, K):
+        K = list(K)
+        sizes.append(len(K))
+        return original(chain, K)
+
+    monkeypatch.setattr(criterion_mod, "compute_alpha_K", counted)
+    return sizes
+
+
+def test_minimal_core_scan_moves_past_a_false_candidate(monkeypatch):
+    # state 3 enters {1, 2} at 0.5 + (0.5 - 1e-12), below C = 1 but within
+    # the summation margin: its ceiling passes at k = 2 while
+    # compute_alpha_K fails there, so the scan must go on to {1, 2, 3}
+    chain = build_from_entries(
+        [(1, 0, 1.0), (1, 2, 1.0), (2, 1, 2.0), (3, 1, 0.5), (3, 2, 0.5 - 1e-12),
+         (3, 4, 1.0), (4, 1, 2.0)],
+        5,
+    )
+    alpha, _, _ = compute_alpha_K(chain, [1, 2])
+    assert alpha < 1.0 == compute_absorption_sup(chain)[0]
+    assert alpha * (1 + 1e-9) > 1.0
+    sizes = count_alpha_K_calls(monkeypatch)
+    assert find_minimal_core(chain) == (1, 2, 3)
+    assert sizes == [2, 3]
+    assert minimal_core_oracle(chain) == (1, 2, 3)
+
+
+def test_minimal_core_scan_confirms_only_the_passing_prefix(monkeypatch):
+    # no prefix below the second-highest state has a passing ceiling, so
+    # the scan confirms that one prefix and nothing else
+    chain = top_column_chain(2048)
+    sizes = count_alpha_K_calls(monkeypatch)
+    assert find_minimal_core(chain) == tuple(range(1, 2047))
+    assert sizes == [2046]
 
 
 def test_report_renders_text():
