@@ -93,20 +93,25 @@ def alpha_coeffs(spec: BirthDeathSpec, j_max: int) -> np.ndarray:
 
 
 def _inner_tail(spec: BirthDeathSpec, k: int) -> float:
-    """sum_{l >= k} alpha_l / alpha_k, via the ratio ladder from k."""
+    """sum_{l >= k} alpha_l / alpha_k, via the ratio ladder from k.
+
+    Each level's rates are evaluated once: the birth rate read at l + 1
+    is carried up as the next level's.
+    """
     total = 1.0
     ratio = 1.0
     l = k
+    up, _ = spec.rates_at(l)
     while True:
-        up, _ = spec.rates_at(l)
         if up <= 0:
             return total  # ladder ends; tail is finite and complete
-        _, down_next = spec.rates_at(l + 1)
+        up_next, down_next = spec.rates_at(l + 1)
         if down_next <= 0:
             raise ValidationError(f"death rate at {l + 1} must be > 0")
         ratio *= up / down_next
         total += ratio
         l += 1
+        up = up_next
         if not math.isfinite(total):
             # supercritical ladder: the tail overflows outright
             raise DivergentMomentError(

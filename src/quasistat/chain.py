@@ -423,7 +423,8 @@ def build_from_entries(
 
     Multiple entries for the same pair accumulate.  Targets above the
     window top are allowed only in KILL mode, where they count as extra
-    killing.  Rates out of state 0 are rejected: 0 is absorbing.
+    killing.  Rates out of state 0 and into negative states are rejected:
+    0 is absorbing and the state space starts there.
     """
     _check_boundary_mode(boundary_mode)
     if n_states < 2:
@@ -441,6 +442,8 @@ def build_from_entries(
             raise ValidationError(f"source state {x} outside window 1..{n}")
         if x == y:
             raise ValidationError(f"self-rate ({x} -> {x}) is not allowed")
+        if y < 0:
+            raise ValidationError(f"target state {y} of rate ({x} -> {y}) is negative")
         if not math.isfinite(r) or r < 0:
             raise ValidationError(f"rate ({x} -> {y}) must be finite and >= 0, got {r}")
         if y == 0:

@@ -49,7 +49,7 @@ from .textio import fmt
 _MAX_GRID_POINTS = 10**6
 
 
-def _add_chain_args(p: argparse.ArgumentParser, need_states: bool = True):
+def _add_chain_args(p: argparse.ArgumentParser):
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--chain", metavar="FILE", help="chain description file")
     src.add_argument(
@@ -59,13 +59,12 @@ def _add_chain_args(p: argparse.ArgumentParser, need_states: bool = True):
         metavar=("B", "D", "C"),
         help="logistic birth-death parameters",
     )
-    if need_states:
-        p.add_argument(
-            "--states",
-            default="auto",
-            help="window size incl. state 0, or 'auto' to grow until the QSD is stable "
-            "(parametric chains only; default auto)",
-        )
+    p.add_argument(
+        "--states",
+        default="auto",
+        help="window size incl. state 0, or 'auto' to grow until the QSD is stable "
+        "(parametric chains only; default auto)",
+    )
     p.add_argument(
         "--boundary",
         choices=[REFLECT, KILL],
@@ -76,11 +75,10 @@ def _add_chain_args(p: argparse.ArgumentParser, need_states: bool = True):
 
 def _build_chain(args):
     """Resolve the chain source args into an AbsorbedChain."""
-    states = getattr(args, "states", "auto")
     try:
-        n_states = None if states in (None, "auto") else int(states)
+        n_states = None if args.states == "auto" else int(args.states)
     except ValueError:
-        raise ValidationError(f"--states must be an integer or 'auto', got {states!r}") from None
+        raise ValidationError(f"--states must be an integer or 'auto', got {args.states!r}") from None
     if args.chain is not None:
         ch = load_chain_file(args.chain)
         size = ch.n_states if n_states is None else n_states

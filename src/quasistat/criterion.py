@@ -11,7 +11,11 @@ Two checkable conditions on the jump rates alone:
     test holds for some prefix core {1..k}.
 
 Both are evaluated on the reflecting twin of the window so truncation
-killing never masquerades as absorption.
+killing never masquerades as absorption.  Each call builds one report in
+one pass: the twin is made once, every rate functional runs on it (so
+their own as_reflecting() calls hand it straight back), and the
+core-return fields are attached to the report that already holds C,
+q_bar and alpha; the report still names the window it was asked about.
 
 find_minimal_core looks for the smallest prefix core {1..k} that passes
 the core-return test.  It works per state, not per prefix: a state x is
@@ -170,12 +174,15 @@ def compute_alpha_K(chain: AbsorbedChain, K) -> tuple[float, int | None, list[st
     return value, at, notes
 
 
-def _rate_report(chain: AbsorbedChain) -> CriterionReport:
-    """C, q_bar, alpha and the uniform-rates verdict, with no core yet."""
-    C, c_at = compute_absorption_sup(chain)
-    q_bar, _, notes = compute_q_bar(chain)
-    alpha_uniform = compute_alpha_uniform(chain)
-    return CriterionReport(
+def _report(chain: AbsorbedChain, K=None) -> CriterionReport:
+    """The rate tests on one reflecting twin of the window, then the
+    core-return test on K; with no K, on the smallest passing prefix core
+    when the uniform-rates test holds."""
+    refl = chain.as_reflecting()
+    C, c_at = compute_absorption_sup(refl)
+    q_bar, _, notes = compute_q_bar(refl)
+    alpha_uniform = compute_alpha_uniform(refl)
+    rep = CriterionReport(
         n_states=chain.n_states,
         boundary_mode=chain.boundary_mode,
         C=C,
@@ -185,23 +192,30 @@ def _rate_report(chain: AbsorbedChain) -> CriterionReport:
         uniform_rates_holds=bool(math.isfinite(q_bar) and alpha_uniform > C),
         notes=notes,
     )
-
-
-def check_core_return(chain: AbsorbedChain, K) -> CriterionReport:
-    """Evaluate the core-return test alpha_K > C for a given core."""
-    rep = _rate_report(chain)
-    rep.alpha_K, rep.alpha_attained_at, notes = compute_alpha_K(chain, K)
-    rep.K = tuple(sorted({int(x) for x in K}))
+    if K is None:
+        if not rep.uniform_rates_holds:
+            return rep
+        K = find_minimal_core(refl)
+        if K is None:
+            rep.notes.append("uniform-rates test holds but no prefix core passes on this window")
+            return rep
+    rep.K = _check_core(refl, K)
+    rep.alpha_K, rep.alpha_attained_at, notes = compute_alpha_K(refl, rep.K)
     rep.notes += notes
-    rep.core_return_holds = rep.alpha_K > rep.C
+    rep.core_return_holds = rep.alpha_K > C
     if rep.core_return_holds:
-        rep.lambda0 = rep.C
+        rep.lambda0 = C
         if math.isfinite(rep.alpha_K):
-            rep.c4_bound = rep.alpha_K / (rep.alpha_K - rep.C)
+            rep.c4_bound = rep.alpha_K / (rep.alpha_K - C)
         else:
             rep.c4_bound = 1.0
             rep.notes.append("alpha_K infinite (vacuous); c4 bound degenerates to 1")
     return rep
+
+
+def check_core_return(chain: AbsorbedChain, K) -> CriterionReport:
+    """Evaluate the core-return test alpha_K > C for a given core."""
+    return _report(chain, K)
 
 
 def check_uniform_rates(chain: AbsorbedChain) -> CriterionReport:
@@ -210,17 +224,10 @@ def check_uniform_rates(chain: AbsorbedChain) -> CriterionReport:
     When it holds, the report is check_core_return's for the smallest
     prefix core that passes, a constructive witness of the implication.
     """
-    rep = _rate_report(chain)
-    if not rep.uniform_rates_holds:
-        return rep
-    K = find_minimal_core(chain)
-    if K is None:
-        rep.notes.append("uniform-rates test holds but no prefix core passes on this window")
-        return rep
-    return check_core_return(chain, K)
+    return _report(chain)
 
 
-def find_minimal_core(chain: AbsorbedChain, k_max: int | None = None) -> tuple[int, ...] | None:
+def find_minimal_core(chain: AbsorbedChain) -> tuple[int, ...] | None:
     """Smallest prefix {1..k} passing the core-return test, else None.
 
     Only prefixes are scanned; chains whose inbound mass concentrates on
@@ -241,9 +248,6 @@ def find_minimal_core(chain: AbsorbedChain, k_max: int | None = None) -> tuple[i
     """
     C, _ = compute_absorption_sup(chain)
     n = chain.n_transient
-    top = n - 1 if k_max is None else min(k_max, n - 1)
-    if top < 1:
-        return None
     refl = chain.as_reflecting()
     # canonical CSR (the chain sums duplicates), so each row's columns ascend
     Q = refl.sub_generator
@@ -267,8 +271,8 @@ def find_minimal_core(chain: AbsorbedChain, k_max: int | None = None) -> tuple[i
         hit = (ceiling > C) & (k_x[x] == never)
         k_x[x[hit]] = Q.indices[entries[hit]] + 1
     suffix_max = np.maximum.accumulate(k_x[::-1])[::-1]
-    ks = np.arange(1, top + 1)
-    for k in ks[suffix_max[1:top + 1] <= ks].tolist():
+    ks = np.arange(1, n)
+    for k in ks[suffix_max[1:n] <= ks].tolist():
         alpha, _, _ = compute_alpha_K(chain, range(1, k + 1))
         if alpha > C:
             return tuple(range(1, k + 1))

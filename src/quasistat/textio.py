@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from contextlib import nullcontext
-
 
 def fmt(x) -> str:
     """Render a float with 17 significant digits (round-trips exactly)."""
@@ -11,10 +9,8 @@ def fmt(x) -> str:
 
 
 def write_csv(target, header, rows) -> None:
-    """Write rows of already-stringified cells; target is a path (opened
-    and closed here) or an open text file (left open)."""
-    own = isinstance(target, (str, bytes)) or hasattr(target, "__fspath__")
-    with open(target, "w", encoding="utf-8", newline="\n") if own else nullcontext(target) as fh:
+    """Write rows of already-stringified cells to the file at path target."""
+    with open(target, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(row) + "\n")

@@ -9,7 +9,9 @@ import pytest
 from scipy import sparse
 
 from quasistat import (
+    KILL,
     KILLED_STATE,
+    REFLECT,
     STATUS_ABSORBED,
     STATUS_HIT_SET,
     STATUS_KILLED,
@@ -48,19 +50,20 @@ def pytest_terminal_summary(terminalreporter):
             terminalreporter.write_line(line)
 
 
-def catastrophe_chain(n_states=8, birth=1.0, drop=3.0, absorb=1.0):
+def catastrophe_chain(n_states=8, birth=1.0, drop=3.0, absorb=1.0, boundary=REFLECT):
     """Upward drift by 1, collapse to state 1 at a fixed rate, absorption
     only out of state 1.  The closed-form moment ceiling for K={1} at
-    rate C=absorb is drop/(drop-absorb)."""
+    rate C=absorb is drop/(drop-absorb).  In KILL mode the top state's
+    drift leaves the window as truncation killing."""
     entries = []
     n = n_states - 1
     for x in range(1, n + 1):
-        if x < n:
+        if x < n or boundary == KILL:
             entries.append((x, x + 1, birth))
         if x >= 2:
             entries.append((x, 1, drop))
     entries.append((1, 0, absorb))
-    return build_from_entries(entries, n_states)
+    return build_from_entries(entries, n_states, boundary)
 
 
 def alternating_catastrophe_chain(n_states=12, birth=1.0, drop=3.0, absorb=1.0):
@@ -285,13 +288,12 @@ def alpha_uniform_oracle(chain):
     return total
 
 
-def minimal_core_oracle(chain, k_max=None):
+def minimal_core_oracle(chain):
     """Smallest prefix {1..k} with alpha_K > C, one compute_alpha_K call
     per prefix (O(n * nnz); the library ranks each state's jumps once,
     in O(nnz))."""
     C, _ = compute_absorption_sup(chain)
-    top = chain.n_transient - 1 if k_max is None else min(k_max, chain.n_transient - 1)
-    for k in range(1, top + 1):
+    for k in range(1, chain.n_transient):
         alpha, _, _ = compute_alpha_K(chain, range(1, k + 1))
         if alpha > C:
             return tuple(range(1, k + 1))

@@ -113,6 +113,27 @@ def test_hitting_crowding_term_belongs_in_the_divisor():
     assert abs(bad - oracle) / oracle > 1e-3
 
 
+def test_inner_tail_evaluates_each_level_once():
+    # the ladder reads level l + 1 to step up from l; the next step must
+    # reuse those rates, not evaluate the callables at l + 1 again
+    seen = {"birth": [], "death": []}
+
+    def counted(label, rate):
+        def f(x):
+            seen[label].append(x)
+            return rate(x)
+        return f
+
+    spec = BirthDeathSpec(
+        birth_rate=counted("birth", LOGISTIC.birth_rate),
+        death_rate=counted("death", LOGISTIC.death_rate),
+    )
+    assert _inner_tail(spec, 3) == _inner_tail(LOGISTIC, 3)
+    levels = seen["birth"]
+    assert len(levels) > 10 and levels == list(range(3, 3 + len(levels)))
+    assert seen["death"] == levels
+
+
 def assert_encloses_truncation(params, z, lo, hi):
     """Check (lo, hi) against E_{10**6} T_z plus what the levels above
     10**6 carry.

@@ -177,6 +177,17 @@ def test_entries_above_window_target():
     assert chain.kill_rates[1] == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("mode", [REFLECT, KILL])
+def test_entries_reject_negative_target(mode):
+    # a target below 0 is no state at all: neither truncation killing in
+    # kill mode nor a target above the window top in reflect mode
+    msg = r"target state -1 of rate \(3 -> -1\) is negative"
+    with pytest.raises(ValidationError, match=msg):
+        build_from_entries([(1, 0, 1.0), (3, -1, 2.0)], 4, mode)
+    with pytest.raises(ValidationError, match="<string>: " + msg):
+        parse_chain_text(f"states 4\nboundary {mode}\nrate 1 0 1.0\nrate 3 -1 2.0\n")
+
+
 def test_constructor_rejects_short_window():
     with pytest.raises(ValidationError):
         build_from_entries([], 1)

@@ -21,6 +21,7 @@ from quasistat import (
     find_minimal_core,
     geometric_grid,
 )
+from quasistat.chain import AbsorbedChain
 
 from conftest import (
     alpha_uniform_oracle,
@@ -142,13 +143,31 @@ def test_alternating_chain_splits_the_verdicts():
     assert sub.c4_bound == pytest.approx(1.5)
 
 
-def test_uniform_rates_attaches_witness_core():
-    chain = catastrophe_chain(drop=3.0)
+RATE_FIELDS = ("n_states", "boundary_mode", "C", "C_attained_at", "q_bar", "alpha_uniform",
+               "uniform_rates_holds")
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: catastrophe_chain(drop=3.0),
+        lambda: catastrophe_chain(n_states=9, drop=3.0, boundary="kill"),
+        lambda: high_column_chain(),
+    ]
+    + [lambda s=s: random_return_chain(s) for s in range(8)],
+    ids=["catastrophe", "catastrophe-kill", "high-column"] + [f"random-{s}" for s in range(8)],
+)
+def test_uniform_rates_attaches_witness_core(make):
+    chain = make()
     rep = check_uniform_rates(chain)
-    assert rep.uniform_rates_holds
-    assert rep.K == (1,)
+    assert (rep.n_states, rep.boundary_mode) == (chain.n_states, chain.boundary_mode)
+    assert rep.K == (minimal_core_oracle(chain) if rep.uniform_rates_holds else None)
+    if rep.K is None:
+        # no witness: the rate half is still every core-return report's
+        other = check_core_return(chain, [1])
+        assert [getattr(rep, f) for f in RATE_FIELDS] == [getattr(other, f) for f in RATE_FIELDS]
+        return
     assert rep.core_return_holds
-    assert rep.c4_bound == pytest.approx(1.5)
     # the report is the witness core's own core-return report
     assert rep == check_core_return(chain, rep.K)
 
@@ -215,14 +234,13 @@ def top_column_chain(n_states, rate=2.0, absorb=0.5):
         lambda: build_logistic(1.0, 1.0, 1.0, 64),
     ]
     + [lambda s=s: random_return_chain(s) for s in range(40)]
-    + [lambda s=s: sparse_jump_chain(s) for s in range(30)],
+    + [lambda s=s: sparse_jump_chain(s) for s in range(30)]
+    + [lambda: build_from_entries([(1, 0, 1.0)], 2)],  # one transient state: no proper prefix
 )
 def test_criterion_scans_match_oracles(make):
     chain = make()
     assert compute_alpha_uniform(chain) == alpha_uniform_oracle(chain)
-    n = chain.n_transient
-    for k_max in (None, 1, 3, n // 2, n - 2, n + 5):
-        assert find_minimal_core(chain, k_max) == minimal_core_oracle(chain, k_max)
+    assert find_minimal_core(chain) == minimal_core_oracle(chain)
 
 
 def test_minimal_core_scan_survives_summation_order():
@@ -237,19 +255,37 @@ def test_minimal_core_scan_survives_summation_order():
     assert find_minimal_core(chain) == minimal_core_oracle(chain) == (1, 2)
 
 
+def count_calls(monkeypatch, owner, name):
+    """Record the positional arguments of every call made through owner.name."""
+    original = getattr(owner, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
 def count_alpha_K_calls(monkeypatch):
-    """Record the prefix size of every compute_alpha_K call the scan makes."""
+    """The compute_alpha_K calls the scan makes, as (chain, K) pairs."""
+    return count_calls(monkeypatch, importlib.import_module("quasistat.criterion"), "compute_alpha_K")
+
+
+@pytest.mark.parametrize("K", [None, [1], [1, 2, 3]])
+def test_each_report_is_one_pass_over_one_twin(monkeypatch, K):
+    # a kill window, so each as_reflecting() that is not handed the twin
+    # would construct another one
+    chain = catastrophe_chain(n_states=9, drop=3.0, boundary="kill")
+    assert chain.kill_rates[-1] > 0
     criterion_mod = importlib.import_module("quasistat.criterion")
-    original = criterion_mod.compute_alpha_K
-    sizes = []
-
-    def counted(chain, K):
-        K = list(K)
-        sizes.append(len(K))
-        return original(chain, K)
-
-    monkeypatch.setattr(criterion_mod, "compute_alpha_K", counted)
-    return sizes
+    q_bar = count_calls(monkeypatch, criterion_mod, "compute_q_bar")
+    alpha = count_calls(monkeypatch, criterion_mod, "compute_alpha_uniform")
+    built = count_calls(monkeypatch, AbsorbedChain, "__init__")
+    rep = check_uniform_rates(chain) if K is None else check_core_return(chain, K)
+    assert rep.core_return_holds and rep.boundary_mode == "kill"
+    assert (len(q_bar), len(alpha), len(built)) == (1, 1, 1)
 
 
 def test_minimal_core_scan_moves_past_a_false_candidate(monkeypatch):
@@ -264,9 +300,9 @@ def test_minimal_core_scan_moves_past_a_false_candidate(monkeypatch):
     alpha, _, _ = compute_alpha_K(chain, [1, 2])
     assert alpha < 1.0 == compute_absorption_sup(chain)[0]
     assert alpha * (1 + 1e-9) > 1.0
-    sizes = count_alpha_K_calls(monkeypatch)
+    calls = count_alpha_K_calls(monkeypatch)
     assert find_minimal_core(chain) == (1, 2, 3)
-    assert sizes == [2, 3]
+    assert [len(K) for _, K in calls] == [2, 3]
     assert minimal_core_oracle(chain) == (1, 2, 3)
 
 
@@ -274,9 +310,9 @@ def test_minimal_core_scan_confirms_only_the_passing_prefix(monkeypatch):
     # no prefix below the second-highest state has a passing ceiling, so
     # the scan confirms that one prefix and nothing else
     chain = top_column_chain(2048)
-    sizes = count_alpha_K_calls(monkeypatch)
+    calls = count_alpha_K_calls(monkeypatch)
     assert find_minimal_core(chain) == tuple(range(1, 2047))
-    assert sizes == [2046]
+    assert [len(K) for _, K in calls] == [2046]
 
 
 def test_report_renders_text():
