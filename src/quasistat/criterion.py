@@ -16,6 +16,8 @@ one pass: the twin is made once, every rate functional runs on it (so
 their own as_reflecting() calls hand it straight back), and the
 core-return fields are attached to the report that already holds C,
 q_bar and alpha; the report still names the window it was asked about.
+A witness core comes with the alpha_K the prefix scan confirmed it
+with, so it is not computed again.
 
 find_minimal_core looks for the smallest prefix core {1..k} that passes
 the core-return test.  It works per state, not per prefix: a state x is
@@ -195,12 +197,15 @@ def _report(chain: AbsorbedChain, K=None) -> CriterionReport:
     if K is None:
         if not rep.uniform_rates_holds:
             return rep
-        K = find_minimal_core(refl)
-        if K is None:
+        found = _minimal_core(refl, C)
+        if found is None:
             rep.notes.append("uniform-rates test holds but no prefix core passes on this window")
             return rep
-    rep.K = _check_core(refl, K)
-    rep.alpha_K, rep.alpha_attained_at, notes = compute_alpha_K(refl, rep.K)
+        # the scan's own confirmation of the core is its alpha_K
+        rep.K, (rep.alpha_K, rep.alpha_attained_at, notes) = found
+    else:
+        rep.K = _check_core(refl, K)
+        rep.alpha_K, rep.alpha_attained_at, notes = compute_alpha_K(refl, rep.K)
     rep.notes += notes
     rep.core_return_holds = rep.alpha_K > C
     if rep.core_return_holds:
@@ -246,9 +251,15 @@ def find_minimal_core(chain: AbsorbedChain) -> tuple[int, ...] | None:
     k.  Candidates are confirmed in increasing order with compute_alpha_K,
     so the answer is the one compute_alpha_K gives prefix by prefix.
     """
-    C, _ = compute_absorption_sup(chain)
-    n = chain.n_transient
-    refl = chain.as_reflecting()
+    found = _minimal_core(chain.as_reflecting(), compute_absorption_sup(chain)[0])
+    return None if found is None else found[0]
+
+
+def _minimal_core(refl: AbsorbedChain, C: float):
+    """find_minimal_core on the reflecting twin refl against C = sup_x
+    Q(x, 0): (core, compute_alpha_K's (alpha_K, attained_at, notes) on
+    it), or None."""
+    n = refl.n_transient
     # canonical CSR (the chain sums duplicates), so each row's columns ascend
     Q = refl.sub_generator
     row = np.repeat(np.arange(n), np.diff(Q.indptr))
@@ -273,9 +284,10 @@ def find_minimal_core(chain: AbsorbedChain) -> tuple[int, ...] | None:
     suffix_max = np.maximum.accumulate(k_x[::-1])[::-1]
     ks = np.arange(1, n)
     for k in ks[suffix_max[1:n] <= ks].tolist():
-        alpha, _, _ = compute_alpha_K(chain, range(1, k + 1))
-        if alpha > C:
-            return tuple(range(1, k + 1))
+        core = tuple(range(1, k + 1))
+        alpha = compute_alpha_K(refl, core)
+        if alpha[0] > C:
+            return core, alpha
     return None
 
 

@@ -20,10 +20,11 @@ also takes an (n, m) block of m columns: each series term is then one
 operator-times-block product, so m columns cost one pass over the
 Poisson weights instead of m, and each column comes out bit for bit as
 it would alone.  The operator is always CSR.  A series allocates nothing
-per term: the products alternate between two preallocated buffers
-(through scipy's sparsetools kernel, called directly) and the weighted
-terms are added into the result in place, in the order and with the
-rounding of the plain ``out + w * (M @ v)`` loop.  Conditioning on
+per term and makes one call per term: scipy's sparsetools kernel,
+called directly, writes each product into the next row of a chunk
+buffer, and each chunk is folded into the result with a few calls over
+the whole chunk, in the order and with the rounding of the plain
+``out + w * (M @ v)`` loop (see _evolve).  Conditioning on
 survival is always a final normalization step, never baked into the
 operator, so unnormalized survival mass stays available to callers.
 
@@ -86,10 +87,23 @@ _MAX_SERIES_TERMS = 10**7
 # only while n*n fits.
 _BLOCK_ENTRIES = 2**20
 
+# A series writes its terms a chunk of rows at a time into buffers of at
+# most _CHUNK_ENTRIES float64 entries (128 KiB, below glibc's default
+# mmap threshold).  A block of more than _CHUNK_ROW_ENTRIES entries takes
+# one term per chunk: its product dwarfs the calls a chunk saves, and
+# longer chunks of it ran slower (CHANGES.md has the measurements).
+_CHUNK_ENTRIES = 2**14
+_CHUNK_ROW_ENTRIES = 2048
+
 # The cost model of _walk (and, through _series_cost, of certify's
 # half-step floor), fitted on a 2-core x86-64 VM (CHANGES.md has the
 # fit and the crossover table).  A series term costs _TERM_S plus
-# _ENTRY_S per stored operator entry and block column.  A dense n x n
+# _ENTRY_S per stored operator entry and block column.  The fit predates
+# the chunked series, which takes up to about 1.5 us off a term of a
+# block of up to _CHUNK_ROW_ENTRIES entries (less as the block widens),
+# so _TERM_S over-states those terms; it is kept because it routes _walk
+# and the half-step floor, and a refit would move decay tables and
+# certificate bytes.  A dense n x n
 # squaring through the same kernel costs _CUBE_S per n**3, as measured
 # on squared propagators of logistic windows, whose subnormal products
 # make it up to four times slower than on a random matrix.  The base
@@ -202,21 +216,55 @@ def _evolve(
             f"{chain.n_transient}-state window is too long: {exc}"
         ) from None
     A = op.meas_op if side == "measure" else op.func_op
-    # vk and nxt are the ping-pong buffers of the series: each step writes
-    # A @ vk into nxt, and out takes wk * vk in place through tmp.  The
-    # CSR kernel works on flat buffers, so the block is raveled.
-    step = _csr_step(A, 1 if v.ndim == 1 else v.shape[1])
-    vk = np.array(v, order="C").reshape(-1)
-    nxt = np.empty_like(vk)
-    tmp = np.empty_like(vk)
+    n = A.shape[0]
+    # The terms M^k v run through two chunk buffers in turn, the block
+    # raveled for the CSR kernel: the kernel writes each term into the
+    # next row from the row before it, and a chunk's first row from the
+    # other buffer's last, so no term is copied and one fill zeros a
+    # chunk for the kernel to add into.  A chunk is then folded into out
+    # in three calls: its rows times their weights, out added into the
+    # first row, and one axis-0 reduction.  numpy adds the rows of that
+    # reduction one after another when they hold two entries or more, so
+    # out rounds as in the plain ``out + w * (M @ v)`` loop; the
+    # reduction starts from -0.0, which leaves every sum as it is (from
+    # numpy's +0.0 a sum of -0.0 terms would come out +0.0).  Rows of
+    # one entry (summed pairwise), a lone row and rows of zero weight
+    # (which the plain loop skips) are added one by one instead.  The
+    # weights are a log-concave pmf cut where its tail is far above
+    # underflow, so the zero ones are a prefix below the mean, and a
+    # chunk whose first weight is positive has no zero weight.
+    vk = np.ascontiguousarray(v).reshape(-1)
+    size = vk.size
+    rows = min(_CHUNK_ENTRIES // max(size, 1), w.size - 1) if size <= _CHUNK_ROW_ENTRIES else 1
+    # each buffer with the list of its row views, made once
+    this, that = ((b, list(b)) for b in (np.empty((rows, size)), np.empty((rows, size))))
+    weighted = np.empty((rows, size))
+    scratch = weighted[0]
+    if v.ndim == 1:
+        kernel, args = _sparsetools.csr_matvec, (n, n, A.indptr, A.indices, A.data)
+    else:
+        kernel, args = _sparsetools.csr_matvecs, (n, n, v.shape[1], A.indptr, A.indices, A.data)
     out = w[0] * vk
-    for k in range(1, w.size):
-        step(vk, nxt)
-        vk, nxt = nxt, vk
-        wk = w[k]
-        if wk > 0.0:
-            np.multiply(vk, wk, out=tmp)
-            out += tmp
+    for k in range(1, w.size, rows):
+        (chunk, terms), this, that = this, that, this
+        c = min(rows, w.size - k)
+        if c < rows:
+            chunk, terms = chunk[:c], terms[:c]
+        chunk.fill(0.0)
+        for row in terms:
+            kernel(*args, vk, row)
+            vk = row
+        if c > 1 and size > 1 and w[k] > 0.0:
+            folded = weighted[:c]
+            np.multiply(chunk, w[k : k + c, None], out=folded)
+            folded[0] += out
+            np.add.reduce(folded, axis=0, out=out, initial=-0.0)
+        else:
+            for i in range(c):
+                wk = w[k + i]
+                if wk > 0.0:
+                    np.multiply(terms[i], wk, out=scratch)
+                    out += scratch
     return out.reshape(v.shape)
 
 

@@ -194,12 +194,12 @@ def _initial_states(cum_init: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.minimum(idx, cum_init.size - 1) + 1
 
 
-def _exit_times(jumps: _JumpTables, keys: np.ndarray, counters, x: np.ndarray, t) -> np.ndarray:
+def _exit_times(jumps: _JumpTables, u: np.ndarray, x: np.ndarray, t) -> np.ndarray:
     """When walkers that entered states x at times t leave them:
-    t - log(u) / q(x), u being draw `counters` of each stream; inf where
+    t - log(u) / q(x), u being their holding-time uniforms; inf where
     q(x) = 0, a state that never leaves."""
     with np.errstate(divide="ignore"):
-        return t - _log(u01(keys, counters)) / jumps.totals[x]
+        return t - _log(u) / jumps.totals[x]
 
 
 def _log(u: np.ndarray) -> np.ndarray:
@@ -216,9 +216,10 @@ def _step(jumps: _JumpTables, keys: np.ndarray, counters, x: np.ndarray, t):
     """Move walkers in states x at times t by one jump each.
 
     Draw `counters` picks the jump target by bisection of x's row; draw
-    counters + 1 is the holding time in the target.  Returns the targets
-    and the times the walkers leave them; a target <= 0 (absorption or
-    killing) has no holding time, and its time is meaningless.
+    counters + 1 is the holding time in the target.  Returns the targets,
+    the times the walkers leave them and the draws counters + 1; a target
+    <= 0 (absorption or killing) has no holding time, and its time is
+    meaningless.
     """
     # first row entry >= v, the row's last entry if none is
     v = u01(keys, counters) * jumps.totals[x]
@@ -230,7 +231,8 @@ def _step(jumps: _JumpTables, keys: np.ndarray, counters, x: np.ndarray, t):
         lo = np.where(below, mid + 1, lo)
         hi = np.where(below, hi, mid)
     y = jumps.targets[lo]
-    return y, _exit_times(jumps, keys, counters + 1, y, t)
+    u = u01(keys, counters + 1)
+    return y, _exit_times(jumps, u, y, t), u
 
 
 @dataclass
@@ -316,7 +318,7 @@ def simulate_batch(
     # Every live path has made the same number of jumps, so all sit at
     # the same draw counter: 2 per jump after the initial choice and the
     # first holding time.
-    t = _exit_times(jumps, keys, 1, x, 0.0)
+    t = _exit_times(jumps, u01(keys, 1), x, 0.0)
     counter = 2
     while True:
         out = t >= horizon  # a state with q = 0 holds forever: t = inf
@@ -327,7 +329,7 @@ def simulate_batch(
             path, keys, x, t = path[keep], keys[keep], x[keep], t[keep]
         if not path.size:
             break
-        y, t_next = _step(jumps, keys, counter, x, t)
+        y, t_next, _ = _step(jumps, keys, counter, x, t)
         out = (y <= 0) | in_stop[y]
         if out.any():
             done = path[out]
@@ -444,7 +446,7 @@ def fleming_viot(
     keys = derive_key(seed, _KIND_PARTICLE, ids.astype(np.uint64))
     # draw 0 picks the start state and draw 1 the first holding time
     x = _initial_states(cum_init, u01(keys, 0))
-    front = _exit_times(jumps, keys, 1, x, 0.0)  # next event time, or block time
+    front = _exit_times(jumps, u01(keys, 1), x, 0.0)  # next event time, or block time
     counter = np.full(n, 2, dtype=np.uint64)
     blocked = np.zeros(n, dtype=bool)
     source = np.zeros(n, dtype=np.int64)  # whom a blocked particle copies
@@ -488,7 +490,7 @@ def fleming_viot(
                 y = state_at(k, np.where(k < i, np.nextafter(a, np.inf), a))
                 record(i, a, y)
                 x[i] = y
-                front[i] = _exit_times(jumps, keys[i], counter[i], y, a)
+                front[i] = _exit_times(jumps, u01(keys[i], counter[i]), y, a)
                 counter[i] += 1
                 blocked[i] = False
                 redraws += np.bincount(np.searchsorted(times, a), minlength=redraws.size)
@@ -520,13 +522,14 @@ def fleming_viot(
                 f"respawn, took no snapshot and moved no particle"
             )
         t, c = front[i], counter[i]
-        y, t_next = _step(jumps, keys[i], c, x[i], t)
+        y, t_next, u = _step(jumps, keys[i], c, x[i], t)
         counter[i] = c + 2
         gone = y <= 0
         if gone.any():
-            # absorbed or killed: draw the particle to copy, and block
+            # absorbed or killed: draw c + 1, which no holding time
+            # needs, picks the particle to copy; then block
             g = i[gone]
-            k = np.minimum((u01(keys[g], c[gone] + 1) * last).astype(np.int64), last - 1)
+            k = np.minimum((u[gone] * last).astype(np.int64), last - 1)
             source[g] = k + (k >= g)
             blocked[g] = True
             stay = ~gone

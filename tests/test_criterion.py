@@ -288,6 +288,29 @@ def test_each_report_is_one_pass_over_one_twin(monkeypatch, K):
     assert (len(q_bar), len(alpha), len(built)) == (1, 1, 1)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: catastrophe_chain(drop=3.0),
+        lambda: catastrophe_chain(n_states=9, drop=3.0, boundary="kill"),
+        lambda: top_column_chain(256),
+    ],
+    ids=["catastrophe", "catastrophe-kill", "top-column"],
+)
+def test_witness_core_is_confirmed_once(monkeypatch, make):
+    # the report takes the witness core's alpha_K from the prefix scan
+    # that confirmed it, and C from its own rate pass
+    chain = make()
+    criterion_mod = importlib.import_module("quasistat.criterion")
+    sups = count_calls(monkeypatch, criterion_mod, "compute_absorption_sup")
+    alphas = count_alpha_K_calls(monkeypatch)
+    rep = check_uniform_rates(chain)
+    assert rep.core_return_holds and rep.K == minimal_core_oracle(chain)
+    cores = [tuple(K) for _, K in alphas]
+    assert cores[-1] == rep.K and len(set(cores)) == len(cores)
+    assert len(sups) == 1
+
+
 def test_minimal_core_scan_moves_past_a_false_candidate(monkeypatch):
     # state 3 enters {1, 2} at 0.5 + (0.5 - 1e-12), below C = 1 but within
     # the summation margin: its ceiling passes at k = 2 while

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 from scipy.linalg import expm
 
 from quasistat import (
@@ -174,6 +175,114 @@ def test_evolution_matches_the_matmul_oracle_bit_for_bit(n_states, boundary, sid
     assert got.shape == want.shape and got.flags.c_contiguous
     assert np.array_equal(got, want)
     assert np.array_equal(v, before)
+
+
+# The series writes its terms a chunk of rows at a time and folds each
+# chunk into the result with one axis-0 reduction; the cases below pin
+# that fold to the plain loop's bits, signed zeros and special values
+# included (np.array_equal would take -0.0 for 0.0).
+
+
+def _same_bits(got, want) -> bool:
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _signed(rng, shape):
+    """Entries of both signs, a -0.0 in every column."""
+    v = rng.standard_normal(shape)
+    v[1] = -0.0
+    return v
+
+
+def _series_terms(chain, t, series_tol=SERIES_TOL) -> int:
+    return _poisson_weights(engine._uniformized(chain).lam * t, series_tol).size - 1
+
+
+@pytest.mark.parametrize("side", ["measure", "function"])
+@pytest.mark.parametrize("columns", [None, 2])
+@pytest.mark.parametrize("rows", [1, 2, 3, 7])
+def test_chunked_series_matches_the_matmul_oracle_bit_for_bit(rows, columns, side, monkeypatch):
+    # chunks of a few rows: every series crosses many chunk boundaries
+    chain = truncate(BirthDeathSpec.logistic(2.0, 1.0, 0.25), 64, "reflect")
+    n = chain.n_transient
+    monkeypatch.setattr(engine, "_CHUNK_ENTRIES", rows * n * (columns or 1))
+    v = _signed(np.random.default_rng(rows), n if columns is None else (n, columns))
+    evolve = evolve_measure if side == "measure" else evolve_function
+    times = [0.01, 0.3, 1.0]
+    # and at least one ends in a short chunk
+    assert rows == 1 or any(_series_terms(chain, t) % rows for t in times)
+    for t in times:
+        assert _same_bits(evolve(chain, v, t), evolve_oracle(chain, v, t, side))
+
+
+@pytest.mark.parametrize("rows", [None, 3, 7])
+def test_zero_weight_prefix_matches_the_matmul_oracle_across_chunks(rows, monkeypatch):
+    # at t = 1 on a 368-state window the Poisson mean is in the thousands
+    # and the pmf underflows to 0 over a long prefix, which ends inside a
+    # chunk; zero-weight terms are not folded, so the +inf entry reaches
+    # the result as inf, where 0 * inf would make NaN
+    chain = truncate(BirthDeathSpec.logistic(2.0, 1.0, 0.25), 368, "reflect")
+    n = chain.n_transient
+    w = _poisson_weights(engine._uniformized(chain).lam, SERIES_TOL)
+    zeros = int(np.count_nonzero(w == 0.0))
+    assert np.all(w[zeros:] > 0.0)
+    if rows is not None:
+        monkeypatch.setattr(engine, "_CHUNK_ENTRIES", rows * n)
+    per_chunk = engine._CHUNK_ENTRIES // n
+    assert zeros > 2 * per_chunk and (zeros - 1) % per_chunk
+    v = _signed(np.random.default_rng(368), n)
+    v[5] = math.inf
+    for side, evolve in [("measure", evolve_measure), ("function", evolve_function)]:
+        with np.errstate(invalid="ignore"):  # the first weight is 0, and 0 * inf is NaN
+            got = evolve(chain, v, 1.0)
+            want = evolve_oracle(chain, v, 1.0, side)
+        assert np.isposinf(got).any()
+        assert _same_bits(got, want)
+
+
+@pytest.mark.parametrize("side", ["measure", "function"])
+def test_one_entry_rows_match_the_matmul_oracle_bit_for_bit(side):
+    # a 2-state window has one transient state, so a term is one entry,
+    # which numpy's axis-0 reduction would sum pairwise.  The window's own
+    # step 1 - q/L is 0, so the cached step is swapped for 0.97 to keep
+    # every term nonzero
+    chain = truncate(BirthDeathSpec.logistic(2.0, 1.0, 0.25), 2, "reflect")
+    assert chain.n_transient == 1
+    op = engine._uniformized(chain)
+    op.func_op = op.meas_op = sparse.csr_matrix(np.array([[0.97]]))
+    rng = np.random.default_rng(2)
+    evolve = evolve_measure if side == "measure" else evolve_function
+    for t in [0.3, 20.0, 150.0]:
+        for v in [rng.uniform(0.5, 1.0, 1), np.array([-0.0]), -rng.uniform(0.5, 1.0, (1, 1))]:
+            assert _same_bits(evolve(chain, v, t), evolve_oracle(chain, v, t, side))
+
+
+@pytest.mark.parametrize("side", ["measure", "function"])
+def test_identity_block_matches_the_matmul_oracle_bit_for_bit(side):
+    # the 63 x 63 identity _step_propagator evolves, wider than any chunked
+    # block: one term per chunk, at the propagator's tolerances and beyond
+    chain = truncate(BirthDeathSpec.logistic(1.0, 1.0, 1.0), 64, "reflect")
+    eye = np.eye(chain.n_transient)
+    assert eye.size > engine._CHUNK_ROW_ENTRIES
+    lam = engine._uniformized(chain).lam
+    for k, t in [(0, 0.05), (4, 1.0), (7, 2.0), (0, 300 / lam)]:
+        tau, tol = math.ldexp(t, -k), math.ldexp(SERIES_TOL, -k)
+        got = engine._evolve(chain, eye, tau, side, tol)
+        assert _same_bits(got, evolve_oracle(chain, eye, tau, side, tol))
+
+
+@pytest.mark.parametrize("side", ["measure", "function"])
+@pytest.mark.parametrize("columns", [None, 1, 2, 5])
+@pytest.mark.parametrize("n_states", [8, 64, 130, 368])
+def test_signed_input_matches_the_matmul_oracle_bit_for_bit(n_states, columns, side):
+    # negative entries and -0.0: entries that underflow keep the sign of
+    # zero the plain loop gives them
+    chain = truncate(BirthDeathSpec.logistic(2.0, 1.0, 0.25), n_states, "reflect")
+    n = chain.n_transient
+    v = _signed(np.random.default_rng(n_states), n if columns is None else (n, columns))
+    evolve = evolve_measure if side == "measure" else evolve_function
+    for t in [0.01, 0.3, 1.0]:
+        assert _same_bits(evolve(chain, v, t), evolve_oracle(chain, v, t, side))
 
 
 @pytest.mark.parametrize("tol", [1e-13, 1e-10, 1e-6])

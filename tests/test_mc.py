@@ -580,6 +580,33 @@ def test_fleming_viot_respawns_through_one_particle_pair_match_oracle():
     assert got[1].redraw_count == 58
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        (build_from_entries([(2, 1, 1e6), (1, 0, 1.0)], 3), 2, 30.0, 4, [1e-3, 30.0],
+         DistributionOnStates.delta(2, 3)),
+        (build_logistic(1.0, 1.0, 1.0, 16, KILL), 50, 10.0, 11, [0.0, 2.5, 10.0], None),
+    ],
+    ids=["one-particle-pair", "logistic-16-kill"],
+)
+def test_fleming_viot_makes_each_draw_once(args, monkeypatch):
+    # an absorbed particle picks the particle to copy with the draw that
+    # _step made for its holding time, which it never holds, so no draw
+    # of any stream is made twice
+    drawn = []
+
+    def recording(keys, counters):
+        k, c = np.broadcast_arrays(np.asarray(keys, np.uint64), np.asarray(counters, np.uint64))
+        drawn.extend(zip(k.tolist(), c.tolist()))
+        return u01(keys, counters)
+
+    monkeypatch.setattr(mc, "u01", recording)
+    got = fleming_viot(*args)
+    _assert_same_snapshots(got, fleming_viot_oracle(*args))
+    assert got[-1].redraw_count > 0
+    assert len(set(drawn)) == len(drawn)
+
+
 def test_fleming_viot_matches_oracle_on_a_large_ensemble():
     chain = build_logistic(1.0, 1.0, 1.0, 64)
     args = (chain, 1500, 20.0, 7, [0.0, 5.0, 12.5, 20.0], None)
@@ -639,8 +666,8 @@ def test_fleming_viot_round_without_progress_raises(monkeypatch):
     step = mc._step
 
     def nan_past_two(jumps, keys, counters, x, t):
-        y, t_next = step(jumps, keys, counters, x, t)
-        return y, np.where(t_next > 2.0, np.nan, t_next)
+        y, t_next, u = step(jumps, keys, counters, x, t)
+        return y, np.where(t_next > 2.0, np.nan, t_next), u
 
     monkeypatch.setattr(mc, "_step", nan_past_two)
     chain = build_logistic(1.0, 1.0, 1.0, 16)
