@@ -25,13 +25,12 @@ from how it is built:
 
 A certificate computes only what gamma reads: c2, for instance, is its
 proved floor alone.  Building one evolves a single function-side block
-to t = 1 and nothing past it: the anchor indicator and the constant 1,
-from which c1 and the absorption-rate c3 are read, plus, when c2's step
-floor can bind, the indicators of the other core states (_unit_step).
-Where the engine's cost model puts those columns above two half-step
-columns, a function-side and a measure-side series to t = 1/2 first try
-to prove that the step floor cannot go below the hold floor; only if
-they fail do the core columns run.
+to t = 1 and nothing past it (_unit_step): the anchor indicator, from
+which c1 and the absorption-rate c3 are read, the constant 1, from
+which c1 and c2's survival floor are read, and the columns of c2's
+step floor.  On a skip-free reflecting window that floor is one more
+column, the indicator of the states at or above the core's top; on
+any other window it is the indicator of every other core state.
 
 A constant that cannot be established raises CertificationError at the
 point where it fails, its part naming the constant (c1, c2, c3 or c4);
@@ -50,10 +49,8 @@ from scipy import sparse
 from .chain import AbsorbedChain, _check_boundary_mode
 from .engine import (
     _BLOCK_ENTRIES,
-    _series_cost,
     _walk,
     evolve_function,
-    evolve_measure,
     survival_vector,  # noqa: F401  re-exported: callers and tracers reach it here
 )
 from .errors import (
@@ -102,122 +99,83 @@ def _core_exit_rates(chain: AbsorbedChain, core) -> tuple[np.ndarray, sparse.csr
     return out_idx, rows, into + refl.absorption_rates[out_idx]
 
 
-def _hold_floor(chain: AbsorbedChain, core) -> float:
-    """exp(-max exit rate on the core): every core state sits still up to
-    t = 1 with at least this probability, c2's floor for t <= 1."""
-    idx = np.array([x - 1 for x in core])
-    return math.exp(-float(np.max(chain.total_exit_rates()[idx])))
-
-
-def _half_step_floor(chain: AbsorbedChain, x0: int, core) -> float:
-    """min over x in core of P_x(X_1/2 = x0), times min over j in core
-    of P_x0(X_1/2 = j): a proved floor on min over x, j in core of
-    P_x(X_1 = j), from one function-side and one measure-side column.
-
-    By Chapman-Kolmogorov on non-negative terms, P_x(X_1 = j) >=
-    P_x(X_1/2 = x0) * P_x0(X_1/2 = j), and each truncated series lies
-    below its exact factor.
-    """
-    idx = np.array([x - 1 for x in core])
-    e = np.zeros(chain.n_transient)
-    e[x0 - 1] = 1.0
-    into = float(evolve_function(chain, e, 0.5)[idx].min())
-    return into * float(evolve_measure(chain, e, 0.5)[idx].min())
-
-
-def _half_step_pays(chain: AbsorbedChain, base: int, core_columns: int) -> bool:
-    """Whether trying the half-step floor pays at even odds, by the
-    engine's series cost model: whether core_columns indicator columns,
-    riding in a unit-step block with `base` other columns, cost more
-    than twice the two half-step columns.  Then what the floor saves
-    when it holds (the core columns, less the half steps) outweighs what
-    it wastes when it fails (the half steps)."""
-    width = max(2, _BLOCK_ENTRIES // chain.n_transient)
-
-    def unit_step_cost(m: int) -> float:
-        return sum(_series_cost(chain, 1.0, min(width, m - lo)) for lo in range(0, m, width))
-
-    half_steps = 2 * _series_cost(chain, 0.5, 1)
-    return 2 * half_steps < unit_step_cost(base + core_columns) - unit_step_cost(base)
-
-
-# How far the half-step floor must clear the hold floor.  Both series
-# and their product add and multiply non-negative numbers only, so
-# rounding can raise the product over its exact value only by a relative
-# error of about terms * (longest operator row + log of the Poisson
-# mean) units of 2**-53, the weights' own rounding counted: about 1e-11
-# on a 4600-term series over rows of 3 entries, 1e-7 at the engine's
-# 10**7-term cap on such rows.  1e-3 covers 10**12 such units.
-_HALF_STEP_SLACK = 1e-3
+def _skip_free(chain: AbsorbedChain) -> bool:
+    """Whether the window is skip-free and reflecting: every jump of its
+    sub-generator goes to a neighbour, only state 1 is absorbed, and
+    nothing is killed.  compute_c2 proves its monotone step floor on such
+    windows."""
+    Q = chain.sub_generator.tocoo()
+    jumps = Q.row != Q.col
+    return (
+        bool(np.all(np.abs(Q.row[jumps] - Q.col[jumps]) == 1))
+        and not np.any(chain.absorption_rates[1:])
+        and not np.any(chain.kill_rates)
+    )
 
 
 def _unit_step(
     chain: AbsorbedChain, x0: int, core: tuple[int, ...] | None = None
 ) -> tuple[np.ndarray, np.ndarray, float]:
-    """(reach, alive, step_floor) from one series on the block
-    [e_x0, 1, e_j for j in core - {x0}] evolved to t = 1.
+    """(reach, alive, step_floor) from one series on a function-side
+    block evolved to t = 1.
 
     reach and alive are P_x(X_1 = x0) and P_x(alive at 1) for every
-    transient x, which c1 and the absorption-rate c3 read; step_floor is
-    c2's floor for t >= 1 (core contains x0 and defaults to {x0}): a
-    proved floor on min over x, j in core of P_x(X_1 = j), and that
-    minimum itself whenever it can be below the hold floor.  Column j of
-    a block is bit for bit column j evolved alone, so the block changes
-    no value.
+    transient x, the columns e_x0 and 1, which c1, c2's survival floor
+    and the absorption-rate c3 read.  step_floor is c2's floor for
+    t >= 1 on the core (which contains x0 and defaults to {x0}, whose
+    floor is 1); compute_c2 has the proofs.  On a skip-free reflecting
+    window it is P_a(X_1 >= b), a = min core and b = max core, read from
+    one more column, the indicator of {b, b+1, ...}.  On any other window
+    it is the minimum over x, j in core of P_x(X_1 = j), read from the
+    indicators of the core states other than x0 (e_x0's column is reach).
+    Column j of a block is bit for bit column j evolved alone, so the
+    block changes no value.
 
-    The core columns feed the step floor alone, so when the engine's
-    cost model (_half_step_pays) puts them above two half-step columns,
-    the floor is first tried without them: _half_step_floor's
-    Chapman-Kolmogorov product through x0.  If that clears the hold
-    floor by the factor 1 + _HALF_STEP_SLACK, which covers its rounding,
-    the minimum cannot bind, c2 is the hold floor exactly as the full
-    block would give it, and the product is the step floor; only
-    [e_x0, 1] is evolved to t = 1.  Otherwise the core columns run as
-    usual and the step floor is the exact minimum.
-
-    The window caches (reach, alive) per anchor and step_floor per core,
-    and a call evolves only the columns it has no cached value for, so a
-    certificate evolves once.  A step floor cached from the half-step
-    product depends on the anchor that built it; any anchor's is a proof
-    that the minimum does not bind.  The columns run in blocks of at
-    most _BLOCK_ENTRIES entries (two columns at the least), the first
-    carrying e_x0 and 1, and only each block's minimum over the core
-    rows is kept, so memory stays linear in the window.
+    The window caches alive, reach per anchor and step_floor per core,
+    none of which depends on the anchor or the block it came from, and
+    a call evolves only the columns it has no cached value for, so a
+    certificate evolves once.  The columns run in blocks of at most
+    _BLOCK_ENTRIES entries (two columns at the least), the first
+    carrying the missing ones of e_x0 and 1, and only each block's
+    minimum over the floor's rows is kept, so memory stays linear in the
+    window.
     """
     core = (x0,) if core is None else core
     cache = chain._cache
-    step = cache.get(("unit_step", x0))
-    floor = cache.get(("step_floor", core))
-    if step is not None and floor is not None:
-        return (*step, floor)
+    floor = 1.0 if len(core) == 1 else cache.get(("step_floor", core))
+    # the columns kept whole, by cache key, each an indicator: of a state
+    # (an index) or of a slice of states
+    whole = [(key, x) for key, x in ((("reach", x0), x0 - 1), ("alive", slice(None)))
+             if key not in cache]
+    skip_free = floor is None and _skip_free(chain)
+    if floor is not None:
+        rows, part = [], []
+    elif skip_free:
+        rows, part = [core[0] - 1], [slice(core[-1] - 1, None)]
+    else:
+        rows, part = [x - 1 for x in core], [x - 1 for x in core if x != x0]
+    hot = [x for _, x in whole] + part
     n = chain.n_transient
-    idx = np.array([x - 1 for x in core])
-    # the state of each indicator column to evolve; None is the column 1
-    hot = [x0 - 1, None] if step is None else []
-    others = [x - 1 for x in core if x != x0] if floor is None else []
-    if others and _half_step_pays(chain, len(hot), len(others)):
-        half = _half_step_floor(chain, x0, core)
-        if half >= _hold_floor(chain, core) * (1.0 + _HALF_STEP_SLACK):
-            floor = cache[("step_floor", core)] = half
-            others = []
-    hot += others
     block_floor = math.inf
     width = max(2, _BLOCK_ENTRIES // n)
     for lo in range(0, len(hot), width):
         cols = hot[lo:lo + width]
         block = np.zeros((n, len(cols)))
         for j, x in enumerate(cols):
-            block[slice(None) if x is None else x, j] = 1.0
+            block[x, j] = 1.0
         out = evolve_function(chain, block, 1.0)
-        if step is None:
-            step = cache[("unit_step", x0)] = (out[:, 0].copy(), out[:, 1].copy())
-            out = out[:, 2:]
+        if lo == 0:
+            for j, (key, _) in enumerate(whole):
+                cache[key] = out[:, j].copy()
+            out = out[:, len(whole):]
         if out.shape[1]:
-            block_floor = min(block_floor, float(out[idx].min()))
+            block_floor = min(block_floor, float(out[rows].min()))
+    reach, alive = cache[("reach", x0)], cache["alive"]
     if floor is None:
-        # the e_x0 column is reach itself
-        floor = cache[("step_floor", core)] = min(block_floor, float(step[0][idx].min()))
-    return (*step, floor)
+        if not skip_free:
+            block_floor = min(block_floor, float(reach[rows].min()))
+        floor = cache[("step_floor", core)] = block_floor
+    return reach, alive, floor
 
 
 @dataclass
@@ -231,20 +189,13 @@ class ConstantEstimate:
 class C2Bounds:
     """Proved survival-ratio floor over K and its two parts.
 
-    certified = min(hold_floor, step_floor) where hold_floor covers
-    t <= 1 (probability of just sitting still) and step_floor covers
-    t >= 1.  step_floor is a proved floor on the worst one-step
-    transition probability within K, and that minimum itself whenever
-    it can bind.  When it cannot, it may instead be the Chapman-Kolmogorov
-    product min_x P_x(X_1/2 = x0) * min_j P_x0(X_1/2 = j) over K, which
-    the truncated half-step series only under-estimate; it is used only
-    when it is at least hold_floor * (1 + _HALF_STEP_SLACK), the slack
-    covering its rounding, so certified is hold_floor either way.  Any
-    observed ratio min/max survival over K can only be larger.
+    certified = min(survival_floor, step_floor): survival_floor covers
+    t <= 1 and step_floor covers t >= 1 (compute_c2 has the proofs).
+    Any observed ratio min/max survival over K can only be larger.
     """
 
     certified: float
-    hold_floor: float
+    survival_floor: float
     step_floor: float
 
 
@@ -289,32 +240,52 @@ def compute_c1(chain: AbsorbedChain, x0: int) -> ConstantEstimate:
 
 
 def compute_c2(chain: AbsorbedChain, K) -> C2Bounds:
-    """Floor on min/max survival probability across the core K.
+    """Floor on P_x(T > t) / P_y(T > t) over x, y in the core K and all
+    t >= 0, T the absorption (or killing) time: the smaller of two
+    proved floors, both read off the shared unit step (_unit_step),
+    evolved with the certificate's anchor when a certificate built it
+    and with the smallest core state otherwise.
 
-    Two proved floors, each uniform in t on its regime: a holding bound
-    exp(-max exit rate on K) for t <= 1 (_hold_floor), and a floor on
-    the worst K-to-K one-step probability for t >= 1.  Both need
-    evolution up to t = 1 only: the step floor is read off the shared
-    unit step (_unit_step), evolved with the certificate's anchor when a
-    certificate built it and with the smallest core state otherwise.  It
-    is the exact minimum whenever that can be below the hold floor, and
-    otherwise may be the half-step Chapman-Kolmogorov product
-    P_x(X_1/2 = x0) * P_x0(X_1/2 = j), which then clears the hold floor
-    by the rounding slack 1 + _HALF_STEP_SLACK; either way c2 is the
-    same.  A vanishing floor raises CertificationError.
+    Survival floor, t <= 1: min over x in K of P_x(T > 1), the unit
+    step's alive column.  P_x(T > t) >= P_x(T > 1) and P_y(T > t) <= 1.
+
+    Step floor, t >= 1, on any chain: the minimum m over x, j in K of
+    P_x(X_1 = j).  By the Markov property at time 1, P_x(T > t) >=
+    P_x(X_1 = y) P_y(T > t - 1) >= m P_y(T > t).
+
+    Step floor, t >= 1, on a skip-free reflecting window (every jump to
+    a neighbour, absorption only out of state 1, no killing): P_a(X_1 >=
+    b), with a = min K and b = max K.  Run two copies of the chain from
+    x <= x', independently until they meet and together after.  Jumps of
+    length one cannot cross without meeting, so the copy from x stays
+    below the other, and it is absorbed first, because 0 is reached only
+    from 1.  Hence P_x(T > s) and P_x(X_s >= b) both increase in x.  By
+    the Markov property at time 1, for x, y in K,
+        P_x(T > t) >= P_x(X_1 >= b) min_{z >= b} P_z(T > t - 1)
+                   >= P_a(X_1 >= b) P_b(T > t - 1)
+                   >= P_a(X_1 >= b) P_y(T > t),
+    using x >= a, y <= b and that survival falls with time.  Since
+    P_a(X_1 >= b) >= P_a(X_1 = b), this floor is never below the
+    minimum m, and reading it takes one column instead of |K| - 1.
+
+    Every truncated series lies below the exact value, so the floors
+    read are below the exact ones; their rounding is not accounted for.
+    A single-state core is exact at 1.  A vanishing floor raises
+    CertificationError.
     """
     core = _check_core(chain, K)
     if len(core) == 1:
         # a single-state core compares survival only with itself
-        return C2Bounds(certified=1.0, hold_floor=1.0, step_floor=1.0)
-    hold_floor = _hold_floor(chain, core)
-    step_floor = chain._cache.get(("step_floor", core))
-    if step_floor is None:
-        step_floor = _unit_step(chain, core[0], core)[2]
-    certified = min(hold_floor, step_floor)
+        return C2Bounds(certified=1.0, survival_floor=1.0, step_floor=1.0)
+    cache = chain._cache
+    if ("step_floor", core) not in cache:
+        _unit_step(chain, core[0], core)
+    survival_floor = float(cache["alive"][[x - 1 for x in core]].min())
+    step_floor = cache[("step_floor", core)]
+    certified = min(survival_floor, step_floor)
     if not certified > 0:
         raise CertificationError("c2 certified floor vanishes on K", part="c2")
-    return C2Bounds(certified=certified, hold_floor=hold_floor, step_floor=step_floor)
+    return C2Bounds(certified=certified, survival_floor=survival_floor, step_floor=step_floor)
 
 
 def compute_c4(chain: AbsorbedChain, K, lambda0: float) -> ConstantEstimate:

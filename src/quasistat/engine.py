@@ -95,15 +95,13 @@ _BLOCK_ENTRIES = 2**20
 _CHUNK_ENTRIES = 2**14
 _CHUNK_ROW_ENTRIES = 2048
 
-# The cost model of _walk (and, through _series_cost, of certify's
-# half-step floor), fitted on a 2-core x86-64 VM (CHANGES.md has the
-# fit and the crossover table).  A series term costs _TERM_S plus
+# The cost model of _walk, fitted on a 2-core x86-64 VM (CHANGES.md has
+# the fit and the crossover table).  A series term costs _TERM_S plus
 # _ENTRY_S per stored operator entry and block column.  The fit predates
 # the chunked series, which takes up to about 1.5 us off a term of a
 # block of up to _CHUNK_ROW_ENTRIES entries (less as the block widens),
-# so _TERM_S over-states those terms; it is kept because it routes _walk
-# and the half-step floor, and a refit would move decay tables and
-# certificate bytes.  A dense n x n
+# so _TERM_S over-states those terms; it is kept because it routes _walk,
+# and a refit would move decay tables.  A dense n x n
 # squaring through the same kernel costs _CUBE_S per n**3, as measured
 # on squared propagators of logistic windows, whose subnormal products
 # make it up to four times slower than on a random matrix.  The base
@@ -354,17 +352,6 @@ def _normalize_mass(v: np.ndarray, what: str) -> tuple[np.ndarray, float]:
     return v / total, total
 
 
-def _series_cost(chain: AbsorbedChain, t: float, m: int, steps: int = 1) -> float:
-    """Estimated seconds of `steps` series to time t on an m-column
-    block, by the cost model of _TERM_S and _ENTRY_S; inf past the term
-    cap."""
-    op = _uniformized(chain)
-    mu = op.lam * t
-    if not mu <= _MAX_SERIES_TERMS:
-        return math.inf
-    return steps * (_poisson_cutoff(mu, SERIES_TOL) + 1) * (_TERM_S + _ENTRY_S * op.func_op.nnz * m)
-
-
 def _walk_squarings(chain: AbsorbedChain, dt: float, steps: int, m: int) -> int | None:
     """How _walk takes its grid steps of length dt: the number k of
     squarings that builds their propagator, or None for the series.
@@ -374,7 +361,7 @@ def _walk_squarings(chain: AbsorbedChain, dt: float, steps: int, m: int) -> int 
     length dt on an m-column walk.  The series runs about L*dt terms per
     step; the propagator runs one series of about L*dt/2**k terms on the
     n-column identity, then k dense n x n products, then one dense
-    product per step.
+    product per step.  A series past the term cap costs inf.
     """
     n = chain.n_transient
     op = _uniformized(chain)
@@ -382,7 +369,11 @@ def _walk_squarings(chain: AbsorbedChain, dt: float, steps: int, m: int) -> int 
     if mu == 0.0 or not math.isfinite(mu) or n * n > _BLOCK_ENTRIES:
         return None
     k = max(0, math.ceil(math.log2(mu / _BASE_MEAN)))
-    series = _series_cost(chain, dt, m, steps)
+    series = (
+        steps * (_poisson_cutoff(mu, SERIES_TOL) + 1) * (_TERM_S + _ENTRY_S * op.func_op.nnz * m)
+        if mu <= _MAX_SERIES_TERMS
+        else math.inf
+    )
     build = (
         (_poisson_cutoff(op.lam * math.ldexp(dt, -k), math.ldexp(SERIES_TOL, -k)) + 1)
         * (_TERM_S + _ENTRY_S * op.func_op.nnz * n)

@@ -26,9 +26,11 @@ from quasistat import (
     conditional_distribution,
     derive_certificate_via_criterion,
     evolve_function,
+    evolve_measure,
     geometric_grid,
     parse_certificate_text,
     logistic_certificate,
+    survival_vector,
     tv_distance,
 )
 from quasistat.certify import _unit_step
@@ -94,36 +96,25 @@ def test_absorption_rate_c3_on_a_parametric_window_is_empirical():
 
 
 def _count_evolutions(monkeypatch, detail=False):
-    """The window size of every evolution certify makes, either side; with
-    detail, (side, window size, t, columns) instead."""
+    """The window size of every evolution certify makes (all are function
+    side); with detail, (window size, t, columns) instead."""
     # the package's certify() shadows its module of the same name
     certify_module = importlib.import_module("quasistat.certify")
     calls = []
+    evolve = certify_module.evolve_function
 
-    def counting(side, evolve):
-        def counting_evolve(chain, v, t):
-            columns = 1 if np.ndim(v) == 1 else np.shape(v)[1]
-            calls.append((side, chain.n_transient, t, columns) if detail else chain.n_transient)
-            return evolve(chain, v, t)
-        return counting_evolve
+    def counting_evolve(chain, v, t):
+        columns = 1 if np.ndim(v) == 1 else np.shape(v)[1]
+        calls.append((chain.n_transient, t, columns) if detail else chain.n_transient)
+        return evolve(chain, v, t)
 
-    for side in ("function", "measure"):
-        name = f"evolve_{side}"
-        monkeypatch.setattr(certify_module, name, counting(side, getattr(certify_module, name)))
+    monkeypatch.setattr(certify_module, "evolve_function", counting_evolve)
     return calls
 
 
-def _force_half_step(monkeypatch, tried: bool):
-    """Make the unit step try the half-step floor (tried) or skip it,
-    whatever the cost model says."""
-    certify_module = importlib.import_module("quasistat.certify")
-    monkeypatch.setattr(certify_module, "_half_step_pays", lambda *args: tried)
-
-
 def test_certificate_evolves_one_unit_step_per_window(monkeypatch):
-    # c1, c2's step floor and the absorption-rate c3 read the same
-    # [e_x0, 1, e_K] unit step, so the window evolves once, and c4 solves
-    # without evolving
+    # c1, c2 and the absorption-rate c3 read the same unit step, so the
+    # window evolves once, and c4 solves without evolving
     calls = _count_evolutions(monkeypatch)
     cert = certify(build_logistic(2.0, 1.0, 0.25, 128), [1, 2, 3], 1, c3_strategy=BEST)
     assert cert.gamma > 0
@@ -156,21 +147,35 @@ def test_c3_floor_on_the_shared_unit_step_equals_the_single_column(boundary, n_s
     assert r.c3 == min(1.0, alone * math.exp(C), guard)
 
 
-def _unit_step_oracle(chain, core, x0):
-    """c1, c2's step floor and the absorption-rate c3 floor from columns
-    evolved alone, one evolve_function call per column."""
-    n = chain.n_transient
+def _evolved_alone(chain, states):
+    """The indicator of the given states evolved alone to t = 1."""
+    e = np.zeros(chain.n_transient)
+    e[[x - 1 for x in states]] = 1.0
+    return evolve_function(chain, e, 1.0)
 
-    def alone(x):
-        e = np.zeros(n)
-        e[x - 1] = 1.0
-        return evolve_function(chain, e, 1.0)
 
-    reach = alone(x0)
-    ratios = reach / evolve_function(chain, np.ones(n), 1.0)
+def _exact_step_floor(chain, core):
+    """min over x, j in core of P_x(X_1 = j), one column evolved alone
+    per core state."""
     idx = [y - 1 for y in core]
-    step_floor = min(float(alone(y)[idx].min()) for y in core)
-    return float(ratios.min()), step_floor, float(reach.min())
+    return min(float(_evolved_alone(chain, [y])[idx].min()) for y in core)
+
+
+def _unit_step_oracle(chain, core, x0, skip_free):
+    """c1, c2's survival and step floors and the absorption-rate c3 floor
+    from columns evolved alone, one evolve_function call per column."""
+    n = chain.n_transient
+    reach = _evolved_alone(chain, [x0])
+    alive = evolve_function(chain, np.ones(n), 1.0)
+    idx = [y - 1 for y in core]
+    if len(core) == 1:
+        step_floor = 1.0
+    elif skip_free:
+        # P_a(X_1 >= b): the indicator of b, b+1, ... read at a
+        step_floor = float(_evolved_alone(chain, range(core[-1], n + 1))[core[0] - 1])
+    else:
+        step_floor = _exact_step_floor(chain, core)
+    return float((reach / alive).min()), float(alive[idx].min()), step_floor, float(reach.min())
 
 
 def _unit_step_cases():
@@ -184,8 +189,8 @@ def _unit_step_cases():
                                           id=f"{boundary}-{n_states}-K{len(core)}-x0={x0}"))
             cases.append(pytest.param(boundary, n_states, (n,), n, None,
                                       id=f"{boundary}-{n_states}-K1"))
-        # a core spanning at least 3 blocks: 3 columns per block, the first
-        # block e_x0, 1 and one core column
+        # at most 3 columns per block: the first block e_x0, 1 and one
+        # more column; the kill window's core spans 4 blocks
         cases.append(pytest.param(boundary, 64, tuple(range(2, 12)), 6, 3,
                                   id=f"{boundary}-64-K10-3-columns-per-block"))
     return cases
@@ -195,21 +200,26 @@ def _unit_step_cases():
 def test_shared_unit_step_block_equals_columns_evolved_alone(
     monkeypatch, boundary, n_states, core, x0, block_columns
 ):
+    # the reflect windows of a logistic chain are skip-free, so their step
+    # floor is one indicator column; the kill windows take the K x K block
     chain = truncate(BirthDeathSpec.logistic(2.0, 1.0, 0.25), n_states, boundary)
-    calls = _count_evolutions(monkeypatch)
-    # the exact block under test: with 3 columns per block the cost model
-    # would try the half-step floor instead
-    _force_half_step(monkeypatch, False)
+    skip_free = boundary == "reflect"
+    calls = _count_evolutions(monkeypatch, detail=True)
     if block_columns is not None:
         certify_module = importlib.import_module("quasistat.certify")
         monkeypatch.setattr(certify_module, "_BLOCK_ENTRIES", block_columns * chain.n_transient)
-    c1, step_floor, reach_floor = _unit_step_oracle(chain, core, x0)
+    c1, survival_floor, step_floor, reach_floor = _unit_step_oracle(chain, core, x0, skip_free)
 
     reach, alive, floor = _unit_step(chain, x0, core)
     assert floor == step_floor
     assert float(reach.min()) == reach_floor
     assert compute_c1(chain, x0).value == c1
-    assert compute_c2(chain, core).step_floor == (1.0 if len(core) == 1 else step_floor)
+    b = compute_c2(chain, core)
+    if len(core) == 1:
+        assert b.certified == b.survival_floor == b.step_floor == 1.0
+    else:
+        assert (b.survival_floor, b.step_floor) == (survival_floor, step_floor)
+        assert b.certified == min(survival_floor, step_floor)
     C = float((chain.absorption_rates + chain.kill_rates).max())
     guard = math.exp(min(0.0, C - chain.exit_rate(x0)))
     c3 = min(1.0, reach_floor * math.exp(C), guard)
@@ -219,21 +229,24 @@ def test_shared_unit_step_block_equals_columns_evolved_alone(
         # at the window top the holding guard underflows: no floor
         with pytest.raises(CertificationError, match="zero floor"):
             compute_c3_lambda0(chain, x0, core, strategy=ABSORPTION_RATE)
-    # e_x0, 1 and |K| - 1 core columns, one series per block; every read
-    # after the first is cached
-    assert len(calls) == (1 if block_columns is None else -(-(1 + len(core)) // block_columns))
-    assert block_columns is None or len(calls) >= 3
+    # e_x0, 1 and the floor's columns (none for one state, the indicator
+    # of b, b+1, ... on a skip-free window, |K| - 1 core columns on any
+    # other), one series per block; every read after the first is cached
+    columns = 2 + (0 if len(core) == 1 else 1 if skip_free else len(core) - 1)
+    width = columns if block_columns is None else block_columns
+    assert [c for _, _, c in calls] == [min(width, columns - lo) for lo in range(0, columns, width)]
+    assert boundary == "reflect" or block_columns is None or len(calls) >= 3
     # only length-n columns and scalars stay behind
     for key, value in chain._cache.items():
-        if key[0] == "unit_step":
-            assert all(col.shape == (chain.n_transient,) for col in value)
+        if key == "alive" or key[0] == "reach":
+            assert value.shape == (chain.n_transient,)
         elif key[0] == "step_floor":
             assert isinstance(value, float)
 
 
 def test_c2_alone_evolves_its_core_with_the_smallest_state_as_anchor(monkeypatch):
-    # without a certificate's anchor, c2 evolves [e_1, 1, e_2, ..., e_k]
-    # and leaves state 1's unit step cached for c1
+    # without a certificate's anchor, c2 evolves [e_1, 1, 1_{>= 11}] and
+    # leaves state 1's unit step cached for c1
     chain = build_logistic(2.0, 1.0, 0.25, 100)
     calls = _count_evolutions(monkeypatch)
     compute_c2(chain, range(1, 12))
@@ -242,43 +255,16 @@ def test_c2_alone_evolves_its_core_with_the_smallest_state_as_anchor(monkeypatch
     assert calls == [99]
 
 
-def _exact_step_floor(chain, core):
-    """min over x, j in core of P_x(X_1 = j), one column evolved alone
-    per core state."""
-    idx = [y - 1 for y in core]
-    return min(
-        float(evolve_function(chain, np.eye(chain.n_transient)[:, y], 1.0)[idx].min()) for y in idx
-    )
-
-
-def _certificate_text(case):
-    if case[0] == "logistic":
-        return certificate_to_text(logistic_certificate(*case[1]).certificate)
-    chain, core = catastrophe_chain(128), range(1, 9)
-    if case[1] == "criterion":
-        return certificate_to_text(derive_certificate_via_criterion(chain, core, 1))
-    return certificate_to_text(certify(chain, core, 1))
-
-
-# the logistic sets of the certify benchmark (core sizes 1, 2, 3, 6, 9, 14
-# and 45), one more (core 27) and the catastrophe chain's two routes
-_ROUTE_CASES = [
-    pytest.param(("logistic", p), id="logistic-" + "-".join(map(str, p)))
-    for p in [(1, 1, 1), (0.5, 1, 0.2), (0.5, 1, 0.05), (2, 1, 0.25), (1, 1, 0.05), (2, 1, 0.1),
-              (3, 1, 0.0505), (2, 1, 0.049)]
-] + [pytest.param(("catastrophe", route), id=f"catastrophe-128-{route}")
-     for route in ("direct", "criterion")]
-
-
-@pytest.mark.parametrize("case", _ROUTE_CASES)
-def test_unit_step_half_step_route_leaves_certificate_bytes_alone(monkeypatch, case):
-    # c2 is the hold floor whenever the half-step floor clears it, so the
-    # certificate reads the same whichever route the cost model picks
-    texts = []
-    for tried in (False, True):
-        _force_half_step(monkeypatch, tried)
-        texts.append(_certificate_text(case))
-    assert texts[0] == texts[1]
+def _half_step_floor(chain, x0, core):
+    """min over x in core of P_x(X_1/2 = x0), times min over j in core of
+    P_x0(X_1/2 = j): by Chapman-Kolmogorov on non-negative terms a floor
+    on min over x, j in core of P_x(X_1 = j), from one function-side and
+    one measure-side column."""
+    idx = [x - 1 for x in core]
+    e = np.zeros(chain.n_transient)
+    e[x0 - 1] = 1.0
+    into = float(evolve_function(chain, e, 0.5)[idx].min())
+    return into * float(evolve_measure(chain, e, 0.5)[idx].min())
 
 
 def _half_step_cases():
@@ -298,45 +284,107 @@ def _half_step_cases():
 
 @pytest.mark.parametrize("chain, core, x0", _half_step_cases())
 def test_unit_step_half_step_floor_is_below_the_exact_floor(chain, core, x0):
-    # Chapman-Kolmogorov through x0 at t = 1/2 keeps one path of many
-    certify_module = importlib.import_module("quasistat.certify")
-    assert certify_module._half_step_floor(chain, x0, core) <= _exact_step_floor(chain, core)
-
-
-def test_unit_step_falls_back_to_the_exact_floor_when_the_half_step_fails(monkeypatch):
-    # a deep core of a fast catastrophe chain: its 39 core columns cost
-    # enough for the half-step floor to be tried, and the climb to state
-    # 40 in half a unit of time is too rare for it to clear the hold floor
-    certify_module = importlib.import_module("quasistat.certify")
-    chain = catastrophe_chain(128, birth=4.0, drop=12.0, absorb=4.0)
-    core = tuple(range(1, 41))
-    assert certify_module._half_step_pays(chain, 2, len(core) - 1)
-    hold = certify_module._hold_floor(chain, core)
-    assert certify_module._half_step_floor(chain, 1, core) < hold
+    # Chapman-Kolmogorov through x0 at t = 1/2 keeps one path of many, so
+    # the half-step product, computed from the measure side as well as the
+    # function side, lies below the exact K x K floor; c2's step floor is
+    # that floor, or the monotone one above it on skip-free windows (the
+    # reflect windows here)
     exact = _exact_step_floor(chain, core)
-    calls = _count_evolutions(monkeypatch, detail=True)
-
-    assert _unit_step(chain, 1, core)[2] == exact
-    b = compute_c2(chain, core)
-    assert b.step_floor == exact and b.certified == exact < hold
-    n = chain.n_transient
-    assert calls == [("function", n, 0.5, 1), ("measure", n, 0.5, 1), ("function", n, 1.0, 41)]
+    assert _half_step_floor(chain, x0, core) <= exact <= _unit_step(chain, x0, core)[2]
 
 
-def test_unit_step_of_a_z0_45_certificate_evolves_two_columns_and_two_half_steps(monkeypatch):
-    # the 44 other core columns feed only c2's step floor, which the
-    # half-step floor proves cannot go below the hold floor
-    certify_module = importlib.import_module("quasistat.certify")
+# the logistic sets of the certify benchmark (core sizes 1, 2, 3, 6, 9, 14
+# and 45), one more (core 27) and the catastrophe chain's two routes
+_ROUTE_CASES = [
+    pytest.param(("logistic", p), id="logistic-" + "-".join(map(str, p)))
+    for p in [(1, 1, 1), (0.5, 1, 0.2), (0.5, 1, 0.05), (2, 1, 0.25), (1, 1, 0.05), (2, 1, 0.1),
+              (3, 1, 0.0505), (2, 1, 0.049)]
+] + [pytest.param(("catastrophe", route), id=f"catastrophe-128-{route}")
+     for route in ("direct", "criterion")]
+
+
+@pytest.mark.parametrize("case", _ROUTE_CASES)
+def test_unit_step_c2_above_hold_block_below_oracle(case):
+    # the hold-block floor, min(exp(-max_K q), exact K x K floor), is a
+    # proved floor below c2: the survival floor lies above the hold floor
+    # and the monotone step floor above the K x K one.  The catastrophe
+    # chain collapses to state 1 from afar, so it keeps the K x K block,
+    # which binds there, and its c2 is the hold-block floor itself
+    if case[0] == "logistic":
+        result = logistic_certificate(*case[1])
+        chain, cert = result.chain, result.certificate
+    else:
+        chain = catastrophe_chain(128)
+        route = derive_certificate_via_criterion if case[1] == "criterion" else certify
+        cert = route(chain, range(1, 9), 1)
+    core = cert.K
+    if len(core) == 1:
+        assert cert.c2 == 1.0
+        return
+    hold = math.exp(-float(chain.total_exit_rates()[[x - 1 for x in core]].max()))
+    hold_block = min(hold, _exact_step_floor(chain, core))
+    assert hold_block <= cert.c2 <= c2_survival_ratio_oracle(chain, core)
+    if case[0] == "catastrophe":
+        assert cert.c2 == hold_block
+
+
+def test_unit_step_takes_the_core_block_off_skip_free_reflecting_windows(monkeypatch):
+    # survival need not increase in the start on these windows, so the
+    # monotone floor has no proof there: a kill window (the top's births
+    # are killed), a reflect window with one jump of length 2, and a
+    # reflect window absorbed out of state 2 as well as 1
+    spec = BirthDeathSpec.logistic(2.0, 1.0, 0.25)
+    kill = truncate(spec, 8, "kill")
+    h = survival_vector(kill, 1.0)
+    assert h[6] < h[5]  # P_7(T > 1) < P_6(T > 1)
+    refl = truncate(spec, 8)
+    n = refl.n_transient
+    src, dst, rate = refl._jumps
+    jumps = (list(src) + [2], list(dst) + [4], list(rate) + [0.5])
+    chains = {
+        "kill": kill,
+        "long-jump": AbsorbedChain(n_states=8, boundary_mode="reflect", jumps=jumps,
+                                   absorption_rates=refl.absorption_rates),
+        "absorbed-at-2": AbsorbedChain(n_states=8, boundary_mode="reflect", jumps=refl._jumps,
+                                       absorption_rates=refl.absorption_rates + np.eye(n)[1]),
+    }
+    core = tuple(range(1, 7))
+    for name, chain in chains.items():
+        calls = _count_evolutions(monkeypatch, detail=True)
+        b = compute_c2(chain, core)
+        assert calls == [(n, 1.0, 2 + len(core) - 1)], name
+        assert b.step_floor == _exact_step_floor(chain, core), name
+        assert 0 < b.certified <= c2_survival_ratio_oracle(chain, core), name
+
+
+def test_unit_step_c2_does_not_depend_on_call_history():
+    # a certificate anchored at 20 leaves its unit step cached; compute_c2
+    # then reads the same floors as on a window that nothing touched
+    result = logistic_certificate(3.0, 1.0, 0.0505)
+    core = result.certificate.K
+    assert len(core) == 45
+
+    def window():
+        return build_logistic(3.0, 1.0, 0.0505, result.chain.n_states)
+
+    used = window()
+    certify(used, core, x0=20)
+    assert compute_c2(used, core) == compute_c2(window(), core)
+
+
+def test_unit_step_of_a_z0_45_certificate_evolves_three_columns_and_no_half_step(monkeypatch):
+    # the window is skip-free and reflecting, so the 44 other core columns
+    # give way to one indicator column, 1_{>= 45}
     calls = _count_evolutions(monkeypatch, detail=True)
     result = logistic_certificate(3.0, 1.0, 0.0505)
     chain, core = result.chain, result.certificate.K
     assert len(core) == 45
     n = chain.n_transient
-    assert calls == [("function", n, 0.5, 1), ("measure", n, 0.5, 1), ("function", n, 1.0, 2)]
+    assert calls == [(n, 1.0, 3)]
     b = compute_c2(chain, core)
-    assert b.step_floor == certify_module._half_step_floor(chain, 1, core)
-    assert b.step_floor >= b.hold_floor * (1 + certify_module._HALF_STEP_SLACK)
-    assert result.certificate.c2 == b.certified == b.hold_floor
+    assert b.step_floor == float(_evolved_alone(chain, range(45, n + 1))[0])
+    assert b.survival_floor == float(evolve_function(chain, np.ones(n), 1.0)[:45].min())
+    assert result.certificate.c2 == b.certified == min(b.survival_floor, b.step_floor)
 
 
 def test_c1_unreachable_anchor_fails():
@@ -361,7 +409,7 @@ def test_c1_rejects_bad_anchor():
 def test_c2_singleton_core_is_exact():
     chain = catastrophe_chain()
     b = compute_c2(chain, [1])
-    assert b.certified == b.hold_floor == b.step_floor == 1.0
+    assert b.certified == b.survival_floor == b.step_floor == 1.0
     assert c2_survival_ratio_oracle(chain, [1]) == 1.0
 
 
@@ -377,28 +425,23 @@ def test_c2_singleton_core_is_exact():
 def test_c2_certified_below_survival_ratio_oracle(chain, K):
     b = compute_c2(chain, K)
     assert 0 < b.certified <= c2_survival_ratio_oracle(chain, K) <= 1 + 1e-12
-    assert b.certified == min(b.hold_floor, b.step_floor)
-    assert 0 < b.hold_floor <= 1
+    assert b.certified == min(b.survival_floor, b.step_floor)
+    assert 0 < b.survival_floor <= 1
     assert 0 < b.step_floor <= 1
 
 
 def test_c2_step_floor_matches_column_loop_in_any_block_width(monkeypatch):
     # entry (x, j) of the evolved indicator block is P_x(X_1 = K_j); it
-    # equals the column evolved alone, in any block width
-    chain = build_logistic(2.0, 1.0, 0.25, 100)
+    # equals the column evolved alone, in any block width.  A kill window
+    # is not skip-free, so its step floor reads the K x K block
     core = list(range(1, 12))
-    idx = [y - 1 for y in core]
-    floor = min(
-        float(evolve_function(chain, np.eye(chain.n_transient)[:, y], 1.0)[idx].min()) for y in idx
-    )
+    chain = build_logistic(2.0, 1.0, 0.25, 100, "kill")
     whole = compute_c2(chain, core)
-    assert whole.step_floor == floor
+    assert whole.step_floor == _exact_step_floor(chain, core)
     # the package's certify() shadows its module of the same name
     certify_module = importlib.import_module("quasistat.certify")
     monkeypatch.setattr(certify_module, "_BLOCK_ENTRIES", 3 * chain.n_transient)
-    # narrow blocks would make the cost model try the half-step floor
-    _force_half_step(monkeypatch, False)
-    assert compute_c2(build_logistic(2.0, 1.0, 0.25, 100), core) == whole
+    assert compute_c2(build_logistic(2.0, 1.0, 0.25, 100, "kill"), core) == whole
 
 
 def test_c2_empty_core_rejected():
@@ -667,6 +710,18 @@ def test_ratio_inequality_holds_on_a_grid_past_survival_underflow():
     assert ok and margin >= -1e-9
 
 
+@pytest.mark.parametrize(
+    "params",
+    [(0.5, 1, 0.2), (0.5, 1, 0.05), (2, 1, 0.25), (1, 1, 0.05), (2, 1, 0.1), (2, 1, 0.049)],
+    ids=lambda p: "logistic-" + "-".join(map(str, p)),
+)
+def test_ratio_inequality_holds_on_logistic_certificates_past_the_core(params):
+    # cores of 2 to 27 states, whose c2 is the survival or monotone floor
+    lc = logistic_certificate(*params)
+    ok, margin = check_ratio_inequality(lc.chain, lc.certificate, geometric_grid(0.125, 2000.0, 1.5))
+    assert ok and margin >= -1e-9
+
+
 def test_mixing_bound_dominates_observed_decay():
     chain = catastrophe_chain()
     cert = certify(chain, K=[1], x0=1)
@@ -680,10 +735,11 @@ def test_mixing_bound_dominates_observed_decay():
 
 # -- serialization ------------------------------------------------------------------
 
-# certificate_to_text of the three certificate routes, recorded before they
-# shared one assembly pipeline; the bytes must not move.  These windows have
+# certificate_to_text of the three certificate routes.  These windows have
 # at least 64 transient states, so they kept their bytes when windows below
-# that size stopped evolving through a dense operator.
+# that size stopped evolving through a dense operator.  The logistic window
+# is skip-free and reflecting, so its c2 is the monotone step floor; the
+# catastrophe chain keeps the K x K step floor.
 GOLDEN_LOGISTIC_1_1_005 = """\
 quasistat certificate v1
 n_states = 80
@@ -691,11 +747,11 @@ boundary = reflect
 K = 1,2,3,4,5,6,7,8,9
 x0 = 1
 c1 = 5.5493676865328723e-07
-c2 = 4.1613973942241488e-10
+c2 = 0.0010126147028326276
 c3 = 1
 c4 = 610.2929498437602
 lambda0 = 2
-gamma = 1.8919704247150167e-19
+gamma = 4.6038310882061428e-13
 c3_strategy = sojourn
 window_limited = yes
 provenance_c1 = empirical_estimate
