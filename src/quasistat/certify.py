@@ -25,12 +25,16 @@ from how it is built:
 
 A certificate computes only what gamma reads: c2, for instance, is its
 proved floor alone.  Building one evolves a single function-side block
-to t = 1 and nothing past it (_unit_step): the anchor indicator, from
-which c1 and the absorption-rate c3 are read, the constant 1, from
-which c1 and c2's survival floor are read, and the columns of c2's
-step floor.  On a skip-free reflecting window that floor is one more
-column, the indicator of the states at or above the core's top; on
-any other window it is the indicator of every other core state.
+to t = 1 and nothing past it (_unit_step, a pure function of the
+window, the anchor and the core): the anchor indicator, from which c1
+and the absorption-rate c3 are read, the constant 1, from which c1 and
+c2's survival floor are read, and the columns of c2's step floor.  On
+a skip-free reflecting window that floor is one more column, the
+indicator of the states at or above the core's top; on any other window
+it is the indicator of every other core state.  The public compute_c1,
+compute_c2 and compute_c3_lambda0 each evolve their own block, so a
+constant asked for alone costs one evolution and the window keeps no
+state between calls.
 
 A constant that cannot be established raises CertificationError at the
 point where it fails, its part naming the constant (c1, c2, c3 or c4);
@@ -58,7 +62,7 @@ from .errors import (
     DivergentMomentError,
     ValidationError,
 )
-from .textio import fmt
+from .textio import fmt, render_keyvalues
 
 CERTIFIED = "certified_bound"
 EMPIRICAL = "empirical_estimate"
@@ -129,34 +133,28 @@ def _unit_step(
     it is the minimum over x, j in core of P_x(X_1 = j), read from the
     indicators of the core states other than x0 (e_x0's column is reach).
     Column j of a block is bit for bit column j evolved alone, so the
-    block changes no value.
+    block changes no value; alive and step_floor do not depend on the
+    anchor.
 
-    The window caches alive, reach per anchor and step_floor per core,
-    none of which depends on the anchor or the block it came from, and
-    a call evolves only the columns it has no cached value for, so a
-    certificate evolves once.  The columns run in blocks of at most
-    _BLOCK_ENTRIES entries (two columns at the least), the first
-    carrying the missing ones of e_x0 and 1, and only each block's
-    minimum over the floor's rows is kept, so memory stays linear in the
-    window.
+    The columns run in blocks of at most _BLOCK_ENTRIES entries (two
+    columns at the least), the first starting with e_x0 and 1, and only
+    each block's minimum over the floor's rows is kept, so memory stays
+    linear in the window.  Nothing is stored on the window: every call
+    evolves its whole block.
     """
     core = (x0,) if core is None else core
-    cache = chain._cache
-    floor = 1.0 if len(core) == 1 else cache.get(("step_floor", core))
-    # the columns kept whole, by cache key, each an indicator: of a state
-    # (an index) or of a slice of states
-    whole = [(key, x) for key, x in ((("reach", x0), x0 - 1), ("alive", slice(None)))
-             if key not in cache]
-    skip_free = floor is None and _skip_free(chain)
-    if floor is not None:
+    skip_free = len(core) > 1 and _skip_free(chain)
+    # the columns past e_x0 and 1, each an indicator: of a state (an
+    # index) or of a slice of states, and the rows the floor reads
+    if len(core) == 1:
         rows, part = [], []
     elif skip_free:
         rows, part = [core[0] - 1], [slice(core[-1] - 1, None)]
     else:
         rows, part = [x - 1 for x in core], [x - 1 for x in core if x != x0]
-    hot = [x for _, x in whole] + part
+    hot = [x0 - 1, slice(None), *part]
     n = chain.n_transient
-    block_floor = math.inf
+    floor = math.inf
     width = max(2, _BLOCK_ENTRIES // n)
     for lo in range(0, len(hot), width):
         cols = hot[lo:lo + width]
@@ -165,16 +163,13 @@ def _unit_step(
             block[x, j] = 1.0
         out = evolve_function(chain, block, 1.0)
         if lo == 0:
-            for j, (key, _) in enumerate(whole):
-                cache[key] = out[:, j].copy()
-            out = out[:, len(whole):]
+            reach, alive, out = out[:, 0].copy(), out[:, 1].copy(), out[:, 2:]
         if out.shape[1]:
-            block_floor = min(block_floor, float(out[rows].min()))
-    reach, alive = cache[("reach", x0)], cache["alive"]
-    if floor is None:
-        if not skip_free:
-            block_floor = min(block_floor, float(reach[rows].min()))
-        floor = cache[("step_floor", core)] = block_floor
+            floor = min(floor, float(out[rows].min()))
+    if len(core) == 1:
+        floor = 1.0
+    elif not skip_free:
+        floor = min(floor, float(reach[rows].min()))
     return reach, alive, floor
 
 
@@ -212,15 +207,20 @@ def compute_c1(chain: AbsorbedChain, x0: int) -> ConstantEstimate:
     """Floor of P_x(X_1 = x0 | alive at 1) over all transient x.
 
     Always an empirical_estimate: the value of this window, read off the
-    shared unit step.  On truncated chains the worst start is typically
-    the window top, which moves when the window grows.  A state whose
-    survival to t = 1 underflows to 0 leaves the floor undefined, and a
-    state that cannot reach x0 makes it vanish; either raises
-    CertificationError naming the state.
+    unit step of x0 (_unit_step).  On truncated chains the worst start
+    is typically the window top, which moves when the window grows.  A
+    state whose survival to t = 1 underflows to 0 leaves the floor
+    undefined, and a state that cannot reach x0 makes it vanish; either
+    raises CertificationError naming the state.
     """
     if not 1 <= x0 <= chain.n_transient:
         raise ValidationError(f"x0={x0} outside transient states 1..{chain.n_transient}")
     reach, alive, _ = _unit_step(chain, x0)
+    return _c1(x0, reach, alive)
+
+
+def _c1(x0: int, reach: np.ndarray, alive: np.ndarray) -> ConstantEstimate:
+    """c1 read off a unit step's reach and alive columns."""
     dead = np.nonzero(alive <= 0.0)[0]
     if dead.size:
         # reach <= alive, so the ratio there is 0/0: no float carries it
@@ -242,9 +242,11 @@ def compute_c1(chain: AbsorbedChain, x0: int) -> ConstantEstimate:
 def compute_c2(chain: AbsorbedChain, K) -> C2Bounds:
     """Floor on P_x(T > t) / P_y(T > t) over x, y in the core K and all
     t >= 0, T the absorption (or killing) time: the smaller of two
-    proved floors, both read off the shared unit step (_unit_step),
-    evolved with the certificate's anchor when a certificate built it
-    and with the smallest core state otherwise.
+    proved floors, both read off one unit step (_unit_step), which
+    compute_c2 evolves with the smallest core state as its anchor: the
+    block [e_a, 1, the step floor's columns], a = min K.  A certificate
+    reads the same floors off the unit step of its own anchor; neither
+    floor depends on the anchor.
 
     Survival floor, t <= 1: min over x in K of P_x(T > 1), the unit
     step's alive column.  P_x(T > t) >= P_x(T > 1) and P_y(T > t) <= 1.
@@ -270,18 +272,20 @@ def compute_c2(chain: AbsorbedChain, K) -> C2Bounds:
 
     Every truncated series lies below the exact value, so the floors
     read are below the exact ones; their rounding is not accounted for.
-    A single-state core is exact at 1.  A vanishing floor raises
-    CertificationError.
+    A single-state core is exact at 1 and evolves nothing.  A vanishing
+    floor raises CertificationError.
     """
     core = _check_core(chain, K)
+    alive, step_floor = (None, 1.0) if len(core) == 1 else _unit_step(chain, core[0], core)[1:]
+    return _c2(core, alive, step_floor)
+
+
+def _c2(core: tuple[int, ...], alive: np.ndarray | None, step_floor: float) -> C2Bounds:
+    """c2 read off a unit step's alive column and step floor on core."""
     if len(core) == 1:
         # a single-state core compares survival only with itself
         return C2Bounds(certified=1.0, survival_floor=1.0, step_floor=1.0)
-    cache = chain._cache
-    if ("step_floor", core) not in cache:
-        _unit_step(chain, core[0], core)
-    survival_floor = float(cache["alive"][[x - 1 for x in core]].min())
-    step_floor = cache[("step_floor", core)]
+    survival_floor = float(alive[[x - 1 for x in core]].min())
     certified = min(survival_floor, step_floor)
     if not certified > 0:
         raise CertificationError("c2 certified floor vanishes on K", part="c2")
@@ -333,9 +337,10 @@ def compute_c4(chain: AbsorbedChain, K, lambda0: float) -> ConstantEstimate:
     )
 
 
-def _c3_sojourn(chain: AbsorbedChain, x0: int, core) -> C3Result:
+def _c3_sojourn(chain: AbsorbedChain, x0: int, reach: np.ndarray | None) -> C3Result:
     # Staying put at x0 until time t has probability exp(-q(x0) t), and
-    # x0 is in K, so c3 = 1 with lambda0 = q(x0) is exact for the window.
+    # x0 is in K, so c3 = 1 with lambda0 = q(x0) is exact for the window;
+    # no unit step is read.
     lam = chain.exit_rate(x0)
     if lam <= 0:
         raise CertificationError(
@@ -344,20 +349,20 @@ def _c3_sojourn(chain: AbsorbedChain, x0: int, core) -> C3Result:
     return C3Result(c3=1.0, lambda0=lam, strategy=SOJOURN, provenance=CERTIFIED)
 
 
-def _c3_absorption_rate(chain: AbsorbedChain, x0: int, core) -> C3Result:
+def _c3_absorption_rate(chain: AbsorbedChain, x0: int, reach: np.ndarray) -> C3Result:
     """Occupancy of x0 itself decays no faster than the worst per-state
     killing rate C: for t >= 1 chain through time t-1 and use the
     one-step floor into x0; for t <= 1 a holding bound caps how large c3
     may be.  All pieces are one-step or rate quantities.  Always an
-    empirical_estimate: the floor is this window's, read off the shared
-    unit step, and moves when the window grows."""
+    empirical_estimate: the floor is this window's, read off reach, the
+    unit step's column P_x(X_1 = x0), and moves when the window grows."""
     dead_rates = chain.absorption_rates + chain.kill_rates
     C = float(dead_rates.max())
     if C <= 0:
         raise CertificationError(
             "c3 occupancy floor failed: chain is never absorbed inside the window", part="c3"
         )
-    inf_reach = float(_unit_step(chain, x0)[0].min())
+    inf_reach = float(reach.min())
     if inf_reach <= 0:
         raise CertificationError(
             f"c3 occupancy floor failed: some window state cannot reach {x0} within unit time",
@@ -380,18 +385,26 @@ def compute_c3_lambda0(chain: AbsorbedChain, x0: int, K, strategy: str = BEST) -
     CertificationError(part="c3"); best skips it, or one whose moment
     diverges, and raises only when neither is left.  A zero c3 (the
     absorption-rate floor underflows when x0 exits far faster than C)
-    raises too.
+    raises too.  Only the absorption-rate route evolves the unit step of
+    x0; sojourn evolves nothing.
     """
     core = _check_core(chain, K, x0)
+    reach = _unit_step(chain, x0)[0] if strategy in (ABSORPTION_RATE, BEST) else None
+    return _c3(chain, x0, core, strategy, reach)
+
+
+def _c3(chain: AbsorbedChain, x0: int, core, strategy: str, reach: np.ndarray | None) -> C3Result:
+    """compute_c3_lambda0 on a checked core, the absorption-rate route
+    reading the unit step's reach column."""
     if strategy == SOJOURN:
-        return _c3_sojourn(chain, x0, core)
+        return _c3_sojourn(chain, x0, reach)
     if strategy == ABSORPTION_RATE:
-        best = _c3_absorption_rate(chain, x0, core)
+        best = _c3_absorption_rate(chain, x0, reach)
     elif strategy == BEST:
         candidates = []
         for route in (_c3_sojourn, _c3_absorption_rate):
             try:
-                cand = route(chain, x0, core)
+                cand = route(chain, x0, reach)
                 cand.c4 = compute_c4(chain, core, cand.lambda0)
             except (CertificationError, DivergentMomentError):
                 continue
@@ -539,11 +552,11 @@ def _certify(
     closed-form ceiling valid at the lambda0 the strategy yields)
     replaces the moment solve.
     """
-    # c1, c2's step floor and the absorption-rate c3 read one unit step
-    _unit_step(chain, x0, core)
-    c1e = compute_c1(chain, x0)
-    c2b = compute_c2(chain, core)
-    c3r = compute_c3_lambda0(chain, x0, core, strategy=c3_strategy)
+    # c1, c2 and the absorption-rate c3 read one unit step
+    reach, alive, step_floor = _unit_step(chain, x0, core)
+    c1e = _c1(x0, reach, alive)
+    c2b = _c2(core, alive, step_floor)
+    c3r = _c3(chain, x0, core, c3_strategy, reach)
     c4e = c4 if c4 is not None else c3r.c4
     if c4e is None:
         try:
@@ -600,66 +613,55 @@ def check_ratio_inequality(
 # -- plain-text serialization -------------------------------------------------
 
 
+_HEADER = "quasistat certificate v1"
+
+# The certificate text, one "key = value" line per entry in this order:
+# (text key, certificate field, writer, reader).  A v1 text written
+# before a key existed may leave it out; _TEXT_DEFAULTS holds those
+# keys' values.  Provenance lines follow, one per labelled constant.
+_TEXT_FIELDS = (
+    ("n_states", "n_states", str, int),
+    ("boundary", "boundary_mode", str, str),
+    ("K", "K", lambda K: ",".join(map(str, K)), lambda v: tuple(int(x) for x in v.split(","))),
+    ("x0", "x0", str, int),
+    *((name, name, fmt, float) for name in ("c1", "c2", "c3", "c4", "lambda0", "gamma")),
+    ("c3_strategy", "c3_strategy", str, str),
+    ("window_limited", "window_limited", lambda b: "yes" if b else "no", lambda v: v == "yes"),
+)
+_TEXT_DEFAULTS = {"boundary": "reflect", "c3_strategy": BEST, "window_limited": "yes"}
+_PROVENANCE = ("c1", "c2", "c3", "c4")
+
+
 def certificate_to_text(cert: HypothesisCertificate) -> str:
-    lines = [
-        "quasistat certificate v1",
-        f"n_states = {cert.n_states}",
-        f"boundary = {cert.boundary_mode}",
-        f"K = {','.join(str(x) for x in cert.K)}",
-        f"x0 = {cert.x0}",
-        f"c1 = {fmt(cert.c1)}",
-        f"c2 = {fmt(cert.c2)}",
-        f"c3 = {fmt(cert.c3)}",
-        f"c4 = {fmt(cert.c4)}",
-        f"lambda0 = {fmt(cert.lambda0)}",
-        f"gamma = {fmt(cert.gamma)}",
-        f"c3_strategy = {cert.c3_strategy}",
-        f"window_limited = {'yes' if cert.window_limited else 'no'}",
-    ]
-    for name in ("c1", "c2", "c3", "c4"):
-        if name in cert.provenance:
-            lines.append(f"provenance_{name} = {cert.provenance[name]}")
-    return "\n".join(lines) + "\n"
+    pairs = [(key, write(getattr(cert, name))) for key, name, write, _ in _TEXT_FIELDS]
+    pairs += [(f"provenance_{name}", cert.provenance[name])
+              for name in _PROVENANCE if name in cert.provenance]
+    return f"{_HEADER}\n" + render_keyvalues(pairs)
 
 
 def parse_certificate_text(text: str) -> HypothesisCertificate:
+    """The certificate certificate_to_text wrote, checked again; a
+    missing, repeated or malformed key raises ValidationError naming it."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != "quasistat certificate v1":
+    if not lines or lines[0] != _HEADER:
         raise ValidationError("not a quasistat certificate (missing header)")
-    kv = {}
+    given = {}
     for ln in lines[1:]:
         if "=" not in ln:
             raise ValidationError(f"bad certificate line: {ln!r}")
-        k, v = ln.split("=", 1)
-        kv[k.strip()] = v.strip()
-
-    def number(field, convert):
+        k, v = (part.strip() for part in ln.split("=", 1))
+        if k in given:
+            raise ValidationError(f"certificate repeats field {k!r}")
+        given[k] = v
+    kv = {**_TEXT_DEFAULTS, **given}
+    fields = {}
+    for key, name, _, read in _TEXT_FIELDS:
+        if key not in kv:
+            raise ValidationError(f"certificate missing field {key!r}")
         try:
-            return convert(kv[field])
+            fields[name] = read(kv[key])
         except ValueError:
-            bad = kv[field]
-            raise ValidationError(f"certificate field {field} is malformed: {bad!r}") from None
-
-    try:
-        prov = {
-            name: kv[f"provenance_{name}"]
-            for name in ("c1", "c2", "c3", "c4")
-            if f"provenance_{name}" in kv
-        }
-        return HypothesisCertificate(
-            K=number("K", lambda v: tuple(int(x) for x in v.split(","))),
-            x0=number("x0", int),
-            c1=number("c1", float),
-            c2=number("c2", float),
-            c3=number("c3", float),
-            c4=number("c4", float),
-            lambda0=number("lambda0", float),
-            gamma=number("gamma", float),
-            c3_strategy=kv.get("c3_strategy", BEST),
-            n_states=number("n_states", int),
-            boundary_mode=kv.get("boundary", "reflect"),
-            provenance=prov,
-            window_limited=kv.get("window_limited", "yes") == "yes",
-        )
-    except KeyError as missing:
-        raise ValidationError(f"certificate missing field {missing}") from None
+            raise ValidationError(f"certificate field {key} is malformed: {kv[key]!r}") from None
+    provenance = {name: kv[f"provenance_{name}"]
+                  for name in _PROVENANCE if f"provenance_{name}" in kv}
+    return HypothesisCertificate(**fields, provenance=provenance)

@@ -314,12 +314,9 @@ def derive_certificate_via_criterion(chain: AbsorbedChain, K, x0: int) -> Hypoth
         raise CertificationError(
             "absorption rate sup C is zero; no decay rate available", part="criterion"
         )
-    cert = _certify(
+    # with no killing the absorption-rate lambda0 is max(absorption + 0),
+    # which is C bit for bit, the rate the closed-form c4 holds at
+    return _certify(
         chain, core, x0, ABSORPTION_RATE,
         c4=ConstantEstimate(value=rep.c4_bound, provenance=CERTIFIED),
     )
-    if abs(cert.lambda0 - rep.C) > 1e-12 * max(1.0, rep.C):
-        raise CertificationError(
-            "internal inconsistency: occupancy decay rate differs from C", part="c3"
-        )
-    return cert

@@ -52,6 +52,7 @@ step of any length stays short.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -214,7 +215,6 @@ def _evolve(
             f"{chain.n_transient}-state window is too long: {exc}"
         ) from None
     A = op.meas_op if side == "measure" else op.func_op
-    n = A.shape[0]
     # The terms M^k v run through two chunk buffers in turn, the block
     # raveled for the CSR kernel: the kernel writes each term into the
     # next row from the row before it, and a chunk's first row from the
@@ -238,10 +238,7 @@ def _evolve(
     this, that = ((b, list(b)) for b in (np.empty((rows, size)), np.empty((rows, size))))
     weighted = np.empty((rows, size))
     scratch = weighted[0]
-    if v.ndim == 1:
-        kernel, args = _sparsetools.csr_matvec, (n, n, A.indptr, A.indices, A.data)
-    else:
-        kernel, args = _sparsetools.csr_matvecs, (n, n, v.shape[1], A.indptr, A.indices, A.data)
+    product = _csr_product(A, 1 if v.ndim == 1 else v.shape[1])
     out = w[0] * vk
     for k in range(1, w.size, rows):
         (chunk, terms), this, that = this, that, this
@@ -250,7 +247,7 @@ def _evolve(
             chunk, terms = chunk[:c], terms[:c]
         chunk.fill(0.0)
         for row in terms:
-            kernel(*args, vk, row)
+            product(vk, row)
             vk = row
         if c > 1 and size > 1 and w[k] > 0.0:
             folded = weighted[:c]
@@ -266,28 +263,21 @@ def _evolve(
     return out.reshape(v.shape)
 
 
-def _csr_step(A: sparse.csr_matrix, m: int):
-    """step(x, y) sets y = A @ x for flat C-ordered blocks of m columns.
+def _csr_product(A: sparse.csr_matrix, m: int):
+    """product(x, y) adds A @ x into y, for flat C-ordered blocks of m
+    columns: the sparsetools kernel that scipy's ``A @ x`` reaches
+    (csr_matvec for one column, csr_matvecs for more) bound to A.
 
-    It calls the sparsetools kernel that scipy's ``A @ x`` reaches
-    (csr_matvec for one column, csr_matvecs for more) directly, skipping
-    the operator dispatch and the result allocation.  The kernel adds into
-    y, so y is zeroed first; the sums then run in the same order, and the
-    result is bit for bit that of ``A @ x``.  csr_matvecs walks each row's
-    entries in the same order as csr_matvec, so column j of a block step
-    is bit for bit the step of column j alone.
+    The call skips the operator dispatch and the result allocation.  On
+    a y of zeros its sums run in the order of ``A @ x``, bit for bit.
+    csr_matvecs walks each row's entries in the same order as
+    csr_matvec, so column j of a block product is bit for bit the
+    product of column j alone.
     """
     n = A.shape[0]
-    indptr, indices, data = A.indptr, A.indices, A.data
     if m == 1:
-        def step(x: np.ndarray, y: np.ndarray) -> None:
-            y.fill(0.0)
-            _sparsetools.csr_matvec(n, n, indptr, indices, data, x, y)
-    else:
-        def step(x: np.ndarray, y: np.ndarray) -> None:
-            y.fill(0.0)
-            _sparsetools.csr_matvecs(n, n, m, indptr, indices, data, x, y)
-    return step
+        return functools.partial(_sparsetools.csr_matvec, n, n, A.indptr, A.indices, A.data)
+    return functools.partial(_sparsetools.csr_matvecs, n, n, m, A.indptr, A.indices, A.data)
 
 
 def evolve_measure(chain: AbsorbedChain, v, t: float) -> np.ndarray:
@@ -406,8 +396,8 @@ def _step_propagator(chain: AbsorbedChain, dt: float, side: str, k: int) -> spar
     for _ in range(k):
         # A.data is P raveled, the C-ordered n x n block to multiply
         A = _dense_csr(P)
-        P = np.empty((n, n))
-        _csr_step(A, n)(A.data, P.reshape(-1))
+        P = np.zeros((n, n))
+        _csr_product(A, n)(A.data, P.reshape(-1))
     return _dense_csr(P)
 
 
@@ -447,19 +437,19 @@ def _walk(chain: AbsorbedChain, v, times, side: str):
     evolve = evolve_measure if side == "measure" else evolve_function
     what = "conditional law" if side == "measure" else "survival function"
     steps = Counter(b - a for a, b in zip([0.0, *ts], ts))
-    products = {}  # dt -> the propagator's step(x, y), or None for the series
+    products = {}  # dt -> the propagator's product(x, y), or None for the series
     t_cur = 0.0
     for t in ts:
         dt = t - t_cur
         if dt not in products:
             k = _walk_squarings(chain, dt, steps[dt], m)
-            products[dt] = None if k is None else _csr_step(_step_propagator(chain, dt, side, k), m)
-        step = products[dt]
-        if step is None:
+            products[dt] = None if k is None else _csr_product(_step_propagator(chain, dt, side, k), m)
+        product = products[dt]
+        if product is None:
             v = evolve(chain, v, dt)
         else:
-            x, v = np.ascontiguousarray(v), np.empty(v.shape)
-            step(x.reshape(-1), v.reshape(-1))
+            x, v = np.ascontiguousarray(v), np.zeros(v.shape)
+            product(x.reshape(-1), v.reshape(-1))
         t_cur = t
         if v.ndim == 1:
             v, _ = _normalize_mass(v, f"{what} at t={t}")

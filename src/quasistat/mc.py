@@ -40,6 +40,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from scipy import sparse
 from scipy.special import xlogy
 
 from .chain import AbsorbedChain, DistributionOnStates, law_weights
@@ -144,39 +145,32 @@ def _require_every_path_ends(jumps: _JumpTables, cum_init: np.ndarray, in_stop: 
     path never leaves: with an infinite horizon its paths would jump
     forever.
     """
-    bounds, targets = jumps.start.tolist(), jumps.targets.tolist()
-    rows = [targets[a:b] for a, b in zip(bounds, bounds[1:])]
-    n = len(rows) - 1
-    preds: list[list[int]] = [[] for _ in range(n + 1)]
-    ends = []
-    for x in range(1, n + 1):
-        row = rows[x]
-        if in_stop[x] or not row or min(row) <= 0:
-            ends.append(x)
-        for y in row:
-            if y > 0:
-                preds[y].append(x)
-    can_end = np.zeros(n + 1, dtype=bool)
-    can_end[ends] = True
-    stack = ends
-    while stack:
-        for w in preds[stack.pop()]:
-            if not can_end[w]:
-                can_end[w] = True
-                stack.append(w)
+    # imported here, not at the top: csgraph loads scipy.sparse.linalg and
+    # scipy.linalg, which finite horizons never need
+    from scipy.sparse.csgraph import breadth_first_order
+
+    n = jumps.totals.size - 1
+    width = np.diff(jumps.start)
+    src, dst = np.repeat(np.arange(n + 1), width), jumps.targets
+    # node 0 is the root of both searches: no jump targets it
+    ends = width == 0
+    ends[0] = False
+    ends[src[dst <= 0]] = True
+    ends = np.flatnonzero(ends | in_stop)
+    src, dst = src[dst > 0], dst[dst > 0]
     # states the initial draw can pick: those that raise the cumulative law
-    start = (np.flatnonzero(np.diff(cum_init, prepend=0.0) > 0) + 1).tolist()
-    seen = np.zeros(n + 1, dtype=bool)
-    seen[start] = True
-    stack = start
-    while stack:
-        x = stack.pop()
-        if in_stop[x]:
-            continue  # paths stop on entry
-        for y in rows[x]:
-            if y > 0 and not seen[y]:
-                seen[y] = True
-                stack.append(y)
+    start = np.flatnonzero(np.diff(cum_init, prepend=0.0) > 0) + 1
+    moves = ~in_stop[src]  # paths stop on entry into the stop set
+
+    def reached(heads, tails):
+        graph = sparse.csr_matrix((np.ones(heads.size), (heads, tails)), shape=(n + 1, n + 1))
+        seen = np.zeros(n + 1, dtype=bool)
+        seen[breadth_first_order(graph, 0, return_predecessors=False)] = True
+        return seen
+
+    # the states that reach an end, searched back along the jumps
+    can_end = reached(np.r_[np.zeros(ends.size, int), dst], np.r_[ends, src])
+    seen = reached(np.r_[np.zeros(start.size, int), src[moves]], np.r_[start, dst[moves]])
     stuck = np.flatnonzero(seen & ~can_end)
     if stuck.size:
         raise ValidationError(

@@ -132,7 +132,7 @@ def test_criterion_certificate_evolves_one_unit_step(monkeypatch):
 @pytest.mark.parametrize("boundary", ["reflect", "kill"])
 @pytest.mark.parametrize("n_states", [8, 63, 64, 130])
 def test_c3_floor_on_the_shared_unit_step_equals_the_single_column(boundary, n_states):
-    # the absorption-rate floor reads column e_x0 of the cached unit step;
+    # the absorption-rate floor reads column e_x0 of the unit step;
     # it must equal the column evolved alone
     chain = truncate(BirthDeathSpec.logistic(2.0, 1.0, 0.25), n_states, boundary)
     r = compute_c3_lambda0(chain, x0=1, K=[1], strategy=ABSORPTION_RATE)
@@ -211,6 +211,17 @@ def test_shared_unit_step_block_equals_columns_evolved_alone(
     c1, survival_floor, step_floor, reach_floor = _unit_step_oracle(chain, core, x0, skip_free)
 
     reach, alive, floor = _unit_step(chain, x0, core)
+    # one call evolves e_x0, 1 and the floor's columns (none for one
+    # state, the indicator of b, b+1, ... on a skip-free window, |K| - 1
+    # core columns on any other), one series per block, and keeps nothing
+    # on the window
+    columns = 2 + (0 if len(core) == 1 else 1 if skip_free else len(core) - 1)
+    width = columns if block_columns is None else block_columns
+    n = chain.n_transient
+    assert calls == [(n, 1.0, min(width, columns - lo)) for lo in range(0, columns, width)]
+    assert boundary == "reflect" or block_columns is None or len(calls) >= 3
+    assert set(chain._cache) == {"uniformized"}
+    assert reach.shape == alive.shape == (n,) and isinstance(floor, float)
     assert floor == step_floor
     assert float(reach.min()) == reach_floor
     assert compute_c1(chain, x0).value == c1
@@ -229,30 +240,43 @@ def test_shared_unit_step_block_equals_columns_evolved_alone(
         # at the window top the holding guard underflows: no floor
         with pytest.raises(CertificationError, match="zero floor"):
             compute_c3_lambda0(chain, x0, core, strategy=ABSORPTION_RATE)
-    # e_x0, 1 and the floor's columns (none for one state, the indicator
-    # of b, b+1, ... on a skip-free window, |K| - 1 core columns on any
-    # other), one series per block; every read after the first is cached
-    columns = 2 + (0 if len(core) == 1 else 1 if skip_free else len(core) - 1)
-    width = columns if block_columns is None else block_columns
-    assert [c for _, _, c in calls] == [min(width, columns - lo) for lo in range(0, columns, width)]
-    assert boundary == "reflect" or block_columns is None or len(calls) >= 3
-    # only length-n columns and scalars stay behind
-    for key, value in chain._cache.items():
-        if key == "alive" or key[0] == "reach":
-            assert value.shape == (chain.n_transient,)
-        elif key[0] == "step_floor":
-            assert isinstance(value, float)
 
 
-def test_c2_alone_evolves_its_core_with_the_smallest_state_as_anchor(monkeypatch):
-    # without a certificate's anchor, c2 evolves [e_1, 1, 1_{>= 11}] and
-    # leaves state 1's unit step cached for c1
+def test_c2_alone_evolves_one_3_column_unit_step_block(monkeypatch):
+    # without a certificate's anchor, c2 anchors at the smallest core state
+    # and evolves one block [e_1, 1, 1_{>= 11}] on this skip-free window
+    chain = build_logistic(2.0, 1.0, 0.25, 100)
+    n = chain.n_transient
+    certify_module = importlib.import_module("quasistat.certify")
+    evolve = certify_module.evolve_function
+    blocks = []
+
+    def recording_evolve(chain, v, t):
+        blocks.append((np.array(v), t))
+        return evolve(chain, v, t)
+
+    monkeypatch.setattr(certify_module, "evolve_function", recording_evolve)
+    compute_c2(chain, range(1, 12))
+    assert len(blocks) == 1
+    block, t = blocks[0]
+    assert t == 1.0 and block.shape == (n, 3)
+    expected = np.zeros((n, 3))
+    expected[0, 0] = 1.0
+    expected[:, 1] = 1.0
+    expected[10:, 2] = 1.0
+    assert np.array_equal(block, expected)
+
+
+def test_singleton_c2_and_sojourn_c3_evolve_nothing(monkeypatch):
     chain = build_logistic(2.0, 1.0, 0.25, 100)
     calls = _count_evolutions(monkeypatch)
-    compute_c2(chain, range(1, 12))
+    assert compute_c2(chain, [5]).certified == 1.0
+    assert compute_c3_lambda0(chain, 1, [1, 2], strategy=SOJOURN).c3 == 1.0
+    assert calls == []
     compute_c1(chain, 1)
-    compute_c3_lambda0(chain, 1, [1], strategy=ABSORPTION_RATE)
-    assert calls == [99]
+    compute_c3_lambda0(chain, 1, [1, 2], strategy=ABSORPTION_RATE)
+    # each public constant evolves its own [e_x0, 1] block
+    assert calls == [99, 99]
 
 
 def _half_step_floor(chain, x0, core):
@@ -358,8 +382,8 @@ def test_unit_step_takes_the_core_block_off_skip_free_reflecting_windows(monkeyp
 
 
 def test_unit_step_c2_does_not_depend_on_call_history():
-    # a certificate anchored at 20 leaves its unit step cached; compute_c2
-    # then reads the same floors as on a window that nothing touched
+    # after a certificate anchored at 20, compute_c2 reads the same floors
+    # as on a window that nothing touched
     result = logistic_certificate(3.0, 1.0, 0.0505)
     core = result.certificate.K
     assert len(core) == 45
@@ -854,14 +878,34 @@ def test_certificate_text_roundtrip():
 def test_parse_rejects_garbage():
     with pytest.raises(ValidationError, match="header"):
         parse_certificate_text("not a certificate\n")
-    cert = certify(catastrophe_chain(), K=[1], x0=1)
-    text = certificate_to_text(cert)
-    # drop a required field
-    maimed = "\n".join(ln for ln in text.splitlines() if not ln.startswith("c4"))
-    with pytest.raises(ValidationError, match="missing field"):
-        parse_certificate_text(maimed)
     with pytest.raises(ValidationError, match="bad certificate line"):
         parse_certificate_text("quasistat certificate v1\nwhat even is this\n")
+
+
+@pytest.mark.parametrize("key", ["n_states", "K", "x0", "c1", "c2", "c3", "c4", "lambda0", "gamma"])
+def test_parse_rejects_a_missing_required_field(key):
+    text = certificate_to_text(certify(catastrophe_chain(), K=[1], x0=1))
+    maimed = "\n".join(ln for ln in text.splitlines() if ln.split(" = ")[0] != key)
+    with pytest.raises(ValidationError, match=f"missing field '{key}'"):
+        parse_certificate_text(maimed)
+
+
+def test_parse_reads_the_defaults_of_a_v1_text_without_its_later_lines():
+    # texts written before boundary, c3_strategy and window_limited existed
+    text = certificate_to_text(certify(catastrophe_chain(), K=[1], x0=1, c3_strategy=SOJOURN))
+    later = ("boundary", "c3_strategy", "window_limited")
+    old = "\n".join(ln for ln in text.splitlines() if ln.split(" = ")[0] not in later)
+    cert = parse_certificate_text(old)
+    assert (cert.boundary_mode, cert.c3_strategy, cert.window_limited) == ("reflect", BEST, True)
+
+
+@pytest.mark.parametrize("key", ["c2", "boundary", "provenance_c1"])
+def test_parse_rejects_a_repeated_key(key):
+    # a hand-edited certificate must not carry a stale value unnoticed
+    text = certificate_to_text(certify(catastrophe_chain(), K=[1], x0=1))
+    line = next(ln for ln in text.splitlines() if ln.split(" = ")[0] == key)
+    with pytest.raises(ValidationError, match=f"repeats field '{key}'"):
+        parse_certificate_text(text + line + "\n")
 
 
 @pytest.mark.parametrize(
@@ -872,8 +916,11 @@ def test_parse_rejects_garbage():
         ("n_states", "1", "n_states"),
         ("boundary", "sideways", "boundary mode"),
         ("provenance_c1", "proved_by_hope", "provenance of c1"),
+        ("lambda0", "0", "lambda0 must be finite and > 0"),
+        ("lambda0", "inf", "lambda0 must be finite and > 0"),
     ],
-    ids=["K-has-0", "K-past-window", "n_states-below-2", "boundary", "provenance"],
+    ids=["K-has-0", "K-past-window", "n_states-below-2", "boundary", "provenance",
+         "lambda0-zero", "lambda0-inf"],
 )
 def test_parse_rejects_fields_outside_their_range(field, value, message):
     cert = certify(catastrophe_chain(), K=[1], x0=1)
