@@ -630,6 +630,7 @@ _TEXT_FIELDS = (
 )
 _TEXT_DEFAULTS = {"boundary": "reflect", "c3_strategy": BEST, "window_limited": "yes"}
 _PROVENANCE = ("c1", "c2", "c3", "c4")
+_TEXT_KEYS = {key for key, *_ in _TEXT_FIELDS} | {f"provenance_{name}" for name in _PROVENANCE}
 
 
 def certificate_to_text(cert: HypothesisCertificate) -> str:
@@ -641,7 +642,8 @@ def certificate_to_text(cert: HypothesisCertificate) -> str:
 
 def parse_certificate_text(text: str) -> HypothesisCertificate:
     """The certificate certificate_to_text wrote, checked again; a
-    missing, repeated or malformed key raises ValidationError naming it."""
+    missing, repeated, unknown or malformed key raises ValidationError
+    naming it."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != _HEADER:
         raise ValidationError("not a quasistat certificate (missing header)")
@@ -650,6 +652,8 @@ def parse_certificate_text(text: str) -> HypothesisCertificate:
         if "=" not in ln:
             raise ValidationError(f"bad certificate line: {ln!r}")
         k, v = (part.strip() for part in ln.split("=", 1))
+        if k not in _TEXT_KEYS:
+            raise ValidationError(f"certificate has unknown field {k!r}")
         if k in given:
             raise ValidationError(f"certificate repeats field {k!r}")
         given[k] = v

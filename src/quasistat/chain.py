@@ -105,6 +105,17 @@ class BirthDeathSpec:
         return up, down
 
 
+def _weights_total(w: np.ndarray, what: str) -> float:
+    """Total of the weights w, checked finite and >= 0 with a positive
+    finite total; what names them in the errors."""
+    if not np.all(np.isfinite(w)) or np.any(w < 0):
+        raise ValidationError(f"{what} weights must be finite and >= 0")
+    total = float(w.sum())
+    if not (total > 0 and math.isfinite(total)):
+        raise ValidationError(f"{what} weights must have positive finite total mass")
+    return total
+
+
 class DistributionOnStates:
     """Probability distribution over the transient states 1..N of a window.
 
@@ -120,14 +131,7 @@ class DistributionOnStates:
         if not _skip_checks:
             if w.ndim != 1 or w.size == 0:
                 raise ValidationError("distribution weights must be a non-empty 1-d array")
-            if not np.all(np.isfinite(w)):
-                raise ValidationError("distribution weights must be finite")
-            if np.any(w < 0):
-                raise ValidationError("distribution weights must be >= 0")
-            total = float(w.sum())
-            if not (total > 0) or not math.isfinite(total):
-                raise ValidationError("distribution weights must have positive finite total mass")
-            w = w / total
+            w = w / _weights_total(w, "distribution")
         self.weights = w
 
     @classmethod
@@ -192,11 +196,7 @@ def law_weights(chain: AbsorbedChain, mu, what: str = "law") -> np.ndarray:
     weights = np.asarray(mu, dtype=np.float64)
     if weights.shape != (chain.n_transient,):
         raise ValidationError(f"{what} length does not match the window")
-    if not np.all(np.isfinite(weights)) or np.any(weights < 0):
-        raise ValidationError(f"{what} weights must be finite and >= 0")
-    total = float(weights.sum())
-    if not (total > 0 and math.isfinite(total)):
-        raise ValidationError(f"{what} weights must have positive finite total mass")
+    _weights_total(weights, what)
     return weights
 
 

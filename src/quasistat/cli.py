@@ -43,7 +43,7 @@ from .engine import (
     tv_distance,
 )
 from .errors import QuasistatError, ValidationError
-from .textio import fmt
+from .textio import fmt, write_text
 
 # arithmetic grids longer than this are refused rather than built
 _MAX_GRID_POINTS = 10**6
@@ -212,8 +212,7 @@ def cmd_certify(args) -> int:
         else:
             cert = certify(chain, K, args.x0)
     path = _outpath(args, "certificate.txt")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(certificate_to_text(cert))
+    write_text(path, certificate_to_text(cert))
     K = cert.K
     core = f"{K[0]}..{K[-1]}" if K[-1] - K[0] == len(K) - 1 else ",".join(map(str, K))
     _emit(path, f"gamma={fmt(cert.gamma)}, K={core}, lambda0={fmt(cert.lambda0)}")
@@ -227,8 +226,7 @@ def cmd_criterion(args) -> int:
     else:
         rep = check_uniform_rates(chain)
     path = _outpath(args, "criterion.txt")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(rep.to_text())
+    write_text(path, rep.to_text())
     verdicts = []
     if rep.core_return_holds is not None:
         verdicts.append(f"core_return={'holds' if rep.core_return_holds else 'fails'}")
@@ -241,8 +239,7 @@ def cmd_bd(args) -> int:
     b, d, c = args.logistic
     rep = bd_mod.build_bd_report(b, d, c, z=args.z, x_max=args.x_max, j_max=args.j_max)
     txt = _outpath(args, "bd_report.txt")
-    with open(txt, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(rep.to_text())
+    write_text(txt, rep.to_text())
     acsv = _outpath(args, "bd_alpha.csv")
     bd_mod.alpha_to_csv(rep, acsv)
     hcsv = _outpath(args, "bd_hitting.csv")
@@ -334,37 +331,30 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("qsd", help="compute the quasi-stationary law")
-    _add_chain_args(p)
-    p.add_argument("--out", default=".")
-    p.set_defaults(func=cmd_qsd)
+    def command(name, func, help, chain_args=True):
+        p = sub.add_parser(name, help=help)
+        if chain_args:
+            _add_chain_args(p)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("certify", help="assemble a mixing certificate")
-    _add_chain_args(p)
+    command("qsd", cmd_qsd, "compute the quasi-stationary law")
+
+    p = command("certify", cmd_certify, "assemble a mixing certificate")
     p.add_argument("--K", help="core set, e.g. '1..3' or '1,2,3' (auto for logistic)")
     p.add_argument("--x0", type=int, help="anchor state inside K")
     p.add_argument("--route", choices=["direct", "criterion"], default="direct")
-    p.add_argument("--out", default=".")
-    p.set_defaults(func=cmd_certify)
 
-    p = sub.add_parser("criterion", help="evaluate the rate-matrix tests")
-    _add_chain_args(p)
+    p = command("criterion", cmd_criterion, "evaluate the rate-matrix tests")
     p.add_argument("--K", help="core set to test; omit to scan prefixes")
-    p.add_argument("--out", default=".")
-    p.set_defaults(func=cmd_criterion)
 
-    p = sub.add_parser("bd", help="birth-death ladder and hitting analytics")
-    p.add_argument(
-        "--logistic", nargs=3, type=float, metavar=("B", "D", "C"), required=True
-    )
+    p = command("bd", cmd_bd, "birth-death ladder and hitting analytics", chain_args=False)
+    p.add_argument("--logistic", nargs=3, type=float, metavar=("B", "D", "C"), required=True)
     p.add_argument("--z", type=int, default=None, help="target level (default: z0)")
     p.add_argument("--x-max", type=int, default=30, dest="x_max")
     p.add_argument("--j-max", type=int, default=40, dest="j_max")
-    p.add_argument("--out", default=".")
-    p.set_defaults(func=cmd_bd)
 
-    p = sub.add_parser("decay", help="tabulate conditional mixing against the bound")
-    _add_chain_args(p)
+    p = command("decay", cmd_decay, "tabulate conditional mixing against the bound")
     p.add_argument("--mu", required=True, help="initial law: state, 'uniform', or 'qsd'")
     p.add_argument("--nu", required=True, help="second initial law")
     p.add_argument("--t-grid", default="1:12:1", dest="t_grid")
@@ -375,30 +365,25 @@ def build_parser() -> argparse.ArgumentParser:
         dest="auto_certify",
         help="derive the certificate from the logistic parameters",
     )
-    p.add_argument("--out", default=".")
-    p.set_defaults(func=cmd_decay)
 
-    p = sub.add_parser("simulate", help="independent absorbed paths")
-    _add_chain_args(p)
+    p = command("simulate", cmd_simulate, "independent absorbed paths")
     p.add_argument("--mu", required=True)
     p.add_argument("--horizon", required=True, help="time horizon or 'inf'")
     p.add_argument("--n-paths", type=int, required=True, dest="n_paths")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--stop-set", dest="stop_set", help="stop on entering these states")
-    p.add_argument("--out", default=".")
-    p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("fv", help="interacting-particle QSD estimate")
-    _add_chain_args(p)
+    p = command("fv", cmd_fv, "interacting-particle QSD estimate")
     p.add_argument("--mu", default=None)
     p.add_argument("--horizon", type=float, required=True)
     p.add_argument("--n-particles", type=int, required=True, dest="n_particles")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--sample-times", dest="sample_times")
     p.add_argument("--compare-qsd", action="store_true", dest="compare_qsd")
-    p.add_argument("--out", default=".")
-    p.set_defaults(func=cmd_fv)
 
+    # every command takes --out, listed last
+    for p in sub.choices.values():
+        p.add_argument("--out", default=".")
     return ap
 
 

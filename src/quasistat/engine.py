@@ -591,6 +591,12 @@ def _inverse_operator(chain: AbsorbedChain):
         raise ComputationError(f"sparse LU of the sub-generator failed: {exc}") from exc
 
 
+def _check_tol(tol: float) -> None:
+    # asked as tol > 0, which NaN fails
+    if not tol > 0:
+        raise ValidationError(f"tol must be > 0, got {tol}")
+
+
 def compute_qsd(chain: AbsorbedChain, tol: float = 1e-12, max_iters: int = 100000) -> QsdResult:
     """Inverse iteration on one sparse LU of -Q^T.
 
@@ -607,8 +613,7 @@ def compute_qsd(chain: AbsorbedChain, tol: float = 1e-12, max_iters: int = 10000
     falls below tol; raises NonConvergenceError carrying the increment
     history (iteration index as time) otherwise.
     """
-    if tol <= 0:
-        raise ValidationError("tol must be > 0")
+    _check_tol(tol)
     _require_irreducible(chain)
     lu = _inverse_operator(chain)
     v = np.zeros(chain.n_transient)
@@ -651,6 +656,7 @@ def check_qsd(chain: AbsorbedChain, rho, t_grid, tol: float) -> tuple[bool, floa
     Returns (all within tol, worst TV deviation).  Evolution along the
     grid is incremental, so later grid points reuse earlier work.
     """
+    _check_tol(tol)
     w = law_weights(chain, rho)
     worst = 0.0
     for _, cur in _walk(chain, w, t_grid, "measure"):
@@ -672,6 +678,7 @@ def compute_qsd_auto(
     window is returned.  Each window's QSD is solved to min(tol/100,
     1e-12).
     """
+    _check_tol(tol)
     if isinstance(source, AbsorbedChain):
         if source.source_spec is None:
             raise ValidationError("automatic window sizing needs a parametric chain")
@@ -714,6 +721,7 @@ def yaglom_limit(
     a window too small for the starting law and raises.  A reducible
     window has no unique QSD and skips the cross-check.
     """
+    _check_tol(tol)
     if max_steps < 1:
         raise ValidationError(f"max_steps must be >= 1, got {max_steps}")
     w = law_weights(chain, mu)
@@ -728,18 +736,12 @@ def yaglom_limit(
         small_streak = small_streak + 1 if inc < tol else 0
         if small_streak >= 2:
             break
-    else:
-        raise NonConvergenceError(
-            f"conditional law still moving after {max_steps} geometric steps",
-            trace=ConvergenceTrace(
-                np.array(times), np.abs(np.array(laws) - prev).sum(axis=1)
-            ),
-        )
     limit = laws[-1]
-    trace = ConvergenceTrace(
-        times=np.array(times),
-        tv_to_limit=np.abs(np.array(laws) - limit).sum(axis=1),
-    )
+    trace = ConvergenceTrace(np.array(times), np.abs(np.array(laws) - limit).sum(axis=1))
+    if small_streak < 2:
+        raise NonConvergenceError(
+            f"conditional law still moving after {max_steps} geometric steps", trace=trace
+        )
     try:
         ref = compute_qsd(chain, tol=min(tol, 1e-10))
     except ValidationError:

@@ -74,7 +74,8 @@ class _JumpTables(NamedTuple):
     the row's rates, so its last entry is totals[x], the exit rate (0 for
     a state that never leaves, whose row is empty).  _step bisects many
     rows at once on this layout, which costs O(nnz) memory whatever the
-    largest row.
+    largest row.  Each sampler call builds its table from the chain's CSR
+    arrays and keeps nothing on the window.
     """
 
     start: np.ndarray
@@ -86,47 +87,37 @@ class _JumpTables(NamedTuple):
 
 
 def _jump_tables(chain: AbsorbedChain) -> _JumpTables:
-    tables = chain._cache.get("jump_tables")
-    if tables is not None:
-        return tables
     n = chain.n_transient
-    start = [0, 0]
-    targets: list[int] = []
-    cum: list[float] = []
-    totals = [0.0] * (n + 1)
-    rows = chain.sub_generator.tocsr()
-    for x in range(1, n + 1):
-        acc = 0.0
-        a = float(chain.absorption_rates[x - 1])
-        if a > 0:
-            acc += a
-            targets.append(0)
-            cum.append(acc)
-        for pos in range(rows.indptr[x - 1], rows.indptr[x]):
-            y = int(rows.indices[pos]) + 1
-            r = float(rows.data[pos])
-            if y == x or r <= 0:
-                continue
-            acc += r
-            targets.append(y)
-            cum.append(acc)
-        k = float(chain.kill_rates[x - 1])
-        if k > 0:
-            acc += k
-            targets.append(KILLED_STATE)
-            cum.append(acc)
-        start.append(len(cum))
-        totals[x] = acc
-    widest = max(b - a for a, b in zip(start, start[1:]))
-    tables = _JumpTables(
-        start=np.array(start, dtype=np.int64),
-        targets=np.array(targets, dtype=np.int64),
-        cum=np.array(cum, dtype=np.float64),
-        totals=np.array(totals),
-        depth=max(widest - 1, 0).bit_length(),
+    # canonical CSR (the chain sums duplicates), so each row's columns ascend
+    Q = chain.sub_generator
+    states = np.arange(1, n + 1)
+    # each row: absorption, the jumps in column order, killing; the
+    # diagonal, -q(x) <= 0, drops out with the zero rates
+    rows = np.concatenate((states, np.repeat(states, np.diff(Q.indptr)), states))
+    targets = np.concatenate((np.zeros(n, np.int64), Q.indices + 1, np.full(n, KILLED_STATE)))
+    rates = np.concatenate((chain.absorption_rates, Q.data, chain.kill_rates))
+    keep = np.flatnonzero(rates > 0)
+    keep = keep[np.argsort(rows[keep], kind="stable")]
+    rows, targets, cum = rows[keep], targets[keep], rates[keep]
+    start = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n + 1))))
+    # entry r of every row adds entry r - 1, so each row sums from 0.0
+    # in order; rank 0 needs no add
+    rank = np.arange(rows.size) - start[rows]
+    by_rank = np.argsort(rank, kind="stable")
+    bounds = np.cumsum(np.bincount(rank))
+    for lo, hi in zip(bounds, bounds[1:]):
+        at = by_rank[lo:hi]
+        cum[at] += cum[at - 1]
+    width = np.diff(start)
+    totals = np.zeros(n + 1)
+    totals[width > 0] = cum[start[1:][width > 0] - 1]
+    return _JumpTables(
+        start=start,
+        targets=targets,
+        cum=cum,
+        totals=totals,
+        depth=max(int(width.max()) - 1, 0).bit_length(),
     )
-    chain._cache["jump_tables"] = tables
-    return tables
 
 
 def _initial_cumulative(chain: AbsorbedChain, mu) -> np.ndarray:

@@ -16,6 +16,12 @@ def write_csv(target, header, rows) -> None:
             fh.write(",".join(row) + "\n")
 
 
+def write_text(target, text: str) -> None:
+    """Write text to the file at path target, UTF-8 with \\n line ends."""
+    with open(target, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
+
+
 def render_keyvalues(pairs) -> str:
     """One 'key = value' line per pair."""
     return "".join(f"{k} = {v}\n" for k, v in pairs)

@@ -899,6 +899,15 @@ def test_parse_reads_the_defaults_of_a_v1_text_without_its_later_lines():
     assert (cert.boundary_mode, cert.c3_strategy, cert.window_limited) == ("reflect", BEST, True)
 
 
+@pytest.mark.parametrize("key", ["boundry", "provenance_c5", "gama"])
+def test_parse_rejects_an_unknown_key(key):
+    # a misspelled "boundry = kill" must not parse as the v1 default
+    # boundary = reflect
+    text = certificate_to_text(certify(catastrophe_chain(), K=[1], x0=1))
+    with pytest.raises(ValidationError, match=f"unknown field '{key}'"):
+        parse_certificate_text(text + f"{key} = kill\n")
+
+
 @pytest.mark.parametrize("key", ["c2", "boundary", "provenance_c1"])
 def test_parse_rejects_a_repeated_key(key):
     # a hand-edited certificate must not carry a stale value unnoticed

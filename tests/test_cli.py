@@ -230,6 +230,17 @@ def test_threads_flag_never_changes_output(tmp_path, capsys):
     assert not (tmp_path / "qsd.csv").exists()
 
 
+@pytest.mark.parametrize("command", [["qsd", "--states", "64"], ["certify"]], ids=["qsd", "certify"])
+def test_nan_tolerance_is_refused_before_any_iteration(tmp_path, capsys, command):
+    # NaN passes a tol <= 0 check; qsd then ran every inverse iteration and
+    # failed to converge, certify did the same inside the window search
+    code = run([*command, "--logistic", "1", "1", "1", "--tol", "nan", "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == "error: tol must be > 0, got nan\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 # -- certify ----------------------------------------------------------------------------
 
 

@@ -581,6 +581,23 @@ def test_yaglom_nonconvergence_raises():
         yaglom_limit(chain, DistributionOnStates.delta(1, 64), tol=1e-12, max_steps=2)
 
 
+@pytest.mark.parametrize("tol", [math.nan, 0.0, -1e-10])
+def test_tolerances_must_be_positive(tol):
+    # NaN fails every comparison: each entry asks tol > 0, so NaN is
+    # refused at once instead of iterating to max_iters or null mass
+    chain = build_logistic(1.0, 1.0, 1.0, 16)
+    rho = DistributionOnStates.uniform(16)
+    calls = [
+        lambda: compute_qsd(chain, tol=tol),
+        lambda: compute_qsd_auto(BirthDeathSpec.logistic(1.0, 1.0, 1.0), tol=tol),
+        lambda: yaglom_limit(chain, DistributionOnStates.delta(1, 16), tol=tol),
+        lambda: check_qsd(chain, rho, [1.0], tol=tol),
+    ]
+    for call in calls:
+        with pytest.raises(ValidationError, match="tol must be > 0"):
+            call()
+
+
 @pytest.mark.parametrize("max_steps", [0, -1])
 def test_yaglom_rejects_an_empty_grid(max_steps):
     # an empty walk has no law to report, not even a non-convergence trace

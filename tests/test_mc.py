@@ -223,6 +223,37 @@ def test_jump_tables_match_the_row_oracle(data, boundary):
     assert 2**jumps.depth >= widest and (jumps.depth == 0 or 2 ** (jumps.depth - 1) < widest)
 
 
+def test_jump_tables_match_the_row_oracle_on_a_wide_row():
+    # 64 transient states in kill mode: row 17 jumps to absorption, every
+    # other state and past the top (65 entries, so 65 ranks of adds),
+    # state 40 is a trap with an empty row, and the others jump sparsely
+    # at rates spread over six decades, so any other summing order shows
+    n = 64
+    rng = np.random.default_rng(20)
+    entries = [(17, y, rng.uniform(1e-3, 50.0)) for y in range(n + 2) if y != 17]
+    for x in range(1, n + 1):
+        if x not in (17, 40):
+            targets = rng.choice([y for y in range(n + 2) if y != x], size=4, replace=False)
+            entries += [(x, int(y), 10.0 ** rng.uniform(-3, 3)) for y in targets]
+    chain = build_from_entries(entries, n + 1, KILL)
+    jumps = mc._jump_tables(chain)
+    targets, cum, totals = jump_rows_oracle(chain)
+    assert len(cum[17]) == n + 1 and cum[40] == [] and totals[40] == 0.0
+    assert jumps.start.tolist() == [0, *itertools.accumulate(len(row) for row in cum)]
+    assert jumps.targets.tolist() == [y for row in targets for y in row]
+    assert jumps.cum.tolist() == [c for row in cum for c in row]
+    assert jumps.totals.tolist() == totals
+    assert jumps.depth == 7
+
+
+def test_sampling_leaves_nothing_on_the_window():
+    # each sampler call builds its own jump table from the CSR arrays
+    chain = build_logistic(1.0, 1.0, 1.0, 16)
+    simulate_batch(chain, DistributionOnStates.delta(1, 16), 1.0, 50, seed=3)
+    fleming_viot(chain, 8, 1.0, seed=3)
+    assert chain._cache == {}
+
+
 # -- path batches ----------------------------------------------------------------
 
 
