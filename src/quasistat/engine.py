@@ -334,6 +334,12 @@ def tv_distance(mu, nu) -> float:
 
 def _normalize_mass(v: np.ndarray, what: str) -> tuple[np.ndarray, float]:
     total = float(v.sum())
+    if total < 0:
+        # exact evolution never makes mass negative: rounding swamped it
+        raise ComputationError(
+            f"{what}: surviving mass {total:.3e} is negative; rounding error "
+            f"swamped the computation on this window"
+        )
     if not math.isfinite(total) or total < _NULL_MASS:
         raise ComputationError(
             f"{what}: surviving mass {total:.3e} is numerically null; "
@@ -654,12 +660,16 @@ def check_qsd(chain: AbsorbedChain, rho, t_grid, tol: float) -> tuple[bool, floa
     """Verify the fixed-point property of a candidate QSD on a time grid.
 
     Returns (all within tol, worst TV deviation).  Evolution along the
-    grid is incremental, so later grid points reuse earlier work.
+    grid is incremental, so later grid points reuse earlier work.  The
+    grid needs a time > 0: at time 0 every law is its own evolution.
     """
     _check_tol(tol)
+    ts = [float(t) for t in t_grid]
+    if not any(t > 0 for t in ts):
+        raise ValidationError(f"check_qsd needs a time grid with a time > 0, got {ts}")
     w = law_weights(chain, rho)
     worst = 0.0
-    for _, cur in _walk(chain, w, t_grid, "measure"):
+    for _, cur in _walk(chain, w, ts, "measure"):
         worst = max(worst, float(np.abs(cur - w).sum()))
     return worst < tol, worst
 

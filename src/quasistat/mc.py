@@ -9,9 +9,11 @@ Both samplers read one table per chain: every state's jump targets and
 cumulative rates, the rows concatenated, from which a draw picks a jump
 by bisection.  One step kernel, _step, moves many walkers by one jump
 each per numpy call: the jump choice, then the holding time in the new
-state.  Holding times take their logs in one compiled call to the C
-library's log, the function math.log calls (see _log), so no draw goes
-through a Python-level call.
+state, both drawn in one (2, m) pair draw.  Each sampler enters
+np.errstate(divide="ignore") once around its loop, for the infinite
+holding times of states that never leave.  Holding times take their
+logs in one compiled call to the C library's log, the function math.log
+calls (see _log), so no draw goes through a Python-level call.
 
 Independent paths run in lockstep: simulate_batch advances every live
 path by one jump per numpy step, drawing from all path streams at once.
@@ -60,6 +62,11 @@ _KIND_PARTICLE = 2
 # end-state sentinel for paths killed through the window top
 KILLED_STATE = -1
 
+# a jump's two draws, counters + _PAIR: the jump choice, then the
+# holding time; laid out (2, m), which one u01 call mixes faster than
+# (m, 2) or two calls
+_PAIR = np.array([[0], [1]], dtype=np.uint64)
+
 # events each Fleming-Viot particle keeps in its history ring (at least
 # 2); a particle whose ring is full of entries a respawn may still read
 # waits, so this bounds both memory and how far walkers drift apart
@@ -69,7 +76,7 @@ _FV_WIDTH = 32
 class _JumpTables(NamedTuple):
     """Jump targets and cumulative rates of every state, rows concatenated.
 
-    Row x sits at start[x]:start[x + 1] of targets and cum; target 0 is
+    Row x sits at start[x]:last[x] + 1 of targets and cum; target 0 is
     absorption and -1 truncation killing.  cum holds the running sums of
     the row's rates, so its last entry is totals[x], the exit rate (0 for
     a state that never leaves, whose row is empty).  _step bisects many
@@ -79,6 +86,7 @@ class _JumpTables(NamedTuple):
     """
 
     start: np.ndarray
+    last: np.ndarray
     targets: np.ndarray
     cum: np.ndarray
     totals: np.ndarray
@@ -113,6 +121,7 @@ def _jump_tables(chain: AbsorbedChain) -> _JumpTables:
     totals[width > 0] = cum[start[1:][width > 0] - 1]
     return _JumpTables(
         start=start,
+        last=start[1:] - 1,
         targets=targets,
         cum=cum,
         totals=totals,
@@ -182,9 +191,9 @@ def _initial_states(cum_init: np.ndarray, u: np.ndarray) -> np.ndarray:
 def _exit_times(jumps: _JumpTables, u: np.ndarray, x: np.ndarray, t) -> np.ndarray:
     """When walkers that entered states x at times t leave them:
     t - log(u) / q(x), u being their holding-time uniforms; inf where
-    q(x) = 0, a state that never leaves."""
-    with np.errstate(divide="ignore"):
-        return t - _log(u) / jumps.totals[x]
+    q(x) = 0, a state that never leaves.  Callers hold
+    np.errstate(divide="ignore"), once around their whole loop."""
+    return t - _log(u) / jumps.totals[x]
 
 
 def _log(u: np.ndarray) -> np.ndarray:
@@ -201,23 +210,24 @@ def _step(jumps: _JumpTables, keys: np.ndarray, counters, x: np.ndarray, t):
     """Move walkers in states x at times t by one jump each.
 
     Draw `counters` picks the jump target by bisection of x's row; draw
-    counters + 1 is the holding time in the target.  Returns the targets,
-    the times the walkers leave them and the draws counters + 1; a target
-    <= 0 (absorption or killing) has no holding time, and its time is
-    meaningless.
+    counters + 1 is the holding time in the target.  Both come from one
+    u01 call on a (2, m) counter array: row 0 the jump draws, row 1 the
+    holding draws.  Returns the targets, the times the walkers leave them
+    and the draws counters + 1; a target <= 0 (absorption or killing) has
+    no holding time, and its time is meaningless.
     """
+    u = u01(keys, _PAIR + counters)
     # first row entry >= v, the row's last entry if none is
-    v = u01(keys, counters) * jumps.totals[x]
+    v = u[0] * jumps.totals[x]
     lo = jumps.start[x]
-    hi = jumps.start[x + 1] - 1
+    hi = jumps.last[x]
     for _ in range(jumps.depth):
         mid = (lo + hi) >> 1
         below = jumps.cum[mid] < v
         lo = np.where(below, mid + 1, lo)
         hi = np.where(below, hi, mid)
     y = jumps.targets[lo]
-    u = u01(keys, counters + 1)
-    return y, _exit_times(jumps, u, y, t), u
+    return y, _exit_times(jumps, u[1], y, t), u[1]
 
 
 @dataclass
@@ -290,6 +300,9 @@ def simulate_batch(
         in_stop[list(stop)] = True
     if horizon == math.inf:
         _require_every_path_ends(jumps, cum_init, in_stop)
+    # a jump to y ends its path when ends[y]: absorption (y = 0), killing
+    # (y = -1, the last entry) or entry into the stop set
+    ends = np.concatenate(([True], in_stop[1:], [True]))
     end = np.empty(n_paths, dtype=np.int64)
     times = np.empty(n_paths, dtype=np.float64)
     status = np.empty(n_paths, dtype=np.uint8)
@@ -303,30 +316,31 @@ def simulate_batch(
     # Every live path has made the same number of jumps, so all sit at
     # the same draw counter: 2 per jump after the initial choice and the
     # first holding time.
-    t = _exit_times(jumps, u01(keys, 1), x, 0.0)
     counter = 2
-    while True:
-        out = t >= horizon  # a state with q = 0 holds forever: t = inf
-        if out.any():
-            done = path[out]
-            end[done], times[done], status[done] = x[out], horizon, STATUS_SURVIVED
-            keep = ~out
-            path, keys, x, t = path[keep], keys[keep], x[keep], t[keep]
-        if not path.size:
-            break
-        y, t_next, _ = _step(jumps, keys, counter, x, t)
-        out = (y <= 0) | in_stop[y]
-        if out.any():
-            done = path[out]
-            yo = y[out]
-            end[done], times[done] = yo, t[out]
-            status[done] = np.where(
-                yo == 0, STATUS_ABSORBED, np.where(yo < 0, STATUS_KILLED, STATUS_HIT_SET)
-            )
-            keep = ~out
-            path, keys, y, t_next = path[keep], keys[keep], y[keep], t_next[keep]
-        x, t = y, t_next
-        counter += 2
+    with np.errstate(divide="ignore"):
+        t = _exit_times(jumps, u01(keys, 1), x, 0.0)
+        while True:
+            out = t >= horizon  # a state with q = 0 holds forever: t = inf
+            if out.any():
+                done = path[out]
+                end[done], times[done], status[done] = x[out], horizon, STATUS_SURVIVED
+                keep = ~out
+                path, keys, x, t = path[keep], keys[keep], x[keep], t[keep]
+            if not path.size:
+                break
+            y, t_next, _ = _step(jumps, keys, counter, x, t)
+            out = ends[y]
+            if out.any():
+                done = path[out]
+                yo = y[out]
+                end[done], times[done] = yo, t[out]
+                status[done] = np.where(
+                    yo == 0, STATUS_ABSORBED, np.where(yo < 0, STATUS_KILLED, STATUS_HIT_SET)
+                )
+                keep = ~out
+                path, keys, y, t_next = path[keep], keys[keep], y[keep], t_next[keep]
+            x, t = y, t_next
+            counter += 2
 
     if horizon == math.inf and np.any(status == STATUS_SURVIVED):
         i = int(np.argmax(status == STATUS_SURVIVED))
@@ -429,16 +443,17 @@ def fleming_viot(
     n, width, last = n_particles, _FV_WIDTH, n_particles - 1
     ids = np.arange(n)
     keys = derive_key(seed, _KIND_PARTICLE, ids.astype(np.uint64))
-    # draw 0 picks the start state and draw 1 the first holding time
+    # draw 0 picks the start state, and draw 1 the first holding time
+    # when the loop starts
     x = _initial_states(cum_init, u01(keys, 0))
-    front = _exit_times(jumps, u01(keys, 1), x, 0.0)  # next event time, or block time
     counter = np.full(n, 2, dtype=np.uint64)
     blocked = np.zeros(n, dtype=bool)
     source = np.zeros(n, dtype=np.int64)  # whom a blocked particle copies
     # ring of each particle's latest events: particle i owns the width
-    # entries from i * width on, the oldest at i * width + tail[i]; read
-    # from there the times never decrease, and unwritten entries hold the
-    # start state at -inf
+    # entries from base[i] = i * width on, the oldest at base[i] + tail[i];
+    # read from there the times never decrease, and unwritten entries hold
+    # the start state at -inf
+    base = ids * width
     ring_t = np.full(n * width, -np.inf)
     ring_x = np.repeat(x.astype(np.int32), width)
     rows_t = ring_t.reshape(n, width)
@@ -446,15 +461,15 @@ def fleming_viot(
 
     def record(i, t, y):
         at = tail[i]
-        slot = i * width + at
+        slot = base[i] + at
         ring_t[slot] = t
         ring_x[slot] = y
         tail[i] = (at + 1) % width
 
     def state_at(i, below):
         # particle i's state after its last event timed below `below`
-        passed = np.count_nonzero(rows_t[i] < below[:, None], axis=1)
-        return ring_x[i * width + (tail[i] + passed - 1) % width]
+        passed = (rows_t[i] < below[:, None]).sum(axis=1)
+        return ring_x[base[i] + (tail[i] + passed - 1) % width]
 
     times = np.array(samples)
     t_end = samples[-1]
@@ -462,66 +477,70 @@ def fleming_viot(
     # (times[s - 1], times[s]]
     redraws = np.zeros(len(samples) + 1, dtype=np.int64)
     snapshots: list[ParticleEnsemble] = []
-    for round_ in itertools.count():
-        taken, resolved = len(snapshots), False
-        waiting = np.flatnonzero(blocked)
-        if waiting.size:
-            k, a = source[waiting], front[waiting]
-            ready = (front[k] > a) | ((front[k] == a) & (k > waiting))
-            resolved = bool(ready.any())
-            if resolved:
-                i, k, a = waiting[ready], k[ready], a[ready]
-                # k's events keyed below (a, i): timed before a, or at a when k < i
-                y = state_at(k, np.where(k < i, np.nextafter(a, np.inf), a))
-                record(i, a, y)
-                x[i] = y
-                front[i] = _exit_times(jumps, u01(keys[i], counter[i]), y, a)
-                counter[i] += 1
-                blocked[i] = False
-                redraws += np.bincount(np.searchsorted(times, a), minlength=redraws.size)
-        # the lowest frontier key; no respawn or snapshot still to come
-        # reads an event keyed below it
-        low = int(np.argmin(front))
-        t_low = front[low]
-        while len(snapshots) < len(samples) and samples[len(snapshots)] < t_low:
-            s = len(snapshots)
-            at_or_before = np.nextafter(times[s : s + 1], np.inf)
-            snapshots.append(
-                ParticleEnsemble(
-                    time=samples[s],
-                    n_particles=n,
-                    positions=state_at(ids, at_or_before).astype(np.int64),
-                    redraw_count=int(redraws[: s + 1].sum()),
+    with np.errstate(divide="ignore"):
+        front = _exit_times(jumps, u01(keys, 1), x, 0.0)  # next event time, or block time
+        for round_ in itertools.count():
+            taken, resolved = len(snapshots), False
+            waiting = blocked.nonzero()[0]
+            if waiting.size:
+                k, a = source[waiting], front[waiting]
+                fk = front[k]
+                ready = (fk > a) | ((fk == a) & (k > waiting))
+                resolved = bool(ready.any())
+                if resolved:
+                    i, k, a = waiting[ready], k[ready], a[ready]
+                    # k's events keyed below (a, i): timed before a, or at a when k < i
+                    y = state_at(k, np.where(k < i, np.nextafter(a, np.inf), a))
+                    record(i, a, y)
+                    x[i] = y
+                    front[i] = _exit_times(jumps, u01(keys[i], counter[i]), y, a)
+                    counter[i] += 1
+                    blocked[i] = False
+                    redraws += np.bincount(np.searchsorted(times, a), minlength=redraws.size)
+            # the lowest frontier key; no respawn or snapshot still to come
+            # reads an event keyed below it
+            low = int(front.argmin())
+            t_low = front[low]
+            while len(snapshots) < len(samples) and samples[len(snapshots)] < t_low:
+                s = len(snapshots)
+                at_or_before = np.nextafter(times[s : s + 1], np.inf)
+                snapshots.append(
+                    ParticleEnsemble(
+                        time=samples[s],
+                        n_particles=n,
+                        positions=state_at(ids, at_or_before).astype(np.int64),
+                        redraw_count=int(redraws[: s + 1].sum()),
+                    )
                 )
-            )
-        if len(snapshots) == len(samples):
-            return snapshots
-        # a particle may overwrite its oldest entry once the next one is
-        # keyed at or below the lowest frontier
-        after = ring_t[ids * width + (tail + 1) % width]
-        free = (after < t_low) | ((after == t_low) & (ids <= low))
-        i = np.flatnonzero(free & ~blocked & (front <= t_end))
-        if not (resolved or len(snapshots) > taken or i.size):
-            raise ComputationError(
-                f"Fleming-Viot round {round_} made no progress: it resolved no "
-                f"respawn, took no snapshot and moved no particle"
-            )
-        t, c = front[i], counter[i]
-        y, t_next, u = _step(jumps, keys[i], c, x[i], t)
-        counter[i] = c + 2
-        gone = y <= 0
-        if gone.any():
-            # absorbed or killed: draw c + 1, which no holding time
-            # needs, picks the particle to copy; then block
-            g = i[gone]
-            k = np.minimum((u[gone] * last).astype(np.int64), last - 1)
-            source[g] = k + (k >= g)
-            blocked[g] = True
-            stay = ~gone
-            i, t, y, t_next = i[stay], t[stay], y[stay], t_next[stay]
-        record(i, t, y)
-        x[i] = y
-        front[i] = t_next
+            if len(snapshots) == len(samples):
+                return snapshots
+            # a particle may overwrite its oldest entry once the next one is
+            # keyed at or below the lowest frontier (t_low, low)
+            after = ring_t[base + (tail + 1) % width]
+            free = after < t_low
+            free[: low + 1] |= after[: low + 1] == t_low
+            i = (free & ~blocked & (front <= t_end)).nonzero()[0]
+            if not (resolved or len(snapshots) > taken or i.size):
+                raise ComputationError(
+                    f"Fleming-Viot round {round_} made no progress: it resolved no "
+                    f"respawn, took no snapshot and moved no particle"
+                )
+            t, c = front[i], counter[i]
+            y, t_next, u = _step(jumps, keys[i], c, x[i], t)
+            counter[i] = c + 2
+            gone = y <= 0
+            if gone.any():
+                # absorbed or killed: draw c + 1, which no holding time
+                # needs, picks the particle to copy; then block
+                g = i[gone]
+                k = np.minimum((u[gone] * last).astype(np.int64), last - 1)
+                source[g] = k + (k >= g)
+                blocked[g] = True
+                stay = ~gone
+                i, t, y, t_next = i[stay], t[stay], y[stay], t_next[stay]
+            record(i, t, y)
+            x[i] = y
+            front[i] = t_next
 
 
 # -- text output ---------------------------------------------------------------
@@ -530,12 +549,10 @@ def fleming_viot(
 def batch_to_csv(batch: TrajectoryBatch, target) -> None:
     """One row per path; the time cell is empty for surviving paths."""
 
-    def rows():
-        for i in range(batch.n_paths):
-            t = "" if batch.status[i] == STATUS_SURVIVED else fmt(batch.times[i])
-            yield [str(i), str(int(batch.end_states[i])), t]
-
-    write_csv(target, ["path", "end_state", "absorption_time"], rows())
+    survived = (batch.status == STATUS_SURVIVED).tolist()
+    cells = zip(batch.end_states.tolist(), batch.times.tolist(), survived)
+    rows = ([str(i), str(y), "" if s else fmt(t)] for i, (y, t, s) in enumerate(cells))
+    write_csv(target, ["path", "end_state", "absorption_time"], rows)
 
 
 def ensembles_to_csv(snapshots: list[ParticleEnsemble], target) -> None:

@@ -544,6 +544,28 @@ def test_check_qsd_flags_perturbation():
     assert not ok and worst > 1e-3
 
 
+@pytest.mark.parametrize("grid", [[], [0.0], [0.0, 0.0]])
+def test_check_qsd_needs_a_positive_time(grid):
+    # at time 0 every law is its own evolution, so a grid without a
+    # positive time would pass a point mass as a QSD
+    chain = build_logistic(1.0, 1.0, 1.0, 16)
+    with pytest.raises(ValidationError, match="needs a time grid with a time > 0"):
+        check_qsd(chain, DistributionOnStates.delta(3, 16), grid, tol=1e-6)
+
+
+def test_negative_mass_is_named_negative_not_null():
+    # (3, 1, 0.02) is nearly closed: the inverse iteration's pivots
+    # cancel to rounding on 256 states and the iterate's mass goes
+    # negative (ROADMAP item 11)
+    with pytest.raises(ComputationError, match=r"surviving mass -\S+ is negative"):
+        compute_qsd(build_logistic(3.0, 1.0, 0.02, 256))
+    with pytest.raises(ComputationError, match=r"mass -1\.000e\+00 is negative"):
+        engine._normalize_mass(np.array([0.5, -1.5]), "test")
+    # a tiny positive mass keeps the null message
+    with pytest.raises(ComputationError, match=r"mass 1\.000e-310 is numerically null"):
+        engine._normalize_mass(np.array([1e-310]), "test")
+
+
 def test_qsd_auto_grows_window():
     res = compute_qsd_auto(build_logistic(1.0, 1.0, 1.0, 8), tol=1e-10)
     assert res.truncation_n >= 32

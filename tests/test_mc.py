@@ -128,6 +128,19 @@ def test_u01_leaves_its_inputs_alone_and_broadcasts_the_counter():
         assert none.shape == (0,) and none.dtype == np.float64
 
 
+def test_pair_draw_matches_two_single_draws():
+    # _step draws each jump's choice and holding time in one u01 call on
+    # counters + _PAIR, a (2, m) array; uint64 casts differ across numpy
+    # versions, so each row must equal its own single draw bit for bit
+    keys = derive_key(13, 1, np.arange(300, dtype=np.uint64))
+    counters = np.arange(300, dtype=np.uint64) * 1_000_003
+    for k, c in ((keys, 6), (keys, counters), (keys[:0], 6), (keys[:0], counters[:0])):
+        pair = u01(k, mc._PAIR + c)
+        assert pair.shape == (2, k.size) and pair.dtype == np.float64
+        assert pair[0].tolist() == u01(k, c).tolist()
+        assert pair[1].tolist() == u01(k, c + 1).tolist()
+
+
 def test_vectorised_log_matches_math_log_bit_for_bit():
     # The samplers' holding times must equal the scalar reference loops',
     # which take math.log.  np.log's last bit depends on the SIMD code
@@ -628,7 +641,7 @@ def test_fleming_viot_makes_each_draw_once(args, monkeypatch):
 
     def recording(keys, counters):
         k, c = np.broadcast_arrays(np.asarray(keys, np.uint64), np.asarray(counters, np.uint64))
-        drawn.extend(zip(k.tolist(), c.tolist()))
+        drawn.extend(zip(k.ravel().tolist(), c.ravel().tolist()))
         return u01(keys, counters)
 
     monkeypatch.setattr(mc, "u01", recording)
