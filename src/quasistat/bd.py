@@ -479,8 +479,6 @@ def logistic_certificate(
         )
     qsd = compute_qsd_auto(spec, tol=tol, boundary_mode=REFLECT, n_start=max(32, 4 * (z0 + 1)))
     chain = qsd.chain
-    if abs(chain.exit_rate(1) - lambda0) > 1e-12 * max(1.0, lambda0):
-        raise CertificationError("window exit rate at 1 deviates from b + d", part="c3")
     cert = certify(chain, range(1, z0 + 1), 1, c3_strategy=SOJOURN)
     return LogisticCertificate(certificate=cert, chain=chain, qsd=qsd, z0=z0)
 
@@ -531,15 +529,20 @@ def build_bd_report(
     d: float,
     c: float,
     z: int | None = None,
-    x_max: int = 30,
+    x_max: int | None = None,
     j_max: int = 40,
     z_max: int = 200,
 ) -> BdHittingReport:
+    """Ladder coefficients, E_x T_z for x = z+1..x_max and the moment
+    profile at rate b + d.  z defaults to z0 (1 when no z0 is found),
+    x_max to 30, or to z + 30 when z >= 30."""
     spec = BirthDeathSpec.logistic(b, d, c)
     lambda0 = b + d
     z0 = find_z0(spec, lambda0, z_max=z_max)
     if z is None:
         z = z0 if z0 is not None else 1
+    if x_max is None:
+        x_max = 30 if z < 30 else z + 30
     if x_max <= z:
         raise ValidationError(f"x_max must exceed z={z}")
     # first, so a c = 0 set fails on its proof before the ladder-tail scan

@@ -53,6 +53,7 @@ from scipy import sparse
 from .chain import AbsorbedChain, _check_boundary_mode
 from .engine import (
     _BLOCK_ENTRIES,
+    _grid_past_zero,
     _walk,
     evolve_function,
     survival_vector,  # noqa: F401  re-exported: callers and tracers reach it here
@@ -450,6 +451,8 @@ class HypothesisCertificate:
             raise ValidationError(f"n_states must be >= 2, got {self.n_states}")
         if not self.K or self.x0 not in self.K:
             raise ValidationError("certificate needs a core set K containing x0")
+        if any(a >= b for a, b in zip(self.K, self.K[1:])):
+            raise ValidationError(f"core set K={self.K} must be strictly increasing")
         if not all(1 <= x < self.n_states for x in self.K):
             raise ValidationError(
                 f"core set {self.K} must lie inside the transient states 1..{self.n_states - 1}"
@@ -597,14 +600,16 @@ def check_ratio_inequality(
     where all survival probabilities decay together; an absolute margin
     would go vacuously to zero there.  Being scale-free, it is read off
     the survival function rescaled to mass 1 at every grid time, which
-    keeps long grids clear of underflow.
+    keeps long grids clear of underflow.  The grid needs a time > 0: at
+    time 0 every state survives and the inequality holds vacuously.
     """
     kappa = certificate.c2 * certificate.c3 / (2.0 * certificate.c4)
     x0 = certificate.x0
     if not 1 <= x0 <= chain.n_transient:
         raise ValidationError(f"certificate anchor {x0} outside this window")
+    ts = _grid_past_zero(t_grid, "check_ratio_inequality")
     worst = math.inf
-    for _, h in _walk(chain, np.ones(chain.n_transient), t_grid, "function"):
+    for _, h in _walk(chain, np.ones(chain.n_transient), ts, "function"):
         hmax = float(h.max())
         worst = min(worst, float(h[x0 - 1] - kappa * hmax) / hmax)
     return worst >= -1e-9, worst

@@ -12,6 +12,7 @@ window can be regrown on demand.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable
@@ -285,7 +286,6 @@ class AbsorbedChain:
         self.absorption_rates = absorb
         self.kill_rates = kill
         self._jumps = (src, dst, rate)
-        self._cache: dict = {}
 
     # -- basic geometry -------------------------------------------------
 
@@ -315,8 +315,18 @@ class AbsorbedChain:
         return -self.sub_generator.diagonal()
 
     def uniformization_rate(self) -> float:
-        lam = float(np.max(self.total_exit_rates()))
-        return lam
+        return float(np.max(self.total_exit_rates()))
+
+    @functools.cached_property
+    def uniformized(self) -> tuple[float, sparse.csr_matrix]:
+        """(L, M): the uniformization rate and the sub-stochastic step
+        M = I + Q/L in CSR form (M = I when L = 0), built on first use.
+
+        Functions evolve through M and measures through its transpose,
+        read from the same arrays: M's CSR arrays are the CSC layout of M^T.
+        """
+        lam = self.uniformization_rate()
+        return lam, sparse.eye(self.n_transient, format="csr") + self.sub_generator / (lam or 1.0)
 
     # -- derived chains -------------------------------------------------
 

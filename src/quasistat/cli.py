@@ -195,9 +195,10 @@ def _refuse_kill_for_auto_core(args) -> None:
 
 def cmd_certify(args) -> int:
     if args.logistic is not None and args.K is None:
-        # the auto-core certificate fixes K = 1..z0, x0 = 1 and the direct route
-        if args.route == "criterion" or args.x0 is not None:
-            raise ValidationError("--route criterion and --x0 need an explicit --K")
+        # the auto-core certificate fixes K = 1..z0, x0 = 1, the direct
+        # route and its own window
+        if args.route == "criterion" or args.x0 is not None or args.states != "auto":
+            raise ValidationError("--route criterion, --x0 and --states need an explicit --K")
         _refuse_kill_for_auto_core(args)
         b, d, c = args.logistic
         result = bd_mod.logistic_certificate(b, d, c, tol=args.tol)
@@ -351,7 +352,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("bd", cmd_bd, "birth-death ladder and hitting analytics", chain_args=False)
     p.add_argument("--logistic", nargs=3, type=float, metavar=("B", "D", "C"), required=True)
     p.add_argument("--z", type=int, default=None, help="target level (default: z0)")
-    p.add_argument("--x-max", type=int, default=30, dest="x_max")
+    p.add_argument("--x-max", type=int, default=None, dest="x_max",
+                   help="top level of the hitting table (default: 30, or z + 30 when z >= 30)")
     p.add_argument("--j-max", type=int, default=40, dest="j_max")
 
     p = command("decay", cmd_decay, "tabulate conditional mixing against the bound")

@@ -19,12 +19,14 @@ same series; measures push forward, functions pull back.  Either side
 also takes an (n, m) block of m columns: each series term is then one
 operator-times-block product, so m columns cost one pass over the
 Poisson weights instead of m, and each column comes out bit for bit as
-it would alone.  The operator is always CSR.  A series allocates nothing
-per term and makes one call per term: scipy's sparsetools kernel,
-called directly, writes each product into the next row of a chunk
-buffer, and each chunk is folded into the result with a few calls over
-the whole chunk, in the order and with the rounding of the plain
-``out + w * (M @ v)`` loop (see _evolve).  Conditioning on
+it would alone.  A window stores one operator, M in CSR form
+(AbsorbedChain.uniformized): functions take M through the csr kernels,
+measures take M^T through the csc kernels on the same arrays.  A series
+allocates nothing per term and makes one call per term: scipy's
+sparsetools kernel, called directly, writes each product into the next
+row of a chunk buffer, and each chunk is folded into the result with a
+few calls over the whole chunk, in the order and with the rounding of
+the plain ``out + w * (M @ v)`` loop (see _evolve).  Conditioning on
 survival is always a final normalization step, never baked into the
 operator, so unnormalized survival mass stays available to callers.
 
@@ -117,28 +119,6 @@ _BASE_MEAN = 16.0
 _NULL_MASS = 1e-300
 
 
-class _Uniformized:
-    """Cached uniformized step for one chain: L, M (function side), M^T,
-    both in CSR form."""
-
-    __slots__ = ("lam", "func_op", "meas_op")
-
-    def __init__(self, chain: AbsorbedChain):
-        self.lam = chain.uniformization_rate()
-        lam = self.lam if self.lam > 0 else 1.0
-        M = sparse.eye(chain.n_transient, format="csr") + chain.sub_generator / lam
-        self.func_op = M.tocsr()
-        self.meas_op = M.T.tocsr()
-
-
-def _uniformized(chain: AbsorbedChain) -> _Uniformized:
-    op = chain._cache.get("uniformized")
-    if op is None:
-        op = _Uniformized(chain)
-        chain._cache["uniformized"] = op
-    return op
-
-
 def _poisson_cutoff(mu: float, series_tol: float) -> int:
     """The least k >= 0 with P(N > k) < series_tol or equal, N ~ Poisson(mu).
 
@@ -203,20 +183,19 @@ def _evolve(
     if t < 0 or not math.isfinite(t):
         raise ValidationError(f"time must be finite and >= 0, got {t}")
     v = _as_block(chain, vec)
-    op = _uniformized(chain)
-    mu = op.lam * t
+    lam, M = chain.uniformized
+    mu = lam * t
     if mu == 0.0:
         return v.copy()
     try:
         w = _poisson_weights(mu, series_tol)
     except ComputationError as exc:
         raise ComputationError(
-            f"evolution over t={t} at uniformization rate L={op.lam:.3e} on the "
+            f"evolution over t={t} at uniformization rate L={lam:.3e} on the "
             f"{chain.n_transient}-state window is too long: {exc}"
         ) from None
-    A = op.meas_op if side == "measure" else op.func_op
     # The terms M^k v run through two chunk buffers in turn, the block
-    # raveled for the CSR kernel: the kernel writes each term into the
+    # raveled for the sparsetools kernel: it writes each term into the
     # next row from the row before it, and a chunk's first row from the
     # other buffer's last, so no term is copied and one fill zeros a
     # chunk for the kernel to add into.  A chunk is then folded into out
@@ -238,7 +217,7 @@ def _evolve(
     this, that = ((b, list(b)) for b in (np.empty((rows, size)), np.empty((rows, size))))
     weighted = np.empty((rows, size))
     scratch = weighted[0]
-    product = _csr_product(A, 1 if v.ndim == 1 else v.shape[1])
+    product = _product(M, 1 if v.ndim == 1 else v.shape[1], side == "measure")
     out = w[0] * vk
     for k in range(1, w.size, rows):
         (chunk, terms), this, that = this, that, this
@@ -263,21 +242,25 @@ def _evolve(
     return out.reshape(v.shape)
 
 
-def _csr_product(A: sparse.csr_matrix, m: int):
-    """product(x, y) adds A @ x into y, for flat C-ordered blocks of m
-    columns: the sparsetools kernel that scipy's ``A @ x`` reaches
-    (csr_matvec for one column, csr_matvecs for more) bound to A.
+def _product(A: sparse.csr_matrix, m: int, transpose: bool = False):
+    """product(x, y) adds A @ x (A^T @ x if transpose) into y, for flat
+    C-ordered blocks of m columns: the sparsetools kernel that scipy's
+    ``@`` reaches, bound to A's CSR arrays.  A^T is read from those same
+    arrays, which are the CSC layout of A^T: csc_matvec(s) in place of
+    csr_matvec(s).
 
     The call skips the operator dispatch and the result allocation.  On
-    a y of zeros its sums run in the order of ``A @ x``, bit for bit.
-    csr_matvecs walks each row's entries in the same order as
-    csr_matvec, so column j of a block product is bit for bit the
+    a y of zeros its sums run in the order of ``A @ x``, bit for bit; the
+    csc kernels scatter each A[j, i] x[j] into y[i] for j = 0, 1, ...,
+    which is the order in which csr_matvec(s) on the CSR copy of A^T adds
+    them.  The block kernels walk the entries in the same order as the
+    one-column ones, so column j of a block product is bit for bit the
     product of column j alone.
     """
     n = A.shape[0]
-    if m == 1:
-        return functools.partial(_sparsetools.csr_matvec, n, n, A.indptr, A.indices, A.data)
-    return functools.partial(_sparsetools.csr_matvecs, n, n, m, A.indptr, A.indices, A.data)
+    kernel = ("csc_" if transpose else "csr_") + ("matvec" if m == 1 else "matvecs")
+    shape = (n, n) if m == 1 else (n, n, m)
+    return functools.partial(getattr(_sparsetools, kernel), *shape, A.indptr, A.indices, A.data)
 
 
 def evolve_measure(chain: AbsorbedChain, v, t: float) -> np.ndarray:
@@ -360,19 +343,19 @@ def _walk_squarings(chain: AbsorbedChain, dt: float, steps: int, m: int) -> int 
     product per step.  A series past the term cap costs inf.
     """
     n = chain.n_transient
-    op = _uniformized(chain)
-    mu = op.lam * dt
+    lam, M = chain.uniformized
+    mu = lam * dt
     if mu == 0.0 or not math.isfinite(mu) or n * n > _BLOCK_ENTRIES:
         return None
     k = max(0, math.ceil(math.log2(mu / _BASE_MEAN)))
     series = (
-        steps * (_poisson_cutoff(mu, SERIES_TOL) + 1) * (_TERM_S + _ENTRY_S * op.func_op.nnz * m)
+        steps * (_poisson_cutoff(mu, SERIES_TOL) + 1) * (_TERM_S + _ENTRY_S * M.nnz * m)
         if mu <= _MAX_SERIES_TERMS
         else math.inf
     )
     build = (
-        (_poisson_cutoff(op.lam * math.ldexp(dt, -k), math.ldexp(SERIES_TOL, -k)) + 1)
-        * (_TERM_S + _ENTRY_S * op.func_op.nnz * n)
+        (_poisson_cutoff(lam * math.ldexp(dt, -k), math.ldexp(SERIES_TOL, -k)) + 1)
+        * (_TERM_S + _ENTRY_S * M.nnz * n)
         + k * n**3 * _CUBE_S
     )
     return k if build + steps * (_TERM_S + _ENTRY_S * n * n * m) < series else None
@@ -403,7 +386,7 @@ def _step_propagator(chain: AbsorbedChain, dt: float, side: str, k: int) -> spar
         # A.data is P raveled, the C-ordered n x n block to multiply
         A = _dense_csr(P)
         P = np.zeros((n, n))
-        _csr_product(A, n)(A.data, P.reshape(-1))
+        _product(A, n)(A.data, P.reshape(-1))
     return _dense_csr(P)
 
 
@@ -449,7 +432,7 @@ def _walk(chain: AbsorbedChain, v, times, side: str):
         dt = t - t_cur
         if dt not in products:
             k = _walk_squarings(chain, dt, steps[dt], m)
-            products[dt] = None if k is None else _csr_product(_step_propagator(chain, dt, side, k), m)
+            products[dt] = None if k is None else _product(_step_propagator(chain, dt, side, k), m)
         product = products[dt]
         if product is None:
             v = evolve(chain, v, dt)
@@ -656,6 +639,16 @@ def compute_qsd(chain: AbsorbedChain, tol: float = 1e-12, max_iters: int = 10000
     )
 
 
+def _grid_past_zero(t_grid, who: str) -> list[float]:
+    """The grid as floats, refused when it is empty or all zeros: a check
+    read only at time 0 would pass vacuously.  Other bad times are left
+    to _walk, which names them."""
+    ts = [float(t) for t in t_grid]
+    if not any(t != 0.0 for t in ts):
+        raise ValidationError(f"{who} needs a time grid with a time > 0, got {ts}")
+    return ts
+
+
 def check_qsd(chain: AbsorbedChain, rho, t_grid, tol: float) -> tuple[bool, float]:
     """Verify the fixed-point property of a candidate QSD on a time grid.
 
@@ -664,9 +657,7 @@ def check_qsd(chain: AbsorbedChain, rho, t_grid, tol: float) -> tuple[bool, floa
     grid needs a time > 0: at time 0 every law is its own evolution.
     """
     _check_tol(tol)
-    ts = [float(t) for t in t_grid]
-    if not any(t > 0 for t in ts):
-        raise ValidationError(f"check_qsd needs a time grid with a time > 0, got {ts}")
+    ts = _grid_past_zero(t_grid, "check_qsd")
     w = law_weights(chain, rho)
     worst = 0.0
     for _, cur in _walk(chain, w, ts, "measure"):

@@ -29,7 +29,7 @@ from quasistat import (
     geometric_grid,
 )
 from quasistat.bd import _inner_tail
-from quasistat.engine import SERIES_TOL, _poisson_weights, _uniformized
+from quasistat.engine import SERIES_TOL, _poisson_weights
 from quasistat.mc import _KIND_PARTICLE, _KIND_PATH, _initial_cumulative, _initial_states
 from quasistat.streams import _GOLDEN, _INV53, _MASK, _TINY, derive_key, mix64, u01
 
@@ -219,14 +219,16 @@ def moment_descent_oracle(spec, z: int, lam: float, m: int, top: float) -> float
 def evolve_oracle(chain, vec, t: float, side: str, series_tol: float = SERIES_TOL) -> np.ndarray:
     """The Poisson series with scipy's ``@`` per term and a fresh array
     per partial sum.  The library runs the same series on preallocated
-    buffers and must match this bit for bit."""
+    buffers and must match this bit for bit.  Measures take their own
+    CSR copy of M^T here, where the library reads M^T through the csc
+    kernels on M's arrays."""
     v = np.asarray(vec, dtype=np.float64)
-    op = _uniformized(chain)
-    mu = op.lam * t
+    lam, M = chain.uniformized
+    mu = lam * t
     if mu == 0.0:
         return v.copy()
     w = _poisson_weights(mu, series_tol)
-    A = op.meas_op if side == "measure" else op.func_op
+    A = M.T.tocsr() if side == "measure" else M
     out = w[0] * v
     vk = v
     for k in range(1, w.size):

@@ -555,7 +555,7 @@ GOLDEN_BD = {
             "bd_hitting.csv": "68c722c8837a96c438b428a991709a859ccfd10be77a59d8628b839632599969",
         },
     ),
-    # z0 = 45 lies above the default x_max of 30, so this set needs --x-max
+    # z0 = 45: without --x-max the table runs to z0 + 30 (see below)
     "3-1-0.0505-x60": (
         ["--logistic", "3", "1", "0.0505", "--x-max", "60"],
         {
@@ -575,3 +575,21 @@ def test_bd_artifacts_are_golden(case, tmp_path, capsys):
     capsys.readouterr()
     got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in digests}
     assert got == digests
+
+
+@pytest.mark.parametrize("params, z, x_top", [(("2", "1", "0.0205"), 60, 90), (("3", "1", "0.0505"), 45, 75)])
+def test_bd_default_x_max_lies_past_a_high_core(params, z, x_top, tmp_path, capsys):
+    # a z0 of 30 or more takes the hitting table to z0 + 30 (it failed at
+    # x_max = 30); the report and alpha lines do not read x_max
+    out = tmp_path / "out"
+    assert main(["bd", "--logistic", *params, "--out", str(out)]) == 0
+    capsys.readouterr()
+    hitting = (out / "bd_hitting.csv").read_text().splitlines()
+    assert [int(line.split(",")[0]) for line in hitting[1:]] == list(range(z + 1, x_top + 1))
+    assert f"z = {z}" in (out / "bd_report.txt").read_text().splitlines()
+    rep = build_bd_report(*map(float, params))
+    assert (rep.z, int(rep.hitting_x[-1])) == (z, x_top)
+    if params == ("3", "1", "0.0505"):
+        digests = GOLDEN_BD["3-1-0.0505-x60"][1]
+        for name in ("bd_report.txt", "bd_alpha.csv"):
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digests[name]

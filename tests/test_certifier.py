@@ -220,7 +220,8 @@ def test_shared_unit_step_block_equals_columns_evolved_alone(
     n = chain.n_transient
     assert calls == [(n, 1.0, min(width, columns - lo)) for lo in range(0, columns, width)]
     assert boundary == "reflect" or block_columns is None or len(calls) >= 3
-    assert set(chain._cache) == {"uniformized"}
+    fresh = truncate(BirthDeathSpec.logistic(2.0, 1.0, 0.25), n_states, boundary)
+    assert set(vars(chain)) == set(vars(fresh)) | {"uniformized"}
     assert reach.shape == alive.shape == (n,) and isinstance(floor, float)
     assert floor == step_floor
     assert float(reach.min()) == reach_floor
@@ -708,6 +709,16 @@ def test_ratio_inequality_holds_for_real_certificates():
     assert ok and margin > 0
 
 
+@pytest.mark.parametrize("grid", [[], [0.0], [0.0, 0.0]])
+def test_ratio_inequality_needs_a_positive_time(grid):
+    # at time 0 every state survives, so a grid without a positive time
+    # would pass any certificate
+    chain = build_logistic(1.0, 1.0, 1.0, 16)
+    cert = certify(chain, K=[1], x0=1)
+    with pytest.raises(ValidationError, match="needs a time grid with a time > 0"):
+        check_ratio_inequality(chain, cert, grid)
+
+
 def test_ratio_inequality_catches_corrupt_certificate():
     # state 1 dies fast and state 2 barely leaks into it, so the true
     # survival-ratio profile sits near 0.02; claiming kappa = 1/2 is a lie
@@ -922,13 +933,17 @@ def test_parse_rejects_a_repeated_key(key):
     [
         ("K", "0,1", "core set"),
         ("K", "1,8", "core set"),
+        ("K", "2,1,1", r"K=\(2, 1, 1\) must be strictly increasing"),
+        ("K", "1,1", r"K=\(1, 1\) must be strictly increasing"),
+        ("K", "2,1", r"K=\(2, 1\) must be strictly increasing"),
         ("n_states", "1", "n_states"),
         ("boundary", "sideways", "boundary mode"),
         ("provenance_c1", "proved_by_hope", "provenance of c1"),
         ("lambda0", "0", "lambda0 must be finite and > 0"),
         ("lambda0", "inf", "lambda0 must be finite and > 0"),
     ],
-    ids=["K-has-0", "K-past-window", "n_states-below-2", "boundary", "provenance",
+    ids=["K-has-0", "K-past-window", "K-descending", "K-repeated", "K-unsorted",
+         "n_states-below-2", "boundary", "provenance",
          "lambda0-zero", "lambda0-inf"],
 )
 def test_parse_rejects_fields_outside_their_range(field, value, message):

@@ -268,13 +268,14 @@ def test_certify_has_no_t_max_option(tmp_path, capsys):
     assert not (tmp_path / "certificate.txt").exists()
 
 
-@pytest.mark.parametrize("extra", [["--route", "criterion"], ["--x0", "1"]])
+@pytest.mark.parametrize("extra", [["--route", "criterion"], ["--x0", "1"], ["--states", "16"]])
 def test_certify_logistic_auto_core_rejects_route_and_anchor(tmp_path, capsys, extra):
-    # without --K the logistic certificate picks K, x0 and the route itself
+    # without --K the logistic certificate picks K, x0, the route and its
+    # window itself
     code = run(["certify", "--logistic", "1", "1", "1", *extra, "--out", str(tmp_path)])
     err = capsys.readouterr().err
     assert code == 1
-    assert err.startswith("error:") and "--K" in err
+    assert err.startswith("error:") and "--K" in err and extra[0] in err
     assert not (tmp_path / "certificate.txt").exists()
 
 

@@ -195,7 +195,7 @@ def _signed(rng, shape):
 
 
 def _series_terms(chain, t, series_tol=SERIES_TOL) -> int:
-    return _poisson_weights(engine._uniformized(chain).lam * t, series_tol).size - 1
+    return _poisson_weights(chain.uniformized[0] * t, series_tol).size - 1
 
 
 @pytest.mark.parametrize("side", ["measure", "function"])
@@ -223,7 +223,7 @@ def test_zero_weight_prefix_matches_the_matmul_oracle_across_chunks(rows, monkey
     # the result as inf, where 0 * inf would make NaN
     chain = truncate(BirthDeathSpec.logistic(2.0, 1.0, 0.25), 368, "reflect")
     n = chain.n_transient
-    w = _poisson_weights(engine._uniformized(chain).lam, SERIES_TOL)
+    w = _poisson_weights(chain.uniformized[0], SERIES_TOL)
     zeros = int(np.count_nonzero(w == 0.0))
     assert np.all(w[zeros:] > 0.0)
     if rows is not None:
@@ -248,8 +248,7 @@ def test_one_entry_rows_match_the_matmul_oracle_bit_for_bit(side):
     # every term nonzero
     chain = truncate(BirthDeathSpec.logistic(2.0, 1.0, 0.25), 2, "reflect")
     assert chain.n_transient == 1
-    op = engine._uniformized(chain)
-    op.func_op = op.meas_op = sparse.csr_matrix(np.array([[0.97]]))
+    chain.uniformized = (chain.uniformized[0], sparse.csr_matrix(np.array([[0.97]])))
     rng = np.random.default_rng(2)
     evolve = evolve_measure if side == "measure" else evolve_function
     for t in [0.3, 20.0, 150.0]:
@@ -264,7 +263,7 @@ def test_identity_block_matches_the_matmul_oracle_bit_for_bit(side):
     chain = truncate(BirthDeathSpec.logistic(1.0, 1.0, 1.0), 64, "reflect")
     eye = np.eye(chain.n_transient)
     assert eye.size > engine._CHUNK_ROW_ENTRIES
-    lam = engine._uniformized(chain).lam
+    lam = chain.uniformized[0]
     for k, t in [(0, 0.05), (4, 1.0), (7, 2.0), (0, 300 / lam)]:
         tau, tol = math.ldexp(t, -k), math.ldexp(SERIES_TOL, -k)
         got = engine._evolve(chain, eye, tau, side, tol)
@@ -280,6 +279,38 @@ def test_signed_input_matches_the_matmul_oracle_bit_for_bit(n_states, columns, s
     chain = truncate(BirthDeathSpec.logistic(2.0, 1.0, 0.25), n_states, "reflect")
     n = chain.n_transient
     v = _signed(np.random.default_rng(n_states), n if columns is None else (n, columns))
+    evolve = evolve_measure if side == "measure" else evolve_function
+    for t in [0.01, 0.3, 1.0]:
+        assert _same_bits(evolve(chain, v, t), evolve_oracle(chain, v, t, side))
+
+
+def _dense_kill_chain(n_states, seed):
+    """Every ordered pair of states joined at a random rate, absorption
+    out of every state, and killing out of the top three."""
+    rng = np.random.default_rng(seed)
+    n = n_states - 1
+    entries = [
+        (x, y, float(rng.uniform(0.05, 2.0))) for x in range(1, n + 1) for y in range(n + 1) if y != x
+    ]
+    entries += [(x, n + 1, float(rng.uniform(0.1, 1.0))) for x in range(n - 2, n + 1)]
+    return build_from_entries(entries, n_states, "kill")
+
+
+@pytest.mark.parametrize("side", ["measure", "function"])
+@pytest.mark.parametrize("columns", [None, 1, 3, 64])
+@pytest.mark.parametrize("window", ["catastrophe", "dense-kill"])
+def test_long_rows_match_the_matmul_oracle_bit_for_bit(window, columns, side):
+    # a logistic window holds at most three entries per row of M and of
+    # M^T; here M^T has full rows: every state of the catastrophe chain
+    # drops to state 1, and the dense window joins every pair.  Measures
+    # read M^T through the csc kernels on M's own arrays, which scatter
+    # each row's products where csr_matvec(s) on a copy of M^T would sum
+    # them in a register; the oracle takes that copy.  64 columns make a
+    # block wider than a chunk row
+    chain = catastrophe_chain(130, drop=5.0) if window == "catastrophe" else _dense_kill_chain(48, 7)
+    n = chain.n_transient
+    assert np.bincount(chain.uniformized[1].indices).max() == n
+    v = _signed(np.random.default_rng(n), n if columns is None else (n, columns))
     evolve = evolve_measure if side == "measure" else evolve_function
     for t in [0.01, 0.3, 1.0]:
         assert _same_bits(evolve(chain, v, t), evolve_oracle(chain, v, t, side))
@@ -669,9 +700,11 @@ _GRID_WALKS = {
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -0.5])
 @pytest.mark.parametrize("walk", _GRID_WALKS)
 def test_time_grids_reject_nan_inf_and_negative_times(walk, bad):
+    # a bad time alone is named as bad, not as a grid without a time > 0
     chain = catastrophe_chain()
-    with pytest.raises(ValidationError, match=f"time must be finite and >= 0, got {bad}"):
-        _GRID_WALKS[walk](chain, [1.0, bad, 2.0])
+    for grid in ([1.0, bad, 2.0], [bad], [0.0, bad]):
+        with pytest.raises(ValidationError, match=f"time must be finite and >= 0, got {bad}"):
+            _GRID_WALKS[walk](chain, grid)
 
 
 def test_csv_writers(tmp_path):
