@@ -430,6 +430,12 @@ class HypothesisCertificate:
     bound(t) = 2 * (1 - gamma)^floor(t) dominates the TV distance between
     any two survival-conditioned laws at time t, and the distance of
     either to the quasi-stationary law.
+
+    gamma = c1*c2*c3 / (2*c4) is formed here and nowhere else.  Left
+    out, it is derived from the constants once they pass their range
+    checks; a product that underflows to 0 raises CertificationError
+    whose part names the vanishing constant.  Given, as a parsed text
+    gives it, it is only checked against the constants.
     """
 
     K: tuple[int, ...]
@@ -439,10 +445,10 @@ class HypothesisCertificate:
     c3: float
     c4: float
     lambda0: float
-    gamma: float
     c3_strategy: str
     n_states: int
     boundary_mode: str
+    gamma: float | None = None
     provenance: dict = field(default_factory=dict)
     window_limited: bool = True
 
@@ -458,6 +464,11 @@ class HypothesisCertificate:
                 f"core set {self.K} must lie inside the transient states 1..{self.n_states - 1}"
             )
         _check_boundary_mode(self.boundary_mode)
+        if self.c3_strategy not in (SOJOURN, ABSORPTION_RATE, BEST):
+            raise ValidationError(
+                f"c3_strategy must be {SOJOURN}, {ABSORPTION_RATE} or {BEST}, "
+                f"got {self.c3_strategy!r}"
+            )
         for name, label in self.provenance.items():
             if label not in (CERTIFIED, EMPIRICAL):
                 raise ValidationError(
@@ -471,10 +482,26 @@ class HypothesisCertificate:
             raise ValidationError(f"c4 must be >= 1, got {self.c4}")
         if not (self.lambda0 > 0 and math.isfinite(self.lambda0)):
             raise ValidationError(f"lambda0 must be finite and > 0, got {self.lambda0}")
-        expected = self.c1 * self.c2 * self.c3 / (2.0 * self.c4)
-        if not math.isclose(self.gamma, expected, rel_tol=1e-12, abs_tol=0.0):
+        gamma = self.c1 * self.c2 * self.c3 / (2.0 * self.c4)
+        if self.gamma is None and gamma == 0.0:
+            # every factor is positive, so the product underflowed: no float
+            # carries this rate, and the bound 2(1 - gamma)^t would read 2
+            c1, c2, c3, c4 = self.c1, self.c2, self.c3, self.c4
+            factors = {
+                "c1": math.log10(c1), "c2": math.log10(c2), "c3": math.log10(c3), "c4": -math.log10(c4)
+            }
+            part = min(factors, key=factors.get)
+            raise CertificationError(
+                f"gamma = c1*c2*c3/(2*c4) underflows to 0 (log10 gamma = "
+                f"{sum(factors.values()) - math.log10(2.0):.1f}); {part} is the vanishing "
+                f"constant (c1={c1:.3e}, c2={c2:.3e}, c3={c3:.3e}, c4={c4:.3e})",
+                part=part,
+            )
+        if self.gamma is None:
+            object.__setattr__(self, "gamma", gamma)
+        elif not math.isclose(self.gamma, gamma, rel_tol=1e-12, abs_tol=0.0):
             raise ValidationError(
-                f"gamma={self.gamma} inconsistent with its constants (expected {expected})"
+                f"gamma={self.gamma} inconsistent with its constants (expected {gamma})"
             )
         if not (0 < self.gamma <= 0.5):
             raise ValidationError(f"gamma must lie in (0, 1/2], got {self.gamma}")
@@ -486,48 +513,16 @@ class HypothesisCertificate:
         return 2.0 * (1.0 - self.gamma) ** math.floor(t)
 
 
-def assemble_certificate(
-    *,
-    K,
-    x0: int,
-    c1: float,
-    c2: float,
-    c3: float,
-    c4: float,
-    lambda0: float,
-    c3_strategy: str,
-    n_states: int,
-    boundary_mode: str,
-    provenance: dict | None = None,
-) -> HypothesisCertificate:
-    gamma = c1 * c2 * c3 / (2.0 * c4)
-    if gamma == 0.0 and min(c1, c2, c3) > 0:
-        # every factor is positive, so the product underflowed: no float
-        # carries this rate, and the bound 2(1 - gamma)^t would read 2
-        factors = {
-            "c1": math.log10(c1), "c2": math.log10(c2), "c3": math.log10(c3), "c4": -math.log10(c4)
-        }
-        part = min(factors, key=factors.get)
-        raise CertificationError(
-            f"gamma = c1*c2*c3/(2*c4) underflows to 0 (log10 gamma = "
-            f"{sum(factors.values()) - math.log10(2.0):.1f}); {part} is the vanishing "
-            f"constant (c1={c1:.3e}, c2={c2:.3e}, c3={c3:.3e}, c4={c4:.3e})",
-            part=part,
-        )
-    return HypothesisCertificate(
-        K=tuple(sorted(int(x) for x in K)),
-        x0=int(x0),
-        c1=float(c1),
-        c2=float(c2),
-        c3=float(c3),
-        c4=float(c4),
-        lambda0=float(lambda0),
-        gamma=gamma,
-        c3_strategy=c3_strategy,
-        n_states=int(n_states),
-        boundary_mode=boundary_mode,
-        provenance=dict(provenance or {}),
-    )
+def assemble_certificate(*, K, **fields) -> HypothesisCertificate:
+    """The certificate of the core K, sorted, and the other
+    HypothesisCertificate fields, passed through as given.
+
+    Every certificate the library computes is built here, so a tracer
+    that wraps this function sees each one.  Without a gamma keyword the
+    certificate derives gamma from its constants; a given gamma is only
+    checked.
+    """
+    return HypothesisCertificate(K=tuple(sorted(int(x) for x in K)), **fields)
 
 
 def certify(chain: AbsorbedChain, K, x0: int, c3_strategy: str = BEST) -> HypothesisCertificate:
@@ -601,12 +596,17 @@ def check_ratio_inequality(
     would go vacuously to zero there.  Being scale-free, it is read off
     the survival function rescaled to mass 1 at every grid time, which
     keeps long grids clear of underflow.  The grid needs a time > 0: at
-    time 0 every state survives and the inequality holds vacuously.
+    time 0 every state survives and the inequality holds vacuously.  The
+    certificate must be one made for this window: same n_states and
+    boundary mode.
     """
+    if (certificate.n_states, certificate.boundary_mode) != (chain.n_states, chain.boundary_mode):
+        raise ValidationError(
+            f"certificate of the {certificate.n_states}-state {certificate.boundary_mode} window "
+            f"cannot be checked on the {chain.n_states}-state {chain.boundary_mode} window"
+        )
     kappa = certificate.c2 * certificate.c3 / (2.0 * certificate.c4)
     x0 = certificate.x0
-    if not 1 <= x0 <= chain.n_transient:
-        raise ValidationError(f"certificate anchor {x0} outside this window")
     ts = _grid_past_zero(t_grid, "check_ratio_inequality")
     worst = math.inf
     for _, h in _walk(chain, np.ones(chain.n_transient), ts, "function"):
@@ -631,7 +631,9 @@ _TEXT_FIELDS = (
     ("x0", "x0", str, int),
     *((name, name, fmt, float) for name in ("c1", "c2", "c3", "c4", "lambda0", "gamma")),
     ("c3_strategy", "c3_strategy", str, str),
-    ("window_limited", "window_limited", lambda b: "yes" if b else "no", lambda v: v == "yes"),
+    # tuple.index raises ValueError on anything but no or yes
+    ("window_limited", "window_limited", lambda b: "yes" if b else "no",
+     lambda v: bool(("no", "yes").index(v))),
 )
 _TEXT_DEFAULTS = {"boundary": "reflect", "c3_strategy": BEST, "window_limited": "yes"}
 _PROVENANCE = ("c1", "c2", "c3", "c4")

@@ -486,7 +486,8 @@ def build_from_entries(
 #   rate FROM TO VALUE
 #   logistic B D C
 #
-# 'states' is required.  'logistic' generates the full rate table and may
+# 'states' is required.  'states', 'boundary' and 'logistic' may each
+# appear at most once.  'logistic' generates the full rate table and may
 # not be mixed with explicit 'rate' lines.
 
 
@@ -495,6 +496,7 @@ def parse_chain_text(text: str, *, name: str = "<string>") -> AbsorbedChain:
     boundary = REFLECT
     entries: list[tuple[int, int, float]] = []
     logistic_params = None
+    seen = set()
 
     def fail(lineno: int, msg: str):
         raise ValidationError(f"{name}:{lineno}: {msg}")
@@ -505,6 +507,9 @@ def parse_chain_text(text: str, *, name: str = "<string>") -> AbsorbedChain:
             continue
         parts = line.split()
         kw = parts[0].lower()
+        if kw != "rate" and kw in seen:
+            fail(lineno, f"'{kw}' may appear only once")
+        seen.add(kw)
         if kw == "states":
             if len(parts) != 2:
                 fail(lineno, "usage: states N")

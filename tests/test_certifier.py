@@ -686,6 +686,8 @@ def test_certificate_rejects_out_of_range_constants():
         assemble_certificate(c4=1.0, **{**bad, "c1": 1.5})
     with pytest.raises(ValidationError):
         assemble_certificate(c4=1.0, **{**bad, "x0": 2})
+    with pytest.raises(ValidationError, match="c3_strategy must be"):
+        assemble_certificate(c4=1.0, **{**bad, "c3_strategy": "wishful"})
 
 
 def test_assemble_names_the_constant_that_underflows_gamma():
@@ -717,6 +719,20 @@ def test_ratio_inequality_needs_a_positive_time(grid):
     cert = certify(chain, K=[1], x0=1)
     with pytest.raises(ValidationError, match="needs a time grid with a time > 0"):
         check_ratio_inequality(chain, cert, grid)
+
+
+@pytest.mark.parametrize("n_states, boundary", [(16, "reflect"), (32, "kill")])
+def test_ratio_inequality_refuses_a_certificate_of_another_window(n_states, boundary):
+    # the certificate's kappa and anchor hold on its own window only, yet
+    # on both of these windows its inequality holds along the grid
+    cert = certify(build_logistic(1.0, 1.0, 1.0, 32), K=[1], x0=1)
+    chain = build_logistic(1.0, 1.0, 1.0, n_states, boundary)
+    with pytest.raises(ValidationError) as ei:
+        check_ratio_inequality(chain, cert, [1.0, 2.0])
+    assert str(ei.value) == (
+        f"certificate of the 32-state reflect window cannot be checked on the "
+        f"{n_states}-state {boundary} window"
+    )
 
 
 def test_ratio_inequality_catches_corrupt_certificate():
@@ -941,10 +957,12 @@ def test_parse_rejects_a_repeated_key(key):
         ("provenance_c1", "proved_by_hope", "provenance of c1"),
         ("lambda0", "0", "lambda0 must be finite and > 0"),
         ("lambda0", "inf", "lambda0 must be finite and > 0"),
+        ("window_limited", "maybe", "certificate field window_limited is malformed: 'maybe'"),
+        ("c3_strategy", "wishful", "c3_strategy must be sojourn, absorption_rate or best"),
     ],
     ids=["K-has-0", "K-past-window", "K-descending", "K-repeated", "K-unsorted",
          "n_states-below-2", "boundary", "provenance",
-         "lambda0-zero", "lambda0-inf"],
+         "lambda0-zero", "lambda0-inf", "window_limited-maybe", "c3_strategy-wishful"],
 )
 def test_parse_rejects_fields_outside_their_range(field, value, message):
     cert = certify(catastrophe_chain(), K=[1], x0=1)

@@ -284,6 +284,13 @@ def test_parse_errors_carry_line_numbers():
         parse_chain_text("states 4\nlogistic 1 1 1\nrate 1 2 1.0\n")
     with pytest.raises(ValidationError, match="no rates"):
         parse_chain_text("states 4\n")
+    # a repeated one-off directive is refused, not overwritten by its last line
+    with pytest.raises(ValidationError, match=r"c\.txt:3: 'states' may appear only once"):
+        parse_chain_text("states 4\nrate 1 0 1.0\nstates 8\n", name="c.txt")
+    with pytest.raises(ValidationError, match=r":3: 'boundary' may appear only once"):
+        parse_chain_text("states 4\nboundary kill\nboundary reflect\nrate 1 0 1.0\n")
+    with pytest.raises(ValidationError, match=r":3: 'logistic' may appear only once"):
+        parse_chain_text("states 4\nlogistic 1 1 1\nlogistic 2 1 1\n")
 
 
 def test_parse_rejects_window_violation_with_file_name():

@@ -1,8 +1,13 @@
 """The benchmark's tracer patches names on quasistat's modules; every one
-of them must resolve, and uninstalling must put the originals back."""
+of them must resolve, uninstalling must put the originals back, and every
+certificate must pass through a patched name."""
 
 import importlib.util
 import pathlib
+
+from quasistat import certify, derive_certificate_via_criterion, logistic_certificate
+
+from conftest import catastrophe_chain
 
 TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -27,3 +32,23 @@ def test_tracer_sites_resolve_and_uninstall_restores_them():
     for owner, leaf, original in sites:
         assert getattr(owner, leaf) is original, (owner, leaf)
     assert tracer._saved == []
+
+
+def test_tracer_records_the_gamma_of_every_certificate():
+    # the benchmark's certify.gamma_log10_min reads the assemble spans: a
+    # certificate built past assemble_certificate would leave it at 0
+    chain = catastrophe_chain(16)
+    tracer = _load_tracing().Tracer()
+    tracer.install()
+    try:
+        for make in (
+            lambda: certify(chain, range(1, 5), 1),
+            lambda: logistic_certificate(1.0, 1.0, 1.0).certificate,
+            lambda: derive_certificate_via_criterion(chain, range(1, 5), 1),
+        ):
+            start = len(tracer.spans)
+            cert = make()
+            gammas = [s[6]["gamma"] for s in tracer.spans[start:] if s[1] == "assemble"]
+            assert [g.hex() for g in gammas] == [cert.gamma.hex()]
+    finally:
+        tracer.uninstall()
