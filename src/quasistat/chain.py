@@ -21,6 +21,7 @@ import numpy as np
 from scipy import sparse
 
 from .errors import ValidationError
+from .textio import read_text
 
 REFLECT = "reflect"
 KILL = "kill"
@@ -558,5 +559,4 @@ def parse_chain_text(text: str, *, name: str = "<string>") -> AbsorbedChain:
 
 
 def load_chain_file(path) -> AbsorbedChain:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_chain_text(fh.read(), name=str(path))
+    return parse_chain_text(read_text(path), name=str(path))

@@ -43,7 +43,7 @@ from .engine import (
     tv_distance,
 )
 from .errors import QuasistatError, ValidationError
-from .textio import fmt, write_text
+from .textio import fmt, read_text, write_text
 
 # arithmetic grids longer than this are refused rather than built
 _MAX_GRID_POINTS = 10**6
@@ -258,8 +258,7 @@ def cmd_decay(args) -> int:
     grid = _parse_grid(args.t_grid)
     cert = None
     if args.certificate is not None:
-        with open(args.certificate, "r", encoding="utf-8") as fh:
-            cert = parse_certificate_text(fh.read())
+        cert = parse_certificate_text(read_text(args.certificate))
     elif args.auto_certify:
         if args.logistic is None:
             raise ValidationError("--auto-certify needs a --logistic chain")
@@ -360,8 +359,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", required=True, help="initial law: state, 'uniform', or 'qsd'")
     p.add_argument("--nu", required=True, help="second initial law")
     p.add_argument("--t-grid", default="1:12:1", dest="t_grid")
-    p.add_argument("--certificate", help="certificate file for the bound column")
-    p.add_argument(
+    bound = p.add_mutually_exclusive_group()
+    bound.add_argument("--certificate", help="certificate file for the bound column")
+    bound.add_argument(
         "--auto-certify",
         action="store_true",
         dest="auto_certify",

@@ -31,19 +31,20 @@ survival is always a final normalization step, never baked into the
 operator, so unnormalized survival mass stays available to callers.
 
 Every check along a time grid (check_qsd, yaglom_limit, decay_table,
-conditional_distribution, and certify's survival-ratio check) walks
-the grid with one generator, _walk: it checks the grid once, evolves
-each step from the previous grid time and rescales every column to
-mass 1, so a long grid never underflows.  A step of length dt is either
-one series of about L*dt terms or one product with the dense step
-propagator P(dt), whichever a fitted cost estimate finds cheaper over
-all the grid's steps of that length.  P(dt) is scaling and squaring on
-the one series kernel: the series evolves the identity block to
-dt/2**k at tolerance SERIES_TOL/2**k, and k squarings follow.  It is
-formed only while its n*n entries fit the _BLOCK_ENTRIES memory cap.
-Like the truncated series it is entrywise non-negative and below the
-exact step, so walked probabilities stay lower bounds, and it loses at
-most SERIES_TOL of mass per step (see _walk).
+conditional_distribution, conditional_propagator, and certify's
+survival-ratio check) walks the grid with one generator, _walk: it
+checks the grid once, evolves each step from the previous grid time
+and rescales every column to mass 1, so a long grid never underflows.
+A step of length dt is either one series of about L*dt terms or one
+product with the dense step propagator P(dt), whichever a fitted cost
+estimate finds cheaper over all the grid's steps of that length.  P(dt)
+is scaling and squaring on the one series kernel: the series evolves
+the identity block to dt/2**k at tolerance SERIES_TOL/2**k, and k
+squarings follow.  It is formed only while its n*n entries fit the
+_BLOCK_ENTRIES memory cap.  Like the truncated series it is entrywise
+non-negative and below the exact step, so walked probabilities stay
+lower bounds, and it loses at most SERIES_TOL of mass per step (see
+_walk).
 
 A series needs about L*t terms.  Past _MAX_SERIES_TERMS terms (stiff
 rates or long horizons) evolution raises ComputationError naming L, t
@@ -469,22 +470,21 @@ def conditional_propagator(
     then weight by P(survive horizon - t) and normalize.  Composing the
     map over [s, u] with the map over [u, t] reproduces the map over
     [s, t] exactly; at s == t it returns the input law unchanged.
+
+    Both legs are walks.  The function side walks the constant 1 over
+    the grid [horizon - t, horizon - s], which yields the survival to
+    the horizon from t and then from s; the measure side walks the
+    tilted law one step of t - s.  Each walk rescales to mass 1, which
+    is harmless: only ratios of the survival functions enter, and the
+    result is normalized, so every scale cancels.
     """
     if not (0 <= s <= t <= horizon) or not math.isfinite(horizon):
         raise ValidationError(
             f"need 0 <= s <= t <= horizon finite, got s={s}, t={t}, horizon={horizon}"
         )
-    w = law_weights(chain, mu).copy()
+    w = law_weights(chain, mu)
     ones = np.ones(chain.n_transient)
-    h_after_t = evolve_function(chain, ones, horizon - t)
-    # survival from time s = survival from t pulled back another t - s;
-    # both are only needed up to scale, so renormalize to dodge underflow
-    m = float(h_after_t.max())
-    if m < _NULL_MASS:
-        raise ComputationError("survival to the horizon is numerically null from every state")
-    h_after_t = h_after_t / m
-    h_after_s = evolve_function(chain, h_after_t, t - s)
-
+    (_, h_after_t), (_, h_after_s) = _walk(chain, ones, [horizon - t, horizon - s], "function")
     alive = w > 0
     if np.any(alive & (h_after_s < _NULL_MASS)):
         raise ComputationError(
@@ -493,7 +493,7 @@ def conditional_propagator(
         )
     tilted = np.zeros_like(w)
     tilted[alive] = w[alive] / h_after_s[alive]
-    moved = evolve_measure(chain, tilted, t - s)
+    _, moved = next(_walk(chain, tilted, [t - s], "measure"))
     out = moved * h_after_t
     law, _ = _normalize_mass(out, f"conditioned propagation to t={t} under horizon {horizon}")
     return DistributionOnStates(law, _skip_checks=True)
@@ -603,6 +603,8 @@ def compute_qsd(chain: AbsorbedChain, tol: float = 1e-12, max_iters: int = 10000
     history (iteration index as time) otherwise.
     """
     _check_tol(tol)
+    if max_iters < 1:
+        raise ValidationError(f"max_iters must be >= 1, got {max_iters}")
     _require_irreducible(chain)
     lu = _inverse_operator(chain)
     v = np.zeros(chain.n_transient)
@@ -805,8 +807,9 @@ def decay_table(
 
 def geometric_grid(t_min: float, t_max: float, ratio: float = 1.5) -> list[float]:
     """Strictly increasing geometric times from t_min up to and incl. t_max."""
-    if not (0 < t_min <= t_max) or ratio <= 1:
-        raise ValidationError("need 0 < t_min <= t_max and ratio > 1")
+    # asked as ratio > 1, which NaN fails
+    if not (0 < t_min <= t_max < math.inf) or not ratio > 1:
+        raise ValidationError("need 0 < t_min <= t_max < inf and ratio > 1")
     ts = []
     t = t_min
     while t < t_max:

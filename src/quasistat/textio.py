@@ -1,6 +1,8 @@
-"""Small text-output helpers shared by the report writers and the CLI."""
+"""Small text helpers shared by the report writers, the file readers and the CLI."""
 
 from __future__ import annotations
+
+from .errors import ValidationError
 
 
 def fmt(x) -> str:
@@ -20,6 +22,19 @@ def write_text(target, text: str) -> None:
     """Write text to the file at path target, UTF-8 with \\n line ends."""
     with open(target, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
+
+
+def read_text(source) -> str:
+    """The UTF-8 text of the file at path source.
+
+    A file that is not UTF-8 raises ValidationError naming it, not the
+    codec's UnicodeDecodeError.
+    """
+    with open(source, "r", encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"{source} is not UTF-8 text: {exc.reason}") from None
 
 
 def render_keyvalues(pairs) -> str:

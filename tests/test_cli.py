@@ -445,6 +445,20 @@ def test_decay_auto_certify_needs_logistic(tmp_path, capsys):
     assert "auto-certify" in capsys.readouterr().err
 
 
+def test_decay_certificate_and_auto_certify_exclude_each_other(tmp_path, capsys):
+    # one bound source per table: the pair is a usage error, not a run
+    # that reads the file and ignores --auto-certify
+    (tmp_path / "certificate.txt").write_text("unread")
+    out = tmp_path / "out"
+    code = run(["decay", *LOGISTIC_16, "--mu", "1", "--nu", "2",
+                "--certificate", str(tmp_path / "certificate.txt"), "--auto-certify",
+                "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "not allowed with argument --certificate" in err
+    assert not out.exists()
+
+
 def test_decay_reads_certificate_file(tmp_path, capsys):
     assert run(["certify", "--logistic", "1", "1", "1", "--out", str(tmp_path)]) == 0
     code = run([
@@ -570,9 +584,13 @@ LOGISTIC_16 = ["--logistic", "1", "1", "1", "--states", "16"]
         (["qsd", "--chain", "chain.txt", "--states", "2.5"], "--states must be an integer"),
         (["decay", *LOGISTIC_16, "--mu", "1", "--nu", "2", "--certificate", "bad.cert"],
          "certificate field K is malformed: '1,x'"),
+        (["qsd", "--chain", "latin.bin"], "latin.bin is not UTF-8 text"),
+        (["decay", *LOGISTIC_16, "--mu", "1", "--nu", "2", "--certificate", "latin.bin"],
+         "latin.bin is not UTF-8 text"),
     ],
     ids=["simulate-mu", "fv-mu", "decay-nu", "horizon", "stop-set", "certify-K",
-         "criterion-K", "states-logistic", "states-chain", "certificate-file-K"],
+         "criterion-K", "states-logistic", "states-chain", "certificate-file-K",
+         "chain-file-not-utf8", "certificate-file-not-utf8"],
 )
 def test_unparseable_argument_is_validation_error(argv, message, tmp_path, monkeypatch, capsys):
     # int() or float() on raw argument or file text must end as a
@@ -582,6 +600,7 @@ def test_unparseable_argument_is_validation_error(argv, message, tmp_path, monke
         "quasistat certificate v1\nK = 1,x\nx0 = 1\nc1 = 0.5\nc2 = 0.5\nc3 = 0.5\n"
         "c4 = 2\nlambda0 = 1\ngamma = 0.01\nn_states = 16\n"
     )
+    (tmp_path / "latin.bin").write_bytes(b"\xc1\xff")
     monkeypatch.chdir(tmp_path)
     code = run([*argv, "--out", "out"])
     err = capsys.readouterr().err

@@ -482,6 +482,40 @@ def test_propagator_null_horizon_raises():
         conditional_propagator(chain, mu, 0.0, 0.5, horizon=1.0)
 
 
+def test_propagator_walks_a_long_horizon():
+    # both legs go through _walk, so a long horizon takes the dense step
+    # propagator instead of one series of about L * horizon terms
+    chain = build_logistic(1.0, 1.0, 1.0, 64)
+    mu = DistributionOnStates.delta(3, 64)
+    horizon = 300.0
+    with propagator_builds() as builds:
+        direct = conditional_propagator(chain, mu, 0.0, 150.0, horizon)
+    assert len(builds) >= 1
+    mid = conditional_propagator(chain, mu, 0.0, 60.0, horizon)
+    chained = conditional_propagator(chain, mid, 60.0, 150.0, horizon)
+    assert tv_distance(direct, chained) < 1e-10
+
+
+@pytest.mark.parametrize(
+    "s, t", [(0.0, 2.5), (0.0, 100.0), (40.0, 130.0), (150.0, 190.0), (0.0, 200.0)]
+)
+@pytest.mark.parametrize("boundary", ["reflect", "kill"])
+def test_propagator_matches_dense_expm_tilt(s, t, boundary):
+    # the tilt formula with dense matrix exponentials: weight by
+    # 1 / h(horizon - s), push forward t - s, weight by h(horizon - t)
+    chain = build_logistic(1.0, 1.0, 1.0, 31, boundary)
+    n = chain.n_transient
+    horizon = 200.0
+    w = np.random.default_rng(7).uniform(0.0, 1.0, n)
+    w /= w.sum()
+    Q = chain.sub_generator.toarray()
+    h_t = expm(Q * (horizon - t)) @ np.ones(n)
+    h_s = expm(Q * (t - s)) @ h_t
+    want = ((w / h_s) @ expm(Q * (t - s))) * h_t
+    got = conditional_propagator(chain, w, s, t, horizon)
+    assert tv_distance(got, want / want.sum()) < 1e-10
+
+
 # -- quasi-stationary law ----------------------------------------------------
 
 
@@ -535,6 +569,10 @@ def test_qsd_nonconvergence_carries_trace():
     assert trace is not None
     assert trace.times.size == 4
     assert np.all(np.diff(trace.times) > 0)
+    # no iteration at all leaves no trace to carry: refused up front
+    for max_iters in (0, -1):
+        with pytest.raises(ValidationError, match="max_iters"):
+            compute_qsd(chain, max_iters=max_iters)
 
 
 @pytest.mark.parametrize(
@@ -670,6 +708,10 @@ def test_geometric_grid_shape():
         geometric_grid(0.0, 1.0)
     with pytest.raises(ValidationError):
         geometric_grid(1.0, 2.0, ratio=1.0)
+    with pytest.raises(ValidationError):
+        geometric_grid(1.0, 10.0, ratio=math.nan)
+    with pytest.raises(ValidationError):
+        geometric_grid(1.0, math.inf)
 
 
 def test_decay_table_without_certificate():
