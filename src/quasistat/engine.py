@@ -2,10 +2,10 @@
 
 All evolution under the sub-generator is computed as a Poisson-weighted
 power series of the uniformized sub-stochastic step M = I + Q/L, with L
-the largest exit rate.  The series is truncated when the remaining
-Poisson tail mass drops below the constant SERIES_TOL; every term of M
-is non-negative, so the truncation error in any computed vector is
-bounded by SERIES_TOL times its input mass.  No matrix exponential
+the largest exit rate.  The series is cut at the least k whose Poisson
+tail P(N > k) is at most the constant SERIES_TOL; every term of M is
+non-negative, so the truncation error in any computed vector is bounded
+by SERIES_TOL times its input mass.  No matrix exponential
 routine is called: the one dense matrix evolution forms, the walk's step
 propagator below, is the series' own output squared.  A law handed in as
 raw weights is checked by chain.law_weights.
@@ -34,7 +34,9 @@ Every check along a time grid (check_qsd, yaglom_limit, decay_table,
 conditional_distribution, conditional_propagator, and certify's
 survival-ratio check) walks the grid with one generator, _walk: it
 checks the grid once, evolves each step from the previous grid time
-and rescales every column to mass 1, so a long grid never underflows.
+and rescales every column to mass 1, so a long grid never underflows;
+a single step whose mass underflows is retaken as 2, 4, ... up to 1024
+equal sub-steps, each rescaled.
 A step of length dt is either one series of about L*dt terms or one
 product with the dense step propagator P(dt), whichever a fitted cost
 estimate finds cheaper over all the grid's steps of that length.  P(dt)
@@ -63,7 +65,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 from scipy.sparse import _sparsetools
-from scipy.special import gammaln, pdtr, pdtrc, pdtrik, xlogy
+from scipy.special import gammaln, pdtrc, xlogy
 
 from .chain import (
     REFLECT,
@@ -119,24 +121,14 @@ _BASE_MEAN = 16.0
 # Unnormalized mass below this is treated as a numerically null event.
 _NULL_MASS = 1e-300
 
+# _walk retakes a step whose mass is null as 2**j equal sub-steps, for
+# j = 1 up to this, before it reports the null event.
+_MAX_HALVINGS = 10
+
 
 def _poisson_cutoff(mu: float, series_tol: float) -> int:
-    """The least k >= 0 with P(N > k) < series_tol or equal, N ~ Poisson(mu).
-
-    At SERIES_TOL and coarser this is scipy.stats.poisson.isf(series_tol,
-    mu), written with the same scipy.special formulas (so that importing
-    the package does not load scipy.stats); the certificate goldens were
-    recorded with it.  isf reads the tail as 1 - series_tol, which is
-    good to 2**-53 absolute, so a finer tolerance would lose its digits
-    (below 2**-54 it rounds to 1 and the inversion returns NaN): there
-    the cutoff is bisected on the upper tail pdtrc instead.
-    """
-    if series_tol >= SERIES_TOL:
-        # isf(tol) = ppf(1 - tol): the least k with P(N <= k) >= 1 - tol
-        q = 1.0 - series_tol
-        k = math.ceil(pdtrik(q, mu))
-        below = max(k - 1, 0)
-        return below if pdtr(below, mu) >= q else k
+    """The least k >= 0 whose upper tail P(N > k) is at most series_tol,
+    N ~ Poisson(mu): galloping up from ceil(mu) on pdtrc, then bisecting."""
     lo, hi, step = -1, math.ceil(mu), math.ceil(math.sqrt(mu)) + 1
     while pdtrc(hi, mu) > series_tol:
         lo, hi, step = hi, hi + step, 2 * step
@@ -150,8 +142,8 @@ def _poisson_cutoff(mu: float, series_tol: float) -> int:
 
 
 def _poisson_weights(mu: float, series_tol: float) -> np.ndarray:
-    """Poisson(mu) pmf from 0 up to one past _poisson_cutoff, in the
-    formulas of scipy.stats.poisson.pmf."""
+    """Poisson(mu) pmf from 0 up to one past _poisson_cutoff, as
+    exp(k log mu - log k! - mu)."""
     if not 0 < series_tol < 1:
         raise ValidationError(f"series_tol must lie in (0, 1), got {series_tol}")
     if not mu <= _MAX_SERIES_TERMS:
@@ -316,6 +308,11 @@ def tv_distance(mu, nu) -> float:
     return float(np.abs(a - b).sum())
 
 
+class _NullMassError(ComputationError):
+    """Surviving mass that is numerically null: not finite, or in
+    [0, _NULL_MASS)."""
+
+
 def _normalize_mass(v: np.ndarray, what: str) -> tuple[np.ndarray, float]:
     total = float(v.sum())
     if total < 0:
@@ -325,7 +322,7 @@ def _normalize_mass(v: np.ndarray, what: str) -> tuple[np.ndarray, float]:
             f"swamped the computation on this window"
         )
     if not math.isfinite(total) or total < _NULL_MASS:
-        raise ComputationError(
+        raise _NullMassError(
             f"{what}: surviving mass {total:.3e} is numerically null; "
             f"the conditioning event is too rare for this window or horizon"
         )
@@ -400,6 +397,14 @@ def _walk(chain: AbsorbedChain, v, times, side: str):
     rescaling keeps long grids clear of underflow.  The grid is checked
     when the walk starts: every time finite and >= 0.
 
+    A single step can still underflow: its survival may fall below
+    _NULL_MASS although the conditioned law exists.  Such a step (mass
+    null, not negative) is taken again as 2**j equal sub-steps, for
+    j = 1, 2, ... up to _MAX_HALVINGS, each rescaled to mass 1; sub-steps
+    of one length share one propagator.  The walk raises the null event
+    only when the 2**_MAX_HALVINGS sub-steps still underflow.  A step
+    that does not underflow is taken whole.
+
     A step of length dt goes one of two ways, whichever _walk_squarings
     estimates cheaper for all the grid's steps of that length: the
     series of about L*dt terms, or one product with the dense step
@@ -428,23 +433,35 @@ def _walk(chain: AbsorbedChain, v, times, side: str):
     what = "conditional law" if side == "measure" else "survival function"
     steps = Counter(b - a for a, b in zip([0.0, *ts], ts))
     products = {}  # dt -> the propagator's product(x, y), or None for the series
-    t_cur = 0.0
-    for t in ts:
-        dt = t - t_cur
+
+    def advance(x, dt, count, where):
+        # x evolved by dt, every column rescaled to mass 1
         if dt not in products:
-            k = _walk_squarings(chain, dt, steps[dt], m)
+            k = _walk_squarings(chain, dt, count, m)
             products[dt] = None if k is None else _product(_step_propagator(chain, dt, side, k), m)
         product = products[dt]
         if product is None:
-            v = evolve(chain, v, dt)
+            y = evolve(chain, x, dt)
         else:
-            x, v = np.ascontiguousarray(v), np.zeros(v.shape)
-            product(x.reshape(-1), v.reshape(-1))
-        t_cur = t
-        if v.ndim == 1:
-            v, _ = _normalize_mass(v, f"{what} at t={t}")
-        else:
-            v = np.column_stack([_normalize_mass(col, f"{what} at t={t}")[0] for col in v.T])
+            x, y = np.ascontiguousarray(x), np.zeros(x.shape)
+            product(x.reshape(-1), y.reshape(-1))
+        if y.ndim == 1:
+            return _normalize_mass(y, where)[0]
+        return np.column_stack([_normalize_mass(col, where)[0] for col in y.T])
+
+    t_cur = 0.0
+    for t in ts:
+        dt, where = t - t_cur, f"{what} at t={t}"
+        for j in range(_MAX_HALVINGS + 1):
+            try:
+                u = v
+                for _ in range(2**j):
+                    u = advance(u, math.ldexp(dt, -j), steps[dt] << j, where)
+                break
+            except _NullMassError:
+                if j == _MAX_HALVINGS:
+                    raise
+        v, t_cur = u, t
         yield t, v
 
 

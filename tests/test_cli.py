@@ -416,6 +416,20 @@ def test_small_window_decay_csv_is_golden(tmp_path, capsys):
     assert hashlib.sha256(data).hexdigest() == GOLDEN_DECAY_1_1_1_64
 
 
+def test_decay_past_the_underflow_of_survival(tmp_path, capsys):
+    # survival from state 3 to t = 1100 is about 1e-336: the walk takes
+    # that step in sub-steps and still reaches the QSD
+    code = run([
+        "decay", "--logistic", "1", "1", "1", "--states", "64", "--mu", "3", "--nu", "40",
+        "--t-grid", "1100", "--out", str(tmp_path),
+    ])
+    assert code == 0
+    assert capsys.readouterr().out.startswith("wrote ")
+    header, row = (tmp_path / "decay.csv").read_text().strip().splitlines()
+    assert header.split(",")[1] == "tv_mu_to_qsd"
+    assert float(row.split(",")[1]) < 1e-10
+
+
 @pytest.mark.parametrize(
     "argv",
     [

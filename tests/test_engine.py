@@ -316,29 +316,34 @@ def test_long_rows_match_the_matmul_oracle_bit_for_bit(window, columns, side):
         assert _same_bits(evolve(chain, v, t), evolve_oracle(chain, v, t, side))
 
 
-@pytest.mark.parametrize("tol", [1e-13, 1e-10, 1e-6])
-@pytest.mark.parametrize("mu", [1e-6, 1e-3, 0.1, 1.0, 7.5, 42.0, 1e3, 8.2e3, 1e5, 3e6])
-def test_poisson_weights_match_scipy_stats(mu, tol):
+def _assert_cut_on_the_upper_tail(mu, tol):
+    # the cutoff k is the least one whose upper tail P(N > k) is at most
+    # tol, and the weights run one term past it
     from scipy.stats import poisson  # the oracle; the library avoids scipy.stats
-
-    w = _poisson_weights(mu, tol)
-    kmax = int(poisson.isf(tol, mu)) + 1
-    assert w.size == kmax + 1
-    assert np.array_equal(w, poisson.pmf(np.arange(kmax + 1), mu))
-
-
-@pytest.mark.parametrize("tol", [1e-17, 5e-17, 1e-18, 1e-19, 1e-20])
-@pytest.mark.parametrize("mu", [1e-6, 1e-3, 0.1, 1.0, 3.9, 7.5, 30.0, 42.0, 1e3, 8.2e3, 1e5, 3e6])
-def test_poisson_weights_below_double_resolution_cut_on_the_upper_tail(mu, tol):
-    # 1 - tol rounds to 1 here, so isf has no answer: the cutoff k is the
-    # least one whose upper tail P(N > k) is at most tol
-    from scipy.stats import poisson
 
     w = _poisson_weights(mu, tol)
     k = w.size - 2
     assert poisson.sf(k, mu) <= tol
     assert k == 0 or poisson.sf(k - 1, mu) > tol
     assert np.array_equal(w, poisson.pmf(np.arange(w.size), mu))
+
+
+# 3.2 and 10.734 at 1e-13: an isf-form cutoff (1 - tol inverted through
+# the lower tail) stops at 23 and 42, whose upper tails are 1.00065e-13
+# and 1.00084e-13
+@pytest.mark.parametrize("tol", [1e-13, 1e-10, 1e-6])
+@pytest.mark.parametrize(
+    "mu", [1e-6, 1e-3, 0.1, 1.0, 3.2, 7.5, 10.734, 42.0, 1e3, 8.2e3, 1e5, 3e6]
+)
+def test_poisson_weights_match_scipy_stats(mu, tol):
+    _assert_cut_on_the_upper_tail(mu, tol)
+
+
+@pytest.mark.parametrize("tol", [1e-17, 5e-17, 1e-18, 1e-19, 1e-20])
+@pytest.mark.parametrize("mu", [1e-6, 1e-3, 0.1, 1.0, 3.9, 7.5, 30.0, 42.0, 1e3, 8.2e3, 1e5, 3e6])
+def test_poisson_weights_below_double_resolution_cut_on_the_upper_tail(mu, tol):
+    # 1 - tol rounds to 1 here: the cut must be read off the upper tail
+    _assert_cut_on_the_upper_tail(mu, tol)
 
 
 @pytest.mark.parametrize("mu", [2.0 * _MAX_SERIES_TERMS, 1e20, math.inf, math.nan])
@@ -436,9 +441,35 @@ def test_conditional_distribution_normalizes():
 
 
 def test_conditional_distribution_null_event_raises():
+    # at t = 1000 each of the walk's 1024 sub-steps survives with
+    # e^(-1953), which underflows
     chain = build_from_entries([(1, 0, 2000.0)], 2)
     with pytest.raises(ComputationError, match="null"):
-        conditional_distribution(chain, DistributionOnStates.delta(1, 2), 1.0)
+        conditional_distribution(chain, DistributionOnStates.delta(1, 2), 1000.0)
+
+
+def test_a_step_whose_mass_underflows_is_split():
+    # e^(-2000) and e^(-1000) fall below 1e-300, e^(-500) does not: the
+    # step to t = 1 is taken as 4 sub-steps, and a one-state window's
+    # conditioned law is δ₁
+    chain = build_from_entries([(1, 0, 2000.0)], 2)
+    mu = DistributionOnStates.delta(1, 2)
+    assert conditional_distribution(chain, mu, 1.0).weights.tolist() == [1.0]
+    assert conditional_propagator(chain, mu, 0.0, 0.5, horizon=1.0).weights.tolist() == [1.0]
+
+
+def test_a_long_step_reaches_the_qsd():
+    # the 64-state (1,1,1) window decays at rate 0.703: survival to
+    # t = 1100 is about 1e-336, below the smallest double
+    chain = build_logistic(1.0, 1.0, 1.0, 64)
+    mu = DistributionOnStates.delta(3, 64)
+    rho = compute_qsd(chain).qsd
+    assert tv_distance(conditional_distribution(chain, mu, 1100.0), rho) < 1e-10
+    direct = conditional_propagator(chain, mu, 0.0, 1100.0, 1200.0)
+    mid = conditional_propagator(chain, mu, 0.0, 600.0, 1200.0)
+    chained = conditional_propagator(chain, mid, 600.0, 1100.0, 1200.0)
+    assert tv_distance(direct, chained) < 1e-10
+    assert check_qsd(chain, rho, [1100.0], 1e-10)[0]
 
 
 def test_propagator_identity_at_equal_times():
@@ -479,7 +510,7 @@ def test_propagator_null_horizon_raises():
     chain = build_from_entries([(1, 0, 2000.0)], 2)
     mu = DistributionOnStates.delta(1, 2)
     with pytest.raises(ComputationError):
-        conditional_propagator(chain, mu, 0.0, 0.5, horizon=1.0)
+        conditional_propagator(chain, mu, 0.0, 500.0, horizon=1000.0)
 
 
 def test_propagator_walks_a_long_horizon():
