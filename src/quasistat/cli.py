@@ -301,7 +301,7 @@ def cmd_simulate(args) -> int:
 def cmd_fv(args) -> int:
     chain = _build_chain(args)
     mu = _parse_law(args.mu, chain) if args.mu is not None else None
-    sample_times = _parse_grid(args.sample_times) if args.sample_times else None
+    sample_times = _parse_grid(args.sample_times) if args.sample_times is not None else None
     snaps = mc_mod.fleming_viot(
         chain, args.n_particles, float(args.horizon), args.seed,
         sample_times=sample_times, mu=mu,

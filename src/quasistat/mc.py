@@ -8,12 +8,14 @@ rerunning with the same seed reproduces results bit for bit.
 Both samplers read one table per chain: every state's jump targets and
 cumulative rates, the rows concatenated, from which a draw picks a jump
 by bisection.  One step kernel, _step, moves many walkers by one jump
-each per numpy call: the jump choice, then the holding time in the new
-state, both drawn in one (2, m) pair draw.  Each sampler enters
-np.errstate(divide="ignore") once around its loop, for the infinite
-holding times of states that never leave.  Holding times take their
-logs in one compiled call to the C library's log, the function math.log
-calls (see _log), so no draw goes through a Python-level call.
+each per numpy call, from draws its caller makes: the jump choice, in
+depth - 1 halvings and one last compare (no halving on a birth-death
+window, whose rows hold at most two jumps), then the holding time in
+the new state.  Each sampler enters np.errstate(divide="ignore") once
+around its loop, for the infinite holding times of states that never
+leave.  Holding times take their logs in one compiled call to the C
+library's log, the function math.log calls (see _log), so no draw goes
+through a Python-level call.
 
 Independent paths run in lockstep: simulate_batch advances every live
 path by one jump per numpy step, drawing from all path streams at once.
@@ -30,8 +32,11 @@ the exact engine.  Its events are defined in global (time, particle
 index) order, yet walkers move in lockstep between respawns, their only
 coupling: an absorbed walker waits until the walker it copies has
 recorded its path past the respawn, then reads the position there from
-a short per-walker history.  The output equals the one-event-at-a-time
-loop bit for bit (the test suite keeps that loop as its reference).
+a short per-walker history.  A round resolves the respawns that can
+read, takes the snapshots every walker has passed, picks the walkers
+free to move, and draws for all of them in one u01 call before the
+step.  The output equals the one-event-at-a-time loop bit for bit (the
+test suite keeps that loop as its reference).
 """
 
 from __future__ import annotations
@@ -206,28 +211,32 @@ def _log(u: np.ndarray) -> np.ndarray:
     return xlogy(1.0, u)
 
 
-def _step(jumps: _JumpTables, keys: np.ndarray, counters, x: np.ndarray, t):
+def _step(jumps: _JumpTables, u_jump: np.ndarray, u_hold: np.ndarray, x: np.ndarray, t):
     """Move walkers in states x at times t by one jump each.
 
-    Draw `counters` picks the jump target by bisection of x's row; draw
-    counters + 1 is the holding time in the target.  Both come from one
-    u01 call on a (2, m) counter array: row 0 the jump draws, row 1 the
-    holding draws.  Returns the targets, the times the walkers leave them
-    and the draws counters + 1; a target <= 0 (absorption or killing) has
-    no holding time, and its time is meaningless.
+    u_jump picks each jump target: the first entry of x's row whose
+    cumulative rate is >= u_jump * q(x), the row's last if none is.  The
+    rows are bisected in lockstep: after depth - 1 halvings at most two
+    entries are left, lo and lo + 1, and one compare of cum[lo] picks
+    between them (a row of one entry has cum[lo] = q(x) >= v).  On a
+    birth-death window every row holds at most two entries, so depth is 1
+    and no halving is made.  u_hold is the holding time in the target.
+    Returns the targets and the times the walkers leave them; a target
+    <= 0 (absorption or killing) has no holding time, and its time is
+    meaningless.  Callers draw both uniforms and never pass a state with
+    no exit, whose row is empty.
     """
-    u = u01(keys, _PAIR + counters)
-    # first row entry >= v, the row's last entry if none is
-    v = u[0] * jumps.totals[x]
+    v = u_jump * jumps.totals[x]
     lo = jumps.start[x]
-    hi = jumps.last[x]
-    for _ in range(jumps.depth):
-        mid = (lo + hi) >> 1
-        below = jumps.cum[mid] < v
-        lo = np.where(below, mid + 1, lo)
-        hi = np.where(below, hi, mid)
-    y = jumps.targets[lo]
-    return y, _exit_times(jumps, u[1], y, t), u[1]
+    if jumps.depth > 1:
+        hi = jumps.last[x]
+        for _ in range(jumps.depth - 1):
+            mid = (lo + hi) >> 1
+            below = jumps.cum[mid] < v
+            lo = np.where(below, mid + 1, lo)
+            hi = np.where(below, hi, mid)
+    y = jumps.targets[lo + (jumps.cum[lo] < v)]
+    return y, _exit_times(jumps, u_hold, y, t)
 
 
 @dataclass
@@ -328,7 +337,8 @@ def simulate_batch(
                 path, keys, x, t = path[keep], keys[keep], x[keep], t[keep]
             if not path.size:
                 break
-            y, t_next, _ = _step(jumps, keys, counter, x, t)
+            u = u01(keys, _PAIR + counter)
+            y, t_next = _step(jumps, u[0], u[1], x, t)
             out = ends[y]
             if out.any():
                 done = path[out]
@@ -407,21 +417,33 @@ def fleming_viot(
     snapshot per sample time (default: just the horizon), with the
     positions and the respawns up to that time.
 
-    The loop reaches the same result in numpy lockstep.  Each round it
-    resolves every respawn whose source particle has recorded its path
-    past the respawn key, takes the snapshots that every particle has
-    passed, and moves every free particle by one jump.  A particle whose
+    The loop reaches the same result in numpy lockstep.  A particle whose
     jump ends in absorption or killing draws its source k and blocks at
-    its key (a, i).  It resolves once k's frontier key, (next event time,
-    k) or k's own block key, exceeds (a, i); its new position is k's state
-    after k's last event keyed below (a, i).  The blocked particle with
-    the lowest key can always resolve, so the loop cannot deadlock; a
-    round that resolves no respawn, takes no snapshot and moves no
-    particle would repeat forever, and raises ComputationError.  Each
-    particle records its events in a ring of _FV_WIDTH (time, state)
-    entries.  An entry keyed at or below every frontier is read only as
-    the last such entry, so the others may be overwritten; a particle
-    whose oldest entry is still needed waits a round.
+    its key (a, i); it stores its respawn key then, once: the next double
+    after a when k < i, else a.  Each round then runs in four steps.
+    Resolve: a blocked particle is ready once k's frontier time (its next
+    event, or its own block time) is at least its respawn key, and takes
+    k's state after k's last event timed below that key; it keeps its
+    block time as its frontier, a key below the true one, until its
+    holding time is drawn.  Snapshots: every sample time below the
+    lowest frontier is taken, counting the resolved respawns timed at or
+    before it (a blocked particle's block time lies above it, so all of
+    those have resolved).  Movers: every unblocked particle within the
+    horizon whose ring has room.  Draw and step: one u01 call draws each
+    resolved particle's holding time (counter c), then each mover's jump
+    and holding draws (c + 1 and c + 2 for a mover resolved this round);
+    a resolved mover whose holding time ends past the horizon leaves the
+    step, its pair never used nor drawn again.
+
+    The blocked particle with the lowest key can always resolve, so the
+    loop cannot deadlock; a round that resolves no respawn, takes no
+    snapshot and moves no particle would repeat forever, and raises
+    ComputationError.  Each particle records its events in a ring of
+    _FV_WIDTH (time, state) entries; an absorption is recorded at its
+    time, and its state written in when the respawn resolves.  An entry
+    keyed at or below every frontier is read only as the last such
+    entry, so the others may be overwritten; a particle whose oldest
+    entry is still needed waits a round.
     """
     if n_particles < 2:
         raise ValidationError("the ensemble needs at least 2 particles to respawn")
@@ -449,6 +471,9 @@ def fleming_viot(
     counter = np.full(n, 2, dtype=np.uint64)
     blocked = np.zeros(n, dtype=bool)
     source = np.zeros(n, dtype=np.int64)  # whom a blocked particle copies
+    # a blocked particle at (a, i) resolves once its source's frontier
+    # time reaches respawn[i]: a if k > i, the next double after a if k < i
+    respawn = np.zeros(n)
     # ring of each particle's latest events: particle i owns the width
     # entries from base[i] = i * width on, the oldest at base[i] + tail[i];
     # read from there the times never decrease, and unwritten entries hold
@@ -471,45 +496,45 @@ def fleming_viot(
         passed = (rows_t[i] < below[:, None]).sum(axis=1)
         return ring_x[base[i] + (tail[i] + passed - 1) % width]
 
-    times = np.array(samples)
     t_end = samples[-1]
-    # respawns resolved per sample: redraws[s] counts those timed in
-    # (times[s - 1], times[s]]
-    redraws = np.zeros(len(samples) + 1, dtype=np.int64)
+    # resolved respawn times that no snapshot has counted yet, and the
+    # count of those that one has
+    respawned, redraws = [np.empty(0)], 0
     snapshots: list[ParticleEnsemble] = []
     with np.errstate(divide="ignore"):
         front = _exit_times(jumps, u01(keys, 1), x, 0.0)  # next event time, or block time
         for round_ in itertools.count():
-            taken, resolved = len(snapshots), False
-            waiting = blocked.nonzero()[0]
-            if waiting.size:
-                k, a = source[waiting], front[waiting]
-                fk = front[k]
-                ready = (fk > a) | ((fk == a) & (k > waiting))
-                resolved = bool(ready.any())
-                if resolved:
-                    i, k, a = waiting[ready], k[ready], a[ready]
-                    # k's events keyed below (a, i): timed before a, or at a when k < i
-                    y = state_at(k, np.where(k < i, np.nextafter(a, np.inf), a))
-                    record(i, a, y)
-                    x[i] = y
-                    front[i] = _exit_times(jumps, u01(keys[i], counter[i]), y, a)
-                    counter[i] += 1
-                    blocked[i] = False
-                    redraws += np.bincount(np.searchsorted(times, a), minlength=redraws.size)
+            taken = len(snapshots)
+            r = blocked.nonzero()[0]
+            r = r[front[source[r]] >= respawn[r]]
+            if r.size:
+                # each reads its source's state below its respawn key, and
+                # keeps its block time as its front until the draw below
+                y = state_at(source[r], respawn[r])
+                # the newest ring entry is the absorption; it takes y
+                ring_x[base[r] + (tail[r] - 1) % width] = y
+                x[r] = y
+                blocked[r] = False
+                respawned.append(front[r])
             # the lowest frontier key; no respawn or snapshot still to come
             # reads an event keyed below it
             low = int(front.argmin())
             t_low = front[low]
             while len(snapshots) < len(samples) and samples[len(snapshots)] < t_low:
                 s = len(snapshots)
-                at_or_before = np.nextafter(times[s : s + 1], np.inf)
+                # every respawn timed at or before samples[s] has resolved:
+                # a blocked particle's front is its block time, >= t_low
+                pending = np.concatenate(respawned)
+                counted = pending <= samples[s]
+                redraws += int(np.count_nonzero(counted))
+                respawned = [pending[~counted]]
+                at_or_before = np.nextafter([samples[s]], np.inf)
                 snapshots.append(
                     ParticleEnsemble(
                         time=samples[s],
                         n_particles=n,
                         positions=state_at(ids, at_or_before).astype(np.int64),
-                        redraw_count=int(redraws[: s + 1].sum()),
+                        redraw_count=redraws,
                     )
                 )
             if len(snapshots) == len(samples):
@@ -520,27 +545,43 @@ def fleming_viot(
             free = after < t_low
             free[: low + 1] |= after[: low + 1] == t_low
             i = (free & ~blocked & (front <= t_end)).nonzero()[0]
-            if not (resolved or len(snapshots) > taken or i.size):
+            if not (r.size or len(snapshots) > taken or i.size):
                 raise ComputationError(
                     f"Fleming-Viot round {round_} made no progress: it resolved no "
                     f"respawn, took no snapshot and moved no particle"
                 )
-            t, c = front[i], counter[i]
-            y, t_next, u = _step(jumps, keys[i], c, x[i], t)
-            counter[i] = c + 2
-            gone = y <= 0
-            if gone.any():
-                # absorbed or killed: draw c + 1, which no holding time
-                # needs, picks the particle to copy; then block
-                g = i[gone]
-                k = np.minimum((u[gone] * last).astype(np.int64), last - 1)
-                source[g] = k + (k >= g)
-                blocked[g] = True
-                stay = ~gone
-                i, t, y, t_next = i[stay], t[stay], y[stay], t_next[stay]
+            # one u01 call: each resolved particle's holding time (draw c),
+            # then every mover's jump and holding draws, c + 1 and c + 2
+            # for a mover resolved this round
+            counter[r] += 1
+            c = counter[i]
+            u = u01(keys[np.concatenate((r, i, i))], np.concatenate((counter[r] - 1, c, c + 1)))
+            front[r] = _exit_times(jumps, u[: r.size], x[r], front[r])
+            u_jump, u_hold = u[r.size : r.size + i.size], u[r.size + i.size :]
+            t = front[i]
+            move = t <= t_end
+            if not move.all():
+                # resolved movers whose holding time ends past t_end; their
+                # pairs go unused, and they never move again
+                i, t, u_jump, u_hold = i[move], t[move], u_jump[move], u_hold[move]
+            counter[i] += 2
+            y, t_next = _step(jumps, u_jump, u_hold, x[i], t)
+            # an absorption is recorded too; its state, like x, is read
+            # only once the respawn has resolved and written it in
             record(i, t, y)
             x[i] = y
             front[i] = t_next
+            gone = y <= 0
+            if gone.any():
+                # absorbed or killed: the holding draw, which no holding
+                # time needs, picks the particle k to copy; block at (a, g)
+                g, a = i[gone], t[gone]
+                k = np.minimum((u_hold[gone] * last).astype(np.int64), last - 1)
+                k += k >= g
+                source[g] = k
+                respawn[g] = np.where(k < g, np.nextafter(a, np.inf), a)
+                blocked[g] = True
+                front[g] = a
 
 
 # -- text output ---------------------------------------------------------------

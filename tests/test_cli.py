@@ -558,7 +558,7 @@ def test_fv_counts_and_qsd_comparison(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "grid", ["nan", "1,nan,2", "1,inf", "0:nan:1", "0:inf:1", "nan:5:1", "0:5:inf", ",",
-             "1:2", "abc", "1e20:2e20:1"],
+             "1:2", "abc", "1e20:2e20:1", ""],
 )
 @pytest.mark.parametrize("command", ["fv", "decay"])
 def test_bad_time_grid_is_rejected_before_any_artifact(command, grid, tmp_path, capsys):

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import tracemalloc
+from bisect import bisect_left
 
 import numpy as np
 import pytest
@@ -129,9 +130,9 @@ def test_u01_leaves_its_inputs_alone_and_broadcasts_the_counter():
 
 
 def test_pair_draw_matches_two_single_draws():
-    # _step draws each jump's choice and holding time in one u01 call on
-    # counters + _PAIR, a (2, m) array; uint64 casts differ across numpy
-    # versions, so each row must equal its own single draw bit for bit
+    # simulate_batch draws each jump's choice and holding time in one u01
+    # call on counters + _PAIR, a (2, m) array; uint64 casts differ across
+    # numpy versions, so each row must equal its own single draw bit for bit
     keys = derive_key(13, 1, np.arange(300, dtype=np.uint64))
     counters = np.arange(300, dtype=np.uint64) * 1_000_003
     for k, c in ((keys, 6), (keys, counters), (keys[:0], 6), (keys[:0], counters[:0])):
@@ -257,6 +258,57 @@ def test_jump_tables_match_the_row_oracle_on_a_wide_row():
     assert jumps.cum.tolist() == [c for row in cum for c in row]
     assert jumps.totals.tolist() == totals
     assert jumps.depth == 7
+
+
+@pytest.mark.parametrize("widest", [1, 2, 3, 4, 5, 8, 9])
+def test_step_on_jump_tables_picks_the_first_entry_at_or_above_v(widest):
+    # States 1..7 hold rows of 1, 2, 3, 4, 5, 8 and 9 entries, those up
+    # to the widest (bisection depth 0 to 4), the others one entry each;
+    # state 8, the window's last, is a trap with an empty row, on which
+    # _step is never called.  Rates in sixteenths on rows that sum to
+    # powers of two keep every cumulative entry and every product
+    # u * q(x) exact, so u puts v exactly on each entry and one ulp to
+    # either side of it.
+    n = 8
+    rng = np.random.default_rng(widest)
+    widths = [w for w in (1, 2, 3, 4, 5, 8, 9) if w <= widest]
+    entries = []
+    for x in range(1, n):
+        w = widths[x - 1] if x <= len(widths) else 1
+        # absorption, the other states and killing (n + 1): 9 targets
+        targets = rng.choice([y for y in range(n + 2) if y != x], size=w, replace=False)
+        rates = rng.integers(1, 64, size=w) / 16
+        rates[rng.integers(w)] += 2.0 ** math.ceil(math.log2(rates.sum())) - rates.sum()
+        entries += [(x, int(y), float(r)) for y, r in zip(targets, rates)]
+    chain = build_from_entries(entries, n + 1, KILL)
+    jumps = mc._jump_tables(chain)
+    targets, cum, totals = jump_rows_oracle(chain)
+    assert jumps.depth == (widest - 1).bit_length()
+    assert [len(row) for row in cum[1:n]] == widths + [1] * (n - 1 - len(widths))
+    assert cum[n] == [] and totals[n] == 0.0
+    xs, us, want = [], [], []
+    for x in range(1, n):
+        row, q = cum[x], totals[x]
+        assert q == 2.0 ** math.frexp(q)[1] / 2
+        # a draw is below 1, so v = u * q stays below q
+        vs = [w for c in row for w in (np.nextafter(c, -np.inf), c, np.nextafter(c, np.inf))]
+        u = [w / q for w in vs if w < q] + [_TINY, 1 - 2**-53]
+        assert [ui * q for ui in u[:-2]] == [w for w in vs if w < q]
+        for ui in u:
+            # the oracle: the first entry >= u * q(x), the row's last if none
+            j = bisect_left(row, ui * q)
+            want.append(targets[x][min(j, len(row) - 1)])
+        xs += [x] * len(u)
+        us += u
+    hold = np.full(len(us), 0.5)
+    # as in the samplers: absorption's holding time divides by q(0) = 0
+    with np.errstate(divide="ignore"):
+        y, t_next = mc._step(jumps, np.array(us), hold, np.array(xs), np.ones(len(us)))
+    assert y.tolist() == want
+    # the holding time in the target; the trap holds forever
+    inner = y > 0
+    hold_times = [1.0 - math.log(0.5) / totals[v] if v < n else math.inf for v in y[inner]]
+    assert t_next[inner].tolist() == hold_times
 
 
 def test_sampling_leaves_nothing_on_the_window():
@@ -630,12 +682,17 @@ def test_fleming_viot_respawns_through_one_particle_pair_match_oracle():
         (build_from_entries([(2, 1, 1e6), (1, 0, 1.0)], 3), 2, 30.0, 4, [1e-3, 30.0],
          DistributionOnStates.delta(2, 3)),
         (build_logistic(1.0, 1.0, 1.0, 16, KILL), 50, 10.0, 11, [0.0, 2.5, 10.0], None),
+        # the fv-kill-window golden: 2708 dense late respawns, so many
+        # resolved particles draw a pair for a jump past the horizon
+        (build_logistic(1.0, 1.0, 1.0, 16, KILL), 200, 20.0, 5, [0.0, 5.0, 10.0, 15.0, 20.0],
+         None),
     ],
-    ids=["one-particle-pair", "logistic-16-kill"],
+    ids=["one-particle-pair", "logistic-16-kill", "fv-kill-window"],
 )
 def test_fleming_viot_makes_each_draw_once(args, monkeypatch):
-    # an absorbed particle picks the particle to copy with the draw that
-    # _step made for its holding time, which it never holds, so no draw
+    # an absorbed particle picks the particle to copy with its jump's
+    # holding draw, which it never holds, and a resolved particle whose
+    # holding time ends past the horizon never moves again, so no draw
     # of any stream is made twice
     drawn = []
 
@@ -709,9 +766,9 @@ def test_fleming_viot_round_without_progress_raises(monkeypatch):
     # resolves and no snapshot is taken.  The loop would spin; it raises.
     step = mc._step
 
-    def nan_past_two(jumps, keys, counters, x, t):
-        y, t_next, u = step(jumps, keys, counters, x, t)
-        return y, np.where(t_next > 2.0, np.nan, t_next), u
+    def nan_past_two(jumps, u_jump, u_hold, x, t):
+        y, t_next = step(jumps, u_jump, u_hold, x, t)
+        return y, np.where(t_next > 2.0, np.nan, t_next)
 
     monkeypatch.setattr(mc, "_step", nan_past_two)
     chain = build_logistic(1.0, 1.0, 1.0, 16)
