@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import math
 
@@ -410,6 +411,20 @@ def test_unit_step_of_a_z0_45_certificate_evolves_three_columns_and_no_half_step
     assert b.step_floor == float(_evolved_alone(chain, range(45, n + 1))[0])
     assert b.survival_floor == float(evolve_function(chain, np.ones(n), 1.0)[:45].min())
     assert result.certificate.c2 == b.certified == min(b.survival_floor, b.step_floor)
+
+
+# sha256 of the block the (3, 1, 0.0505) certificate evolves on its
+# 367-state window: reach, alive and the step floor, in that order.  Any
+# change to the kernel a series term runs through, or to the order of its
+# sums, moves it.
+Z0_45_STEP_SHA256 = "4036c9e2e69a9b8c9b18cad3d132dc4700521f1d97f0f9a6031cb66d5748cb36"
+
+
+def test_sha256_of_the_z0_45_window_step_block():
+    chain = build_logistic(3.0, 1.0, 0.0505, 368)
+    reach, alive, floor = _unit_step(chain, 1, tuple(range(1, 46)))
+    data = reach.tobytes() + alive.tobytes() + np.float64(floor).tobytes()
+    assert hashlib.sha256(data).hexdigest() == Z0_45_STEP_SHA256
 
 
 def test_c1_unreachable_anchor_fails():
