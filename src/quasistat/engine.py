@@ -59,6 +59,7 @@ from __future__ import annotations
 
 import functools
 import math
+import weakref
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -100,6 +101,21 @@ _BLOCK_ENTRIES = 2**20
 # longer chunks of it ran slower (CHANGES.md has the measurements).
 _CHUNK_ENTRIES = 2**14
 _CHUNK_ROW_ENTRIES = 2048
+
+# A series term of a block of at most _BAND_COLUMNS columns runs through
+# scipy's DIA kernel when the window's M is banded: the diagonals that
+# hold an entry of M, laid out as rows of n, hold at most _BAND_FILL
+# slots per stored entry.  On tri- and pentadiagonal windows of 63 to
+# 1023 states the DIA term took 0.4 to 0.8 times the csr/csc term up to
+# 4 columns, about the same at 8 and 1.0 to 1.25 times at 16 (CHANGES.md
+# has the table).  Birth-death windows hold about one slot per entry;
+# dense windows hold two, and windows with a full column n/3 or more.
+_BAND_COLUMNS = 4
+_BAND_FILL = 1.5
+
+# window -> (its M, {(block width, transpose): DIA layout or None}), filled
+# by _band; an entry goes with its window
+_BANDS = weakref.WeakKeyDictionary()
 
 # The cost model of _walk, fitted on a 2-core x86-64 VM (CHANGES.md has
 # the fit and the crossover table).  A series term costs _TERM_S plus
@@ -210,7 +226,8 @@ def _evolve(
     this, that = ((b, list(b)) for b in (np.empty((rows, size)), np.empty((rows, size))))
     weighted = np.empty((rows, size))
     scratch = weighted[0]
-    product = _product(M, 1 if v.ndim == 1 else v.shape[1], side == "measure")
+    m, transpose = 1 if v.ndim == 1 else v.shape[1], side == "measure"
+    product = _product(M, m, transpose, _band(chain, vk, m, transpose))
     out = w[0] * vk
     for k in range(1, w.size, rows):
         (chunk, terms), this, that = this, that, this
@@ -235,12 +252,13 @@ def _evolve(
     return out.reshape(v.shape)
 
 
-def _product(A: sparse.csr_matrix, m: int, transpose: bool = False):
+def _product(A: sparse.csr_matrix, m: int, transpose: bool = False, band=None):
     """product(x, y) adds A @ x (A^T @ x if transpose) into y, for flat
     C-ordered blocks of m columns: the sparsetools kernel that scipy's
     ``@`` reaches, bound to A's CSR arrays.  A^T is read from those same
     arrays, which are the CSC layout of A^T: csc_matvec(s) in place of
-    csr_matvec(s).
+    csr_matvec(s).  band, when given, is the layout _band built for this
+    A, m and side, and the product runs through dia_matvec on it instead.
 
     The call skips the operator dispatch and the result allocation.  On
     a y of zeros its sums run in the order of ``A @ x``, bit for bit; the
@@ -248,12 +266,60 @@ def _product(A: sparse.csr_matrix, m: int, transpose: bool = False):
     which is the order in which csr_matvec(s) on the CSR copy of A^T adds
     them.  The block kernels walk the entries in the same order as the
     one-column ones, so column j of a block product is bit for bit the
-    product of column j alone.
+    product of column j alone.  dia_matvec adds one diagonal after
+    another in ascending offset order, so it too adds the products of
+    each y entry in ascending column order, into the same y; the zeros
+    it stores inside the band add 0 * x, which leaves a sum as it is
+    while x is finite (the sum starts at +0.0 and never becomes -0.0).
     """
+    if band is not None:
+        offsets, data = band
+        size = A.shape[0] * m
+        return functools.partial(_sparsetools.dia_matvec, size, size, offsets.size, size, offsets, data)
     n = A.shape[0]
     kernel = ("csc_" if transpose else "csr_") + ("matvec" if m == 1 else "matvecs")
     shape = (n, n) if m == 1 else (n, n, m)
     return functools.partial(getattr(_sparsetools, kernel), *shape, A.indptr, A.indices, A.data)
+
+
+def _band(chain: AbsorbedChain, vk: np.ndarray, m: int, transpose: bool):
+    """The layout on which dia_matvec adds M @ x (M^T @ x if transpose)
+    into y for flat C-ordered blocks of m columns, or None where the
+    csr/csc kernels stay: a block of more than _BAND_COLUMNS columns, an
+    M that is not banded (see _BAND_FILL), or an input vk with an entry
+    of magnitude above 2**960 (NaN and inf included).
+
+    The block of m columns is the nm x nm operator whose diagonal at
+    offset d*m is M's at d with each entry repeated m times.  Its rows
+    are built once per window, side and width, and kept in _BANDS.  The
+    bound on the input keeps every series term
+    finite: M is non-negative with row sums at most 1 (up to rounding),
+    so on either side no entry of a term outgrows the input's absolute
+    sum, at most 2**960 times its number of entries, by more than
+    rounding.  A non-finite term would turn a stored zero into NaN
+    (0 * inf) where the csr/csc kernels store no zero.
+    """
+    if m > _BAND_COLUMNS or not np.abs(vk).max(initial=0.0) <= 2.0**960:
+        return None
+    key, M = (m, transpose), chain.uniformized[1]
+    held = _BANDS.get(chain)
+    if held is None or held[0] is not M:
+        held = _BANDS[chain] = (M, {})
+    layouts = held[1]
+    if key not in layouts:
+        n = M.shape[0]
+        rows, cols = np.repeat(np.arange(n), np.diff(M.indptr)), M.indices
+        if transpose:
+            rows, cols = cols, rows
+        offsets, diagonal = np.unique(cols - rows, return_inverse=True)
+        if offsets.size * n > _BAND_FILL * M.nnz:
+            layouts[key] = None
+        else:
+            # data[i, j] is the entry of column j on diagonal i
+            data = np.zeros((offsets.size, n))
+            data[diagonal, cols] = M.data
+            layouts[key] = ((offsets * m).astype(np.int32), np.repeat(data, m, axis=1))
+    return layouts[key]
 
 
 def evolve_measure(chain: AbsorbedChain, v, t: float) -> np.ndarray:
