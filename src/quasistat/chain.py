@@ -440,39 +440,69 @@ def build_from_entries(
     _check_boundary_mode(boundary_mode)
     if n_states < 2:
         raise ValidationError("window needs at least 2 states")
+    triples = [(int(x), int(y), float(r)) for x, y, r in entries]
+    return _build_from_triples(triples, n_states, boundary_mode)
+
+
+def _check_entry(x: int, y: int, r: float, n: int, boundary_mode: str) -> None:
+    """Raise the error build_from_entries reports for the entry x -> y
+    at rate r, if any, checking in the order the messages are listed."""
+    if x == 0:
+        raise ValidationError(f"state 0 is absorbing; rate ({x} -> {y}) is not allowed")
+    if not 1 <= x <= n:
+        raise ValidationError(f"source state {x} outside window 1..{n}")
+    if x == y:
+        raise ValidationError(f"self-rate ({x} -> {x}) is not allowed")
+    if y < 0:
+        raise ValidationError(f"target state {y} of rate ({x} -> {y}) is negative")
+    if not math.isfinite(r) or r < 0:
+        raise ValidationError(f"rate ({x} -> {y}) must be finite and >= 0, got {r}")
+    if y > n and boundary_mode != KILL:
+        raise ValidationError(
+            f"target state {y} lies above the window top {n}; "
+            f"use KILL boundary mode or enlarge the window"
+        )
+
+
+def _build_from_triples(triples: list, n_states: int, boundary_mode: str) -> AbsorbedChain:
+    """build_from_entries on a list of (int, int, float) triples, for a
+    window of at least 2 states in a known boundary mode.
+
+    The entries are checked as arrays and the first bad one, in the
+    given order, is reported by _check_entry.  Each sum then takes its
+    rates in the given order, from 0.0, as a loop of ``+=`` over the
+    entries would: np.add.at adds its indices one after another.  The
+    jump pairs are listed in the order of their first entry.  A state
+    number past int64 makes its array one of Python ints, which compares
+    the same way.
+    """
     n = n_states - 1
-    off: dict[tuple[int, int], float] = {}
+    src, dst, rate = (np.array(c) for c in (zip(*triples) if triples else ([], [], [])))
+    above = dst > n
+    bad = (src < 1) | (src > n) | (src == dst) | (dst < 0) | ~np.isfinite(rate) | (rate < 0)
+    if boundary_mode != KILL:
+        bad |= above
+    if bad.any():
+        _check_entry(*triples[int(np.argmax(bad))], n, boundary_mode)
+    src = src.astype(np.int64)
     absorb = np.zeros(n)
     kill = np.zeros(n)
-    for x, y, r in entries:
-        x, y = int(x), int(y)
-        r = float(r)
-        if x == 0:
-            raise ValidationError(f"state 0 is absorbing; rate ({x} -> {y}) is not allowed")
-        if not 1 <= x <= n:
-            raise ValidationError(f"source state {x} outside window 1..{n}")
-        if x == y:
-            raise ValidationError(f"self-rate ({x} -> {x}) is not allowed")
-        if y < 0:
-            raise ValidationError(f"target state {y} of rate ({x} -> {y}) is negative")
-        if not math.isfinite(r) or r < 0:
-            raise ValidationError(f"rate ({x} -> {y}) must be finite and >= 0, got {r}")
-        if y == 0:
-            absorb[x - 1] += r
-        elif 1 <= y <= n:
-            off[(x, y)] = off.get((x, y), 0.0) + r
-        elif boundary_mode == KILL:
-            kill[x - 1] += r
-        else:
-            raise ValidationError(
-                f"target state {y} lies above the window top {n}; "
-                f"use KILL boundary mode or enlarge the window"
-            )
-    pairs = np.array(list(off), dtype=np.int64).reshape(-1, 2)
+    into = dst == 0
+    np.add.at(absorb, src[into] - 1, rate[into])
+    np.add.at(kill, src[above] - 1, rate[above])
+    inside = ~(into | above)
+    x, y, r = src[inside], dst[inside].astype(np.int64), rate[inside]
+    _, first, pair = np.unique(x * n_states + y, return_index=True, return_inverse=True)
+    # rank[p]: the place of pair p among the pairs by first entry
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    total = np.zeros(order.size)
+    np.add.at(total, rank[pair], r)
     return AbsorbedChain(
         n_states=n_states,
         boundary_mode=boundary_mode,
-        jumps=(pairs[:, 0], pairs[:, 1], np.array(list(off.values()), dtype=np.float64)),
+        jumps=(x[first[order]], y[first[order]], total),
         absorption_rates=absorb,
         kill_rates=kill,
         source_spec=None,
@@ -502,7 +532,16 @@ def parse_chain_text(text: str, *, name: str = "<string>") -> AbsorbedChain:
     def fail(lineno: int, msg: str):
         raise ValidationError(f"{name}:{lineno}: {msg}")
 
+    add_entry = entries.append
     for lineno, raw in enumerate(text.splitlines(), start=1):
+        parts = raw.split()
+        if len(parts) == 4 and parts[0] == "rate" and "#" not in raw:
+            # a plain rate line, the bulk of a file, takes no more than this
+            try:
+                add_entry((int(parts[1]), int(parts[2]), float(parts[3])))
+                continue
+            except ValueError:
+                pass
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -553,7 +592,7 @@ def parse_chain_text(text: str, *, name: str = "<string>") -> AbsorbedChain:
     if not entries:
         raise ValidationError(f"{name}: no rates given")
     try:
-        return build_from_entries(entries, n_states, boundary)
+        return _build_from_triples(entries, n_states, boundary)
     except ValidationError as e:
         raise ValidationError(f"{name}: {e}") from None
 
