@@ -572,15 +572,15 @@ def build_bd_report(
 
 
 def alpha_to_csv(report: BdHittingReport, target) -> None:
-    rows = ([str(j + 1), fmt(a)] for j, a in enumerate(report.alpha))
-    write_csv(target, ["j", "alpha_j"], rows)
+    alpha = np.asarray(report.alpha, dtype=np.float64).tolist()
+    write_csv(target, ["j", "alpha_j"], (f"{j},{a:.17g}" for j, a in enumerate(alpha, 1)))
 
 
 def hitting_to_csv(report: BdHittingReport, target) -> None:
-    def rows():
-        for i, x in enumerate(report.hitting_x):
-            x = int(x)
-            m = "nan" if report.moment is None else fmt(report.moment.value_at(x))
-            yield [str(x), fmt(report.hitting_values[i]), m]
+    def lines():
+        values = np.asarray(report.hitting_values, dtype=np.float64).tolist()
+        for x, h in zip(np.asarray(report.hitting_x).tolist(), values):
+            m = "nan" if report.moment is None else f"{report.moment.value_at(x):.17g}"
+            yield f"{x},{h:.17g},{m}"
 
-    write_csv(target, ["x", "expected_hitting", "exp_moment"], rows())
+    write_csv(target, ["x", "expected_hitting", "exp_moment"], lines())

@@ -77,7 +77,7 @@ from .chain import (
     truncate,
 )
 from .errors import ComputationError, NonConvergenceError, ValidationError
-from .textio import fmt, write_csv
+from .textio import write_csv
 
 SERIES_TOL = 1e-13
 
@@ -906,9 +906,9 @@ def geometric_grid(t_min: float, t_max: float, ratio: float = 1.5) -> list[float
 
 
 def distribution_to_csv(dist, target) -> None:
-    w = dist.weights if isinstance(dist, DistributionOnStates) else np.asarray(dist)
-    rows = ([str(i + 1), fmt(x)] for i, x in enumerate(w))
-    write_csv(target, ["state", "weight"], rows)
+    w = dist.weights if isinstance(dist, DistributionOnStates) else dist
+    weights = np.asarray(w, dtype=np.float64).tolist()
+    write_csv(target, ["state", "weight"], (f"{i},{x:.17g}" for i, x in enumerate(weights, 1)))
 
 
 def decay_to_csv(rows: list[DecayRow], target) -> None:
@@ -916,7 +916,8 @@ def decay_to_csv(rows: list[DecayRow], target) -> None:
         target,
         ["t", "tv_mu_to_qsd", "tv_nu_to_qsd", "tv_pair", "certified_bound"],
         (
-            [fmt(r.t), fmt(r.tv_mu_to_qsd), fmt(r.tv_nu_to_qsd), fmt(r.tv_pair), fmt(r.certified_bound)]
+            f"{r.t:.17g},{r.tv_mu_to_qsd:.17g},{r.tv_nu_to_qsd:.17g},{r.tv_pair:.17g},"
+            f"{r.certified_bound:.17g}"
             for r in rows
         ),
     )

@@ -53,7 +53,7 @@ from scipy.special import xlogy
 from .chain import AbsorbedChain, DistributionOnStates, law_weights
 from .errors import ComputationError, ValidationError
 from .streams import derive_key, u01
-from .textio import fmt, write_csv
+from .textio import write_csv
 
 STATUS_ABSORBED = 0
 STATUS_SURVIVED = 1
@@ -592,15 +592,17 @@ def batch_to_csv(batch: TrajectoryBatch, target) -> None:
 
     survived = (batch.status == STATUS_SURVIVED).tolist()
     cells = zip(batch.end_states.tolist(), batch.times.tolist(), survived)
-    rows = ([str(i), str(y), "" if s else fmt(t)] for i, (y, t, s) in enumerate(cells))
-    write_csv(target, ["path", "end_state", "absorption_time"], rows)
+    lines = (f"{i},{y}," if s else f"{i},{y},{t:.17g}" for i, (y, t, s) in enumerate(cells))
+    write_csv(target, ["path", "end_state", "absorption_time"], lines)
 
 
 def ensembles_to_csv(snapshots: list[ParticleEnsemble], target) -> None:
-    def rows():
+    def lines():
         for snap in snapshots:
             counts = np.bincount(snap.positions)
-            for state in np.nonzero(counts)[0]:
-                yield [fmt(snap.time), str(int(state)), str(int(counts[state]))]
+            states = np.nonzero(counts)[0]
+            t = f"{float(snap.time):.17g}"
+            for state, count in zip(states.tolist(), counts[states].tolist()):
+                yield f"{t},{state},{count}"
 
-    write_csv(target, ["t", "state", "count"], rows())
+    write_csv(target, ["t", "state", "count"], lines())

@@ -2,20 +2,31 @@
 
 from __future__ import annotations
 
+from itertools import islice
+
 from .errors import ValidationError
+
+# write_csv joins this many lines into one string per write: few calls,
+# and memory that stays bounded however long the table.
+_CSV_CHUNK_LINES = 4096
 
 
 def fmt(x) -> str:
-    """Render a float with 17 significant digits (round-trips exactly)."""
+    """Render a float with 17 significant digits (round-trips exactly).
+
+    The CSV writers format Python floats with f"{x:.17g}", the same text.
+    """
     return format(float(x), ".17g")
 
 
-def write_csv(target, header, rows) -> None:
-    """Write rows of already-stringified cells to the file at path target."""
+def write_csv(target, header, lines) -> None:
+    """Write the header cells, then lines, each one row's cells already
+    joined by commas, to the file at path target."""
+    lines = iter(lines)
     with open(target, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+        while chunk := list(islice(lines, _CSV_CHUNK_LINES)):
+            fh.write("\n".join(chunk) + "\n")
 
 
 def write_text(target, text: str) -> None:
