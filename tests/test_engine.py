@@ -32,6 +32,7 @@ from quasistat import (
     evolve_function,
     evolve_measure,
     geometric_grid,
+    parse_chain_text,
     survival_probability,
     survival_vector,
     transition_operator,
@@ -314,6 +315,112 @@ def test_long_rows_match_the_matmul_oracle_bit_for_bit(window, columns, side):
     evolve = evolve_measure if side == "measure" else evolve_function
     for t in [0.01, 0.3, 1.0]:
         assert _same_bits(evolve(chain, v, t), evolve_oracle(chain, v, t, side))
+
+
+# A narrow block on a banded window takes each term through dia_matvec
+# on the column-interleaved block, everything else the csr/csc kernels.
+# The cases below pin the DIA route to the matmul oracle's bits, and the
+# routing to the band and the block width.
+
+
+def _skip_two_chain_text(n_states):
+    """A ladder with jumps of length 1 and 2 both ways, absorbed out of 1
+    and 2 and killed out of the top two, as a chain file."""
+    n = n_states - 1
+    lines = [f"states {n_states}", "boundary kill"]
+    for x in range(1, n + 1):
+        for step, rate in [(-2, 0.3 * x), (-1, 1.0 + x), (1, 2.0), (2, 0.7)]:
+            if x + step >= 0:
+                lines.append(f"rate {x} {x + step} {rate!r}")
+    return "\n".join(lines) + "\n"
+
+
+def _spy_products(monkeypatch):
+    """The band argument of every _product call, as 'dia' or 'csr'."""
+    seen = []
+    product = engine._product
+
+    def spy(A, m, transpose=False, band=None):
+        seen.append("csr" if band is None else "dia")
+        return product(A, m, transpose, band)
+
+    monkeypatch.setattr(engine, "_product", spy)
+    return seen
+
+
+_BANDED_WINDOWS = {
+    "reflect": lambda: truncate(BirthDeathSpec.logistic(3.0, 1.0, 0.0505), 368, "reflect"),
+    "kill": lambda: truncate(BirthDeathSpec.logistic(2.0, 1.0, 0.25), 130, "kill"),
+    "skip-two-chain": lambda: parse_chain_text(_skip_two_chain_text(64)),
+}
+
+
+@pytest.mark.parametrize("side", ["measure", "function"])
+@pytest.mark.parametrize("columns", [None, 0, 1, 2, 3])
+@pytest.mark.parametrize("window", sorted(_BANDED_WINDOWS))
+def test_banded_window_matches_the_matmul_oracle_bit_for_bit(window, columns, side, monkeypatch):
+    # each window's M is banded, and at its uniformization rate one state
+    # leaves M a zero on the diagonal that the DIA layout stores and the
+    # CSR arrays do not.  Inputs are non-negative ones and signed ones
+    # with a -0.0 in every column
+    chain = _BANDED_WINDOWS[window]()
+    n = chain.n_transient
+    assert 0.0 in chain.uniformized[1].diagonal()
+    shape = n if columns is None else (n, columns)
+    rng = np.random.default_rng(n)
+    evolve = evolve_measure if side == "measure" else evolve_function
+    seen = _spy_products(monkeypatch)
+    for v in [rng.uniform(0.0, 1.0, shape), _signed(rng, shape)]:
+        for t in [0.01, 0.3, 1.0]:
+            assert _same_bits(evolve(chain, v, t), evolve_oracle(chain, v, t, side))
+    assert set(seen) == {"dia"}
+
+
+def test_dia_route_is_taken_only_by_narrow_blocks_on_banded_windows(monkeypatch):
+    banded = _BANDED_WINDOWS["kill"]()
+    n = banded.n_transient
+    seen = _spy_products(monkeypatch)
+    for m in range(1, engine._BAND_COLUMNS + 2):
+        for evolve in (evolve_measure, evolve_function):
+            seen.clear()
+            evolve(banded, np.ones((n, m)), 0.1)
+            assert seen == ["dia" if m <= engine._BAND_COLUMNS else "csr"], m
+    # every state of the catastrophe chain drops to state 1: M has a full
+    # column, n diagonals for about 3n entries
+    catastrophe = catastrophe_chain(130, drop=5.0)
+    for evolve in (evolve_measure, evolve_function):
+        seen.clear()
+        evolve(catastrophe, np.ones(catastrophe.n_transient), 0.1)
+        assert seen == ["csr"]
+
+
+@pytest.mark.parametrize("side", ["measure", "function"])
+def test_dia_route_leaves_the_identity_block_on_csr(side, monkeypatch):
+    # the step propagator evolves the n-column identity, then squares it
+    chain = truncate(BirthDeathSpec.logistic(1.0, 1.0, 1.0), 64, "reflect")
+    seen = _spy_products(monkeypatch)
+    _step_propagator(chain, 1.0, side, 3)
+    assert seen == ["csr"] * 4
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, 2.0**961])
+@pytest.mark.parametrize("side", ["measure", "function"])
+def test_dia_route_refuses_inputs_that_could_leave_a_term_non_finite(side, bad, monkeypatch):
+    # 0 * inf is NaN where a zero in the band meets an infinite entry; the
+    # csr/csc kernels store no such zero, so those inputs keep them
+    chain = _BANDED_WINDOWS["reflect"]()
+    # at the state that sets the uniformization rate, where M's diagonal is 0
+    fastest = int(np.argmax(chain.total_exit_rates()))
+    assert chain.uniformized[1].diagonal()[fastest] == 0.0
+    v = np.ones(chain.n_transient)
+    v[fastest] = bad
+    evolve = evolve_measure if side == "measure" else evolve_function
+    seen = _spy_products(monkeypatch)
+    with np.errstate(invalid="ignore", over="ignore"):
+        got = evolve(chain, v, 0.01)
+        want = evolve_oracle(chain, v, 0.01, side)
+    assert seen == ["csr"]
+    assert _same_bits(got, want)
 
 
 def _assert_cut_on_the_upper_tail(mu, tol):
