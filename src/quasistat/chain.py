@@ -536,7 +536,8 @@ def parse_chain_text(text: str, *, name: str = "<string>") -> AbsorbedChain:
     for lineno, raw in enumerate(text.splitlines(), start=1):
         parts = raw.split()
         if len(parts) == 4 and parts[0] == "rate" and "#" not in raw:
-            # a plain rate line, the bulk of a file, takes no more than this
+            # the bulk of a file; any other line, or a rate line that does
+            # not convert, goes through the checks below
             try:
                 add_entry((int(parts[1]), int(parts[2]), float(parts[3])))
                 continue

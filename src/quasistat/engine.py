@@ -21,7 +21,13 @@ operator-times-block product, so m columns cost one pass over the
 Poisson weights instead of m, and each column comes out bit for bit as
 it would alone.  A window stores one operator, M in CSR form
 (AbsorbedChain.uniformized): functions take M through the csr kernels,
-measures take M^T through the csc kernels on the same arrays.  A series
+measures take M^T through the csc kernels on the same arrays.  A block
+of at most _BAND_COLUMNS columns on a window whose M is banded (see
+_BAND_FILL) takes dia_matvec instead, on the interleaved block, with
+the same sums in the same order (see _product); the route follows from
+the band and the block width alone, and only inputs with no entry above
+2**960 in magnitude (so no inf or NaN) take it, since the zeros it
+stores inside the band would turn an infinite entry into NaN.  A series
 allocates nothing per term and makes one call per term: scipy's
 sparsetools kernel, called directly, writes each product into the next
 row of a chunk buffer, and each chunk is folded into the result with a
@@ -106,15 +112,18 @@ _CHUNK_ROW_ENTRIES = 2048
 # scipy's DIA kernel when the window's M is banded: the diagonals that
 # hold an entry of M, laid out as rows of n, hold at most _BAND_FILL
 # slots per stored entry.  On tri- and pentadiagonal windows of 63 to
-# 1023 states the DIA term took 0.4 to 0.8 times the csr/csc term up to
-# 4 columns, about the same at 8 and 1.0 to 1.25 times at 16 (CHANGES.md
-# has the table).  Birth-death windows hold about one slot per entry;
-# dense windows hold two, and windows with a full column n/3 or more.
+# 1023 states the DIA term took 0.4 to 0.85 times the csr/csc term for 2
+# to 4 columns, 0.55 to 1.1 times for one (about even below 128 states),
+# 0.7 to 1.05 times at 8 and 1.0 to 1.25 times at 16 (CHANGES.md has the
+# table).  Birth-death windows hold about one slot per entry; dense
+# windows hold two, and windows with a full column n/3 or more.
 _BAND_COLUMNS = 4
 _BAND_FILL = 1.5
 
 # window -> (its M, {(block width, transpose): DIA layout or None}), filled
-# by _band; an entry goes with its window
+# by _band.  Kept beside the window, not on it, since nothing but M is
+# cached on a window; an entry goes with its window, and is rebuilt if
+# the window's M is replaced.
 _BANDS = weakref.WeakKeyDictionary()
 
 # The cost model of _walk, fitted on a 2-core x86-64 VM (CHANGES.md has
@@ -291,13 +300,14 @@ def _band(chain: AbsorbedChain, vk: np.ndarray, m: int, transpose: bool):
 
     The block of m columns is the nm x nm operator whose diagonal at
     offset d*m is M's at d with each entry repeated m times.  Its rows
-    are built once per window, side and width, and kept in _BANDS.  The
-    bound on the input keeps every series term
-    finite: M is non-negative with row sums at most 1 (up to rounding),
-    so on either side no entry of a term outgrows the input's absolute
-    sum, at most 2**960 times its number of entries, by more than
-    rounding.  A non-finite term would turn a stored zero into NaN
-    (0 * inf) where the csr/csc kernels store no zero.
+    are built once per window, side and width, and kept in _BANDS.
+
+    The bound on the input keeps every series term finite: M is
+    non-negative with row sums at most 1 (up to rounding), so on either
+    side no entry of a term outgrows the input's absolute sum, at most
+    2**960 times its number of entries, by more than rounding.  A
+    non-finite term would turn a stored zero into NaN (0 * inf) where
+    the csr/csc kernels store no zero.
     """
     if m > _BAND_COLUMNS or not np.abs(vk).max(initial=0.0) <= 2.0**960:
         return None
