@@ -65,7 +65,6 @@ from __future__ import annotations
 
 import functools
 import math
-import weakref
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -102,11 +101,8 @@ _BLOCK_ENTRIES = 2**20
 
 # A series writes its terms a chunk of rows at a time into buffers of at
 # most _CHUNK_ENTRIES float64 entries (128 KiB, below glibc's default
-# mmap threshold).  A block of more than _CHUNK_ROW_ENTRIES entries takes
-# one term per chunk: its product dwarfs the calls a chunk saves, and
-# longer chunks of it ran slower (CHANGES.md has the measurements).
+# mmap threshold), or of one row where a row is larger.
 _CHUNK_ENTRIES = 2**14
-_CHUNK_ROW_ENTRIES = 2048
 
 # A series term of a block of at most _BAND_COLUMNS columns runs through
 # scipy's DIA kernel when the window's M is banded: the diagonals that
@@ -120,19 +116,13 @@ _CHUNK_ROW_ENTRIES = 2048
 _BAND_COLUMNS = 4
 _BAND_FILL = 1.5
 
-# window -> (its M, {(block width, transpose): DIA layout or None}), filled
-# by _band.  Kept beside the window, not on it, since nothing but M is
-# cached on a window; an entry goes with its window, and is rebuilt if
-# the window's M is replaced.
-_BANDS = weakref.WeakKeyDictionary()
-
 # The cost model of _walk, fitted on a 2-core x86-64 VM (CHANGES.md has
 # the fit and the crossover table).  A series term costs _TERM_S plus
-# _ENTRY_S per stored operator entry and block column.  The fit predates
-# the chunked series, which takes up to about 1.5 us off a term of a
-# block of up to _CHUNK_ROW_ENTRIES entries (less as the block widens),
-# so _TERM_S over-states those terms; it is kept because it routes _walk,
-# and a refit would move decay tables.  A dense n x n
+# _ENTRY_S per stored operator entry and block column.  The fit was made
+# when a term took several calls; a term is now one kernel call and a
+# share of one chunk fill, so _TERM_S over-states the terms of narrow
+# blocks (CHANGES.md has their costs for a refit).  It is kept because
+# it routes _walk, and a refit would move decay tables.  A dense n x n
 # squaring through the same kernel costs _CUBE_S per n**3, as measured
 # on squared propagators of logistic windows, whose subnormal products
 # make it up to four times slower than on a random matrix.  The base
@@ -212,53 +202,29 @@ def _evolve(
             f"evolution over t={t} at uniformization rate L={lam:.3e} on the "
             f"{chain.n_transient}-state window is too long: {exc}"
         ) from None
-    # The terms M^k v run through two chunk buffers in turn, the block
-    # raveled for the sparsetools kernel: it writes each term into the
-    # next row from the row before it, and a chunk's first row from the
-    # other buffer's last, so no term is copied and one fill zeros a
-    # chunk for the kernel to add into.  A chunk is then folded into out
-    # in three calls: its rows times their weights, out added into the
-    # first row, and one axis-0 reduction.  numpy adds the rows of that
-    # reduction one after another when they hold two entries or more, so
-    # out rounds as in the plain ``out + w * (M @ v)`` loop; the
-    # reduction starts from -0.0, which leaves every sum as it is (from
-    # numpy's +0.0 a sum of -0.0 terms would come out +0.0).  Rows of
-    # one entry (summed pairwise), a lone row and rows of zero weight
-    # (which the plain loop skips) are added one by one instead.  The
-    # weights are a log-concave pmf cut where its tail is far above
-    # underflow, so the zero ones are a prefix below the mean, and a
-    # chunk whose first weight is positive has no zero weight.
+    # Horner's rule: y = w_K v, then y = w_k v + M y for k = K-1, ..., 0,
+    # the block raveled for the sparsetools kernel.  The rows y run through
+    # two chunk buffers in turn: one multiply fills a chunk with w_k v for
+    # its terms, and the kernel adds M y into each row from the row before
+    # it, a chunk's first row from the other buffer's last, so y is never
+    # copied.
     vk = np.ascontiguousarray(v).reshape(-1)
-    size = vk.size
-    rows = min(_CHUNK_ENTRIES // max(size, 1), w.size - 1) if size <= _CHUNK_ROW_ENTRIES else 1
+    rows = max(1, min(_CHUNK_ENTRIES // max(vk.size, 1), w.size - 1))
     # each buffer with the list of its row views, made once
-    this, that = ((b, list(b)) for b in (np.empty((rows, size)), np.empty((rows, size))))
-    weighted = np.empty((rows, size))
-    scratch = weighted[0]
+    this, that = ((b, list(b)) for b in (np.empty((rows, vk.size)), np.empty((rows, vk.size))))
     m, transpose = 1 if v.ndim == 1 else v.shape[1], side == "measure"
-    product = _product(M, m, transpose, _band(chain, vk, m, transpose))
-    out = w[0] * vk
-    for k in range(1, w.size, rows):
+    product = _product(M, m, transpose, _band(M, vk, m, transpose))
+    y = w[-1] * vk
+    for k in range(w.size - 2, -1, -rows):
         (chunk, terms), this, that = this, that, this
-        c = min(rows, w.size - k)
+        c = min(rows, k + 1)
         if c < rows:
             chunk, terms = chunk[:c], terms[:c]
-        chunk.fill(0.0)
+        np.multiply(w[k + 1 - c : k + 1][::-1, None], vk, out=chunk)
         for row in terms:
-            product(vk, row)
-            vk = row
-        if c > 1 and size > 1 and w[k] > 0.0:
-            folded = weighted[:c]
-            np.multiply(chunk, w[k : k + c, None], out=folded)
-            folded[0] += out
-            np.add.reduce(folded, axis=0, out=out, initial=-0.0)
-        else:
-            for i in range(c):
-                wk = w[k + i]
-                if wk > 0.0:
-                    np.multiply(terms[i], wk, out=scratch)
-                    out += scratch
-    return out.reshape(v.shape)
+            product(y, row)
+            y = row
+    return y.reshape(v.shape)
 
 
 def _product(A: sparse.csr_matrix, m: int, transpose: bool = False, band=None):
@@ -269,17 +235,17 @@ def _product(A: sparse.csr_matrix, m: int, transpose: bool = False, band=None):
     csr_matvec(s).  band, when given, is the layout _band built for this
     A, m and side, and the product runs through dia_matvec on it instead.
 
-    The call skips the operator dispatch and the result allocation.  On
-    a y of zeros its sums run in the order of ``A @ x``, bit for bit; the
-    csc kernels scatter each A[j, i] x[j] into y[i] for j = 0, 1, ...,
-    which is the order in which csr_matvec(s) on the CSR copy of A^T adds
-    them.  The block kernels walk the entries in the same order as the
-    one-column ones, so column j of a block product is bit for bit the
-    product of column j alone.  dia_matvec adds one diagonal after
-    another in ascending offset order, so it too adds the products of
-    each y entry in ascending column order, into the same y; the zeros
-    it stores inside the band add 0 * x, which leaves a sum as it is
-    while x is finite (the sum starts at +0.0 and never becomes -0.0).
+    The call skips the operator dispatch and the result allocation.  Each
+    entry of y starts from the value it holds and adds its products one
+    at a time, in the order of A's CSR row; the csc kernels scatter each
+    A[j, i] x[j] into y[i] for j = 0, 1, ..., which is the order of the
+    row of the CSR copy of A^T.  The block kernels walk the entries in
+    the same order as the one-column ones, so column j of a block
+    product is bit for bit the product of column j alone.  dia_matvec
+    adds one diagonal after another in ascending offset order, so it too
+    adds the products of each y entry in ascending column order, into
+    the same y; the zeros it stores inside the band add 0 * x, which
+    leaves a sum as it is on the inputs _band lets through.
     """
     if band is not None:
         offsets, data = band
@@ -291,45 +257,40 @@ def _product(A: sparse.csr_matrix, m: int, transpose: bool = False, band=None):
     return functools.partial(getattr(_sparsetools, kernel), *shape, A.indptr, A.indices, A.data)
 
 
-def _band(chain: AbsorbedChain, vk: np.ndarray, m: int, transpose: bool):
+def _band(M: sparse.csr_matrix, vk: np.ndarray, m: int, transpose: bool):
     """The layout on which dia_matvec adds M @ x (M^T @ x if transpose)
     into y for flat C-ordered blocks of m columns, or None where the
     csr/csc kernels stay: a block of more than _BAND_COLUMNS columns, an
     M that is not banded (see _BAND_FILL), or an input vk with an entry
-    of magnitude above 2**960 (NaN and inf included).
+    whose sign bit is set or whose magnitude is above 2**960 (-0.0,
+    negative entries, inf and NaN included).
 
     The block of m columns is the nm x nm operator whose diagonal at
-    offset d*m is M's at d with each entry repeated m times.  Its rows
-    are built once per window, side and width, and kept in _BANDS.
+    offset d*m is M's at d with each entry repeated m times.
 
-    The bound on the input keeps every series term finite: M is
-    non-negative with row sums at most 1 (up to rounding), so on either
-    side no entry of a term outgrows the input's absolute sum, at most
-    2**960 times its number of entries, by more than rounding.  A
-    non-finite term would turn a stored zero into NaN (0 * inf) where
+    The bounds on the input keep every sum of the series a finite +0.0
+    or positive: M is non-negative with row sums at most 1 (up to
+    rounding), so on either side no entry of a partial sum outgrows the
+    input's absolute sum, at most 2**960 times its number of entries, by
+    more than rounding, and every weight, entry and product is
+    non-negative.  A non-finite entry would turn a stored zero into NaN
+    (0 * inf), and a sum at -0.0 (a preload w_k v_i of a -0.0 or
+    negative entry can be one) would turn +0.0 on a stored zero, where
     the csr/csc kernels store no zero.
     """
-    if m > _BAND_COLUMNS or not np.abs(vk).max(initial=0.0) <= 2.0**960:
+    if m > _BAND_COLUMNS or np.signbit(vk).any() or not vk.max(initial=0.0) <= 2.0**960:
         return None
-    key, M = (m, transpose), chain.uniformized[1]
-    held = _BANDS.get(chain)
-    if held is None or held[0] is not M:
-        held = _BANDS[chain] = (M, {})
-    layouts = held[1]
-    if key not in layouts:
-        n = M.shape[0]
-        rows, cols = np.repeat(np.arange(n), np.diff(M.indptr)), M.indices
-        if transpose:
-            rows, cols = cols, rows
-        offsets, diagonal = np.unique(cols - rows, return_inverse=True)
-        if offsets.size * n > _BAND_FILL * M.nnz:
-            layouts[key] = None
-        else:
-            # data[i, j] is the entry of column j on diagonal i
-            data = np.zeros((offsets.size, n))
-            data[diagonal, cols] = M.data
-            layouts[key] = ((offsets * m).astype(np.int32), np.repeat(data, m, axis=1))
-    return layouts[key]
+    n = M.shape[0]
+    rows, cols = np.repeat(np.arange(n), np.diff(M.indptr)), M.indices
+    if transpose:
+        rows, cols = cols, rows
+    offsets, diagonal = np.unique(cols - rows, return_inverse=True)
+    if offsets.size * n > _BAND_FILL * M.nnz:
+        return None
+    # data[i, j] is the entry of column j on diagonal i
+    data = np.zeros((offsets.size, n))
+    data[diagonal, cols] = M.data
+    return (offsets * m).astype(np.int32), np.repeat(data, m, axis=1)
 
 
 def evolve_measure(chain: AbsorbedChain, v, t: float) -> np.ndarray:

@@ -217,11 +217,16 @@ def moment_descent_oracle(spec, z: int, lam: float, m: int, top: float) -> float
 
 
 def evolve_oracle(chain, vec, t: float, side: str, series_tol: float = SERIES_TOL) -> np.ndarray:
-    """The Poisson series with scipy's ``@`` per term and a fresh array
-    per partial sum.  The library runs the same series on preallocated
-    buffers and must match this bit for bit.  Measures take their own
-    CSR copy of M^T here, where the library reads M^T through the csc
-    kernels on M's arrays."""
+    """The Poisson series by Horner's rule, y = w_K v and then
+    y = w_k v + A y for k = K-1, ..., 0, on a fresh array per term, with
+    A = M for functions and a CSR copy of M^T for measures.  Each entry
+    of A y is added to w_k v one product at a time, in the order of its
+    row of A: numpy adds the r-th product of every row at once, for
+    r = 0, 1, ...  The library preloads w_k v into a buffer row and has
+    the sparsetools kernel add into it, and must match this bit for bit
+    (on a build whose kernels round each product before they add it, as
+    x86-64 builds do).  Measures take their own copy of M^T here, where
+    the library reads M^T through the csc kernels on M's arrays."""
     v = np.asarray(vec, dtype=np.float64)
     lam, M = chain.uniformized
     mu = lam * t
@@ -229,14 +234,28 @@ def evolve_oracle(chain, vec, t: float, side: str, series_tol: float = SERIES_TO
         return v.copy()
     w = _poisson_weights(mu, series_tol)
     A = M.T.tocsr() if side == "measure" else M
-    out = w[0] * v
-    vk = v
-    for k in range(1, w.size):
-        vk = A @ vk
-        wk = w[k]
-        if wk > 0.0:
-            out = out + wk * vk
-    return out
+    # the block raveled: entry (i, c) of an m-column block sits at i*m + c
+    m = 1 if v.ndim == 1 else v.shape[1]
+    cols = np.arange(m)
+    row = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+    rank = np.arange(A.nnz) - A.indptr[row]
+    # where the r-th entry of every row that has one adds, what it reads, its value
+    by_rank = [
+        (
+            (row[rank == r, None] * m + cols).ravel(),
+            (A.indices[rank == r, None] * m + cols).ravel(),
+            np.repeat(A.data[rank == r], m),
+        )
+        for r in range(rank.max(initial=-1) + 1)
+    ]
+    flat = np.ascontiguousarray(v).reshape(-1)
+    y = w[-1] * flat
+    for wk in w[-2::-1]:
+        z = wk * flat
+        for i, j, a in by_rank:
+            z[i] = z[i] + a * y[j]
+        y = z
+    return y.reshape(v.shape)
 
 
 def power_iteration_qsd(chain, tol=1e-12, max_iters=100000):

@@ -179,10 +179,10 @@ def test_evolution_matches_the_matmul_oracle_bit_for_bit(n_states, boundary, sid
     assert np.array_equal(v, before)
 
 
-# The series writes its terms a chunk of rows at a time and folds each
-# chunk into the result with one axis-0 reduction; the cases below pin
-# that fold to the plain loop's bits, signed zeros and special values
-# included (np.array_equal would take -0.0 for 0.0).
+# The series runs Horner's rule on chunks of rows: one multiply preloads
+# a chunk with w_k v, and the kernel adds M y into each row.  The cases
+# below pin it to the plain Horner loop's bits, signed zeros and special
+# values included (np.array_equal would take -0.0 for 0.0).
 
 
 def _same_bits(got, want) -> bool:
@@ -220,9 +220,10 @@ def test_chunked_series_matches_the_matmul_oracle_bit_for_bit(rows, columns, sid
 @pytest.mark.parametrize("rows", [None, 3, 7])
 def test_zero_weight_prefix_matches_the_matmul_oracle_across_chunks(rows, monkeypatch):
     # at t = 1 on a 368-state window the Poisson mean is in the thousands
-    # and the pmf underflows to 0 over a long prefix, which ends inside a
-    # chunk; zero-weight terms are not folded, so the +inf entry reaches
-    # the result as inf, where 0 * inf would make NaN
+    # and the pmf underflows to 0 over a long prefix, the last terms
+    # Horner's rule takes, which ends inside a chunk.  Zero weights are
+    # not skipped: they preload 0 * v, which is -0.0 on a negative entry
+    # and NaN on the +inf one
     chain = truncate(BirthDeathSpec.logistic(2.0, 1.0, 0.25), 368, "reflect")
     n = chain.n_transient
     w = _poisson_weights(chain.uniformized[0], SERIES_TOL)
@@ -231,23 +232,25 @@ def test_zero_weight_prefix_matches_the_matmul_oracle_across_chunks(rows, monkey
     if rows is not None:
         monkeypatch.setattr(engine, "_CHUNK_ENTRIES", rows * n)
     per_chunk = engine._CHUNK_ENTRIES // n
-    assert zeros > 2 * per_chunk and (zeros - 1) % per_chunk
-    v = _signed(np.random.default_rng(368), n)
-    v[5] = math.inf
+    # chunks run down from term w.size - 2
+    assert zeros > 2 * per_chunk and (w.size - 1 - zeros) % per_chunk
+    finite = _signed(np.random.default_rng(368), n)
+    infinite = finite.copy()
+    infinite[5] = math.inf
     for side, evolve in [("measure", evolve_measure), ("function", evolve_function)]:
-        with np.errstate(invalid="ignore"):  # the first weight is 0, and 0 * inf is NaN
-            got = evolve(chain, v, 1.0)
-            want = evolve_oracle(chain, v, 1.0, side)
-        assert np.isposinf(got).any()
+        assert _same_bits(evolve(chain, finite, 1.0), evolve_oracle(chain, finite, 1.0, side))
+        with np.errstate(invalid="ignore"):  # 0 * inf is NaN
+            got = evolve(chain, infinite, 1.0)
+            want = evolve_oracle(chain, infinite, 1.0, side)
+        assert np.isnan(got).any()
         assert _same_bits(got, want)
 
 
 @pytest.mark.parametrize("side", ["measure", "function"])
 def test_one_entry_rows_match_the_matmul_oracle_bit_for_bit(side):
-    # a 2-state window has one transient state, so a term is one entry,
-    # which numpy's axis-0 reduction would sum pairwise.  The window's own
-    # step 1 - q/L is 0, so the cached step is swapped for 0.97 to keep
-    # every term nonzero
+    # a 2-state window has one transient state, so a term is one entry.
+    # The window's own step 1 - q/L is 0, so the cached step is swapped
+    # for 0.97 to keep every term nonzero
     chain = truncate(BirthDeathSpec.logistic(2.0, 1.0, 0.25), 2, "reflect")
     assert chain.n_transient == 1
     chain.uniformized = (chain.uniformized[0], sparse.csr_matrix(np.array([[0.97]])))
@@ -260,11 +263,11 @@ def test_one_entry_rows_match_the_matmul_oracle_bit_for_bit(side):
 
 @pytest.mark.parametrize("side", ["measure", "function"])
 def test_identity_block_matches_the_matmul_oracle_bit_for_bit(side):
-    # the 63 x 63 identity _step_propagator evolves, wider than any chunked
-    # block: one term per chunk, at the propagator's tolerances and beyond
+    # the 63 x 63 identity _step_propagator evolves, a wide block of four
+    # terms per chunk, at the propagator's tolerances and beyond
     chain = truncate(BirthDeathSpec.logistic(1.0, 1.0, 1.0), 64, "reflect")
     eye = np.eye(chain.n_transient)
-    assert eye.size > engine._CHUNK_ROW_ENTRIES
+    assert engine._CHUNK_ENTRIES // eye.size == 4
     lam = chain.uniformized[0]
     for k, t in [(0, 0.05), (4, 1.0), (7, 2.0), (0, 300 / lam)]:
         tau, tol = math.ldexp(t, -k), math.ldexp(SERIES_TOL, -k)
@@ -308,7 +311,7 @@ def test_long_rows_match_the_matmul_oracle_bit_for_bit(window, columns, side):
     # read M^T through the csc kernels on M's own arrays, which scatter
     # each row's products where csr_matvec(s) on a copy of M^T would sum
     # them in a register; the oracle takes that copy.  64 columns make a
-    # block wider than a chunk row
+    # wide block, of one to five terms per chunk
     chain = catastrophe_chain(130, drop=5.0) if window == "catastrophe" else _dense_kill_chain(48, 7)
     n = chain.n_transient
     assert np.bincount(chain.uniformized[1].indices).max() == n
@@ -321,7 +324,8 @@ def test_long_rows_match_the_matmul_oracle_bit_for_bit(window, columns, side):
 # A narrow block on a banded window takes each term through dia_matvec
 # on the column-interleaved block, everything else the csr/csc kernels.
 # The cases below pin the DIA route to the matmul oracle's bits, and the
-# routing to the band and the block width.
+# routing to the band, the block width and the sign and size of the
+# input's entries.
 
 
 def _skip_two_chain_text(n_states):
@@ -362,8 +366,9 @@ _BANDED_WINDOWS = {
 def test_banded_window_matches_the_matmul_oracle_bit_for_bit(window, columns, side, monkeypatch):
     # each window's M is banded, and at its uniformization rate one state
     # leaves M a zero on the diagonal that the DIA layout stores and the
-    # CSR arrays do not.  Inputs are non-negative ones and signed ones
-    # with a -0.0 in every column
+    # CSR arrays do not.  Non-negative inputs take the DIA route; signed
+    # ones, with a -0.0 in every column, keep csr/csc (an empty block has
+    # no entry with its sign bit set)
     chain = _BANDED_WINDOWS[window]()
     n = chain.n_transient
     assert 0.0 in chain.uniformized[1].diagonal()
@@ -371,10 +376,11 @@ def test_banded_window_matches_the_matmul_oracle_bit_for_bit(window, columns, si
     rng = np.random.default_rng(n)
     evolve = evolve_measure if side == "measure" else evolve_function
     seen = _spy_products(monkeypatch)
-    for v in [rng.uniform(0.0, 1.0, shape), _signed(rng, shape)]:
+    for v, route in [(rng.uniform(0.0, 1.0, shape), "dia"), (_signed(rng, shape), "csr")]:
+        seen.clear()
         for t in [0.01, 0.3, 1.0]:
             assert _same_bits(evolve(chain, v, t), evolve_oracle(chain, v, t, side))
-    assert set(seen) == {"dia"}
+        assert set(seen) == {route if columns != 0 else "dia"}
 
 
 def test_dia_route_is_taken_only_by_narrow_blocks_on_banded_windows(monkeypatch):
@@ -404,24 +410,29 @@ def test_dia_route_leaves_the_identity_block_on_csr(side, monkeypatch):
     assert seen == ["csr"] * 4
 
 
-@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, 2.0**961])
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, 2.0**961, -0.0, -1.0])
 @pytest.mark.parametrize("side", ["measure", "function"])
 def test_dia_route_refuses_inputs_that_could_leave_a_term_non_finite(side, bad, monkeypatch):
-    # 0 * inf is NaN where a zero in the band meets an infinite entry; the
-    # csr/csc kernels store no such zero, so those inputs keep them
+    # 0 * inf is NaN where a zero in the band meets an infinite entry, and
+    # a sum preloaded with -0.0 (w_k times a -0.0 or negative entry) turns
+    # +0.0 on it; the csr/csc kernels store no such zero, so those inputs
+    # keep them.  The same input with a finite non-negative entry there,
+    # up to 2**960, takes the DIA route
     chain = _BANDED_WINDOWS["reflect"]()
     # at the state that sets the uniformization rate, where M's diagonal is 0
     fastest = int(np.argmax(chain.total_exit_rates()))
     assert chain.uniformized[1].diagonal()[fastest] == 0.0
-    v = np.ones(chain.n_transient)
-    v[fastest] = bad
     evolve = evolve_measure if side == "measure" else evolve_function
     seen = _spy_products(monkeypatch)
-    with np.errstate(invalid="ignore", over="ignore"):
-        got = evolve(chain, v, 0.01)
-        want = evolve_oracle(chain, v, 0.01, side)
-    assert seen == ["csr"]
-    assert _same_bits(got, want)
+    for entry, route in [(bad, "csr"), (0.0, "dia"), (2.0**960, "dia")]:
+        v = np.ones(chain.n_transient)
+        v[fastest] = entry
+        seen.clear()
+        with np.errstate(invalid="ignore", over="ignore"):
+            got = evolve(chain, v, 0.01)
+            want = evolve_oracle(chain, v, 0.01, side)
+        assert seen == [route]
+        assert _same_bits(got, want)
 
 
 def _exact_series(chain, block, t, side):
