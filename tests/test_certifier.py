@@ -417,7 +417,7 @@ def test_unit_step_of_a_z0_45_certificate_evolves_three_columns_and_no_half_step
 # 367-state window: reach, alive and the step floor, in that order.  Any
 # change to the kernel a series term runs through, or to the order of its
 # sums, moves it.
-Z0_45_STEP_SHA256 = "4036c9e2e69a9b8c9b18cad3d132dc4700521f1d97f0f9a6031cb66d5748cb36"
+Z0_45_STEP_SHA256 = "1123c8f97d42b1b13fbcd4ba0fd85c473017e50bba7e525f59e0953523d520cd"
 
 
 def test_sha256_of_the_z0_45_window_step_block():
@@ -812,8 +812,8 @@ n_states = 80
 boundary = reflect
 K = 1,2,3,4,5,6,7,8,9
 x0 = 1
-c1 = 5.5493676865328723e-07
-c2 = 0.0010126147028326276
+c1 = 5.5493676865328702e-07
+c2 = 0.001012614702832628
 c3 = 1
 c4 = 610.2929498437602
 lambda0 = 2
@@ -832,12 +832,12 @@ n_states = 128
 boundary = reflect
 K = 1,2,3,4,5,6,7,8
 x0 = 1
-c1 = 0.68127875935700211
-c2 = 5.0596103449069089e-06
+c1 = 0.68127875935700244
+c2 = 5.0596103449069098e-06
 c3 = 1
 c4 = 3
 lambda0 = 2
-gamma = 5.7450084310133876e-07
+gamma = 5.7450084310133908e-07
 c3_strategy = sojourn
 window_limited = yes
 provenance_c1 = empirical_estimate
@@ -852,12 +852,12 @@ n_states = 128
 boundary = reflect
 K = 1,2,3,4,5,6,7,8
 x0 = 1
-c1 = 0.68127875935700211
-c2 = 5.0596103449069089e-06
+c1 = 0.68127875935700244
+c2 = 5.0596103449069098e-06
 c3 = 0.36787944117144233
 c4 = 1.5
 lambda0 = 1
-gamma = 4.2269409822528596e-07
+gamma = 4.2269409822528622e-07
 c3_strategy = absorption_rate
 window_limited = yes
 provenance_c1 = empirical_estimate
@@ -875,12 +875,12 @@ n_states = 64
 boundary = reflect
 K = 1
 x0 = 1
-c1 = 0.59662024303411332
+c1 = 0.59662024303410999
 c2 = 1
 c3 = 1
 c4 = 8.5660317924294311
 lambda0 = 2
-gamma = 0.034824774031389893
+gamma = 0.034824774031389699
 c3_strategy = sojourn
 window_limited = yes
 provenance_c1 = empirical_estimate

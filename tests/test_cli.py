@@ -401,7 +401,7 @@ def test_decay_with_auto_certificate(tmp_path, capsys):
 # sha256 of decay.csv on a 64-state window (63 transient states); the rows
 # from t = 8 on sit at the QSD's own residual (~7e-12), where any change in
 # rounding shows
-GOLDEN_DECAY_1_1_1_64 = "d21ca49188b80fffedc578cbcbff5b9afc2a57a721f405f42eaa1e1f800dabbb"
+GOLDEN_DECAY_1_1_1_64 = "41ae115e4c206f579b329c061d645cfc8137d045799bd21fb98cd1e36ad2d54d"
 
 
 def test_small_window_decay_csv_is_golden(tmp_path, capsys):
