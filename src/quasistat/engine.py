@@ -25,14 +25,15 @@ measures take M^T through the csc kernels on the same arrays.  A block
 of at most _BAND_COLUMNS columns on a window whose M is banded (see
 _BAND_FILL) takes dia_matvec instead, on the interleaved block, with
 the same sums in the same order (see _product); the route follows from
-the band and the block width alone, and only inputs with no entry above
-2**960 in magnitude (so no inf or NaN) take it, since the zeros it
-stores inside the band would turn an infinite entry into NaN.  A series
-allocates nothing per term and makes one call per term: scipy's
-sparsetools kernel, called directly, writes each product into the next
-row of a chunk buffer, and each chunk is folded into the result with a
-few calls over the whole chunk, in the order and with the rounding of
-the plain ``out + w * (M @ v)`` loop (see _evolve).  Conditioning on
+the band, the block width and the input alone: only inputs with no
+entry above 2**960 in magnitude (so no inf or NaN) and none with its
+sign bit set take it, since the zeros it stores inside the band would
+turn an infinite entry into NaN and a sum at -0.0 into +0.0 (see
+_band).  A series sums its terms by Horner's rule, y = w_k v + M y
+from the last weight down, and allocates nothing per term: one
+multiply preloads a chunk of buffer rows with w_k v, and scipy's
+sparsetools kernel, called directly, adds M y into each row from the
+row before it, one call per term (see _evolve).  Conditioning on
 survival is always a final normalization step, never baked into the
 operator, so unnormalized survival mass stays available to callers.
 
@@ -203,24 +204,24 @@ def _evolve(
             f"{chain.n_transient}-state window is too long: {exc}"
         ) from None
     # Horner's rule: y = w_K v, then y = w_k v + M y for k = K-1, ..., 0,
-    # the block raveled for the sparsetools kernel.  The rows y run through
+    # on v raveled as x for the sparsetools kernel.  The rows y run through
     # two chunk buffers in turn: one multiply fills a chunk with w_k v for
     # its terms, and the kernel adds M y into each row from the row before
     # it, a chunk's first row from the other buffer's last, so y is never
     # copied.
-    vk = np.ascontiguousarray(v).reshape(-1)
-    rows = max(1, min(_CHUNK_ENTRIES // max(vk.size, 1), w.size - 1))
+    x = np.ascontiguousarray(v).reshape(-1)
+    rows = max(1, min(_CHUNK_ENTRIES // max(x.size, 1), w.size - 1))
     # each buffer with the list of its row views, made once
-    this, that = ((b, list(b)) for b in (np.empty((rows, vk.size)), np.empty((rows, vk.size))))
+    this, that = ((b, list(b)) for b in (np.empty((rows, x.size)), np.empty((rows, x.size))))
     m, transpose = 1 if v.ndim == 1 else v.shape[1], side == "measure"
-    product = _product(M, m, transpose, _band(M, vk, m, transpose))
-    y = w[-1] * vk
+    product = _product(M, m, transpose, _band(M, x, m, transpose))
+    y = w[-1] * x
     for k in range(w.size - 2, -1, -rows):
         (chunk, terms), this, that = this, that, this
         c = min(rows, k + 1)
         if c < rows:
             chunk, terms = chunk[:c], terms[:c]
-        np.multiply(w[k + 1 - c : k + 1][::-1, None], vk, out=chunk)
+        np.multiply(w[k + 1 - c : k + 1][::-1, None], x, out=chunk)
         for row in terms:
             product(y, row)
             y = row
@@ -257,11 +258,11 @@ def _product(A: sparse.csr_matrix, m: int, transpose: bool = False, band=None):
     return functools.partial(getattr(_sparsetools, kernel), *shape, A.indptr, A.indices, A.data)
 
 
-def _band(M: sparse.csr_matrix, vk: np.ndarray, m: int, transpose: bool):
+def _band(M: sparse.csr_matrix, v: np.ndarray, m: int, transpose: bool):
     """The layout on which dia_matvec adds M @ x (M^T @ x if transpose)
     into y for flat C-ordered blocks of m columns, or None where the
     csr/csc kernels stay: a block of more than _BAND_COLUMNS columns, an
-    M that is not banded (see _BAND_FILL), or an input vk with an entry
+    M that is not banded (see _BAND_FILL), or a flat input v with an entry
     whose sign bit is set or whose magnitude is above 2**960 (-0.0,
     negative entries, inf and NaN included).
 
@@ -278,7 +279,7 @@ def _band(M: sparse.csr_matrix, vk: np.ndarray, m: int, transpose: bool):
     negative entry can be one) would turn +0.0 on a stored zero, where
     the csr/csc kernels store no zero.
     """
-    if m > _BAND_COLUMNS or np.signbit(vk).any() or not vk.max(initial=0.0) <= 2.0**960:
+    if m > _BAND_COLUMNS or np.signbit(v).any() or not v.max(initial=0.0) <= 2.0**960:
         return None
     n = M.shape[0]
     rows, cols = np.repeat(np.arange(n), np.diff(M.indptr)), M.indices
