@@ -225,7 +225,8 @@ def _evolve(
         for row in terms:
             product(y, row)
             y = row
-    return y.reshape(v.shape)
+    # a copy, so the result does not hold on to its chunk buffer
+    return y.reshape(v.shape).copy()
 
 
 def _product(A: sparse.csr_matrix, m: int, transpose: bool = False, band=None):
