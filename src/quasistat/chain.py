@@ -202,6 +202,23 @@ def law_weights(chain: AbsorbedChain, mu, what: str = "law") -> np.ndarray:
     return weights
 
 
+def _refuse_first_bad(checks: list, columns: tuple, n: int) -> None:
+    """Raise ValidationError for the first entry, in the given order, that
+    fails any of checks, with the message of the first check it fails.
+
+    checks is an ordered list of (mask, message) pairs, mask True on the
+    entries that fail the check.  columns holds the (from, to, rate) of
+    each entry, and a message is a template over the entry's x, y and r,
+    read from columns as Python int, int and float, and the window top n.
+    """
+    bad = np.logical_or.reduce([mask for mask, _ in checks])
+    if bad.any():
+        i = int(np.argmax(bad))
+        message = next(message for mask, message in checks if mask[i])
+        x, y, r = (c[i] for c in columns)
+        raise ValidationError(message.format(x=int(x), y=int(y), r=float(r), n=n))
+
+
 class AbsorbedChain:
     """An absorbed CTMC restricted to the window {0..N}.
 
@@ -257,19 +274,12 @@ class AbsorbedChain:
         src = np.asarray(jumps[0], dtype=np.int64)
         dst = np.asarray(jumps[1], dtype=np.int64)
         rate = np.asarray(jumps[2], dtype=np.float64)
-        # the first bad jump in the given order, named by its first failed check
         outside = (src < 1) | (src > n) | (dst < 1) | (dst > n)
-        diagonal = src == dst
-        bad_rate = ~np.isfinite(rate) | (rate < 0)
-        bad = outside | diagonal | bad_rate
-        if bad.any():
-            i = int(np.argmax(bad))
-            x, y = src[i], dst[i]
-            if outside[i]:
-                raise ValidationError(f"off-diagonal rate ({x} -> {y}) falls outside transient states 1..{n}")
-            if diagonal[i]:
-                raise ValidationError(f"diagonal entry ({x} -> {x}) may not be specified directly")
-            raise ValidationError(f"rate ({x} -> {y}) must be finite and >= 0, got {float(rate[i])}")
+        _refuse_first_bad([
+            (outside, "off-diagonal rate ({x} -> {y}) falls outside transient states 1..{n}"),
+            (src == dst, "diagonal entry ({x} -> {x}) may not be specified directly"),
+            (~np.isfinite(rate) | (rate < 0), "rate ({x} -> {y}) must be finite and >= 0, got {r}"),
+        ], (src, dst, rate), n)
         keep = rate != 0.0
         src, dst, rate = src[keep], dst[keep], rate[keep]
         out_rate = absorb + kill
@@ -444,46 +454,32 @@ def build_from_entries(
     return _build_from_triples(triples, n_states, boundary_mode)
 
 
-def _check_entry(x: int, y: int, r: float, n: int, boundary_mode: str) -> None:
-    """Raise the error build_from_entries reports for the entry x -> y
-    at rate r, if any, checking in the order the messages are listed."""
-    if x == 0:
-        raise ValidationError(f"state 0 is absorbing; rate ({x} -> {y}) is not allowed")
-    if not 1 <= x <= n:
-        raise ValidationError(f"source state {x} outside window 1..{n}")
-    if x == y:
-        raise ValidationError(f"self-rate ({x} -> {x}) is not allowed")
-    if y < 0:
-        raise ValidationError(f"target state {y} of rate ({x} -> {y}) is negative")
-    if not math.isfinite(r) or r < 0:
-        raise ValidationError(f"rate ({x} -> {y}) must be finite and >= 0, got {r}")
-    if y > n and boundary_mode != KILL:
-        raise ValidationError(
-            f"target state {y} lies above the window top {n}; "
-            f"use KILL boundary mode or enlarge the window"
-        )
-
-
 def _build_from_triples(triples: list, n_states: int, boundary_mode: str) -> AbsorbedChain:
     """build_from_entries on a list of (int, int, float) triples, for a
     window of at least 2 states in a known boundary mode.
 
-    The entries are checked as arrays and the first bad one, in the
-    given order, is reported by _check_entry.  Each sum then takes its
-    rates in the given order, from 0.0, as a loop of ``+=`` over the
-    entries would: np.add.at adds its indices one after another.  The
-    jump pairs are listed in the order of their first entry.  A state
-    number past int64 makes its array one of Python ints, which compares
-    the same way.
+    The entries are checked as arrays, and the first bad one, in the
+    given order, is named by the first check it fails.  Each sum then
+    takes its rates in the given order, from 0.0, as a loop of ``+=``
+    over the entries would: np.add.at adds its indices one after another.
+    The jump pairs are listed in the order of their first entry.  A state
+    number past int64 makes its array one of Python ints or of floats;
+    either way each entry fails the same first check as its ints would,
+    and the messages read the entries as given.
     """
     n = n_states - 1
-    src, dst, rate = (np.array(c) for c in (zip(*triples) if triples else ([], [], [])))
+    columns = tuple(zip(*triples)) or ((), (), ())
+    src, dst, rate = (np.array(c) for c in columns)
     above = dst > n
-    bad = (src < 1) | (src > n) | (src == dst) | (dst < 0) | ~np.isfinite(rate) | (rate < 0)
-    if boundary_mode != KILL:
-        bad |= above
-    if bad.any():
-        _check_entry(*triples[int(np.argmax(bad))], n, boundary_mode)
+    _refuse_first_bad([
+        (src == 0, "state 0 is absorbing; rate ({x} -> {y}) is not allowed"),
+        ((src < 1) | (src > n), "source state {x} outside window 1..{n}"),
+        (src == dst, "self-rate ({x} -> {x}) is not allowed"),
+        (dst < 0, "target state {y} of rate ({x} -> {y}) is negative"),
+        (~np.isfinite(rate) | (rate < 0), "rate ({x} -> {y}) must be finite and >= 0, got {r}"),
+        (above & (boundary_mode != KILL), "target state {y} lies above the window top {n}; "
+         "use KILL boundary mode or enlarge the window"),
+    ], columns, n)
     src = src.astype(np.int64)
     absorb = np.zeros(n)
     kill = np.zeros(n)
@@ -511,7 +507,8 @@ def _build_from_triples(triples: list, n_states: int, boundary_mode: str) -> Abs
 
 # -- plain-text chain files ----------------------------------------------
 #
-# Grammar (one directive per line, '#' starts a comment):
+# Grammar (one directive per line, '#' starts a comment, directive names
+# in any case, fields split on whitespace):
 #   states N
 #   boundary reflect|kill
 #   rate FROM TO VALUE
@@ -519,7 +516,10 @@ def _build_from_triples(triples: list, n_states: int, boundary_mode: str) -> Abs
 #
 # 'states' is required.  'states', 'boundary' and 'logistic' may each
 # appear at most once.  'logistic' generates the full rate table and may
-# not be mixed with explicit 'rate' lines.
+# not be mixed with explicit 'rate' lines.  Every line takes one path:
+# its comment is cut and it is split once, and a 'rate' line's fields
+# are converted and appended in one place; the entry table is checked
+# as a whole afterwards, by build_from_entries' checks.
 
 
 def parse_chain_text(text: str, *, name: str = "<string>") -> AbsorbedChain:
@@ -532,23 +532,22 @@ def parse_chain_text(text: str, *, name: str = "<string>") -> AbsorbedChain:
     def fail(lineno: int, msg: str):
         raise ValidationError(f"{name}:{lineno}: {msg}")
 
-    add_entry = entries.append
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        parts = raw.split()
-        if len(parts) == 4 and parts[0] == "rate" and "#" not in raw:
-            # the bulk of a file; any other line, or a rate line that does
-            # not convert, goes through the checks below
-            try:
-                add_entry((int(parts[1]), int(parts[2]), float(parts[3])))
-                continue
-            except ValueError:
-                pass
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if "#" in line:
+            line = line.split("#", 1)[0]
         parts = line.split()
+        if not parts:
+            continue
         kw = parts[0].lower()
-        if kw != "rate" and kw in seen:
+        if kw == "rate":
+            if len(parts) != 4:
+                fail(lineno, "usage: rate FROM TO VALUE")
+            try:
+                entries.append((int(parts[1]), int(parts[2]), float(parts[3])))
+            except ValueError:
+                fail(lineno, f"bad rate entry {line.strip()!r}")
+            continue
+        if kw in seen:
             fail(lineno, f"'{kw}' may appear only once")
         seen.add(kw)
         if kw == "states":
@@ -564,22 +563,13 @@ def parse_chain_text(text: str, *, name: str = "<string>") -> AbsorbedChain:
             if len(parts) != 2 or parts[1].lower() not in _BOUNDARY_MODES:
                 fail(lineno, "usage: boundary reflect|kill")
             boundary = parts[1].lower()
-        elif kw == "rate":
-            if len(parts) != 4:
-                fail(lineno, "usage: rate FROM TO VALUE")
-            try:
-                x, y = int(parts[1]), int(parts[2])
-                r = float(parts[3])
-            except ValueError:
-                fail(lineno, f"bad rate entry {line!r}")
-            entries.append((x, y, r))
         elif kw == "logistic":
             if len(parts) != 4:
                 fail(lineno, "usage: logistic B D C")
             try:
                 logistic_params = tuple(float(p) for p in parts[1:4])
             except ValueError:
-                fail(lineno, f"bad logistic parameters {line!r}")
+                fail(lineno, f"bad logistic parameters {line.strip()!r}")
         else:
             fail(lineno, f"unknown directive {parts[0]!r}")
 

@@ -295,13 +295,27 @@ def _band(M: sparse.csr_matrix, v: np.ndarray, m: int, transpose: bool):
     return (offsets * m).astype(np.int32), np.repeat(data, m, axis=1)
 
 
+def _finite_block(chain: AbsorbedChain, vec) -> np.ndarray:
+    """vec as _as_block gives it, refused if an entry is inf or NaN: the
+    first such entry in row-major order is named by its state and, in a
+    block, its column index.  One such entry spreads through the whole
+    series, since a zero Poisson weight times inf is NaN."""
+    v = _as_block(chain, vec)
+    if not np.isfinite(v).all():
+        i, *j = np.argwhere(~np.isfinite(v))[0]
+        where = f"state {i + 1}" + (f", column {j[0]}" if j else "")
+        raise ValidationError(f"evolution input must be finite, got {v[(i, *j)]} at {where}")
+    return v
+
+
 def evolve_measure(chain: AbsorbedChain, v, t: float) -> np.ndarray:
     """Push a (possibly unnormalized) mass vector forward for time t.
 
     v may be an (n,) vector or an (n, m) block of m measures; column j
     of the result equals evolve_measure on column j alone, bit for bit.
+    Every entry must be finite.
     """
-    return _evolve(chain, v, t, "measure")
+    return _evolve(chain, _finite_block(chain, v), t, "measure")
 
 
 def evolve_function(chain: AbsorbedChain, u, t: float) -> np.ndarray:
@@ -309,8 +323,9 @@ def evolve_function(chain: AbsorbedChain, u, t: float) -> np.ndarray:
 
     u may be an (n,) vector or an (n, m) block of m functions; column j
     of the result equals evolve_function on column j alone, bit for bit.
+    Every entry must be finite.
     """
-    return _evolve(chain, u, t, "function")
+    return _evolve(chain, _finite_block(chain, u), t, "function")
 
 
 # -- public evolution API --------------------------------------------------

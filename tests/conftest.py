@@ -418,6 +418,31 @@ def chain_oracle(n_states, off_diagonal, absorption_rates, kill_rates):
     return Q, absorb, kill
 
 
+def entry_checks_oracle(entries, n_states, boundary_mode):
+    """Raise the error build_from_entries reports for an entry table, if
+    any: the (from, to, rate) entries one at a time in the given order,
+    each checked in the order the messages are listed here, on Python
+    ints and floats.  Shares no code with the library's array checks,
+    which must name the same entry by the same check."""
+    n = n_states - 1
+    for x, y, r in entries:
+        if x == 0:
+            raise ValidationError(f"state 0 is absorbing; rate ({x} -> {y}) is not allowed")
+        if not 1 <= x <= n:
+            raise ValidationError(f"source state {x} outside window 1..{n}")
+        if x == y:
+            raise ValidationError(f"self-rate ({x} -> {x}) is not allowed")
+        if y < 0:
+            raise ValidationError(f"target state {y} of rate ({x} -> {y}) is negative")
+        if not math.isfinite(r) or r < 0:
+            raise ValidationError(f"rate ({x} -> {y}) must be finite and >= 0, got {r}")
+        if y > n and boundary_mode != KILL:
+            raise ValidationError(
+                f"target state {y} lies above the window top {n}; "
+                f"use KILL boundary mode or enlarge the window"
+            )
+
+
 def simulate_batch_oracle(chain, mu, horizon, n_paths, seed, stop_on_set=None):
     """simulate_batch path by path: one SubStream per path, run to its
     end before the next path starts, on the rows of jump_rows_oracle.

@@ -19,7 +19,7 @@ from quasistat import (
 )
 from quasistat.chain import AbsorbedChain
 
-from conftest import catastrophe_chain, chain_oracle
+from conftest import catastrophe_chain, chain_oracle, entry_checks_oracle
 
 
 # -- parametric rates ------------------------------------------------------
@@ -298,6 +298,62 @@ def test_parse_rejects_window_violation_with_file_name():
         parse_chain_text("states 3\nrate 2 3 1.0\nrate 1 0 1.0\n", name="mychain")
 
 
+def _assert_same_window(got, want):
+    """Two chains with the same window, sub-generator arrays, absorption
+    and killing, byte for byte."""
+    assert (got.n_states, got.boundary_mode) == (want.n_states, want.boundary_mode)
+    for name in ("data", "indices", "indptr"):
+        a, b = getattr(got.sub_generator, name), getattr(want.sub_generator, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    assert got.absorption_rates.tobytes() == want.absorption_rates.tobytes()
+    assert got.kill_rates.tobytes() == want.kill_rates.tobytes()
+
+
+_HALF = [(1, 2, 0.5)]
+_USAGE = "usage: rate FROM TO VALUE"
+
+
+@pytest.mark.parametrize("eol", ["\n", "\r\n"], ids=["lf", "crlf"])
+@pytest.mark.parametrize(
+    "line, want",
+    [
+        ("rate 1 2 0.5   # up", _HALF),
+        ("rate 1 2 0.5#up", _HALF),
+        ("rate\t1\t2\t0.5", _HALF),
+        ("RATE 1 2 0.5", _HALF),
+        ("Rate 1 2 0.5", _HALF),
+        ("   rate 1 2 0.5", _HALF),
+        ("\t rate 1 2 0.5 \t", _HALF),
+        ("", []),
+        ("   \t", []),
+        ("# a comment", []),
+        ("   # rate 1 2 0.5", []),
+        ("rate 1 2", _USAGE),
+        ("RATE 1 2", _USAGE),
+        ("rate", _USAGE),
+        ("rate 1 2 0.5 7", _USAGE),
+        ("rate 1 2 # 0.5", _USAGE),
+        ("rate 1 x 1.0", "bad rate entry 'rate 1 x 1.0'"),
+        ("rate 1 2 half", "bad rate entry 'rate 1 2 half'"),
+        ("rate 1.0 2 0.5", "bad rate entry 'rate 1.0 2 0.5'"),
+        ("\tRATE 1 two 0.5  # c", "bad rate entry 'RATE 1 two 0.5'"),
+    ],
+)
+def test_rate_line_shapes_parse_like_their_entries_or_name_their_line(line, want, eol):
+    # the line under test is line 6, below a comment, a blank line and
+    # three directives: it gives the window of the entries it lists, or
+    # its message at line 6
+    lines = ["# a chain", "", "states 4", "boundary kill", "rate 1 0 1.0", line, "rate 2 1 0.25"]
+    text = eol.join(lines) + eol
+    if isinstance(want, str):
+        with pytest.raises(ValidationError) as got:
+            parse_chain_text(text)
+        assert str(got.value) == f"<string>:6: {want}"
+    else:
+        built = build_from_entries([(1, 0, 1.0), *want, (2, 1, 0.25)], 4, KILL)
+        _assert_same_window(parse_chain_text(text), built)
+
+
 # -- jump arrays against the entry-by-entry constructor ----------------------
 
 
@@ -372,6 +428,67 @@ def test_entry_tables_match_chain_oracle(table):
         else:
             kill[x - 1] += r
     _assert_matches_chain_oracle(build_from_entries(entries, n_states, mode), off, absorb, kill)
+
+
+# 2**63 + 1 next to an int64 makes a float64 column, which rounds it
+_PAST_INT64 = [2**63, 2**63 + 1, 2**64, -(2**63) - 1]
+
+
+@st.composite
+def _checked_entry_tables(draw):
+    """Small windows whose entries may fail any check, several at once:
+    source 0 or past the window, self-rates, negative targets, negative,
+    infinite or NaN rates, targets above the top, and state numbers past
+    int64; good entries come in between."""
+    n_states = draw(st.integers(min_value=2, max_value=6))
+    n = n_states - 1
+    mode = draw(st.sampled_from([REFLECT, KILL]))
+    good = st.tuples(st.integers(1, n), st.integers(0, n), st.floats(0.0, 1e3)).filter(
+        lambda e: e[0] != e[1]
+    )
+    # sources mostly in the window, so the later checks get their turn
+    source = st.one_of(st.integers(0, n + 1), st.integers(1, n), st.sampled_from(_PAST_INT64))
+    target = st.one_of(st.integers(-2, n + 2), st.sampled_from(_PAST_INT64))
+    rate = st.one_of(
+        st.floats(0.0, 1e3), st.sampled_from([-1.0, -0.0, math.inf, -math.inf, math.nan])
+    )
+    entries = draw(st.lists(st.one_of(good, st.tuples(source, target, rate)), min_size=1, max_size=12))
+    return n_states, mode, entries
+
+
+@settings(max_examples=300, deadline=None)
+@given(_checked_entry_tables())
+# each bad entry fails several checks; the first one listed names it
+@example((4, REFLECT, [(1, 2, 1.0), (0, 0, math.nan), (2, 2, -1.0)]))
+@example((4, REFLECT, [(9, 9, -1.0), (0, 1, 1.0)]))
+@example((4, KILL, [(1, 0, 1.0), (2, 2, math.nan), (3, -1, math.inf)]))
+@example((4, REFLECT, [(3, -1, math.inf), (2, 7, 1.0)]))
+@example((4, REFLECT, [(2, 7, math.nan)]))
+@example((4, REFLECT, [(1, 2, 1.0), (2**63, 2**63, 1.0)]))
+@example((4, REFLECT, [(1, 2, 1.0), (2**63 + 1, 1, 1.0)]))
+@example((4, REFLECT, [(2, 2**64, 1.0)]))
+@example((4, KILL, [(1, 2, 1.0), (-(2**63) - 1, 0, -1.0)]))
+# no bad entry: kill targets past int64
+@example((4, KILL, [(1, 2**64, 1.0), (2, 2**63, 0.5), (1, 0, 1.0), (2, 1, -0.0)]))
+def test_entry_checks_name_the_first_bad_entry_like_the_oracle(table):
+    n_states, mode, entries = table
+    text = f"states {n_states}\nboundary {mode}\n" + "".join(
+        f"rate {x} {y} {r!r}\n" for x, y, r in entries
+    )
+    try:
+        entry_checks_oracle(entries, n_states, mode)
+    except ValidationError as e:
+        want = str(e)
+    else:
+        built = build_from_entries(entries, n_states, mode)
+        _assert_same_window(parse_chain_text(text), built)
+        return
+    with pytest.raises(ValidationError) as got:
+        build_from_entries(entries, n_states, mode)
+    assert str(got.value) == want
+    with pytest.raises(ValidationError) as got:
+        parse_chain_text(text)
+    assert str(got.value) == "<string>: " + want
 
 
 @pytest.mark.parametrize(

@@ -223,7 +223,7 @@ def test_zero_weight_prefix_matches_the_matmul_oracle_across_chunks(rows, monkey
     # and the pmf underflows to 0 over a long prefix, the last terms
     # Horner's rule takes, which ends inside a chunk.  Zero weights are
     # not skipped: they preload 0 * v, which is -0.0 on a negative entry
-    # and NaN on the +inf one
+    # and NaN on the +inf one, which only the private series takes
     chain = truncate(BirthDeathSpec.logistic(2.0, 1.0, 0.25), 368, "reflect")
     n = chain.n_transient
     w = _poisson_weights(chain.uniformized[0], SERIES_TOL)
@@ -240,10 +240,36 @@ def test_zero_weight_prefix_matches_the_matmul_oracle_across_chunks(rows, monkey
     for side, evolve in [("measure", evolve_measure), ("function", evolve_function)]:
         assert _same_bits(evolve(chain, finite, 1.0), evolve_oracle(chain, finite, 1.0, side))
         with np.errstate(invalid="ignore"):  # 0 * inf is NaN
-            got = evolve(chain, infinite, 1.0)
+            got = engine._evolve(chain, infinite, 1.0, side)
             want = evolve_oracle(chain, infinite, 1.0, side)
         assert np.isnan(got).any()
         assert _same_bits(got, want)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("columns", [None, 2])
+@pytest.mark.parametrize("side", ["measure", "function"])
+def test_public_evolution_refuses_non_finite_input(side, columns, bad):
+    # one inf or NaN entry would turn the whole result NaN on this window
+    # at t = 1, where zero Poisson weights multiply it; -0.0 and negative
+    # entries are finite and keep the bits of the private series
+    chain = truncate(BirthDeathSpec.logistic(2.0, 1.0, 0.25), 368, "reflect")
+    n = chain.n_transient
+    evolve = evolve_measure if side == "measure" else evolve_function
+    v = _signed(np.random.default_rng(35), n if columns is None else (n, columns))
+    got = evolve(chain, v, 1.0)
+    assert _same_bits(got, engine._evolve(chain, v, 1.0, side))
+    assert _same_bits(got, evolve_oracle(chain, v, 1.0, side))
+    # the first bad entry in row-major order is named, 1-based state and
+    # 0-based block column
+    v[200] = bad
+    if columns is None:
+        where = "state 201"
+    else:
+        v[6, 1] = bad
+        where = "state 7, column 1"
+    with pytest.raises(ValidationError, match=f"must be finite, got {bad} at {where}$"):
+        evolve(chain, v, 1.0)
 
 
 @pytest.mark.parametrize("side", ["measure", "function"])
@@ -417,7 +443,8 @@ def test_dia_route_refuses_inputs_that_could_leave_a_term_non_finite(side, bad, 
     # a sum preloaded with -0.0 (w_k times a -0.0 or negative entry) turns
     # +0.0 on it; the csr/csc kernels store no such zero, so those inputs
     # keep them.  The same input with a finite non-negative entry there,
-    # up to 2**960, takes the DIA route
+    # up to 2**960, takes the DIA route.  The public calls refuse inf and
+    # NaN, so those run through the private series
     chain = _BANDED_WINDOWS["reflect"]()
     # at the state that sets the uniformization rate, where M's diagonal is 0
     fastest = int(np.argmax(chain.total_exit_rates()))
@@ -429,7 +456,10 @@ def test_dia_route_refuses_inputs_that_could_leave_a_term_non_finite(side, bad, 
         v[fastest] = entry
         seen.clear()
         with np.errstate(invalid="ignore", over="ignore"):
-            got = evolve(chain, v, 0.01)
+            if math.isfinite(entry):
+                got = evolve(chain, v, 0.01)
+            else:
+                got = engine._evolve(chain, v, 0.01, side)
             want = evolve_oracle(chain, v, 0.01, side)
         assert seen == [route]
         assert _same_bits(got, want)
