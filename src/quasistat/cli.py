@@ -35,6 +35,7 @@ from .criterion import (
     derive_certificate_via_criterion,
 )
 from .engine import (
+    _qsd_tol,
     compute_qsd,
     compute_qsd_auto,
     decay_table,
@@ -74,7 +75,12 @@ def _add_chain_args(p: argparse.ArgumentParser):
 
 
 def _build_chain(args):
-    """Resolve the chain source args into an AbsorbedChain."""
+    """Resolve the chain source args into an AbsorbedChain and a function
+    that returns its QsdResult, solved at most once, to _qsd_tol(--tol).
+
+    An auto-sized window's QSD is the one its search solved; any other
+    window's is solved on the first call and kept.
+    """
     try:
         n_states = None if args.states == "auto" else int(args.states)
     except ValueError:
@@ -83,20 +89,20 @@ def _build_chain(args):
         ch = load_chain_file(args.chain)
         size = ch.n_states if n_states is None else n_states
         boundary = args.boundary or ch.boundary_mode
-        if (size, boundary) == (ch.n_states, ch.boundary_mode):
-            return ch
-        if ch.source_spec is None:
-            flag, fixed = "--states", "window"
-            if size == ch.n_states:
-                flag, fixed = "--boundary", "boundary"
-            raise ValidationError(f"{flag} conflicts with the {fixed} fixed by the chain file")
-        return ch.regrow(size, boundary)
-    b, d, c = args.logistic
-    boundary = args.boundary or REFLECT
-    if n_states is None:
-        spec = BirthDeathSpec.logistic(b, d, c)
-        return compute_qsd_auto(spec, tol=args.tol, boundary_mode=boundary).chain
-    return build_logistic(b, d, c, n_states, boundary)
+        if (size, boundary) != (ch.n_states, ch.boundary_mode):
+            if ch.source_spec is None:
+                flag, fixed = ("--boundary", "boundary") if size == ch.n_states else ("--states", "window")
+                raise ValidationError(f"{flag} conflicts with the {fixed} fixed by the chain file")
+            ch = ch.regrow(size, boundary)
+    else:
+        b, d, c = args.logistic
+        boundary = args.boundary or REFLECT
+        if n_states is None:
+            spec = BirthDeathSpec.logistic(b, d, c)
+            res = compute_qsd_auto(spec, tol=args.tol, boundary_mode=boundary)
+            return res.chain, lambda: res
+        ch = build_logistic(b, d, c, n_states, boundary)
+    return ch, functools.cache(lambda: compute_qsd(ch, tol=_qsd_tol(args.tol)))
 
 
 def _parse_states_list(text: str, n_transient: int) -> tuple[int, ...]:
@@ -147,11 +153,12 @@ def _parse_grid(text: str) -> list[float]:
     return out
 
 
-def _parse_law(text: str, chain) -> DistributionOnStates:
+def _parse_law(text: str, chain, qsd) -> DistributionOnStates:
+    """The law text names on chain; qsd is _build_chain's QSD function."""
     if text == "uniform":
         return DistributionOnStates.uniform(chain.n_states)
     if text == "qsd":
-        return compute_qsd(chain).qsd
+        return qsd().qsd
     try:
         state = int(text)
     except ValueError:
@@ -172,8 +179,8 @@ def _emit(path: str, summary: str):
 
 
 def cmd_qsd(args) -> int:
-    chain = _build_chain(args)
-    res = compute_qsd(chain, tol=min(args.tol, 1e-10))
+    _, qsd = _build_chain(args)
+    res = qsd()
     path = _outpath(args, "qsd.csv")
     distribution_to_csv(res.qsd, path)
     _emit(
@@ -204,7 +211,7 @@ def cmd_certify(args) -> int:
         result = bd_mod.logistic_certificate(b, d, c, tol=args.tol)
         cert = result.certificate
     else:
-        chain = _build_chain(args)
+        chain, _ = _build_chain(args)
         if args.K is None or args.x0 is None:
             raise ValidationError("--K and --x0 are required for explicit chains")
         K = _parse_states_list(args.K, chain.n_transient)
@@ -221,7 +228,7 @@ def cmd_certify(args) -> int:
 
 
 def cmd_criterion(args) -> int:
-    chain = _build_chain(args)
+    chain, _ = _build_chain(args)
     if args.K is not None:
         rep = check_core_return(chain, _parse_states_list(args.K, chain.n_transient))
     else:
@@ -252,9 +259,9 @@ def cmd_bd(args) -> int:
 
 
 def cmd_decay(args) -> int:
-    chain = _build_chain(args)
-    mu = _parse_law(args.mu, chain)
-    nu = _parse_law(args.nu, chain)
+    chain, qsd = _build_chain(args)
+    mu = _parse_law(args.mu, chain, qsd)
+    nu = _parse_law(args.nu, chain, qsd)
     grid = _parse_grid(args.t_grid)
     cert = None
     if args.certificate is not None:
@@ -265,8 +272,7 @@ def cmd_decay(args) -> int:
         _refuse_kill_for_auto_core(args)
         b, d, c = args.logistic
         cert = bd_mod.logistic_certificate(b, d, c, tol=args.tol).certificate
-    rho = compute_qsd(chain, tol=min(args.tol, 1e-10)).qsd
-    rows = decay_table(chain, mu, nu, grid, certificate=cert, rho=rho)
+    rows = decay_table(chain, mu, nu, grid, certificate=cert, rho=qsd().qsd)
     path = _outpath(args, "decay.csv")
     decay_to_csv(rows, path)
     worst = max((r.tv_pair for r in rows), default=math.nan)
@@ -275,8 +281,8 @@ def cmd_decay(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    chain = _build_chain(args)
-    mu = _parse_law(args.mu, chain)
+    chain, qsd = _build_chain(args)
+    mu = _parse_law(args.mu, chain, qsd)
     stop = (
         _parse_states_list(args.stop_set, chain.n_transient)
         if args.stop_set is not None
@@ -299,8 +305,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_fv(args) -> int:
-    chain = _build_chain(args)
-    mu = _parse_law(args.mu, chain) if args.mu is not None else None
+    chain, qsd = _build_chain(args)
+    mu = _parse_law(args.mu, chain, qsd) if args.mu is not None else None
     sample_times = _parse_grid(args.sample_times) if args.sample_times is not None else None
     snaps = mc_mod.fleming_viot(
         chain, args.n_particles, float(args.horizon), args.seed,
@@ -311,8 +317,7 @@ def cmd_fv(args) -> int:
     last = snaps[-1]
     summary = f"n_particles={last.n_particles}, redraws={last.redraw_count}"
     if args.compare_qsd:
-        rho = compute_qsd(chain, tol=min(args.tol, 1e-10)).qsd
-        gap = tv_distance(last.empirical_distribution(chain.n_states), rho)
+        gap = tv_distance(last.empirical_distribution(chain.n_states), qsd().qsd)
         summary += f", tv_to_qsd={fmt(gap)}"
     _emit(path, summary)
     return 0

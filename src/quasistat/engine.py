@@ -657,6 +657,14 @@ def _check_tol(tol: float) -> None:
         raise ValidationError(f"tol must be > 0, got {tol}")
 
 
+def _qsd_tol(tol: float) -> float:
+    """The tolerance a QSD is solved to for a caller working to tol:
+    min(tol/100, 1e-12).  The window search, the CLI and yaglom_limit's
+    cross-check all solve to it, so a window's QSD has the same bytes
+    whichever of them solved it."""
+    return min(tol * 1e-2, 1e-12)
+
+
 def compute_qsd(chain: AbsorbedChain, tol: float = 1e-12, max_iters: int = 100000) -> QsdResult:
     """Inverse iteration on one sparse LU of -Q^T.
 
@@ -749,8 +757,7 @@ def compute_qsd_auto(
     The window size doubles from n_start up to QSD_AUTO_MAX_STATES; two
     consecutive windows whose QSDs differ by less than tol (smaller
     embedded into larger) end the search.  The result on the larger
-    window is returned.  Each window's QSD is solved to min(tol/100,
-    1e-12).
+    window is returned.  Each window's QSD is solved to _qsd_tol(tol).
     """
     _check_tol(tol)
     if isinstance(source, AbsorbedChain):
@@ -761,7 +768,7 @@ def compute_qsd_auto(
         spec = source
     else:
         raise ValidationError(f"cannot auto-size a window for {type(source).__name__}")
-    inner_tol = min(tol * 1e-2, 1e-12)
+    inner_tol = _qsd_tol(tol)
     n = max(4, n_start)
     prev = compute_qsd(truncate(spec, n, boundary_mode), tol=inner_tol)
     gap = math.inf
@@ -790,8 +797,9 @@ def yaglom_limit(
 
     Convergence is declared when the TV step between consecutive grid
     points falls below tol twice in a row.  The limit is cross-checked
-    against compute_qsd on the same window (inverse iteration, a route
-    that shares no evolution code with this one); disagreement points at
+    against compute_qsd on the same window, solved to _qsd_tol(tol)
+    (inverse iteration, a route that shares no evolution code with this
+    one); disagreement points at
     a window too small for the starting law and raises.  A reducible
     window has no unique QSD and skips the cross-check.
     """
@@ -817,7 +825,7 @@ def yaglom_limit(
             f"conditional law still moving after {max_steps} geometric steps", trace=trace
         )
     try:
-        ref = compute_qsd(chain, tol=min(tol, 1e-10))
+        ref = compute_qsd(chain, tol=_qsd_tol(tol))
     except ValidationError:
         ref = None  # reducible window: no unique QSD to compare against
     if ref is not None:

@@ -13,6 +13,7 @@ from quasistat import (
     derive_certificate_via_criterion,
     parse_certificate_text,
 )
+from quasistat import engine
 from quasistat.cli import build_parser, main
 
 CATASTROPHE_FILE = """\
@@ -168,8 +169,55 @@ def test_qsd_matches_library(tmp_path, capsys):
     assert code == 0
     lines = (tmp_path / "qsd.csv").read_text().strip().splitlines()
     got = [float(line.split(",")[1]) for line in lines[1:]]
-    want = compute_qsd(build_logistic(1.0, 1.0, 1.0, 64), tol=1e-10).qsd.weights
+    # the reference is solved to the CLI's rule at the default --tol
+    want = compute_qsd(build_logistic(1.0, 1.0, 1.0, 64), tol=engine._qsd_tol(1e-10)).qsd.weights
     assert max(abs(a - b) for a, b in zip(got, want)) < 1e-12
+
+
+def test_auto_window_qsd_has_the_bytes_of_the_named_window(tmp_path, capsys):
+    # the search stops at 64 states and its solve is the one written
+    assert run(["qsd", "--logistic", "1", "1", "1", "--out", str(tmp_path / "auto")]) == 0
+    assert run(["qsd", "--logistic", "1", "1", "1", "--states", "64",
+                "--out", str(tmp_path / "named")]) == 0
+    auto, named = capsys.readouterr().out.splitlines()
+    assert (tmp_path / "auto" / "qsd.csv").read_bytes() == (tmp_path / "named" / "qsd.csv").read_bytes()
+    assert auto.split(" (")[1] == named.split(" (")[1]
+
+
+@pytest.mark.parametrize(
+    "argv, factorizations",
+    [
+        # the search's own two windows, 32 and 64 states
+        (["qsd", "--logistic", "1", "1", "1"], 2),
+        (["decay", "--logistic", "1", "1", "1", "--states", "64", "--mu", "qsd", "--nu", "qsd",
+          "--t-grid", "1,2"], 1),
+        (["decay", "--logistic", "1", "1", "1", "--mu", "qsd", "--nu", "1", "--t-grid", "1"], 2),
+        (["fv", "--logistic", "1", "1", "1", "--states", "16", "--mu", "qsd", "--horizon", "1",
+          "--n-particles", "20", "--seed", "1", "--compare-qsd"], 1),
+        (["simulate", "--logistic", "1", "1", "1", "--states", "16", "--mu", "qsd",
+          "--horizon", "1", "--n-paths", "20", "--seed", "1"], 1),
+    ],
+    ids=["qsd-auto", "decay-named", "decay-auto", "fv", "simulate"],
+)
+def test_a_command_solves_its_window_qsd_once(argv, factorizations, tmp_path, capsys, monkeypatch):
+    # each solve factorizes its window once
+    windows = []
+    real = engine._inverse_operator
+    monkeypatch.setattr(
+        engine, "_inverse_operator", lambda chain: windows.append(chain.n_states) or real(chain)
+    )
+    assert run([*argv, "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert len(windows) == factorizations
+
+
+def test_decay_from_the_qsd_reads_the_qsd_to_its_own_rounding(tmp_path, capsys):
+    assert run(["decay", "--logistic", "2", "1", "0.25", "--mu", "qsd", "--nu", "3",
+                "--t-grid", "0.5,1,2", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    rows = (tmp_path / "decay.csv").read_text().strip().splitlines()[1:]
+    assert len(rows) == 3
+    assert all(float(row.split(",")[1]) <= 1e-13 for row in rows)
 
 
 KILL_RATES_FILE = """\
