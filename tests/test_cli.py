@@ -446,10 +446,10 @@ def test_decay_with_auto_certificate(tmp_path, capsys):
         assert tv_mu <= bound + 1e-9
 
 
-# sha256 of decay.csv on a 64-state window (63 transient states); the rows
-# from t = 8 on sit at the QSD's own residual (~7e-12), where any change in
-# rounding shows
-GOLDEN_DECAY_1_1_1_64 = "41ae115e4c206f579b329c061d645cfc8137d045799bd21fb98cd1e36ad2d54d"
+# sha256 of decay.csv on a 64-state window (63 transient states); the
+# tv-to-QSD columns from t = 11 on sit at the error of the QSD, solved to
+# 1e-12 (about 7e-14), where any change in rounding shows
+GOLDEN_DECAY_1_1_1_64 = "ddf061329d85c71ab783927164e60f6d3866c35e8afc23a9457be2e19eaa25ef"
 
 
 def test_small_window_decay_csv_is_golden(tmp_path, capsys):
