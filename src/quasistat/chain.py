@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -31,6 +32,10 @@ _BOUNDARY_MODES = (REFLECT, KILL)
 # Relative slack allowed when checking that explicit rate tables are
 # conservative (row sums of the full generator vanish).
 _ROW_SUM_RTOL = 1e-12
+
+# The first check of every rate table: a state number that is not an
+# integer is named as given, before any other check reads it.
+_NOT_INTEGERS = "state numbers of rate ({x} -> {y}) must be integers"
 
 
 def _check_boundary_mode(mode: str) -> str:
@@ -202,21 +207,48 @@ def law_weights(chain: AbsorbedChain, mu, what: str = "law") -> np.ndarray:
     return weights
 
 
+def _is_integer(v) -> bool:
+    """Whether a state number as given is an integer: an int, or an
+    integral float such as 2.0, but not a bool."""
+    if isinstance(v, (bool, np.bool_)):
+        return False
+    if isinstance(v, numbers.Integral):
+        return True
+    return isinstance(v, numbers.Real) and math.isfinite(v) and float(v).is_integer()
+
+
+def _state_column(given) -> tuple[np.ndarray, np.ndarray]:
+    """The state numbers given, as an array, and the mask of those that are
+    not integers: fractions, NaN, inf, bools and non-numbers.
+
+    A numeric array is checked as a whole.  Anything else is read entry
+    by entry, since numpy reads a bool among ints as 0 or 1; its entries
+    that are not integers read as 0 in the array, so the checks that
+    compare state numbers run on numbers only.
+    """
+    if isinstance(given, np.ndarray) and given.dtype.kind in "iuf":
+        return given, ~np.isfinite(given) | (given != np.trunc(given))
+    ok = [type(v) is int or _is_integer(v) for v in given]
+    values = given if all(ok) else [v if k else 0 for v, k in zip(given, ok)]
+    return np.array(values), ~np.array(ok, dtype=bool)
+
+
 def _refuse_first_bad(checks: list, columns: tuple, n: int) -> None:
     """Raise ValidationError for the first entry, in the given order, that
     fails any of checks, with the message of the first check it fails.
 
     checks is an ordered list of (mask, message) pairs, mask True on the
     entries that fail the check.  columns holds the (from, to, rate) of
-    each entry, and a message is a template over the entry's x, y and r,
-    read from columns as Python int, int and float, and the window top n.
+    each entry as given, and a message is a template over the entry's x,
+    y and r and the window top n.  x and y read as Python ints when they
+    are integers and as given otherwise (1.9, not 1), r as a float.
     """
     bad = np.logical_or.reduce([mask for mask, _ in checks])
     if bad.any():
         i = int(np.argmax(bad))
         message = next(message for mask, message in checks if mask[i])
-        x, y, r = (c[i] for c in columns)
-        raise ValidationError(message.format(x=int(x), y=int(y), r=float(r), n=n))
+        x, y = (int(v) if _is_integer(v) else v for v in (columns[0][i], columns[1][i]))
+        raise ValidationError(message.format(x=x, y=y, r=float(columns[2][i]), n=n))
 
 
 class AbsorbedChain:
@@ -235,7 +267,9 @@ class AbsorbedChain:
     source_spec : the BirthDeathSpec this window was cut from, if any.
 
     jumps is (src, dst, rate): three equal-length arrays, one entry per
-    jump src -> dst between transient states.  Zero rates are dropped.
+    jump src -> dst between transient states.  State numbers must be
+    integers; an integral float such as 2.0 counts as one, a bool does
+    not.  Zero rates are dropped.
     Each exit rate sums absorption, killing and the row's jump rates in
     the given order; a pair given twice has its rates summed in the
     sub-generator.
@@ -271,15 +305,16 @@ class AbsorbedChain:
             if not np.all(np.isfinite(v)) or np.any(v < 0):
                 raise ValidationError(f"{label} rates must be finite and >= 0")
 
-        src = np.asarray(jumps[0], dtype=np.int64)
-        dst = np.asarray(jumps[1], dtype=np.int64)
+        (src, src_bad), (dst, dst_bad) = _state_column(jumps[0]), _state_column(jumps[1])
         rate = np.asarray(jumps[2], dtype=np.float64)
         outside = (src < 1) | (src > n) | (dst < 1) | (dst > n)
         _refuse_first_bad([
+            (src_bad | dst_bad, _NOT_INTEGERS),
             (outside, "off-diagonal rate ({x} -> {y}) falls outside transient states 1..{n}"),
             (src == dst, "diagonal entry ({x} -> {x}) may not be specified directly"),
             (~np.isfinite(rate) | (rate < 0), "rate ({x} -> {y}) must be finite and >= 0, got {r}"),
-        ], (src, dst, rate), n)
+        ], (jumps[0], jumps[1], rate), n)
+        src, dst = np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64)
         keep = rate != 0.0
         src, dst, rate = src[keep], dst[keep], rate[keep]
         out_rate = absorb + kill
@@ -445,18 +480,21 @@ def build_from_entries(
     Multiple entries for the same pair accumulate.  Targets above the
     window top are allowed only in KILL mode, where they count as extra
     killing.  Rates out of state 0 and into negative states are rejected:
-    0 is absorbing and the state space starts there.
+    0 is absorbing and the state space starts there.  State numbers must
+    be integers; an integral float such as 2.0 counts as one, a bool
+    does not.
     """
     _check_boundary_mode(boundary_mode)
     if n_states < 2:
         raise ValidationError("window needs at least 2 states")
-    triples = [(int(x), int(y), float(r)) for x, y, r in entries]
+    triples = [(x, y, float(r)) for x, y, r in entries]
     return _build_from_triples(triples, n_states, boundary_mode)
 
 
 def _build_from_triples(triples: list, n_states: int, boundary_mode: str) -> AbsorbedChain:
-    """build_from_entries on a list of (int, int, float) triples, for a
-    window of at least 2 states in a known boundary mode.
+    """build_from_entries on a list of (state, state, float) triples, the
+    states as given, for a window of at least 2 states in a known
+    boundary mode.
 
     The entries are checked as arrays, and the first bad one, in the
     given order, is named by the first check it fails.  Each sum then
@@ -469,9 +507,11 @@ def _build_from_triples(triples: list, n_states: int, boundary_mode: str) -> Abs
     """
     n = n_states - 1
     columns = tuple(zip(*triples)) or ((), (), ())
-    src, dst, rate = (np.array(c) for c in columns)
+    (src, src_bad), (dst, dst_bad) = _state_column(columns[0]), _state_column(columns[1])
+    rate = np.array(columns[2], dtype=np.float64)
     above = dst > n
     _refuse_first_bad([
+        (src_bad | dst_bad, _NOT_INTEGERS),
         (src == 0, "state 0 is absorbing; rate ({x} -> {y}) is not allowed"),
         ((src < 1) | (src > n), "source state {x} outside window 1..{n}"),
         (src == dst, "self-rate ({x} -> {x}) is not allowed"),
@@ -508,7 +548,8 @@ def _build_from_triples(triples: list, n_states: int, boundary_mode: str) -> Abs
 # -- plain-text chain files ----------------------------------------------
 #
 # Grammar (one directive per line, '#' starts a comment, directive names
-# in any case, fields split on whitespace):
+# in any case, fields split on whitespace, lines numbered as open()
+# reads them):
 #   states N
 #   boundary reflect|kill
 #   rate FROM TO VALUE
@@ -532,7 +573,10 @@ def parse_chain_text(text: str, *, name: str = "<string>") -> AbsorbedChain:
     def fail(lineno: int, msg: str):
         raise ValidationError(f"{name}:{lineno}: {msg}")
 
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    # lines end at \n, \r\n or a lone \r, as open() reads them; any other
+    # line-breaking character (FF, VT, U+2028, ...) is whitespace
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, line in enumerate(lines, start=1):
         if "#" in line:
             line = line.split("#", 1)[0]
         parts = line.split()

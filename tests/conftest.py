@@ -384,6 +384,29 @@ def jump_rows_oracle(chain):
     return targets, cum, totals
 
 
+def state_number_oracle(v):
+    """A state number as the checks read it: an int for an int or an
+    integral float, None for anything else (a fraction, NaN, inf, a
+    bool)."""
+    if type(v) is bool:
+        return None
+    if isinstance(v, int):
+        return v
+    if isinstance(v, float) and v == v and abs(v) != math.inf and v == int(v):
+        return int(v)
+    return None
+
+
+def _integer_states_oracle(x, y):
+    """(x, y) as ints, or the error that names a pair whose state numbers
+    are not both integers, each shown as given."""
+    ix, iy = state_number_oracle(x), state_number_oracle(y)
+    if ix is None or iy is None:
+        shown = [v if i is None else i for v, i in ((x, ix), (y, iy))]
+        raise ValidationError(f"state numbers of rate ({shown[0]} -> {shown[1]}) must be integers")
+    return ix, iy
+
+
 def chain_oracle(n_states, off_diagonal, absorption_rates, kill_rates):
     """(sub_generator, absorption, kill) of a window assembled entry by
     entry from a {(x, y): rate} mapping, with AbsorbedChain's checks and
@@ -397,6 +420,7 @@ def chain_oracle(n_states, off_diagonal, absorption_rates, kill_rates):
     rows, cols, vals = [], [], []
     out_rate = absorb + kill
     for (x, y), r in off_diagonal.items():
+        x, y = _integer_states_oracle(x, y)
         if not (1 <= x <= n and 1 <= y <= n):
             raise ValidationError(f"off-diagonal rate ({x} -> {y}) falls outside transient states 1..{n}")
         if x == y:
@@ -421,11 +445,13 @@ def chain_oracle(n_states, off_diagonal, absorption_rates, kill_rates):
 def entry_checks_oracle(entries, n_states, boundary_mode):
     """Raise the error build_from_entries reports for an entry table, if
     any: the (from, to, rate) entries one at a time in the given order,
-    each checked in the order the messages are listed here, on Python
-    ints and floats.  Shares no code with the library's array checks,
-    which must name the same entry by the same check."""
+    each checked first for state numbers that are not integers, then in
+    the order the messages are listed here, on Python ints and floats.
+    Shares no code with the library's array checks, which must name the
+    same entry by the same check."""
     n = n_states - 1
     for x, y, r in entries:
+        x, y = _integer_states_oracle(x, y)
         if x == 0:
             raise ValidationError(f"state 0 is absorbing; rate ({x} -> {y}) is not allowed")
         if not 1 <= x <= n:

@@ -313,7 +313,7 @@ _HALF = [(1, 2, 0.5)]
 _USAGE = "usage: rate FROM TO VALUE"
 
 
-@pytest.mark.parametrize("eol", ["\n", "\r\n"], ids=["lf", "crlf"])
+@pytest.mark.parametrize("eol", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
 @pytest.mark.parametrize(
     "line, want",
     [
@@ -324,6 +324,11 @@ _USAGE = "usage: rate FROM TO VALUE"
         ("Rate 1 2 0.5", _HALF),
         ("   rate 1 2 0.5", _HALF),
         ("\t rate 1 2 0.5 \t", _HALF),
+        # characters that str.splitlines breaks at are blanks inside a line
+        ("rate 1\x0c2 0.5", _HALF),
+        ("rate\x0b1 2\x1c0.5\x1d", _HALF),
+        ("\x1erate 1\x852\u20280.5\u2029", _HALF),
+        ("\x0c", []),
         ("", []),
         ("   \t", []),
         ("# a comment", []),
@@ -352,6 +357,21 @@ def test_rate_line_shapes_parse_like_their_entries_or_name_their_line(line, want
     else:
         built = build_from_entries([(1, 0, 1.0), *want, (2, 1, 0.25)], 4, KILL)
         _assert_same_window(parse_chain_text(text), built)
+
+
+def test_cr_cr_lf_lines_are_numbered_as_open_reads_them(tmp_path):
+    # open() reads CR CR LF as a lone CR and then a CR LF: two line ends,
+    # so the bad entry is on line 5 both as text and as a file
+    raw = "states 4\r\r\nrate 1 0 1.0\r\r\nrate 1 x 1.0\r\r\n"
+    path = tmp_path / "crcrlf.chain"
+    path.write_bytes(raw.encode())
+    want = "5: bad rate entry 'rate 1 x 1.0'"
+    with pytest.raises(ValidationError) as got:
+        parse_chain_text(raw)
+    assert str(got.value) == f"<string>:{want}"
+    with pytest.raises(ValidationError) as got:
+        load_chain_file(path)
+    assert str(got.value) == f"{path}:{want}"
 
 
 # -- jump arrays against the entry-by-entry constructor ----------------------
@@ -434,21 +454,28 @@ def test_entry_tables_match_chain_oracle(table):
 _PAST_INT64 = [2**63, 2**63 + 1, 2**64, -(2**63) - 1]
 
 
+# state numbers that are not integers, and integral floats, which are
+_NOT_INTEGER_STATES = [1.9, -0.5, 2.5, math.nan, math.inf, -math.inf, True, False]
+_INTEGRAL_FLOATS = [1.0, 2.0, 0.0, -1.0, 9.0]
+
+
 @st.composite
 def _checked_entry_tables(draw):
     """Small windows whose entries may fail any check, several at once:
-    source 0 or past the window, self-rates, negative targets, negative,
-    infinite or NaN rates, targets above the top, and state numbers past
-    int64; good entries come in between."""
+    state numbers that are not integers, source 0 or past the window,
+    self-rates, negative targets, negative, infinite or NaN rates,
+    targets above the top, and state numbers past int64; good entries,
+    some with integral float states, come in between."""
     n_states = draw(st.integers(min_value=2, max_value=6))
     n = n_states - 1
     mode = draw(st.sampled_from([REFLECT, KILL]))
     good = st.tuples(st.integers(1, n), st.integers(0, n), st.floats(0.0, 1e3)).filter(
         lambda e: e[0] != e[1]
     )
+    odd = st.sampled_from(_PAST_INT64 + _NOT_INTEGER_STATES + _INTEGRAL_FLOATS)
     # sources mostly in the window, so the later checks get their turn
-    source = st.one_of(st.integers(0, n + 1), st.integers(1, n), st.sampled_from(_PAST_INT64))
-    target = st.one_of(st.integers(-2, n + 2), st.sampled_from(_PAST_INT64))
+    source = st.one_of(st.integers(0, n + 1), st.integers(1, n), odd)
+    target = st.one_of(st.integers(-2, n + 2), odd)
     rate = st.one_of(
         st.floats(0.0, 1e3), st.sampled_from([-1.0, -0.0, math.inf, -math.inf, math.nan])
     )
@@ -464,6 +491,13 @@ def _checked_entry_tables(draw):
 @example((4, KILL, [(1, 0, 1.0), (2, 2, math.nan), (3, -1, math.inf)]))
 @example((4, REFLECT, [(3, -1, math.inf), (2, 7, 1.0)]))
 @example((4, REFLECT, [(2, 7, math.nan)]))
+# a fraction truncated to state 1 and 2 -> 1.7 truncated to 2 -> 1
+@example((3, REFLECT, [(1.9, 0, 1.0), (2, 1.7, 1.0)]))
+# a bool read as state 1; an integral float is its int
+@example((3, REFLECT, [(1, 0, 1.0), (True, 2, 0.5)]))
+@example((3, REFLECT, [(2.0, 1.0, 0.5), (0.0, 1, 1.0)]))
+@example((4, KILL, [(1, 2, 1.0), (2, math.inf, 1.0), (0, 1, -1.0)]))
+@example((4, REFLECT, [(2**64, 1, 1.0), (math.nan, 1, 1.0)]))
 @example((4, REFLECT, [(1, 2, 1.0), (2**63, 2**63, 1.0)]))
 @example((4, REFLECT, [(1, 2, 1.0), (2**63 + 1, 1, 1.0)]))
 @example((4, REFLECT, [(2, 2**64, 1.0)]))
@@ -475,20 +509,24 @@ def test_entry_checks_name_the_first_bad_entry_like_the_oracle(table):
     text = f"states {n_states}\nboundary {mode}\n" + "".join(
         f"rate {x} {y} {r!r}\n" for x, y, r in entries
     )
+    # a chain file spells a state only as an int; 2.0 or True is a bad field there
+    as_file = all(type(v) is int for x, y, _ in entries for v in (x, y))
     try:
         entry_checks_oracle(entries, n_states, mode)
     except ValidationError as e:
         want = str(e)
     else:
         built = build_from_entries(entries, n_states, mode)
-        _assert_same_window(parse_chain_text(text), built)
+        if as_file:
+            _assert_same_window(parse_chain_text(text), built)
         return
     with pytest.raises(ValidationError) as got:
         build_from_entries(entries, n_states, mode)
     assert str(got.value) == want
-    with pytest.raises(ValidationError) as got:
-        parse_chain_text(text)
-    assert str(got.value) == "<string>: " + want
+    if as_file:
+        with pytest.raises(ValidationError) as got:
+            parse_chain_text(text)
+        assert str(got.value) == "<string>: " + want
 
 
 @pytest.mark.parametrize(
@@ -498,19 +536,59 @@ def test_entry_checks_name_the_first_bad_entry_like_the_oracle(table):
         {(1, 2): 1.0, (3, 3): -1.0, (0, 1): 1.0},
         {(2, 3): math.nan, (1, 5): 1.0},
         {(3, 1): 0.0, (2, 1): -2.0},
+        {(1.9, 2.2): 1.0},
+        {(2, 3): 1.0, (True, 2): 0.5},
+        {(1, 2): 1.0, (2.0, 1.5): 1.0, (0, 1): 1.0},
+        {(3, math.nan): 1.0},
+        {(2**64, 1): 1.0},
+        {(1, 2): -1.0, (2**63, 1): 1.0},
+        {(1.0, 2.0): 1.0, (3.0, 3.0): 1.0},
     ],
-    ids=["outside", "diagonal-before-rate", "rate-before-outside", "negative"],
+    ids=["outside", "diagonal-before-rate", "rate-before-outside", "negative", "fraction",
+         "bool", "fraction-before-outside", "nan", "past-uint64", "rate-before-past-int64",
+         "integral-floats"],
 )
 def test_jump_checks_name_the_first_bad_entry_like_chain_oracle(jumps):
     with pytest.raises(ValidationError) as want:
         chain_oracle(4, jumps, np.ones(3), np.zeros(3))
-    src, dst = np.array(list(jumps)).T
+    # the state numbers as given: a list keeps a bool apart from its int
+    src, dst = ([pair[i] for pair in jumps] for i in (0, 1))
     with pytest.raises(ValidationError) as got:
         AbsorbedChain(
             n_states=4, boundary_mode=REFLECT, jumps=(src, dst, list(jumps.values())),
             absorption_rates=np.ones(3),
         )
     assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize(
+    "src, dst, message",
+    [
+        (np.array([1.0, 2.5]), np.array([2, 1]), "state numbers of rate (2.5 -> 1) must be integers"),
+        (np.array([1, 2]), np.array([2.0, np.inf]), "state numbers of rate (2 -> inf) must be integers"),
+        (np.array([True]), np.array([2]), "state numbers of rate (True -> 2) must be integers"),
+        (np.array([1, 2**64], dtype=object), np.array([2, 1]),
+         "off-diagonal rate (18446744073709551616 -> 1) falls outside transient states 1..3"),
+        (np.array([2**63], dtype=np.uint64), np.array([1]),
+         "off-diagonal rate (9223372036854775808 -> 1) falls outside transient states 1..3"),
+    ],
+    ids=["float", "inf", "bool", "object", "uint64"],
+)
+def test_jump_arrays_are_checked_as_given(src, dst, message):
+    with pytest.raises(ValidationError) as got:
+        AbsorbedChain(
+            n_states=4, boundary_mode=REFLECT, jumps=(src, dst, np.ones(src.size)),
+            absorption_rates=np.ones(3),
+        )
+    assert str(got.value) == message
+
+
+def test_integral_float_jump_states_build_the_int_window():
+    def window(src, dst):
+        return AbsorbedChain(n_states=4, boundary_mode=REFLECT, jumps=(src, dst, [1.0, 0.5, 2.0]),
+                             absorption_rates=np.ones(3))
+
+    _assert_same_window(window(np.array([1.0, 2.0, 3.0]), (2.0, 3, 1.0)), window([1, 2, 3], [2, 3, 1]))
 
 
 # -- rate accessors ----------------------------------------------------------
