@@ -501,6 +501,21 @@ def test_bd_report_contents():
     assert "moment_sup_at" not in text
 
 
+def test_bd_report_below_z0_has_no_moment(tmp_path):
+    # z = 5 lies far below z0 = 60: the moment off 1..5 diverges at
+    # lambda0 = b + d, so the report has none and its csv column reads nan
+    rep = build_bd_report(2.0, 1.0, 0.0205, z=5)
+    assert (rep.z, rep.z0) == (5, 60)
+    assert rep.moment is None
+    assert "moment_sup" not in rep.to_text()
+    path = tmp_path / "hit.csv"
+    hitting_to_csv(rep, path)
+    rows = path.read_text().strip().splitlines()
+    assert rows[0] == "x,expected_hitting,exp_moment"
+    assert len(rows) == 1 + rep.hitting_x.size
+    assert all(row.endswith(",nan") for row in rows[1:])
+
+
 def test_bd_report_values_match_series():
     rep = build_bd_report(1.0, 1.0, 1.0, x_max=12)
     for i, x in enumerate(rep.hitting_x):

@@ -385,6 +385,18 @@ def test_criterion_with_core(tmp_path, capsys):
     assert "core_return_test = holds" in text
 
 
+def test_criterion_notes_a_logistic_window(tmp_path, capsys):
+    # logistic rates grow past any window, and alpha_K sees the window only
+    code = run(["criterion", "--logistic", "1", "1", "1", "--states", "16", "--K", "1..3",
+                "--out", str(tmp_path)])
+    assert code == 0
+    assert "core_return=fails, uniform_rates=fails" in capsys.readouterr().out
+    text = (tmp_path / "criterion.txt").read_text()
+    assert "\nq_bar = inf\n" in text
+    assert "\nnote_1 = jump rates grow beyond the window; q_bar is infinite\n" in text
+    assert "\nnote_2 = alpha_K probed on the window only; beyond-window states not included\n" in text
+
+
 def test_criterion_prefix_scan(tmp_path, capsys):
     p = tmp_path / "chain.txt"
     p.write_text(CATASTROPHE_FILE)

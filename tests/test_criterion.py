@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from quasistat import (
+    BirthDeathSpec,
     CertificationError,
     ValidationError,
     build_from_entries,
@@ -20,6 +21,7 @@ from quasistat import (
     derive_certificate_via_criterion,
     find_minimal_core,
     geometric_grid,
+    truncate,
 )
 from quasistat.chain import AbsorbedChain
 
@@ -65,6 +67,27 @@ def test_q_bar_corrects_reflected_top_row():
     )
     q, _, _ = compute_q_bar(chain)
     assert q == pytest.approx(2.0)
+
+
+@pytest.mark.parametrize(
+    "birth, q_bar, at",
+    [
+        # constant rates: every row exits at 3, the top one too once its
+        # birth is counted again
+        (lambda x: 1.0 + 0.0 * x, 3.0, 1),
+        # a birth spike at the top state 9: only its true exit rate, 12,
+        # can be the supremum
+        (lambda x: np.where(np.asarray(x) == 9, 10.0, 1.0), 12.0, 9),
+    ],
+    ids=["constant", "top-spike"],
+)
+def test_q_bar_puts_back_the_top_birth_of_a_bounded_spec(birth, q_bar, at):
+    # a window cut from a spec whose rates stay bounded past it: the
+    # reflected top row exits at its death rate 2 only, and the spec's
+    # own top rate replaces it
+    chain = truncate(BirthDeathSpec(birth_rate=birth, death_rate=lambda x: 2.0 + 0.0 * x), 10)
+    assert chain.exit_rate(9) == 2.0
+    assert compute_q_bar(chain) == (q_bar, at, [])
 
 
 def test_alpha_uniform_on_catastrophe():

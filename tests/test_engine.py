@@ -720,6 +720,15 @@ def test_propagator_null_horizon_raises():
         conditional_propagator(chain, mu, 0.0, 500.0, horizon=1000.0)
 
 
+def test_propagator_refuses_a_start_that_cannot_reach_the_horizon():
+    # state 2 is absorbed at rate 1000: its survival to the horizon,
+    # 0.5 away, is about e^-500, below the null-mass floor, so the
+    # conditioning event is null for a law that charges it
+    chain = build_from_entries([(1, 0, 1.0), (1, 2, 1.0), (2, 0, 1000.0)], 3)
+    with pytest.raises(ComputationError, match="cannot survive to the horizon"):
+        conditional_propagator(chain, DistributionOnStates.delta(2, 3), 0.0, 0.5, 1.0)
+
+
 def test_propagator_walks_a_long_horizon():
     # both legs go through _walk, so a long horizon takes the dense step
     # propagator instead of one series of about L * horizon terms
@@ -902,6 +911,18 @@ def test_yaglom_limit_start_independent():
     a, _ = yaglom_limit(chain, DistributionOnStates.delta(1, 64), tol=1e-11)
     b, _ = yaglom_limit(chain, DistributionOnStates.delta(40, 64), tol=1e-11)
     assert tv_distance(a, b) < 1e-9
+
+
+def test_yaglom_limit_skips_the_cross_check_on_a_reducible_window():
+    # a pure-death window: mass only moves down, so the transient states
+    # are not strongly connected and compute_qsd refuses the window; the
+    # conditioned law from 5 still settles on state 1
+    chain = build_logistic(0.0, 1.0, 0.1, 12)
+    with pytest.raises(ValidationError, match="not strongly connected"):
+        compute_qsd(chain)
+    lim, _ = yaglom_limit(chain, DistributionOnStates.delta(5, 12))
+    assert lim.weights[0] == 1.0
+    assert lim.weights[1:].max() < 1e-60
 
 
 def test_yaglom_nonconvergence_raises():
