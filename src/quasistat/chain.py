@@ -574,9 +574,11 @@ def parse_chain_text(text: str, *, name: str = "<string>") -> AbsorbedChain:
         raise ValidationError(f"{name}:{lineno}: {msg}")
 
     # lines end at \n, \r\n or a lone \r, as open() reads them; any other
-    # line-breaking character (FF, VT, U+2028, ...) is whitespace
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    for lineno, line in enumerate(lines, start=1):
+    # line-breaking character (FF, VT, U+2028, ...) is whitespace.  The
+    # list of lines is not named, so it is freed before the entries are
+    # checked.
+    newlines = text.replace("\r\n", "\n").replace("\r", "\n")
+    for lineno, line in enumerate(newlines.split("\n"), start=1):
         if "#" in line:
             line = line.split("#", 1)[0]
         parts = line.split()
