@@ -221,14 +221,17 @@ def _state_column(given) -> tuple[np.ndarray, np.ndarray]:
     """The state numbers given, as an array, and the mask of those that are
     not integers: fractions, NaN, inf, bools and non-numbers.
 
-    A numeric array is checked as a whole.  Anything else is read entry
-    by entry, since numpy reads a bool among ints as 0 or 1; its entries
+    A numeric array is checked as a whole, and so is a sequence of plain
+    ints, such as a chain file gives.  Anything else is read entry by
+    entry, since numpy reads a bool among ints as 0 or 1; its entries
     that are not integers read as 0 in the array, so the checks that
     compare state numbers run on numbers only.
     """
     if isinstance(given, np.ndarray) and given.dtype.kind in "iuf":
         return given, ~np.isfinite(given) | (given != np.trunc(given))
-    ok = [type(v) is int or _is_integer(v) for v in given]
+    if set(map(type, given)) <= {int}:
+        return np.array(given), np.zeros(len(given), dtype=bool)
+    ok = [_is_integer(v) for v in given]
     values = given if all(ok) else [v if k else 0 for v, k in zip(given, ok)]
     return np.array(values), ~np.array(ok, dtype=bool)
 
