@@ -222,10 +222,12 @@ def _state_column(given) -> tuple[np.ndarray, np.ndarray]:
     not integers: fractions, NaN, inf, bools and non-numbers.
 
     A numeric array is checked as a whole, and so is a sequence of plain
-    ints, such as a chain file gives.  Anything else is read entry by
-    entry, since numpy reads a bool among ints as 0 or 1; its entries
-    that are not integers read as 0 in the array, so the checks that
-    compare state numbers run on numbers only.
+    ints, such as a chain file gives, by its types alone: read entry by
+    entry, the checks would double the parse time of a large chain
+    file.  Anything else is read entry by entry, since numpy reads a
+    bool among ints as 0 or 1; its entries that are not integers read
+    as 0 in the array, so the checks that compare state numbers run on
+    numbers only.
     """
     if isinstance(given, np.ndarray) and given.dtype.kind in "iuf":
         return given, ~np.isfinite(given) | (given != np.trunc(given))
