@@ -71,7 +71,8 @@ def _add_chain_args(p: argparse.ArgumentParser):
         choices=[REFLECT, KILL],
         help="window top (default: reflect for --logistic, the file's own for --chain)",
     )
-    p.add_argument("--tol", type=float, default=1e-10, help="stabilization tolerance")
+    p.add_argument("--tol", type=float, default=1e-10,
+                   help="window-search tolerance in TV; each QSD is solved to min(tol/100, 1e-12)")
 
 
 def _build_chain(args):
@@ -154,7 +155,7 @@ def _parse_grid(text: str) -> list[float]:
 
 
 def _parse_law(text: str, chain, qsd) -> DistributionOnStates:
-    """The law text names on chain; qsd is _build_chain's QSD function."""
+    """The law text names on chain; qsd returns the window's QsdResult."""
     if text == "uniform":
         return DistributionOnStates.uniform(chain.n_states)
     if text == "qsd":
@@ -191,29 +192,34 @@ def cmd_qsd(args) -> int:
     return 0
 
 
-def _refuse_kill_for_auto_core(args) -> None:
-    """The auto-core logistic certificate is computed on reflecting windows."""
-    if args.boundary == KILL:
-        raise ValidationError(
-            "--boundary kill does not apply to the auto-core logistic certificate, "
-            "which is computed on reflecting windows"
-        )
+def _auto_core(args) -> bd_mod.LogisticCertificate:
+    """The auto-core logistic certificate (certify without --K, decay
+    --auto-certify) with the window it searched and that window's QSD.
+
+    It grows its own reflecting window from the logistic parameters, so
+    it needs --logistic and refuses --states and --boundary kill.
+    """
+    if args.logistic is None:
+        raise ValidationError("certify without --K and decay --auto-certify need a --logistic chain")
+    for given, flag in ((args.states != "auto", "--states"), (args.boundary == KILL, "--boundary kill")):
+        if given:
+            raise ValidationError(f"{flag} does not apply to the auto-core logistic certificate, which "
+                                  "grows its own reflecting window (certify --K takes a named window)")
+    b, d, c = args.logistic
+    return bd_mod.logistic_certificate(b, d, c, tol=args.tol)
 
 
 def cmd_certify(args) -> int:
-    if args.logistic is not None and args.K is None:
-        # the auto-core certificate fixes K = 1..z0, x0 = 1, the direct
-        # route and its own window
-        if args.route == "criterion" or args.x0 is not None or args.states != "auto":
-            raise ValidationError("--route criterion, --x0 and --states need an explicit --K")
-        _refuse_kill_for_auto_core(args)
-        b, d, c = args.logistic
-        result = bd_mod.logistic_certificate(b, d, c, tol=args.tol)
-        cert = result.certificate
+    if args.K is None:
+        # the auto-core certificate fixes K = 1..z0, x0 = 1 and the
+        # direct route
+        if args.route == "criterion" or args.x0 is not None:
+            raise ValidationError("--route criterion and --x0 need an explicit --K")
+        cert = _auto_core(args).certificate
     else:
         chain, _ = _build_chain(args)
-        if args.K is None or args.x0 is None:
-            raise ValidationError("--K and --x0 are required for explicit chains")
+        if args.x0 is None:
+            raise ValidationError("--K needs --x0")
         K = _parse_states_list(args.K, chain.n_transient)
         if args.route == "criterion":
             cert = derive_certificate_via_criterion(chain, K, args.x0)
@@ -259,19 +265,18 @@ def cmd_bd(args) -> int:
 
 
 def cmd_decay(args) -> int:
-    chain, qsd = _build_chain(args)
+    cert = None
+    if args.auto_certify:
+        # the table runs on the certificate's own window, with its QSD
+        lc = _auto_core(args)
+        chain, qsd, cert = lc.chain, lambda: lc.qsd, lc.certificate
+    else:
+        chain, qsd = _build_chain(args)
     mu = _parse_law(args.mu, chain, qsd)
     nu = _parse_law(args.nu, chain, qsd)
     grid = _parse_grid(args.t_grid)
-    cert = None
     if args.certificate is not None:
         cert = parse_certificate_text(read_text(args.certificate))
-    elif args.auto_certify:
-        if args.logistic is None:
-            raise ValidationError("--auto-certify needs a --logistic chain")
-        _refuse_kill_for_auto_core(args)
-        b, d, c = args.logistic
-        cert = bd_mod.logistic_certificate(b, d, c, tol=args.tol).certificate
     rows = decay_table(chain, mu, nu, grid, certificate=cert, rho=qsd().qsd)
     path = _outpath(args, "decay.csv")
     decay_to_csv(rows, path)
@@ -370,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--auto-certify",
         action="store_true",
         dest="auto_certify",
-        help="derive the certificate from the logistic parameters",
+        help="certify from the logistic parameters and tabulate on that certificate's window",
     )
 
     p = command("simulate", cmd_simulate, "independent absorbed paths")

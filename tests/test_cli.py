@@ -7,10 +7,14 @@ import warnings
 import pytest
 
 from quasistat import (
+    DistributionOnStates,
     build_logistic,
     certify,
     compute_qsd,
+    decay_table,
+    decay_to_csv,
     derive_certificate_via_criterion,
+    logistic_certificate,
     parse_certificate_text,
 )
 from quasistat import engine
@@ -196,8 +200,15 @@ def test_auto_window_qsd_has_the_bytes_of_the_named_window(tmp_path, capsys):
           "--n-particles", "20", "--seed", "1", "--compare-qsd"], 1),
         (["simulate", "--logistic", "1", "1", "1", "--states", "16", "--mu", "qsd",
           "--horizon", "1", "--n-paths", "20", "--seed", "1"], 1),
+        # the certificate's one window search, 32 and 64 states, then 40
+        # and 80: the table runs on its window and reads its QSD
+        (["decay", "--logistic", "1", "1", "1", "--mu", "qsd", "--nu", "1", "--t-grid", "1:12:1",
+          "--auto-certify"], 2),
+        (["decay", "--logistic", "1", "1", "0.05", "--mu", "qsd", "--nu", "1", "--t-grid", "1:12:1",
+          "--auto-certify"], 2),
     ],
-    ids=["qsd-auto", "decay-named", "decay-auto", "fv", "simulate"],
+    ids=["qsd-auto", "decay-named", "decay-auto", "fv", "simulate", "decay-auto-certify-1-1-1",
+         "decay-auto-certify-1-1-0.05"],
 )
 def test_a_command_solves_its_window_qsd_once(argv, factorizations, tmp_path, capsys, monkeypatch):
     # each solve factorizes its window once
@@ -494,7 +505,7 @@ def test_decay_past_the_underflow_of_survival(tmp_path, capsys):
     "argv",
     [
         ["certify", "--logistic", "1", "1", "1"],
-        ["decay", "--logistic", "1", "1", "1", "--states", "16", "--mu", "1", "--nu", "2",
+        ["decay", "--logistic", "1", "1", "1", "--mu", "1", "--nu", "2",
          "--t-grid", "1,2", "--auto-certify"],
     ],
 )
@@ -508,6 +519,38 @@ def test_auto_core_certificate_refuses_kill_boundary(argv, tmp_path, capsys):
     assert err.startswith("error:") and "--boundary kill" in err
     assert not (out / "certificate.txt").exists() and not (out / "decay.csv").exists()
     assert run([*argv, "--boundary", "reflect", "--out", str(out)]) == 0
+
+
+def test_decay_auto_certify_tabulates_on_the_certificates_window(tmp_path, capsys):
+    # (1, 1, 0.05) certifies an 80-state window, while decay's own search
+    # would stop at 128 states: the table and its bound share the window
+    assert run(["decay", "--logistic", "1", "1", "0.05", "--mu", "1", "--nu", "40",
+                "--t-grid", "1:12:1", "--auto-certify", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    lc = logistic_certificate(1.0, 1.0, 0.05)
+    assert lc.chain.n_states == lc.certificate.n_states == 80
+    got = (tmp_path / "decay.csv").read_text().splitlines()
+    grid = [float(t) for t in range(1, 13)]
+    rows = decay_table(lc.chain, DistributionOnStates.delta(1, 80), DistributionOnStates.delta(40, 80),
+                       grid, rho=lc.qsd.qsd)
+    decay_to_csv(rows, tmp_path / "unbounded.csv")
+    want = (tmp_path / "unbounded.csv").read_text().splitlines()
+    assert len(got) == len(want) == 13 and got[0] == want[0]
+    for line, plain, t in zip(got[1:], want[1:], grid):
+        columns, bound = line.rsplit(",", 1)
+        assert columns == plain.rsplit(",", 1)[0]
+        assert bound == f"{lc.certificate.bound(t):.17g}"
+
+
+def test_decay_auto_certify_refuses_a_named_window(tmp_path, capsys):
+    # a 16-state table cannot be read against the certificate's own
+    # window, so --states is refused as certify --logistic refuses it
+    code = run(["decay", *LOGISTIC_16, "--mu", "1", "--nu", "2", "--t-grid", "1,2",
+                "--auto-certify", "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and "--states" in err
+    assert not (tmp_path / "decay.csv").exists()
 
 
 def test_decay_auto_certify_needs_logistic(tmp_path, capsys):
