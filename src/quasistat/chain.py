@@ -246,13 +246,17 @@ def _refuse_first_bad(checks: list, columns: tuple, n: int) -> None:
     entries that fail the check.  columns holds the (from, to, rate) of
     each entry as given, and a message is a template over the entry's x,
     y and r and the window top n.  x and y read as Python ints when they
-    are integers and as given otherwise (1.9, not 1), r as a float.
+    are integers and as given otherwise (1.9, not 1), a string quoted
+    ('3', not 3) so that it does not read as the number; r as a float.
     """
     bad = np.logical_or.reduce([mask for mask, _ in checks])
     if bad.any():
         i = int(np.argmax(bad))
         message = next(message for mask, message in checks if mask[i])
-        x, y = (int(v) if _is_integer(v) else v for v in (columns[0][i], columns[1][i]))
+        x, y = (
+            int(v) if _is_integer(v) else repr(str(v)) if isinstance(v, str) else v
+            for v in (columns[0][i], columns[1][i])
+        )
         raise ValidationError(message.format(x=x, y=y, r=float(columns[2][i]), n=n))
 
 

@@ -399,10 +399,11 @@ def state_number_oracle(v):
 
 def _integer_states_oracle(x, y):
     """(x, y) as ints, or the error that names a pair whose state numbers
-    are not both integers, each shown as given."""
+    are not both integers, each shown as given, a string in quotes."""
     ix, iy = state_number_oracle(x), state_number_oracle(y)
     if ix is None or iy is None:
-        shown = [v if i is None else i for v, i in ((x, ix), (y, iy))]
+        shown = [i if i is not None else f"'{v}'" if type(v) is str else v
+                 for v, i in ((x, ix), (y, iy))]
         raise ValidationError(f"state numbers of rate ({shown[0]} -> {shown[1]}) must be integers")
     return ix, iy
 

@@ -512,16 +512,16 @@ def test_entry_checks_name_the_first_bad_entry_like_the_oracle(table):
 
 
 # state numbers that are not integers, and integral floats, which are
-_NOT_INTEGER_STATES = [1.9, -0.5, 2.5, math.nan, math.inf, -math.inf, True, False]
+_NOT_INTEGER_STATES = [1.9, -0.5, 2.5, math.nan, math.inf, -math.inf, True, False, "3"]
 _INTEGRAL_FLOATS = [1.0, 2.0, 0.0, -1.0, 9.0]
 
 
 @st.composite
 def _non_integer_entry_tables(draw):
     """Small windows whose state numbers may be fractions, +-inf, NaN,
-    bools or integral floats, among ints in and out of the window and
-    past int64.  A chain file spells a state only as an int, so these
-    tables are checked through build_from_entries alone."""
+    bools, strings or integral floats, among ints in and out of the
+    window and past int64.  A chain file spells a state only as an int,
+    so these tables are checked through build_from_entries alone."""
     n_states = draw(st.integers(min_value=2, max_value=6))
     n = n_states - 1
     mode = draw(st.sampled_from([REFLECT, KILL]))
@@ -542,6 +542,8 @@ def _non_integer_entry_tables(draw):
 @example((3, REFLECT, [(2.0, 1.0, 0.5), (0.0, 1, 1.0)]))
 @example((4, KILL, [(1, 2, 1.0), (2, math.inf, 1.0), (0, 1, -1.0)]))
 @example((4, REFLECT, [(2**64, 1, 1.0), (math.nan, 1, 1.0)]))
+# a string reads quoted, not as the state it spells
+@example((4, REFLECT, [(1, 0, 1.0), ("3", 1, 1.0)]))
 def test_non_integer_states_are_named_like_the_oracle(table):
     n_states, mode, entries = table
     try:
@@ -564,6 +566,8 @@ _JUMP_CASES = {
     "negative": {(3, 1): 0.0, (2, 1): -2.0},
     "fraction": {(1.9, 2.2): 1.0},
     "bool": {(2, 3): 1.0, (True, 2): 0.5},
+    # the string '3', not the state 3
+    "string": {("3", 1): 1.0, (1, 2): 1.0},
     "fraction-before-outside": {(1, 2): 1.0, (2.0, 1.5): 1.0, (0, 1): 1.0},
     "nan": {(3, math.nan): 1.0},
     "past-uint64": {(2**64, 1): 1.0},
