@@ -7,6 +7,7 @@ from bisect import bisect_left
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.linalg import eigvalsh_tridiagonal
 
 from quasistat import (
     KILL,
@@ -273,6 +274,27 @@ def power_iteration_qsd(chain, tol=1e-12, max_iters=100000):
         if inc < tol and k >= 3:
             return v, float(v @ (chain.absorption_rates + chain.kill_rates))
     raise AssertionError(f"power iteration did not reach tol={tol} in {max_iters} steps")
+
+
+def assert_rate_within_gap(chain, certificate) -> tuple[float, float]:
+    """(rate, gap) of a certificate on its birth-death window, failing
+    when the rate -log1p(-gamma) of its bound exceeds the gap
+    lambda2 - lambda1.
+
+    On a finite irreducible window, conditioned laws approach the QSD at
+    the rate lambda2 - lambda1 and no faster (Darroch-Seneta 1967,
+    J. Appl. Probab. 4), so no valid bound 2(1 - gamma)^floor(t) decays
+    faster.  lambda1 < lambda2 are the two least eigenvalues of -Q on
+    the transient states, read from its symmetrization: diagonal q(x),
+    off-diagonal sqrt(Q(x, x+1) Q(x+1, x))."""
+    assert (certificate.n_states, certificate.boundary_mode) == (chain.n_states, chain.boundary_mode)
+    Q = chain.sub_generator
+    up, down = Q.diagonal(1), Q.diagonal(-1)
+    assert Q.nnz == Q.shape[0] + 2 * up.size and np.all(up * down > 0), "not an irreducible birth-death window"
+    lam1, lam2 = eigvalsh_tridiagonal(-Q.diagonal(), np.sqrt(up * down), select="i", select_range=(0, 1))
+    rate, gap = -math.log1p(-certificate.gamma), lam2 - lam1
+    assert rate <= gap, f"certificate rate {rate:.3e} exceeds the window's gap {gap:.3e}"
+    return rate, gap
 
 
 def c2_survival_ratio_oracle(chain, K, t_max=20.0, ratio=1.5):

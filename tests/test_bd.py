@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import tracemalloc
@@ -26,7 +27,13 @@ import quasistat.bd as bd_mod
 from quasistat.bd import _DESCENT_CHUNK, _descent_sum, _inner_tail
 from quasistat.cli import main
 
-from conftest import bd_hitting_oracle, bd_moment_oracle, descent_sum_oracle, moment_descent_oracle
+from conftest import (
+    assert_rate_within_gap,
+    bd_hitting_oracle,
+    bd_moment_oracle,
+    descent_sum_oracle,
+    moment_descent_oracle,
+)
 
 LOGISTIC = BirthDeathSpec.logistic(1.0, 1.0, 1.0)
 
@@ -466,6 +473,29 @@ def test_logistic_certificate_pipeline():
     assert 0 < cert.gamma <= 0.5
     assert cert.n_states == lc.chain.n_states == lc.qsd.truncation_n
     assert lc.qsd.top_mass < 1e-12
+
+
+# the benchmark's certify sets, by core size z0: 1, 2, 3, 6, 9, 14 and 45
+CERTIFY_SETS = [(1, 1, 1), (0.5, 1, 0.2), (0.5, 1, 0.05), (2, 1, 0.25), (1, 1, 0.05),
+                (2, 1, 0.1), (3, 1, 0.0505)]
+
+
+@pytest.mark.parametrize("params", CERTIFY_SETS, ids=str)
+def test_logistic_certificate_decays_no_faster_than_its_window_gap(params):
+    # rates run from 6.9e-23 to 3.5e-2 against gaps from 0.616 to 3.07
+    lc = bd_mod.logistic_certificate(*params)
+    rate, gap = assert_rate_within_gap(lc.chain, lc.certificate)
+    assert 0 < rate < 0.04 and 0.6 < gap < 3.1
+
+
+def test_spectral_yardstick_fails_a_rate_past_the_gap():
+    # c1 = c2 = c3 = c4 = 1 give gamma = 0.5 and rate ln 2 = 0.693, above
+    # the gap 0.616 of the 80-state (1, 1, 0.05) window
+    lc = bd_mod.logistic_certificate(1.0, 1.0, 0.05)
+    inflated = dataclasses.replace(lc.certificate, c1=1.0, c2=1.0, c3=1.0, c4=1.0, gamma=None)
+    assert inflated.gamma == 0.5 and lc.chain.n_states == 80
+    with pytest.raises(AssertionError, match="exceeds the window's gap 6.16"):
+        assert_rate_within_gap(lc.chain, inflated)
 
 
 def test_logistic_certificate_needs_deaths():
