@@ -44,7 +44,6 @@ no result carries a failure flag.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,6 +53,7 @@ from .chain import AbsorbedChain, _check_boundary_mode
 from .engine import (
     _BLOCK_ENTRIES,
     _grid_past_zero,
+    _m_matrix_lu,
     _walk,
     evolve_function,
     survival_vector,  # noqa: F401  re-exported: callers and tracers reach it here
@@ -297,11 +297,16 @@ def compute_c4(chain: AbsorbedChain, K, lambda0: float) -> ConstantEstimate:
     """Ceiling on sup_x E_x exp(lambda0 * (time to hit K or 0)).
 
     Computed on the reflecting twin of the window by solving the linear
-    system the moment satisfies off K.  A singular or sign-violating
-    solution means the moment is infinite at this rate and raises
-    DivergentMomentError.  Always >= 1; equals 1 when K covers the
-    window.  Always an empirical_estimate: the solved moment of this
-    window, which on truncated chains grows with the window.
+    system the moment h satisfies off K, A h = (rate into K or 0), with
+    A = -(Q_DD + lambda0 I) on the states D outside K.  A is a Z-matrix,
+    and the moment is finite exactly when A is a nonsingular M-matrix,
+    that is, when every pivot of _m_matrix_lu's diagonal pivoting is > 0.
+    A failed factorization, an off-diagonal pivot or a pivot <= 0 raises
+    DivergentMomentError.  With positive pivots the triangular solves add
+    only non-negative terms, so h >= 0 needs no check.  Always >= 1;
+    equals 1 when K covers the window.  Always an empirical_estimate: the
+    solved moment of this window, which on truncated chains grows with
+    the window.
     """
     core = _check_core(chain, K)
     if not (lambda0 > 0 and math.isfinite(lambda0)):
@@ -309,29 +314,18 @@ def compute_c4(chain: AbsorbedChain, K, lambda0: float) -> ConstantEstimate:
     out_idx, rows, into_stop = _core_exit_rates(chain, core)
     if out_idx.size == 0:
         return ConstantEstimate(value=1.0, provenance=EMPIRICAL, attained_at=core[0])
-    # imported here, not at the top: scipy.sparse.linalg loads scipy.linalg,
-    # which commands that solve nothing never need
-    from scipy.sparse.linalg import MatrixRankWarning, spsolve
-
-    QDD = rows[:, out_idx]
-    A = (-(QDD + lambda0 * sparse.eye(out_idx.size, format="csr"))).tocsc()
+    diverges = f"exponential moment diverges at lambda0={lambda0!r}"
+    A = -(rows[:, out_idx] + lambda0 * sparse.eye(out_idx.size, format="csr"))
     try:
-        with warnings.catch_warnings():
-            # scipy warns on an exactly singular system and returns NaN
-            warnings.simplefilter("error", MatrixRankWarning)
-            h = spsolve(A, into_stop)
-    except Exception as exc:  # singular factorization
-        raise DivergentMomentError(
-            f"exponential moment diverges at lambda0={lambda0!r}: {exc}"
-        ) from None
-    h = np.atleast_1d(np.asarray(h, dtype=np.float64))
-    scale = max(1.0, float(np.abs(into_stop).max()))
-    resid = np.abs(A @ h - into_stop).max()
-    if not np.all(np.isfinite(h)) or np.any(h < 1.0 - 1e-9) or resid > 1e-8 * scale * max(1.0, np.abs(h).max()):
-        raise DivergentMomentError(
-            f"exponential moment diverges at lambda0={lambda0!r} "
-            f"(solution leaves the feasible cone; residual {resid:.3e})"
-        )
+        lu = _m_matrix_lu(A)
+    except RuntimeError as exc:  # an exactly singular factor
+        raise DivergentMomentError(f"{diverges}: {exc}") from None
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        raise DivergentMomentError(f"{diverges} (a diagonal pivot is 0)")
+    pivots = lu.U.diagonal()
+    if not pivots.min() > 0:
+        raise DivergentMomentError(f"{diverges} (LU pivot {pivots.min():.3e} is not positive)")
+    h = lu.solve(into_stop)
     j = int(np.argmax(h))
     return ConstantEstimate(
         value=max(1.0, float(h[j])), provenance=EMPIRICAL, attained_at=int(out_idx[j]) + 1

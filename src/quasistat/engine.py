@@ -628,8 +628,29 @@ def _require_irreducible(chain: AbsorbedChain) -> None:
         )
 
 
+def _m_matrix_lu(A):
+    """The one sparse LU of the package: SuperLU on A with diagonal pivots.
+
+    Both callers hand it a Z-matrix, whose off-diagonal entries are <= 0.
+    Such a matrix is a nonsingular M-matrix exactly when every pivot of
+    its LU with diagonal pivoting is > 0 (Berman and Plemmons,
+    Nonnegative Matrices in the Mathematical Sciences, ch. 6); then every
+    Schur complement is an M-matrix too, and the triangular solves add
+    only non-negative terms.  A zero diagonal is never taken as a pivot,
+    so where one appears SuperLU pivots off the diagonal and perm_r
+    differs from perm_c.  relax=1 and panel_size=1 ask for no relaxed
+    supernodes and one-column panels, so on a window with no columns of
+    equal structure, such as a birth-death window, SuperLU makes no BLAS
+    call, whose rounding depends on the kernel the processor picks.
+    Failure raises scipy's RuntimeError, which each caller names.
+    """
+    from scipy.sparse.linalg import splu  # imported here: see _require_irreducible
+
+    return splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, relax=1, panel_size=1)
+
+
 def _inverse_operator(chain: AbsorbedChain):
-    """One sparse LU of -Q^T (or sigma I - Q^T when no mass is lost).
+    """One _m_matrix_lu of -Q^T (or sigma I - Q^T when no mass is lost).
 
     On an irreducible window that loses mass, -Q is a nonsingular
     M-matrix, so its inverse is entrywise positive with dominant root
@@ -638,22 +659,20 @@ def _inverse_operator(chain: AbsorbedChain):
     positive and its Perron vector the stationary law.  -Q^T is column
     diagonally dominant, so diagonal pivots are the partial-pivoting
     choice anyway; forcing them keeps every Schur complement an M-matrix
-    in exact arithmetic, and then the triangular solves add only
-    non-negative terms.  The factorization itself is not free of
+    in exact arithmetic.  The factorization itself is not free of
     cancellation: each pivot is a diagonal entry minus the fill of the
     eliminations before it, and on a nearly closed window the pivots
     shrink toward the little mass it loses, so these differences cancel
     to rounding.  The logistic chain (3, 1, 0.02), whose decay rate is
-    about 1e-19, fails this way from 256 states on: the inverse
-    iteration reports "surviving mass -4.147e+14 is negative".
+    about 1e-19, fails this way from 256 states on: one pivot comes out
+    negative, and the inverse iteration reports "surviving mass
+    -4.147e+14 is negative".
     """
-    from scipy.sparse.linalg import splu  # imported here: see _require_irreducible
-
     A = -chain.sub_generator.T
     if not np.any(chain.absorption_rates + chain.kill_rates):
         A = A + (chain.uniformization_rate() or 1.0) * sparse.eye(chain.n_transient)
     try:
-        return splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0)
+        return _m_matrix_lu(A)
     except RuntimeError as exc:
         raise ComputationError(f"sparse LU of the sub-generator failed: {exc}") from exc
 
@@ -710,8 +729,9 @@ def compute_qsd(chain: AbsorbedChain, tol: float = 1e-12, max_iters: int = 10000
             trace=ConvergenceTrace(np.arange(1.0, len(incs) + 1), np.array(incs)),
         )
     rho = v
-    absorb = float(rho @ chain.absorption_rates)
-    kill = float(rho @ chain.kill_rates)
+    # fsum, not a BLAS dot, whose last bit depends on the processor's kernel
+    absorb = math.fsum(rho * chain.absorption_rates)
+    kill = math.fsum(rho * chain.kill_rates)
     decay = absorb + kill
     resid = chain.sub_generator.T @ rho + decay * rho
     return QsdResult(

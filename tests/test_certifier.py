@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as sla
+from scipy import sparse
 
 from quasistat import (
     ABSORPTION_RATE,
@@ -24,6 +26,7 @@ from quasistat import (
     compute_c2,
     compute_c3_lambda0,
     compute_c4,
+    compute_qsd,
     conditional_distribution,
     derive_certificate_via_criterion,
     evolve_function,
@@ -35,6 +38,7 @@ from quasistat import (
     tv_distance,
 )
 from quasistat.certify import _unit_step
+from quasistat.engine import _m_matrix_lu
 from quasistat.chain import AbsorbedChain, BirthDeathSpec, truncate
 
 from conftest import c2_survival_ratio_oracle, catastrophe_chain, random_small_absorbed_chain
@@ -568,6 +572,90 @@ def test_c4_divergence_raises():
 def test_c4_rejects_nonpositive_rate():
     with pytest.raises(ValidationError):
         compute_c4(catastrophe_chain(), [1], lambda0=0.0)
+
+
+# c4's pivot rule: off K, A = -(Q_DD + lambda0 I) is a Z-matrix, and the
+# moment is finite exactly when every pivot of its LU with diagonal
+# pivoting is > 0.  On this chain K = {1}, and states 2 and 3 swap at
+# rate 1 and each enters K at rate 1: Q_DD = [[-2, 1], [1, -2]], whose
+# Dirichlet rate, the smallest eigenvalue of -Q_DD, is 1.  Below it the
+# moment is 1/(1 - lambda0) from both states.
+_DIRICHLET_PAIR = [(1, 2, 1.0), (1, 0, 1.0), (2, 3, 1.0), (3, 2, 1.0), (2, 1, 1.0), (3, 1, 1.0)]
+
+
+@pytest.mark.parametrize("lambda0", [0.25, 0.5, 0.9])
+def test_c4_pivot_rule_below_the_dirichlet_rate(lambda0):
+    est = compute_c4(build_from_entries(_DIRICHLET_PAIR, 4), [1], lambda0)
+    assert est.value == pytest.approx(1 / (1 - lambda0), rel=1e-14)
+
+
+@pytest.mark.parametrize(
+    "lambda0, reason",
+    [
+        # A = [[1, -1], [-1, 1]]: the second pivot is exactly 0, and
+        # SuperLU refuses the singular factor
+        (1.0, "Factor is exactly singular"),
+        # A = [[0.5, -1], [-1, 0.5]]: the second pivot is 0.5 - 1/0.5
+        (1.5, "(LU pivot -1.500e+00 is not positive)"),
+    ],
+)
+def test_c4_pivot_rule_at_and_above_the_dirichlet_rate(lambda0, reason):
+    with pytest.raises(DivergentMomentError) as ei:
+        compute_c4(build_from_entries(_DIRICHLET_PAIR, 4), [1], lambda0)
+    assert str(ei.value).startswith(f"exponential moment diverges at lambda0={lambda0!r}")
+    assert str(ei.value).endswith(reason)
+
+
+def test_c4_pivot_rule_refuses_an_off_diagonal_pivot(monkeypatch):
+    # off K = {1} at lambda0 = 2, A = [[1, -1, 0], [-1, 1, -1], [0, -1, 1]]
+    # (eigenvalues 1 - sqrt 2, 1, 1 + sqrt 2: not an M-matrix).  In the
+    # natural order the second pivot is 1 - 1 = 0, so SuperLU takes the
+    # third row's entry off the diagonal instead.
+    real = sla.splu
+    monkeypatch.setattr(sla, "splu", lambda A, **kw: real(A, **{**kw, "permc_spec": "NATURAL"}))
+    entries = [(1, 2, 1.0), (1, 0, 1.0), (2, 3, 1.0), (2, 1, 2.0), (3, 2, 1.0), (3, 4, 1.0),
+               (3, 1, 1.0), (4, 3, 1.0), (4, 1, 2.0)]
+    A = np.array([[1.0, -1.0, 0.0], [-1.0, 1.0, -1.0], [0.0, -1.0, 1.0]])
+    lu = _m_matrix_lu(sparse.csc_matrix(A))
+    assert not np.array_equal(lu.perm_r, lu.perm_c)
+    with pytest.raises(DivergentMomentError) as ei:
+        compute_c4(build_from_entries(entries, 5), [1], 2.0)
+    assert str(ei.value) == "exponential moment diverges at lambda0=2.0 (a diagonal pivot is 0)"
+
+
+def test_qsd_and_c4_share_one_m_matrix_lu(monkeypatch):
+    settings = []
+    real = sla.splu
+
+    def recording(A, **kw):
+        settings.append(kw)
+        return real(A, **kw)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("spsolve is not a route of the package")
+
+    monkeypatch.setattr(sla, "splu", recording)
+    monkeypatch.setattr(sla, "spsolve", refused)
+    chain = build_from_entries(_DIRICHLET_PAIR, 4)
+    compute_qsd(chain)
+    compute_c4(chain, [1], 0.5)
+    assert settings == 2 * [
+        {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0, "relax": 1, "panel_size": 1}
+    ]
+
+
+def test_memory_error_in_m_matrix_lu_is_not_divergence(monkeypatch):
+    # a failure that says nothing about the moment must not read as
+    # "diverges", which BEST would skip without a word
+    def out_of_memory(A, **kw):
+        raise MemoryError
+
+    monkeypatch.setattr(sla, "splu", out_of_memory)
+    chain = build_from_entries(_DIRICHLET_PAIR, 4)
+    with pytest.raises(MemoryError):
+        compute_c4(chain, [1], 0.5)
+    with pytest.raises(MemoryError):
+        certify(chain, [1], 1, c3_strategy=BEST)
 
 
 # -- certificate assembly -------------------------------------------------------
