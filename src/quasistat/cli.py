@@ -109,24 +109,27 @@ def _build_chain(args):
 def _parse_states_list(text: str, n_transient: int) -> tuple[int, ...]:
     """Accept '1..5' ranges or '1,2,7' lists of transient states."""
     text = text.strip()
+    span = ".." in text
     try:
-        if ".." in text:
-            lo, hi = text.split("..", 1)
-            out = tuple(range(int(lo), int(hi) + 1))
+        if span:
+            lo, hi = (int(s) for s in text.split("..", 1))
         else:
             out = tuple(int(s) for s in text.split(",") if s.strip())
+            lo, hi = (min(out), max(out)) if out else (1, 0)
     except ValueError:
         raise ValidationError(f"bad state set {text!r}") from None
-    if not out or min(out) < 1 or max(out) > n_transient:
+    # checked before a range is built, which a huge one would not survive
+    if hi < lo or lo < 1 or hi > n_transient:
         raise ValidationError(f"state set {text!r} outside transient range 1..{n_transient}")
-    return out
+    return tuple(range(lo, hi + 1)) if span else out
 
 
 def _parse_grid(text: str) -> list[float]:
     """Accept 'a:b:step' arithmetic grids or comma-separated times.
 
     Every time must be finite and the grid non-empty; an arithmetic grid
-    may hold at most _MAX_GRID_POINTS points."""
+    may hold at most _MAX_GRID_POINTS points, and its step must move
+    every time it is added to."""
     text = text.strip()
     arithmetic = ":" in text
     try:
@@ -144,12 +147,14 @@ def _parse_grid(text: str) -> list[float]:
         return values
     if step <= 0 or b < a:
         raise ValidationError(f"bad grid {text!r}")
-    if (b - a) / step > _MAX_GRID_POINTS:
+    if (b - a) / step + 1 > _MAX_GRID_POINTS:
         raise ValidationError(f"bad grid {text!r}: more than {_MAX_GRID_POINTS} points")
     out = []
     t = a
     while t <= b + 1e-12:
         out.append(round(t, 12))
+        if t + step == t:
+            raise ValidationError(f"bad grid {text!r}: step {step!r} does not move t = {t!r}")
         t += step
     return out
 

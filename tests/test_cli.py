@@ -18,7 +18,7 @@ from quasistat import (
     parse_certificate_text,
 )
 from quasistat import engine
-from quasistat.cli import build_parser, main
+from quasistat.cli import _MAX_GRID_POINTS, _parse_grid, build_parser, main
 
 CATASTROPHE_FILE = """\
 states 8
@@ -681,6 +681,48 @@ def test_bad_time_grid_is_rejected_before_any_artifact(command, grid, tmp_path, 
 
 
 LOGISTIC_16 = ["--logistic", "1", "1", "1", "--states", "16"]
+
+
+@pytest.mark.parametrize(
+    "grid, reason",
+    [
+        # 64 points by count, but t + 1 == t at 1e16, so the loop never ends
+        ("1e16:1.0000000000000064e16:1", "step 1.0 does not move t = 1e+16"),
+        # 1,000,001 points, one more than the cap
+        ("0:1e6:1", "more than 1000000 points"),
+    ],
+)
+def test_grid_that_would_not_end_or_passes_the_cap_is_refused(grid, reason, tmp_path, capsys):
+    out = tmp_path / "out"
+    code = run(["decay", *LOGISTIC_16, "--mu", "1", "--nu", "3", "--t-grid", grid, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: bad grid {grid!r}: {reason}")
+    assert not out.exists()
+
+
+def test_grid_of_exactly_the_cap_is_built():
+    grid = _parse_grid(f"0:{_MAX_GRID_POINTS - 1}:1")
+    assert len(grid) == _MAX_GRID_POINTS and grid[-1] == _MAX_GRID_POINTS - 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["certify", "--K", "1..1000000000000000000", "--x0", "1"],
+        ["criterion", "--K", "1..1000000000000000000"],
+        ["simulate", "--mu", "1", "--horizon", "1", "--n-paths", "3", "--seed", "1",
+         "--stop-set", "1..1000000000000000000"],
+    ],
+    ids=["certify-K", "criterion-K", "simulate-stop-set"],
+)
+def test_huge_state_range_is_refused_before_it_is_built(argv, tmp_path, capsys):
+    # the ends are checked against 1..n_transient before any range is
+    # built; building this one first ran out of memory
+    code = run([argv[0], *LOGISTIC_16, *argv[1:], "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: state set '1..1000000000000000000' outside transient range 1..15")
 
 
 @pytest.mark.parametrize(
