@@ -639,10 +639,12 @@ def _m_matrix_lu(A):
     only non-negative terms.  A zero diagonal is never taken as a pivot,
     so where one appears SuperLU pivots off the diagonal and perm_r
     differs from perm_c.  relax=1 and panel_size=1 ask for no relaxed
-    supernodes and one-column panels, so on a window with no columns of
-    equal structure, such as a birth-death window, SuperLU makes no BLAS
-    call, whose rounding depends on the kernel the processor picks.
-    Failure raises scipy's RuntimeError, which each caller names.
+    supernodes and one-column panels.  SuperLU hands its supernodes to
+    BLAS, whose rounding depends on the kernel the processor picks; with
+    SuperLU's default relaxation the LU of a 64-state logistic window
+    already moves with that kernel, with these settings it does not
+    (README's design notes give the scope).  Failure raises scipy's
+    RuntimeError, which each caller names.
     """
     from scipy.sparse.linalg import splu  # imported here: see _require_irreducible
 
