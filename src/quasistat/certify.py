@@ -322,9 +322,9 @@ def compute_c4(chain: AbsorbedChain, K, lambda0: float) -> ConstantEstimate:
         raise DivergentMomentError(f"{diverges}: {exc}") from None
     if not np.array_equal(lu.perm_r, lu.perm_c):
         raise DivergentMomentError(f"{diverges} (a diagonal pivot is 0)")
-    pivots = lu.U.diagonal()
-    if not pivots.min() > 0:
-        raise DivergentMomentError(f"{diverges} (LU pivot {pivots.min():.3e} is not positive)")
+    pivot = lu.U.diagonal().min()
+    if not pivot > 0:
+        raise DivergentMomentError(f"{diverges} (LU pivot {pivot:.3e} is not positive)")
     h = lu.solve(into_stop)
     j = int(np.argmax(h))
     return ConstantEstimate(

@@ -802,6 +802,20 @@ def test_qsd_kill_mode_accounts_killing():
     assert res.decay_rate == pytest.approx(res.absorption_rate + res.kill_rate)
 
 
+def test_qsd_rates_are_summed_exactly():
+    # every state is absorbed, so rho . rates has a term per state; fsum
+    # rounds their exact sum once, where a BLAS dot's last bit moves with
+    # the kernel the processor picks
+    rng = np.random.default_rng(4)
+    n = 2000
+    entries = [(x, x + 1, 1.0) for x in range(1, n)] + [(x, x - 1, 1.0) for x in range(2, n + 1)]
+    entries += [(x, 0, float(r)) for x, r in zip(range(1, n + 1), rng.uniform(0.1, 1.0, n))]
+    chain = build_from_entries(entries, n + 1)
+    res = compute_qsd(chain)
+    assert res.absorption_rate == math.fsum(res.qsd.weights * chain.absorption_rates)
+    assert res.kill_rate == 0.0
+
+
 def test_qsd_rejects_reducible_window():
     chain = build_from_entries([(1, 2, 1.0), (2, 3, 1.0), (1, 0, 1.0)], 4)
     with pytest.raises(ValidationError, match="strongly connected"):
